@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  solve     equilibrium solve per content; writes the solution fields,
-            residual histories, the mean-station control trajectory, and the
-            storage-marginal density table
+  solve     the equilibrium every content shares; writes the solution
+            fields, residual histories, the mean-station control trajectory,
+            and the storage-marginal density table
   compare   three-policy cost comparison under common random numbers, with
             the user-density and initial-popularity sweeps
   ipi       paired perfect/imperfect popularity-information study across
@@ -11,7 +11,12 @@ Subcommands:
   validate  parse and validate a scenario file
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
-4 I/O failure. Every run writes ``manifest.txt`` beside its CSVs.
+4 I/O failure, 5 every replication of an experiment point hit the backhaul
+barrier (``BarrierExclusionError``). Every run writes ``manifest.txt``
+beside its CSVs.
+
+Each command solves every distinct equilibrium once: solves with identical
+solver inputs share one result (see ``experiments.one_solve_per_input``).
 """
 
 from __future__ import annotations
@@ -23,12 +28,18 @@ import sys
 import time
 from dataclasses import replace
 
-from .errors import ConfigurationError, PolicyError, SolverError
+from .errors import (
+    BarrierExclusionError,
+    ConfigurationError,
+    PolicyError,
+    SolverError,
+)
 from .experiments import (
     compare_experiment,
     control_trajectory,
     ipi_sweep_experiment,
     iteration_sweep,
+    one_solve_per_input,
     solve_all_contents,
 )
 from .io import write_csv, write_manifest, write_residuals_csv, write_solution_csv
@@ -40,6 +51,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
+EXIT_ALL_EXCLUDED = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
-        ("solve", "solve the equilibrium per content and export the fields"),
+        ("solve", "solve the equilibrium every content shares and export the fields"),
         ("compare", "compare the equilibrium, baseline, and random policies"),
         ("ipi", "measure cost increments under imperfect popularity information"),
         ("validate", "validate a scenario file"),
@@ -107,45 +119,41 @@ def cmd_solve(args) -> int:
     scenario = _load(args)
     out = _out_dir(args, scenario)
     started = time.perf_counter()
-    solutions, alias = solve_all_contents(scenario)
-    iteration_counts: dict[str, int] = {}
+    # Every content shares one solve, exported as content 0.
+    solution = solve_all_contents(scenario)
+    stem = "content_000"
     manifest_extra: dict[str, object] = {
         "grid": "x".join(str(n) for n in (scenario.solver.grid_nt,
                                           scenario.solver.grid_nx,
                                           scenario.solver.grid_nq)),
         "tolerance": scenario.solver.config.tolerance,
+        f"final_residual[{stem}]": format(solution.residual_history[-1], ".6e"),
+        f"converged[{stem}]": solution.converged,
     }
-    all_converged = True
-    for content, solution in solutions.items():
-        stem = f"content_{content:03d}"
-        write_solution_csv(solution, os.path.join(out, f"solution_{stem}.csv"))
-        write_residuals_csv(solution, os.path.join(out, f"residuals_{stem}.csv"))
-        iteration_counts[stem] = solution.iterations
-        manifest_extra[f"final_residual[{stem}]"] = format(
-            solution.residual_history[-1], ".6e")
-        manifest_extra[f"converged[{stem}]"] = solution.converged
-        all_converged &= solution.converged
-        # Mean-station control trajectory and storage-marginal density table.
-        rows = control_trajectory(solution, scenario, scenario.demand.x0)
-        write_csv(os.path.join(out, f"control_trajectory_{stem}.csv"),
-                  ("t", "Q", "p"), rows)
-        g = solution.grid
-        marginal = solution.m.values.sum(axis=1) * g.dx
-        write_csv(os.path.join(out, f"density_marginal_{stem}.csv"),
-                  ("t", "Q", "m"),
-                  ((g.t[i], g.q[j], marginal[i, j])
-                   for i in range(g.t.size) for j in range(g.q.size)))
+    write_solution_csv(solution, os.path.join(out, f"solution_{stem}.csv"))
+    write_residuals_csv(solution, os.path.join(out, f"residuals_{stem}.csv"))
+    # Mean-station control trajectory and storage-marginal density table.
+    rows = control_trajectory(solution, scenario, scenario.demand.x0)
+    write_csv(os.path.join(out, f"control_trajectory_{stem}.csv"),
+              ("t", "Q", "p"), rows)
+    g = solution.grid
+    marginal = solution.m.values.sum(axis=1) * g.dx
+    write_csv(os.path.join(out, f"density_marginal_{stem}.csv"),
+              ("t", "Q", "m"),
+              ((g.t[i], g.q[j], marginal[i, j])
+               for i in range(g.t.size) for j in range(g.q.size)))
     write_csv(os.path.join(out, "content_solutions.csv"),
-              ("content", "solution_content"), sorted(alias.items()))
+              ("content", "solution_content"),
+              ((content, 0) for content in range(scenario.demand.catalog_size)))
     if args.sweep_density:
         write_csv(os.path.join(out, "iterations_vs_density.csv"),
                   ("lambda_b", "iterations", "converged", "final_residual"),
                   iteration_sweep(scenario))
     write_manifest(os.path.join(out, "manifest.txt"), scenario_hash(scenario),
-                   scenario.simulation.seed, iteration_counts,
+                   scenario.simulation.seed, {stem: solution.iterations},
                    time.perf_counter() - started, extra=manifest_extra)
-    if not all_converged:
-        log.error("at least one content solve did not converge")
+    if not solution.converged:
+        log.error("the equilibrium solve did not converge")
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -201,13 +209,17 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"solve": cmd_solve, "compare": cmd_compare,
                "ipi": cmd_ipi, "validate": cmd_validate}[args.command]
     try:
-        return handler(args)
+        with one_solve_per_input():
+            return handler(args)
     except ConfigurationError as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
     except (SolverError, PolicyError) as exc:
         log.error("%s", exc)
         return EXIT_NO_CONVERGENCE
+    except BarrierExclusionError as exc:
+        log.error("%s", exc)
+        return EXIT_ALL_EXCLUDED
     except OSError as exc:
         log.error("i/o failure: %s", exc)
         return EXIT_IO

@@ -73,10 +73,19 @@ def backhaul_cost(p, backhaul: float, content_size: float):
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ConfigurationError("cache fraction must lie in [0, 1]")
-    slack = backhaul - content_size * arr
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cost = np.where(slack > 0, -np.log(np.where(slack > 0, slack, 1.0)), np.inf)
+    cost = log_barrier(arr, backhaul, content_size)
     return float(cost) if np.ndim(p) == 0 else cost
+
+
+def log_barrier(p: np.ndarray, backhaul: float, content_size: float) -> np.ndarray:
+    """Unchecked core of :func:`backhaul_cost` for callers that validated
+    ``p`` already."""
+    slack = backhaul - content_size * p
+    inside = slack > 0
+    if inside.all():
+        return -np.log(slack)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inside, -np.log(np.where(inside, slack, 1.0)), np.inf)
 
 
 def storage_cost(remaining, storage: float, gamma: float):
@@ -113,15 +122,42 @@ def mf_overlap(m_slice: np.ndarray, p_slice: np.ndarray, cell_area: float,
     p = np.asarray(p_slice, dtype=float)
     if m.shape != p.shape:
         raise ConfigurationError("density and control slices must share a shape")
-    if (m < 0).any():
-        raise ConfigurationError("density must be nonnegative")
-    mass = float(m.sum() * cell_area)
-    if abs(mass - 1.0) > mass_tol:
-        raise ConfigurationError(f"density mass {mass!r} deviates from 1 beyond tolerance")
+    check_density(m, cell_area, mass_tol)
     if neighbor_count < 0:
         raise ConfigurationError("neighbor_count must be >= 0")
-    return float(neighbor_count * np.sum(m * p) * cell_area
+    return overlap_integral(m, p, cell_area, storage, similar_count, neighbor_count)
+
+
+def overlap_integral(m: np.ndarray, p: np.ndarray, cell_area: float,
+                     storage: float, similar_count: int,
+                     neighbor_count: int) -> float:
+    """Unchecked core of :func:`mf_overlap` for callers that validated the
+    density already."""
+    return float(neighbor_count * (m * p).sum() * cell_area
                  / (storage * similar_count))
+
+
+def check_density(m: np.ndarray, cell_area: float, mass_tol: float = 1e-6) -> None:
+    """Reject a density that has a negative entry or whose mass under the
+    cell rule is off 1 by more than ``mass_tol``.
+
+    ``m`` is one slice or a stack of ``(x, Q)`` time levels on the leading
+    axis; a stack is checked on all levels at once and the error names the
+    first failing level.
+    """
+    stack = m.ndim == 3
+    levels = m.reshape(m.shape[0] if stack else 1, -1)
+    negative = (levels < 0).any(axis=1)
+    mass = levels.sum(axis=1) * cell_area
+    off = np.abs(mass - 1.0) > mass_tol
+    if not (negative.any() or off.any()):
+        return
+    level = int(np.argmax(negative | off))
+    where = f" at t index {level}" if stack else ""
+    if negative[level]:
+        raise ConfigurationError(f"density must be nonnegative{where}")
+    raise ConfigurationError(f"density mass {float(mass[level])!r}{where} "
+                             "deviates from 1 beyond tolerance")
 
 
 def instantaneous_cost(p, remaining, x, rate: float, overlap: float,

@@ -16,3 +16,8 @@ class SolverError(RuntimeError):
 
 class PolicyError(RuntimeError):
     """A policy refused to evaluate (e.g. built from an unconverged solve)."""
+
+
+class BarrierExclusionError(RuntimeError):
+    """Every replication of an experiment point hit the backhaul barrier, so
+    the point has no cost to report (a run-time outcome, not a bad input)."""

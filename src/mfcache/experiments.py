@@ -1,21 +1,28 @@
 """Experiment recipes behind the command-line front end.
 
-Each recipe turns a scenario into table data: per-content equilibrium
-solves (deduplicated across contents with identical parameters), the
-three-policy cost comparison under common random numbers across the user
-density and initial-popularity sweeps, the paired perfect/imperfect
-popularity-information study across station densities, and the solver
-iteration-count sweep.
+Each recipe turns a scenario into table data: the equilibrium solve shared
+by every content, the three-policy cost comparison under common random
+numbers across the user density and initial-popularity sweeps, the paired
+perfect/imperfect popularity-information study across station densities,
+and the solver iteration-count sweep.
+
+Inside :func:`one_solve_per_input` (every recipe, and every command of the
+command-line front end, runs in one) equilibrium solves are memoized on the
+solver's actual inputs: sweep points that differ only in settings the
+solver never sees share one solve.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import fields, is_dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import BarrierExclusionError
 from .geometry import average_rate, rate_model_from_config, request_region_count
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
 from .scenario import ScenarioConfig
@@ -31,6 +38,7 @@ from .solver import (
 __all__ = [
     "grid_from_scenario",
     "problem_from_scenario",
+    "one_solve_per_input",
     "solve_scenario",
     "solve_all_contents",
     "control_trajectory",
@@ -80,34 +88,65 @@ def problem_from_scenario(scenario: ScenarioConfig, grid: Grid,
     )
 
 
+_SOLVES: ContextVar[dict | None] = ContextVar("mfcache_solves", default=None)
+
+
+@contextmanager
+def one_solve_per_input() -> Iterator[None]:
+    """Scope in which :func:`solve_scenario` solves each distinct set of
+    solver inputs once and hands every later caller the same solution.
+
+    Nested scopes share the outermost memo; it is dropped when that scope
+    exits. Callers must not modify a returned solution.
+    """
+    if _SOLVES.get() is not None:
+        yield
+        return
+    token = _SOLVES.set({})
+    try:
+        yield
+    finally:
+        _SOLVES.reset(token)
+
+
+def _exact(value) -> object:
+    """Hashable, bit-exact stand-in for a solver input."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return value.hex()
+    if is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _exact(getattr(value, f.name)) for f in fields(value))
+    return value
+
+
 def solve_scenario(scenario: ScenarioConfig, x0: float | None = None) -> MfeSolution:
+    """Equilibrium of the scenario, at initial popularity ``x0`` when given.
+
+    Inside :func:`one_solve_per_input`, a solve whose grid, reduced problem
+    and solver settings equal an earlier one's returns that solution.
+    """
     grid = grid_from_scenario(scenario)
     problem = problem_from_scenario(scenario, grid, x0=x0)
-    return solve_mfe(problem, grid, scenario.solver.config)
+    config = scenario.solver.config
+    memo = _SOLVES.get()
+    if memo is None:
+        return solve_mfe(problem, grid, config)
+    key = (_exact(grid), _exact(problem), _exact(config))
+    if key not in memo:
+        memo[key] = solve_mfe(problem, grid, config)
+    return memo[key]
 
 
-def solve_all_contents(scenario: ScenarioConfig
-                       ) -> tuple[dict[int, MfeSolution], dict[int, int]]:
-    """Solve the equilibrium once per content, deduplicating identical ones.
+def solve_all_contents(scenario: ScenarioConfig) -> MfeSolution:
+    """The equilibrium every content of the scenario shares.
 
-    Contents of this scenario format share size, backhaul, and prior mean,
-    so distinct solves collapse; the second mapping sends each content id to
-    the id whose solve it shares.
+    Contents of this scenario format share size, backhaul, storage, discard
+    rate and prior mean, so the reduced problem never depends on the
+    content: one solve serves the whole catalog.
     """
-    solutions: dict[int, MfeSolution] = {}
-    alias: dict[int, int] = {}
-    signature_owner: dict[tuple, int] = {}
-    dem, cst = scenario.demand, scenario.costs
-    for content in range(dem.catalog_size):
-        signature = (cst.content_size, cst.backhaul, cst.storage,
-                     cst.discard_rate, dem.x0, 1.0 / dem.catalog_size)
-        owner = signature_owner.get(signature)
-        if owner is None:
-            solutions[content] = solve_scenario(scenario)
-            signature_owner[signature] = content
-            owner = content
-        alias[content] = owner
-    return solutions, alias
+    return solve_scenario(scenario)
 
 
 def control_trajectory(solution: MfeSolution, scenario: ScenarioConfig,
@@ -147,10 +186,11 @@ def _mean_excluding(values: list[float], excluded: list[bool], label: str) -> fl
     if dropped:
         log.warning("%s: excluded %d barrier-hit replication(s)", label, dropped)
     if not kept:
-        raise ConfigurationError(f"{label}: every replication hit the barrier")
+        raise BarrierExclusionError(f"{label}: every replication hit the barrier")
     return float(np.mean(kept))
 
 
+@one_solve_per_input()
 def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
     """Three-policy comparison under common random numbers.
 
@@ -205,6 +245,7 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
     }
 
 
+@one_solve_per_input()
 def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
     """Paired-seed popularity-information study across station densities.
 
@@ -237,6 +278,7 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
     return rows
 
 
+@one_solve_per_input()
 def iteration_sweep(scenario: ScenarioConfig) -> list[tuple]:
     """Solver iteration counts across the station-density sweep."""
     rows = []

@@ -29,24 +29,46 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable,
+              row_format: str | None = None) -> None:
+    """Write a header line and the rows.
+
+    By default each row is a sequence of mixed values, each rendered by
+    :func:`format_value`. With ``row_format``, a printf-style template of
+    one float row such as ``"%.17g,%.17g\\n"``, each item of ``rows`` is a
+    2-D float array holding a block of rows, rendered in one call; ``%.17g``
+    renders a float exactly as :func:`format_value` does.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        if row_format is None:
+            for row in rows:
+                fh.write(",".join(format_value(v) for v in row) + "\n")
+            return
+        for block in rows:
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_solution_csv(solution: MfeSolution, path: str) -> None:
-    """Full equilibrium fields in row-major (t, x, Q) order."""
+    """Full equilibrium fields in row-major (t, x, Q) order, streamed one
+    time level at a time."""
     g = solution.grid
     nt, nx, nq = g.shape
-    t = np.repeat(g.t, nx * nq)
-    x = np.tile(np.repeat(g.x, nq), nt)
-    q = np.tile(g.q, nt * nx)
-    cols = (t, x, q, solution.v.values.ravel(), solution.m.values.ravel(),
-            solution.p.values.ravel())
-    write_csv(path, ("t", "x", "Q", "v", "m", "p"), zip(*cols))
+    fields = (solution.v.values, solution.m.values, solution.p.values)
+
+    def levels():
+        block = np.empty((nx * nq, 6))
+        block[:, 1] = np.repeat(g.x, nq)
+        block[:, 2] = np.tile(g.q, nx)
+        for level in range(nt):
+            block[:, 0] = g.t[level]
+            for col, values in enumerate(fields, start=3):
+                block[:, col] = values[level].ravel()
+            yield block
+
+    write_csv(path, ("t", "x", "Q", "v", "m", "p"), levels(),
+              row_format=",".join(["%.17g"] * 6) + "\n")
 
 
 def write_residuals_csv(solution: MfeSolution, path: str) -> None:

@@ -1,10 +1,12 @@
 """Caching policies compared by the simulator.
 
 All policies map an observed station state to a per-content cache fraction
-inside ``[0, p_max]`` with ``p_max = B (1 - margin) / L``, so the backhaul
-barrier stays finite on every output. The equilibrium policy interpolates
-the solved control surface; the popularity baseline reacts to the observed
-request probability but ignores overlap; the random policy draws uniformly.
+inside ``[0, p_max]``, the solver's admissible cap
+``min(1, B (1 - margin) / L)`` (``SolverConfig.p_max``) handed over in the
+policy context, so the backhaul barrier stays finite on every output. The
+equilibrium policy interpolates the solved control surface; the popularity
+baseline reacts to the observed request probability but ignores overlap;
+the random policy draws uniformly.
 """
 
 from __future__ import annotations
@@ -19,22 +21,14 @@ from .solver import MfeSolution
 
 __all__ = ["PolicyContext", "MfPolicy", "BaselinePolicy", "RandomPolicy"]
 
-BACKHAUL_MARGIN_SCALE = 1e-3
-
-
-def admissible_cap(backhaul: float, content_size: float,
-                   margin_scale: float = BACKHAUL_MARGIN_SCALE) -> float:
-    """Largest cache fraction any policy may emit: keeps the backhaul
-    barrier finite and never exceeds a whole file."""
-    return min(1.0, max(0.0, backhaul * (1.0 - margin_scale) / content_size))
-
 
 @dataclass(frozen=True)
 class PolicyContext:
     """Observed state handed to a policy at one simulation step.
 
     ``x_hat`` and ``remaining`` are per-content arrays; the rest are the
-    shared cost parameters of the step.
+    shared cost parameters of the step. ``p_max`` is the largest cache
+    fraction any policy may emit (``SolverConfig.p_max`` of the scenario).
     """
 
     t: float
@@ -45,6 +39,7 @@ class PolicyContext:
     content_size: float
     storage: float
     similar_count: int
+    p_max: float
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x_hat, dtype=float)
@@ -59,6 +54,8 @@ class PolicyContext:
             raise ConfigurationError("remaining storage must lie in [0, C]")
         if self.rate <= 0:
             raise ConfigurationError("rate must be > 0")
+        if not 0.0 <= self.p_max <= 1.0:
+            raise ConfigurationError("p_max must lie in [0, 1]")
 
 
 class MfPolicy:
@@ -110,9 +107,8 @@ class BaselinePolicy:
 
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None
                  ) -> np.ndarray:
-        cap = admissible_cap(ctx.backhaul, ctx.content_size)
         raw = (ctx.backhaul - 1.0 / (1.0 + ctx.rate * ctx.x_hat)) / ctx.content_size
-        return np.clip(raw, 0.0, cap)
+        return np.clip(raw, 0.0, ctx.p_max)
 
 
 class RandomPolicy:
@@ -122,5 +118,4 @@ class RandomPolicy:
                  ) -> np.ndarray:
         if rng is None:
             raise ConfigurationError("random policy needs a random stream")
-        cap = admissible_cap(ctx.backhaul, ctx.content_size)
-        return rng.uniform(0.0, cap, ctx.x_hat.shape)
+        return rng.uniform(0.0, ctx.p_max, ctx.x_hat.shape)

@@ -165,6 +165,7 @@ def step(world: list[SbsState], hood: np.ndarray, policy, t: float, dt: float,
         t=t, x_hat=x_hat, remaining=q, rate=rate,
         backhaul=cst.backhaul, content_size=cst.content_size,
         storage=cst.storage, similar_count=cst.similar_count,
+        p_max=scenario.solver.config.p_max(cst.backhaul, cst.content_size),
     )
     p = np.asarray(policy(ctx, policy_rng), dtype=float)
     q = np.clip(q + (cst.discard_rate - cst.content_size * p) * dt,

@@ -35,7 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .costs import CostParams, backhaul_cost, mf_overlap, storage_cost
+from .costs import (
+    CostParams,
+    backhaul_cost,
+    check_density,
+    log_barrier,
+    overlap_integral,
+    storage_cost,
+)
 from .demand import FLOOR_EPS
 from .errors import ConfigurationError, SolverError
 
@@ -256,10 +263,26 @@ def optimal_control(x, rate, overlap, dq_v, backhaul: float, content_size: float
     if np.any(rate_arr <= 0):
         raise ConfigurationError("optimal_control requires rate > 0")
     p_cap = config.p_max(backhaul, content_size)
-    safe = np.where(dqv_arr > config.grad_eps, dqv_arr, 1.0)
-    raw = (backhaul - (1.0 + overlap) / (rate_arr * x_arr * safe)) / content_size
-    p = np.where(dqv_arr > config.grad_eps, np.clip(raw, 0.0, p_cap), 0.0)
+    active, denom = _water_fill_terms(rate_arr * x_arr, dqv_arr, config.grad_eps)
+    p = _water_fill(active, denom, overlap, backhaul, content_size, p_cap)
     return float(p) if np.ndim(p) == 0 else p
+
+
+def _water_fill_terms(rate_x, dq_v: np.ndarray, grad_eps: float):
+    """Overlap-free part of :func:`optimal_control`: the mask of states whose
+    ``v_Q`` clears the degeneracy guard, and the denominator
+    ``rate * x * v_Q`` (``rate_x`` is the product ``rate * x``) with ``v_Q``
+    replaced by 1 outside the mask."""
+    active = dq_v > grad_eps
+    return active, rate_x * np.where(active, dq_v, 1.0)
+
+
+def _water_fill(active: np.ndarray, denom: np.ndarray, overlap: float,
+                backhaul: float, content_size: float, p_cap: float) -> np.ndarray:
+    """Unchecked core of :func:`optimal_control` on the terms of
+    :func:`_water_fill_terms`."""
+    raw = (backhaul - (1.0 + overlap) / denom) / content_size
+    return np.where(active, raw.clip(0.0, p_cap), 0.0)
 
 
 def control_bracket(p, x: float, rate: float, overlap: float, dq_v: float,
@@ -300,39 +323,63 @@ def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,
     return p_star, violations
 
 
-def _upwind_advection(v: np.ndarray, drift: np.ndarray, step: float,
-                      axis: int) -> np.ndarray:
-    """Advection term ``drift * dv`` with the one-sided difference chosen by
-    the drift sign (forward where positive, so the stencil reaches into the
-    domain of dependence of the reversed-time transport).
+class _Upwind:
+    """Advection term ``drift * dv`` of one time level along one axis, with
+    the one-sided difference chosen by the drift sign (forward where
+    positive, so the stencil reaches into the domain of dependence of the
+    reversed-time transport).
 
     At a boundary whose drift points out of the domain the term is zero: the
     underlying state is reflected there, matching the zero-flux treatment of
     the forward equation. Where the boundary drift points inward the
     available one-sided difference is already the upwind one.
+
+    The buffers are reused from level to level, so the returned array is
+    overwritten by the next call.
     """
-    sl = [slice(None)] * v.ndim
 
-    def shifted(lo, hi):
-        s = sl.copy()
-        s[axis] = slice(lo, hi)
-        return tuple(s)
+    def __init__(self, shape: tuple[int, int], axis: int, step: float):
+        nx, nq = shape
+        size = nx * nq
+        self._lag = nq if axis == 0 else 1   # flat distance to the next node
+        self._step = step
+        # Differences of the flattened level, padded with zeros at both
+        # ends: entry k + lag holds (v[k + lag] - v[k]) / step, so the
+        # forward and backward differences are the two windows of length
+        # size, and the outflow end of each stays 0. Along Q the flat
+        # difference also spans the end of one row and the start of the
+        # next; those entries are zeroed after every update.
+        padded = np.zeros(size + self._lag)
+        self._diff = padded[self._lag:size]
+        self._row_ends = padded[nq:size:nq] if axis == 1 else None
+        self._fwd = padded[self._lag:].reshape(shape)
+        self._bwd = padded[:size].reshape(shape)
+        self._out = np.empty(shape)
 
-    diff = np.diff(v, axis=axis) / step
-    fwd = np.zeros_like(v)
-    bwd = np.zeros_like(v)
-    fwd[shifted(None, -1)] = diff   # missing at the top: outflow masked
-    bwd[shifted(1, None)] = diff    # missing at the bottom: outflow masked
-    return np.where(drift > 0, drift * fwd, drift * bwd)
+    def __call__(self, v: np.ndarray, drift: np.ndarray,
+                 forward: np.ndarray) -> np.ndarray:
+        """``forward`` is the mask ``drift > 0``."""
+        flat = v.reshape(-1)
+        np.subtract(flat[self._lag:], flat[:-self._lag], out=self._diff)
+        np.divide(self._diff, self._step, out=self._diff)
+        if self._row_ends is not None:
+            self._row_ends[...] = 0.0
+        return np.multiply(drift, np.where(forward, self._fwd, self._bwd),
+                           out=self._out)
 
 
-def _dq_centered(v: np.ndarray, dq: float) -> np.ndarray:
-    """Storage derivative of one time level: centered inside, one-sided at
-    the storage boundaries."""
-    out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dq)
-    out[:, 0] = (v[:, 1] - v[:, 0]) / dq
-    out[:, -1] = (v[:, -1] - v[:, -2]) / dq
+def _dq_centered(v: np.ndarray, dq: float, out: np.ndarray) -> np.ndarray:
+    """Storage derivative of one time level, written into ``out``: centered
+    inside, one-sided at the storage boundaries."""
+    # Centered differences on the flattened level are contiguous; the ones
+    # that straddle two rows land on the boundary columns, overwritten below.
+    flat, inner = v.reshape(-1), out.reshape(-1)[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=inner)
+    np.divide(inner, 2.0 * dq, out=inner)
+    np.subtract(v[:, 1], v[:, 0], out=out[:, 0])
+    np.subtract(v[:, -1], v[:, -2], out=out[:, -1])
+    edges = out[:, ::out.shape[1] - 1]
+    np.divide(edges, dq, out=edges)
     return out
 
 
@@ -356,7 +403,9 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     """Fill the value function backward from the terminal condition and
     record the minimizing control at every node.
 
-    At each time level the storage gradient of the already-computed later
+    The inputs are validated once on entry, the density on all levels at
+    once; the level loop then runs the unchecked formula cores. At each time
+    level the storage gradient of the already-computed later
     level drives the closed-form control; the overlap term is resolved by a
     one-sweep fixed point (control from the lagged overlap, overlap from
     that control, control refreshed) and the level is then stepped with
@@ -370,6 +419,11 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
         raise ConfigurationError("density shape does not match the grid")
     if problem.rate_path.size != nt:
         raise ConfigurationError("rate path length must match the time grid")
+    check_density(m, grid.cell_area, DENSITY_MASS_TOL)
+    if np.any(grid.x < FLOOR_EPS):
+        raise ConfigurationError("optimal_control requires x >= floor_eps")
+    if np.any(problem.rate_path <= 0):
+        raise ConfigurationError("optimal_control requires rate > 0")
     p_cap = config.p_max(c.backhaul, c.content_size)
     max_bq = max(c.discard_rate, abs(c.discard_rate - c.content_size * p_cap))
     max_bx = problem.reversion_rate * max(problem.mu - grid.x[0],
@@ -381,34 +435,41 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     v[-1] = config.terminal_value
     x_col = grid.x[:, None]
     bx = problem.reversion_rate * (problem.mu - x_col) * np.ones((1, nq))
+    bx_forward = bx > 0
     psi = storage_cost(grid.q, c.storage, c.gamma)[None, :]
     ab = _diffusion_factor(nx, grid.dx, grid.dt, problem.volatility)
+    advect_x = _Upwind((nx, nq), 0, grid.dx)
+    advect_q = _Upwind((nx, nq), 1, grid.dq)
+    dqv = np.empty((nx, nq))
+    dt, dq, cell_area = grid.dt, grid.dq, grid.cell_area
+    backhaul, size, discard = c.backhaul, c.content_size, c.discard_rate
     overlap_lag = 0.0
 
     for level in range(nt - 1, -1, -1):
         rate = float(problem.rate_path[level])
-        dqv = _dq_centered(v[level], grid.dq)
-        p_lvl = optimal_control(x_col, rate, overlap_lag, dqv,
-                                c.backhaul, c.content_size, config)
-        overlap = mf_overlap(m[level], p_lvl, grid.cell_area, c.storage,
-                             c.similar_count, problem.neighbor_count)
-        p_lvl = optimal_control(x_col, rate, overlap, dqv,
-                                c.backhaul, c.content_size, config)
+        rate_x = rate * x_col
+        _dq_centered(v[level], dq, dqv)
+        active, denom = _water_fill_terms(rate_x, dqv, config.grad_eps)
+        p_lvl = _water_fill(active, denom, overlap_lag, backhaul, size, p_cap)
+        overlap = overlap_integral(m[level], p_lvl, cell_area, c.storage,
+                                   c.similar_count, problem.neighbor_count)
+        p_lvl = _water_fill(active, denom, overlap, backhaul, size, p_cap)
         p[level] = p_lvl
         overlap_lag = overlap
         if level == 0:
             break
 
-        source = (backhaul_cost(p_lvl, c.backhaul, c.content_size)
-                  * (1.0 + overlap) / (rate * x_col) + psi)
-        bq = c.discard_rate - c.content_size * p_lvl
-        adv = (_upwind_advection(v[level], bx, grid.dx, axis=0)
-               + _upwind_advection(v[level], bq, grid.dq, axis=1))
-        rhs = v[level] + grid.dt * (source + adv)
+        source = (log_barrier(p_lvl, backhaul, size)
+                  * (1.0 + overlap) / rate_x + psi)
+        bq = discard - size * p_lvl
+        adv = (advect_x(v[level], bx, bx_forward)
+               + advect_q(v[level], bq, bq > 0))
+        rhs = v[level] + dt * (source + adv)
         if ab is None:
             v[level - 1] = rhs
         else:
-            v[level - 1] = solve_banded((1, 1), ab, rhs)
+            # A non-finite right-hand side is caught by the check below.
+            v[level - 1] = solve_banded((1, 1), ab, rhs, check_finite=False)
         if not np.isfinite(v[level - 1]).all():
             raise SolverError(
                 f"backward pass produced non-finite values at t index {level - 1} "
@@ -425,7 +486,9 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     diffusive fluxes across cell interfaces, zero flux through every
     boundary. Interior fluxes cancel in the total, so mass is conserved to
     round-off; under the step-size condition all update coefficients are
-    nonnegative, so no negative densities appear.
+    nonnegative, so no negative densities appear. Mass and sign are checked
+    on all levels at once after the pass; the error names the first failing
+    level.
     """
     c = problem.costs
     nt, nx, nq = grid.shape
@@ -448,6 +511,7 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     grid.check_cfl(max_bx, max_bq, problem.volatility)
 
     dt, dx, dq = grid.dt, grid.dx, grid.dq
+    dt_dx, dt_dq = dt / dx, dt / dq
     diff = problem.volatility ** 2 / 2.0
     # Interface drift in x is control-free; precompute once.
     x_faces = (grid.x[:-1] + grid.x[1:]) / 2.0
@@ -457,6 +521,13 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
 
     m = np.empty(grid.shape)
     m[0] = start
+    # The Q fluxes are formed on flattened levels, where neighbouring nodes
+    # are contiguous; the flat interfaces that join the end of one x row to
+    # the start of the next carry no flux. They are set to +0.0 for the
+    # outflow update and to -0.0 for the inflow update, the two values that
+    # leave every density, signed zeros included, unchanged.
+    row_joins = slice(nq - 1, None, nq)
+
     for level in range(nt - 1):
         cur = m[level]
         # Advective flux through x interfaces (upwind).
@@ -465,24 +536,35 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
             flux_x = flux_x - diff * (cur[1:, :] - cur[:-1, :]) / dx
         # Advective flux through q interfaces; interface control is the mean
         # of the adjacent nodes of this level's control surface.
-        p_face = (p[level][:, :-1] + p[level][:, 1:]) / 2.0
+        cur_flat, p_flat = cur.reshape(-1), p[level].reshape(-1)
+        p_face = (p_flat[:-1] + p_flat[1:]) / 2.0
         bqf = c.discard_rate - c.content_size * p_face
-        flux_q = np.maximum(bqf, 0.0) * cur[:, :-1] + np.minimum(bqf, 0.0) * cur[:, 1:]
+        flux_q = (np.maximum(bqf, 0.0) * cur_flat[:-1]
+                  + np.minimum(bqf, 0.0) * cur_flat[1:])
 
-        nxt = cur.copy()
-        nxt[:-1, :] -= dt / dx * flux_x
-        nxt[1:, :] += dt / dx * flux_x
-        nxt[:, :-1] -= dt / dq * flux_q
-        nxt[:, 1:] += dt / dq * flux_q
-        m[level + 1] = nxt
+        nxt = m[level + 1]
+        nxt[...] = cur
+        out_x = dt_dx * flux_x
+        nxt[:-1, :] -= out_x
+        nxt[1:, :] += out_x
+        nxt_flat = nxt.reshape(-1)
+        out_q = dt_dq * flux_q
+        out_q[row_joins] = 0.0
+        nxt_flat[:-1] -= out_q
+        out_q[row_joins] = -0.0
+        nxt_flat[1:] += out_q
 
-        mass = nxt.sum() * grid.cell_area
-        if abs(mass - 1.0) > DENSITY_MASS_TOL:
-            raise SolverError(f"forward pass lost mass at t index {level + 1}: "
-                              f"{mass - 1.0:+.3e}")
-        if nxt.min() < -1e-12:
-            raise SolverError(f"forward pass produced negative density at "
-                              f"t index {level + 1}")
+    later = m[1:].reshape(nt - 1, -1)
+    drift = later.sum(axis=1) * grid.cell_area - 1.0
+    lost = np.abs(drift) > DENSITY_MASS_TOL
+    negative = later.min(axis=1) < -1e-12
+    if lost.any() or negative.any():
+        level = int(np.argmax(lost | negative)) + 1
+        if lost[level - 1]:
+            raise SolverError(f"forward pass lost mass at t index {level}: "
+                              f"{drift[level - 1]:+.3e}")
+        raise SolverError(f"forward pass produced negative density at "
+                          f"t index {level}")
     return m
 
 

@@ -8,16 +8,18 @@ from mfcache.policies import (
     MfPolicy,
     PolicyContext,
     RandomPolicy,
-    admissible_cap,
 )
 from mfcache.solver import Grid, MfgProblem, SolverConfig, gaussian_initial_density, solve_mfe
 
 
-def make_ctx(x_hat, remaining, t=0.5, rate=1.2):
+def make_ctx(x_hat, remaining, t=0.5, rate=1.2, p_max=None):
     x = np.atleast_1d(np.asarray(x_hat, dtype=float))
     q = np.atleast_1d(np.asarray(remaining, dtype=float))
+    if p_max is None:
+        p_max = SolverConfig().p_max(1.0, 1.0)
     return PolicyContext(t=t, x_hat=x, remaining=q, rate=rate, backhaul=1.0,
-                         content_size=1.0, storage=1.0, similar_count=20)
+                         content_size=1.0, storage=1.0, similar_count=20,
+                         p_max=p_max)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +98,7 @@ class TestBaselinePolicy:
     def test_respects_cap(self):
         policy = BaselinePolicy()
         out = policy(make_ctx(1.0, 0.5, rate=1e9))
-        assert out[0] <= admissible_cap(1.0, 1.0)
+        assert out[0] <= SolverConfig().p_max(1, 1)
 
 
 class TestRandomPolicy:
@@ -109,7 +111,7 @@ class TestRandomPolicy:
         rng = np.random.default_rng(0)
         draws = policy(make_ctx(np.full(100_000, 0.5),
                                 np.full(100_000, 0.5)), rng)
-        cap = admissible_cap(1.0, 1.0)
+        cap = SolverConfig().p_max(1, 1)
         assert draws.min() >= 0.0 and draws.max() <= cap
         se = cap / np.sqrt(12 * draws.size)
         assert abs(draws.mean() - cap / 2) < 3 * se
@@ -135,8 +137,49 @@ class TestPolicyContext:
         with pytest.raises(ConfigurationError):
             PolicyContext(t=0.0, x_hat=np.ones(3), remaining=np.ones(4),
                           rate=1.0, backhaul=1.0, content_size=1.0,
-                          storage=1.0, similar_count=20)
+                          storage=1.0, similar_count=20, p_max=0.5)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ConfigurationError):
             make_ctx(0.5, 0.5, rate=0.0)
+
+
+class TestSharedCap:
+    """Every policy caps at the solver's ``SolverConfig.p_max``, so the
+    scenario's ``solver.backhaul_margin_scale`` moves all three caps."""
+
+    CONFIG = SolverConfig(backhaul_margin_scale=0.01)
+
+    def test_baseline_and_random_use_context_cap(self):
+        cap = self.CONFIG.p_max(1.0, 1.0)
+        assert cap == pytest.approx(0.99)
+        ctx = make_ctx(np.full(20_000, 1.0), np.full(20_000, 0.5), rate=1e9,
+                       p_max=cap)
+        assert BaselinePolicy()(ctx).max() == cap
+        draws = RandomPolicy()(ctx, np.random.default_rng(3))
+        assert draws.max() <= cap
+        assert draws.max() > cap - 1e-3
+
+    def test_simulator_passes_scenario_cap(self):
+        from dataclasses import replace
+
+        from mfcache.scenario import (DemandConfig, ScenarioConfig,
+                                      SimulationSettings, SolverSettings)
+        from mfcache.simulation import run_scenario
+
+        scenario = ScenarioConfig(
+            demand=DemandConfig(catalog_size=3),
+            solver=SolverSettings(config=self.CONFIG, grid_nt=11, grid_nx=11,
+                                  grid_nq=11),
+            simulation=SimulationSettings(replications=1, seed=5),
+        )
+        scenario = replace(scenario, costs=replace(scenario.costs, backhaul=1.5,
+                                                   content_size=1.2))
+        seen = []
+
+        def recording(ctx, rng=None):
+            seen.append(ctx.p_max)
+            return RandomPolicy()(ctx, rng)
+
+        run_scenario(scenario, recording, seed=5)
+        assert seen and set(seen) == {self.CONFIG.p_max(1.5, 1.2)}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from support import reference_fpk_forward, reference_solve_mfe
+
 from mfcache.costs import CostParams
 from mfcache.errors import ConfigurationError, SolverError
 from mfcache.solver import (
@@ -265,3 +267,79 @@ class TestScalarField:
         values[1, 1, 1] = np.nan
         with pytest.raises(SolverError):
             ScalarField(values, "value-function").validate(grid)
+
+
+def assert_bitwise_equal(actual, expected):
+    """Equal values and equal signs of zero."""
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestReferenceLevelStep:
+    """The passes validate on entry and reuse buffers; their fields must
+    equal the reference level steps of ``tests/support.py`` bit for bit."""
+
+    @pytest.mark.parametrize("grid, costs", [
+        (DEFAULT_GRID, None),
+        (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(backhaul=2.0, gamma=0.1)),
+    ], ids=["default-grid", "backhaul-2-gamma-0.1"])
+    def test_solve_mfe_matches_reference(self, grid, costs):
+        problem = make_problem(grid, costs=costs)
+        config = SolverConfig()
+        v, m, p, residuals = reference_solve_mfe(problem, grid, config)
+        solution = solve_mfe(problem, grid, config)
+        assert_bitwise_equal(solution.v.values, v)
+        assert_bitwise_equal(solution.m.values, m)
+        assert_bitwise_equal(solution.p.values, p)
+        assert solution.residual_history == residuals
+
+    def test_fpk_matches_reference_under_active_control(self):
+        grid = Grid.make(61, 31, 31, 1.0, 1.0)
+        problem = make_problem(grid)
+        rng = np.random.default_rng(11)
+        p = rng.uniform(0.0, 0.6, grid.shape)
+        p[:, :, ::4] = 0.0
+        m = fpk_forward(p, problem.m0, problem, grid, SolverConfig())
+        assert_bitwise_equal(m, reference_fpk_forward(p, problem.m0, problem, grid))
+
+
+class TestEntryValidation:
+    def _density(self, grid, problem):
+        return np.repeat(problem.m0[None], grid.t.size, axis=0)
+
+    def test_hjb_rejects_one_level_with_mass_off(self):
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid)
+        m = self._density(grid, problem)
+        m[17] *= 1.0 + 1e-3
+        with pytest.raises(ConfigurationError, match="t index 17"):
+            hjb_backward(m, problem, grid, SolverConfig())
+
+    def test_hjb_rejects_negative_entry(self):
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid)
+        m = self._density(grid, problem)
+        m[23, 4, 5] = -1e-9
+        with pytest.raises(ConfigurationError, match="nonnegative at t index 23"):
+            hjb_backward(m, problem, grid, SolverConfig())
+
+    def test_hjb_non_finite_update_is_solver_error(self):
+        # A NaN density passes the sign and mass checks; the non-finite
+        # update it causes must surface as a SolverError naming the level.
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid)
+        m = self._density(grid, problem)
+        m[9, 10, 10] = np.nan
+        with pytest.raises(SolverError, match="t index 8"):
+            hjb_backward(m, problem, grid, SolverConfig())
+
+    def test_fpk_error_names_first_failing_level(self):
+        # A control far outside the admissible range breaks the step-size
+        # condition at two levels; the first broken level is reported.
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid, q0=0.5)
+        p = np.zeros(grid.shape)
+        p[7] = 50.0
+        p[12] = 50.0
+        with pytest.raises(SolverError, match="t index 8\\b"):
+            fpk_forward(p, problem.m0, problem, grid, SolverConfig())

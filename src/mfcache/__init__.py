@@ -10,7 +10,7 @@ Chinese-restaurant / mean-reverting popularity dynamics.
 __version__ = "0.1.0"
 
 from .costs import CostParams
-from .demand import CrpState, IpiModel, PopularityProcess
+from .demand import CrpState, IpiModel
 from .errors import ConfigurationError, PolicyError, SolverError
 from .geometry import GeometryConfig, PointPattern, RateModel
 from .policies import BaselinePolicy, MfPolicy, PolicyContext, RandomPolicy
@@ -19,7 +19,6 @@ from .solver import (
     Grid,
     MfeSolution,
     MfgProblem,
-    ScalarField,
     SolverConfig,
     solve_mfe,
 )
@@ -39,10 +38,8 @@ __all__ = [
     "PointPattern",
     "PolicyContext",
     "PolicyError",
-    "PopularityProcess",
     "RandomPolicy",
     "RateModel",
-    "ScalarField",
     "ScenarioConfig",
     "SolverConfig",
     "SolverError",

@@ -137,7 +137,7 @@ def cmd_solve(args) -> int:
     write_csv(os.path.join(out, f"control_trajectory_{stem}.csv"),
               ("t", "Q", "p"), rows)
     g = solution.grid
-    marginal = solution.m.values.sum(axis=1) * g.dx
+    marginal = solution.m.sum(axis=1) * g.dx
     write_csv(os.path.join(out, f"density_marginal_{stem}.csv"),
               ("t", "Q", "m"),
               ((g.t[i], g.q[j], marginal[i, j])

@@ -7,9 +7,16 @@ probability, plus a linear charge on occupied storage:
 
     J = -log(B - L p) * (1 + I_r) / (rate * x) + gamma * (C - Q) / C
 
-Overlap comes in two forms: the empirical sum over observed neighbor
-controls, and its mean-field limit, an integral of the population density
-against the control surface scaled by the expected neighbor count.
+:func:`running_cost` is the one home of this formula: the solver's backward
+pass and control bracket, the simulator's step and the validating
+:func:`instantaneous_cost` all call it.
+
+Overlap comes in two forms: :func:`empirical_overlap`, the leave-one-out sum
+over the controls of the other stations of a neighbourhood (the simulator's
+overlap), and its mean-field limit :func:`mf_overlap`, an integral of the
+population density against the control surface scaled by the expected
+neighbor count. :func:`check_density` is the one test of whether a field is
+a population density.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 
 __all__ = [
     "CostParams",
@@ -27,6 +34,8 @@ __all__ = [
     "storage_cost",
     "empirical_overlap",
     "mf_overlap",
+    "check_density",
+    "running_cost",
     "instantaneous_cost",
     "lra_cost",
 ]
@@ -50,6 +59,7 @@ class CostParams:
     popularity_eps: float = 0.05
 
     def __post_init__(self) -> None:
+        require_finite("costs", vars(self))
         if self.gamma <= 0:
             raise ConfigurationError("costs.gamma must be > 0")
         if self.content_size <= 0:
@@ -97,20 +107,22 @@ def storage_cost(remaining, storage: float, gamma: float):
     return float(out) if np.ndim(remaining) == 0 else out
 
 
-def empirical_overlap(others_p, storage: float, similar_count: int) -> float:
-    """Expected overlapping cached amount per unit storage, from observed
-    neighbor controls: ``sum_i p_i / (C * N_r)``."""
-    arr = np.asarray(others_p, dtype=float)
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise ConfigurationError("neighbor cache fractions must lie in [0, 1]")
-    if similar_count < 1:
-        raise ConfigurationError("similar_count must be >= 1")
-    return float(arr.sum() / (storage * similar_count))
+def empirical_overlap(p: np.ndarray, storage: float,
+                      similar_count: int) -> np.ndarray:
+    """Leave-one-out overlap of every station of a neighbourhood.
+
+    ``p`` holds the cache fractions of the neighbourhood, one row per
+    station and one column per content; each entry of the result is the sum
+    of the *other* stations' fractions of that content per unit storage and
+    similar-content count, ``(sum_i p_i - p_k) / (C * N_r)``. Unchecked: the
+    fractions are range-checked where they are charged
+    (:func:`backhaul_cost`).
+    """
+    return (p.sum(axis=0) - p) / (storage * similar_count)
 
 
 def mf_overlap(m_slice: np.ndarray, p_slice: np.ndarray, cell_area: float,
-               storage: float, similar_count: int, neighbor_count: int,
-               mass_tol: float = 1e-6) -> float:
+               storage: float, similar_count: int, neighbor_count: int) -> float:
     """Mean-field overlap: neighbor count times the population-average
     control, per unit storage and similar-content count.
 
@@ -122,7 +134,7 @@ def mf_overlap(m_slice: np.ndarray, p_slice: np.ndarray, cell_area: float,
     p = np.asarray(p_slice, dtype=float)
     if m.shape != p.shape:
         raise ConfigurationError("density and control slices must share a shape")
-    check_density(m, cell_area, mass_tol)
+    check_density(m, cell_area)
     if neighbor_count < 0:
         raise ConfigurationError("neighbor_count must be >= 0")
     return overlap_integral(m, p, cell_area, storage, similar_count, neighbor_count)
@@ -137,27 +149,43 @@ def overlap_integral(m: np.ndarray, p: np.ndarray, cell_area: float,
                  / (storage * similar_count))
 
 
-def check_density(m: np.ndarray, cell_area: float, mass_tol: float = 1e-6) -> None:
-    """Reject a density that has a negative entry or whose mass under the
-    cell rule is off 1 by more than ``mass_tol``.
+# Largest deviation of a density's mass from 1 under the cell rule.
+MASS_TOL = 1e-6
 
-    ``m`` is one slice or a stack of ``(x, Q)`` time levels on the leading
-    axis; a stack is checked on all levels at once and the error names the
-    first failing level.
+
+def check_density(m: np.ndarray, cell_area: float, *, floor: float = 0.0,
+                  error: type[Exception] = ConfigurationError,
+                  name: str = "density") -> None:
+    """Raise ``error`` unless ``m`` is a density: no entry is NaN or below
+    ``floor``, and the mass under the cell rule is within ``MASS_TOL`` of 1.
+
+    ``m`` is one ``(x, Q)`` slice or a stack of time levels on the leading
+    axis; a stack is checked on all levels at once and the message, which
+    starts with ``name``, names the first failing level. Inputs keep the
+    floor 0; solver outputs pass a floor just below 0 for round-off.
     """
     stack = m.ndim == 3
     levels = m.reshape(m.shape[0] if stack else 1, -1)
-    negative = (levels < 0).any(axis=1)
+    signed = (levels >= floor).all(axis=1)
     mass = levels.sum(axis=1) * cell_area
-    off = np.abs(mass - 1.0) > mass_tol
-    if not (negative.any() or off.any()):
+    ok = signed & (np.abs(mass - 1.0) <= MASS_TOL)
+    if ok.all():
         return
-    level = int(np.argmax(negative | off))
+    level = int(np.argmin(ok))
     where = f" at t index {level}" if stack else ""
-    if negative[level]:
-        raise ConfigurationError(f"density must be nonnegative{where}")
-    raise ConfigurationError(f"density mass {float(mass[level])!r}{where} "
-                             "deviates from 1 beyond tolerance")
+    if np.isnan(levels[level]).any():
+        raise error(f"{name} has a NaN entry{where}")
+    if not signed[level]:
+        raise error(f"{name} must be nonnegative{where}")
+    raise error(f"{name} mass {float(mass[level])!r}{where} "
+                "deviates from 1 beyond tolerance")
+
+
+def running_cost(phi, overlap, rate_x, psi):
+    """Unchecked core of :func:`instantaneous_cost`: the barrier value
+    ``phi`` scaled by the overlap and divided by ``rate_x`` (the product
+    ``rate * x``), plus the storage charge ``psi``."""
+    return phi * (1.0 + overlap) / rate_x + psi
 
 
 def instantaneous_cost(p, remaining, x, rate: float, overlap: float,
@@ -171,7 +199,7 @@ def instantaneous_cost(p, remaining, x, rate: float, overlap: float,
         raise ConfigurationError("rate must be > 0")
     phi = backhaul_cost(p, params.backhaul, params.content_size)
     psi = storage_cost(remaining, params.storage, params.gamma)
-    out = phi * (1.0 + overlap) / (rate * x_arr) + psi
+    out = running_cost(phi, overlap, rate * x_arr, psi)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -18,19 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 
 __all__ = [
     "FLOOR_EPS",
     "CrpState",
-    "PopularityProcess",
     "IpiModel",
-    "crp_next_request",
     "crp_request_distribution",
     "crp_mean_popularity",
     "simulate_requests",
     "expected_distinct_contents",
-    "ou_step",
     "ou_step_array",
     "perturb_popularity",
     "refresh_period",
@@ -111,14 +108,6 @@ def crp_request_distribution(state: CrpState) -> np.ndarray:
 crp_mean_popularity = crp_request_distribution
 
 
-def crp_next_request(state: CrpState, rng: np.random.Generator) -> int:
-    """Sample one request, update the history, and return the content id."""
-    probs = crp_request_distribution(state)
-    j = int(rng.choice(probs.size, p=probs))
-    state.counts[j] += 1
-    return j
-
-
 def simulate_requests(state: CrpState, n_requests: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Advance the history by ``n_requests`` arrivals; return their ids.
@@ -179,40 +168,6 @@ def expected_distinct_contents(total_requests: int, theta: float, nu: float) -> 
                  * total_requests ** nu)
 
 
-@dataclass
-class PopularityProcess:
-    """Mean-reverting request probability of one content at one station."""
-
-    mu: float
-    x: float
-    reversion_rate: float
-    volatility: float
-    period: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mu <= 1.0:
-            raise ConfigurationError("popularity mean must lie in [0, 1]")
-        if not 0.0 <= self.x <= 1.0:
-            raise ConfigurationError("popularity state must lie in [0, 1]")
-        if self.reversion_rate <= 0:
-            raise ConfigurationError("reversion rate must be > 0")
-        if self.volatility < 0:
-            raise ConfigurationError("volatility must be >= 0")
-        if self.period <= 0:
-            raise ConfigurationError("period must be > 0")
-
-
-def ou_step(proc: PopularityProcess, dt: float, rng: np.random.Generator) -> float:
-    """Advance the process by one Euler-Maruyama step, clamped to [0, 1]."""
-    if not 0.0 < dt <= proc.period:
-        raise ConfigurationError("ou_step requires 0 < dt <= period")
-    noise = rng.standard_normal() if proc.volatility > 0 else 0.0
-    x = (proc.x + proc.reversion_rate * (proc.mu - proc.x) * dt
-         + proc.volatility * np.sqrt(dt) * noise)
-    proc.x = float(min(1.0, max(0.0, x)))
-    return proc.x
-
-
 def ou_step_array(x: np.ndarray, mu: np.ndarray, reversion_rate: float,
                   volatility: float, dt: float,
                   rng: np.random.Generator) -> np.ndarray:
@@ -234,6 +189,9 @@ class IpiModel:
     floor_eps: float = FLOOR_EPS
 
     def __post_init__(self) -> None:
+        require_finite("demand", {"ipi_bias_mean": self.bias_mean,
+                                  "ipi_bias_std": self.bias_std,
+                                  "floor_eps": self.floor_eps})
         if self.bias_std < 0:
             raise ConfigurationError("ipi bias_std must be >= 0")
         if self.floor_eps <= 0:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ConfigurationError(ValueError):
     """A scenario or parameter set violates its invariants.
@@ -7,6 +9,19 @@ class ConfigurationError(ValueError):
     The message names the offending key (e.g. ``geometry.lambda_b``) when the
     error originates from a scenario file.
     """
+
+
+def require_finite(section: str, fields: dict[str, object]) -> None:
+    """Reject the first float in ``fields`` that is NaN or infinite, naming it
+    ``section.key``; other values are left to the caller's checks.
+
+    Range checks written as comparisons let NaN through, and an infinite
+    setting only fails later inside the numerics, so configuration objects
+    call this before their range checks.
+    """
+    for key, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{section}.{key} must be finite")
 
 
 class SolverError(RuntimeError):

@@ -160,7 +160,7 @@ def control_trajectory(solution: MfeSolution, scenario: ScenarioConfig,
     rows = []
     for level in range(g.t.size):
         q_idx = int(np.argmin(np.abs(g.q - q)))
-        p = float(solution.p.values[level, x_idx, q_idx])
+        p = float(solution.p[level, x_idx, q_idx])
         rows.append((float(g.t[level]), q, p))
         q = float(np.clip(q + (cst.discard_rate - cst.content_size * p) * g.dt,
                           0.0, cst.storage))

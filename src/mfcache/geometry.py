@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 
 __all__ = [
     "GeometryConfig",
@@ -68,11 +68,7 @@ class GeometryConfig:
     region_km: tuple[float, float] = (20.0, 20.0)
 
     def __post_init__(self) -> None:
-        for name in ("lambda_b", "lambda_u", "reception_radius_km",
-                     "request_radius_km", "search_radius_km",
-                     "path_loss_alpha", "tx_power_dbm", "noise_dbm"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"geometry.{name} must be finite")
+        require_finite("geometry", vars(self))
         if self.lambda_b <= 0:
             raise ConfigurationError("geometry.lambda_b must be > 0")
         if self.lambda_u < 0:

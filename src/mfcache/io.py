@@ -55,7 +55,7 @@ def write_solution_csv(solution: MfeSolution, path: str) -> None:
     time level at a time."""
     g = solution.grid
     nt, nx, nq = g.shape
-    fields = (solution.v.values, solution.m.values, solution.p.values)
+    fields = (solution.v, solution.m, solution.p)
 
     def levels():
         block = np.empty((nx * nq, 6))

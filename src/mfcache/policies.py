@@ -70,7 +70,7 @@ class MfPolicy:
                 f"{solution.iterations} sweeps)"
             )
         self._grid = solution.grid
-        self._p = solution.p.values
+        self._p = solution.p
         self._cap = solution.p_max
 
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None

@@ -39,7 +39,7 @@ import numpy as np
 
 from .costs import CostParams
 from .demand import FLOOR_EPS, IpiModel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 from .geometry import GeometryConfig
 from .solver import SolverConfig
 
@@ -72,6 +72,7 @@ class DemandConfig:
     ipi: IpiModel = field(default_factory=IpiModel)
 
     def __post_init__(self) -> None:
+        require_finite("demand", vars(self))
         if self.theta <= 0:
             raise ConfigurationError("demand.theta must be > 0")
         if not 0.0 <= self.nu < 1.0:
@@ -103,6 +104,7 @@ class SolverSettings:
     m0_x_std: float = 0.05
 
     def __post_init__(self) -> None:
+        require_finite("solver", vars(self))
         for name in ("grid_nt", "grid_nx", "grid_nq"):
             if getattr(self, name) < 3:
                 raise ConfigurationError(f"solver.{name} must be >= 3")

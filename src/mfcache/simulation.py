@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import backhaul_cost, lra_cost, storage_cost
+from .costs import (
+    backhaul_cost,
+    empirical_overlap,
+    lra_cost,
+    running_cost,
+    storage_cost,
+)
 from .demand import (
     FLOOR_EPS,
     CrpState,
@@ -60,9 +66,6 @@ class SbsState:
         if not (self.remaining.shape == self.x.shape == self.mu.shape):
             raise ConfigurationError("per-content arrays must share a shape")
 
-    def cached(self, storage: float) -> np.ndarray:
-        return storage - self.remaining
-
 
 @dataclass
 class MetricsLog:
@@ -75,7 +78,6 @@ class MetricsLog:
     cumulative_cost: np.ndarray = field(default_factory=lambda: np.empty(0))
     overlap: np.ndarray = field(default_factory=lambda: np.empty(0))
     storage_usage: np.ndarray = field(default_factory=lambda: np.empty(0))
-    hit_ratio: np.ndarray = field(default_factory=lambda: np.empty(0))
     barrier_hits: int = 0
     lra: float = 0.0
     overlap_per_storage: float = 0.0
@@ -178,21 +180,15 @@ def step(world: list[SbsState], hood: np.ndarray, policy, t: float, dt: float,
     p_hood = p[hood]
     q_hood = q[hood]
     x_hood = np.maximum(x[hood], floor)
-    overlap = ((p_hood.sum(axis=0)[None, :] - p_hood)
-               / (cst.storage * cst.similar_count))
+    overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
     phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
     psi = storage_cost(q_hood, cst.storage, cst.gamma)
-    cost_kj = phi * (1.0 + overlap) / (rate * x_hood) + psi
+    cost_kj = running_cost(phi, overlap, rate * x_hood, psi)
     barrier = int(np.sum(~np.isfinite(phi)))
-
-    weights = x_hood.sum(axis=1)
-    hit = (x_hood * np.minimum(1.0, (cst.storage - q_hood) / cst.content_size)
-           ).sum(axis=1) / np.where(weights > 0, weights, 1.0)
     return {
         "cost": float(cost_kj.sum(axis=1).mean()),
         "overlap": float(overlap.mean()),
         "storage_usage": float((cst.storage - q_hood).mean()),
-        "hit_ratio": float(hit.mean()),
         "barrier_hits": barrier,
     }
 
@@ -233,7 +229,7 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
                  if snapshot_time is not None else None)
 
     rows = {key: np.empty(n_steps) for key in
-            ("cost", "overlap", "storage_usage", "hit_ratio")}
+            ("cost", "overlap", "storage_usage")}
     times = np.empty(n_steps)
     barrier_hits = 0
     for k in range(n_steps):
@@ -257,7 +253,6 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
     metrics.cost = rows["cost"]
     metrics.overlap = rows["overlap"]
     metrics.storage_usage = rows["storage_usage"]
-    metrics.hit_ratio = rows["hit_ratio"]
     metrics.barrier_hits = barrier_hits
     metrics.finalize()
     return metrics

@@ -41,14 +41,14 @@ from .costs import (
     check_density,
     log_barrier,
     overlap_integral,
+    running_cost,
     storage_cost,
 )
 from .demand import FLOOR_EPS
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SolverError, require_finite
 
 __all__ = [
     "Grid",
-    "ScalarField",
     "SolverConfig",
     "MfgProblem",
     "MfeSolution",
@@ -63,7 +63,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DENSITY_MASS_TOL = 1e-6
+# Densities the solver produces may dip this far below zero from round-off.
+ROUND_OFF_FLOOR = -1e-12
 
 
 @dataclass(frozen=True)
@@ -132,42 +133,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Values sampled on a grid, tagged by their role.
-
-    ``density`` fields are nonnegative with unit mass at every time level;
-    ``control`` fields live in ``[0, p_max]``; ``value`` fields are finite.
-    """
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", arr)
-        if self.kind not in ("value-function", "density", "control"):
-            raise ConfigurationError(f"unknown field kind {self.kind!r}")
-
-    def validate(self, grid: Grid, p_max: float | None = None) -> None:
-        v = self.values
-        if v.shape != grid.shape:
-            raise ConfigurationError("field shape does not match the grid")
-        if self.kind == "value-function":
-            if not np.isfinite(v).all():
-                raise SolverError("value function contains non-finite entries")
-        elif self.kind == "density":
-            if v.min() < -1e-12:
-                raise SolverError("density has negative entries")
-            mass = v.reshape(v.shape[0], -1).sum(axis=1) * grid.cell_area
-            drift = np.abs(mass - 1.0).max()
-            if drift > DENSITY_MASS_TOL:
-                raise SolverError(f"density mass drifts by {drift:.3e}")
-        elif self.kind == "control":
-            if v.min() < 0 or (p_max is not None and v.max() > p_max + 1e-12):
-                raise SolverError("control leaves its admissible range")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Numerical knobs of the fixed-point solve."""
 
@@ -179,6 +144,7 @@ class SolverConfig:
     backhaul_margin_scale: float = 1e-3  # eps_b = scale * B keeps the barrier finite
 
     def __post_init__(self) -> None:
+        require_finite("solver", vars(self))
         if self.tolerance <= 0:
             raise ConfigurationError("solver.tolerance must be > 0")
         if self.max_iterations < 1:
@@ -230,11 +196,16 @@ class MfgProblem:
 
 @dataclass
 class MfeSolution:
-    """Converged (or best-effort) equilibrium triple plus diagnostics."""
+    """Converged (or best-effort) equilibrium triple plus diagnostics.
 
-    v: ScalarField
-    m: ScalarField
-    p: ScalarField
+    The fields are checked once, here: the value function is finite, the
+    density is a density at every time level and the control lies in
+    ``[0, p_max]``; a failure is a :class:`SolverError`.
+    """
+
+    v: np.ndarray
+    m: np.ndarray
+    p: np.ndarray
     grid: Grid
     iterations: int
     residual_history: list[float]
@@ -245,6 +216,12 @@ class MfeSolution:
         if self.converged and self.residual_history:
             if not np.isfinite(self.residual_history).all():
                 raise SolverError("converged solution with non-finite residuals")
+        if not np.isfinite(self.v).all():
+            raise SolverError("value function contains non-finite entries")
+        check_density(self.m, self.grid.cell_area, floor=ROUND_OFF_FLOOR,
+                      error=SolverError, name="equilibrium density")
+        if not ((self.p >= 0.0).all() and (self.p <= self.p_max + 1e-12).all()):
+            raise SolverError("control leaves its admissible range")
 
 
 def optimal_control(x, rate, overlap, dq_v, backhaul: float, content_size: float,
@@ -292,7 +269,7 @@ def control_bracket(p, x: float, rate: float, overlap: float, dq_v: float,
     phi = backhaul_cost(p, costs.backhaul, costs.content_size)
     psi = storage_cost(remaining, costs.storage, costs.gamma)
     drift = (costs.discard_rate - costs.content_size * np.asarray(p, dtype=float)) * dq_v
-    return phi * (1.0 + overlap) / (rate * x) + psi + drift
+    return running_cost(phi, overlap, rate * x, psi) + drift
 
 
 def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,
@@ -398,6 +375,19 @@ def _diffusion_factor(nx: int, dx: float, dt: float, eta: float):
     return ab
 
 
+def _check_step_size(problem: MfgProblem, grid: Grid,
+                     config: SolverConfig) -> float:
+    """Check the step-size condition at the largest drifts an admissible
+    control can produce; return the control cap ``p_max``."""
+    c = problem.costs
+    p_cap = config.p_max(c.backhaul, c.content_size)
+    max_bq = max(c.discard_rate, abs(c.discard_rate - c.content_size * p_cap))
+    max_bx = problem.reversion_rate * max(problem.mu - grid.x[0],
+                                          1.0 - problem.mu, 0.0)
+    grid.check_cfl(max_bx, max_bq, problem.volatility)
+    return p_cap
+
+
 def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
                  config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fill the value function backward from the terminal condition and
@@ -419,16 +409,12 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
         raise ConfigurationError("density shape does not match the grid")
     if problem.rate_path.size != nt:
         raise ConfigurationError("rate path length must match the time grid")
-    check_density(m, grid.cell_area, DENSITY_MASS_TOL)
+    check_density(m, grid.cell_area)
     if np.any(grid.x < FLOOR_EPS):
         raise ConfigurationError("optimal_control requires x >= floor_eps")
     if np.any(problem.rate_path <= 0):
         raise ConfigurationError("optimal_control requires rate > 0")
-    p_cap = config.p_max(c.backhaul, c.content_size)
-    max_bq = max(c.discard_rate, abs(c.discard_rate - c.content_size * p_cap))
-    max_bx = problem.reversion_rate * max(problem.mu - grid.x[0],
-                                          1.0 - problem.mu, 0.0)
-    grid.check_cfl(max_bx, max_bq, problem.volatility)
+    p_cap = _check_step_size(problem, grid, config)
 
     v = np.empty(grid.shape)
     p = np.empty(grid.shape)
@@ -459,8 +445,8 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
         if level == 0:
             break
 
-        source = (log_barrier(p_lvl, backhaul, size)
-                  * (1.0 + overlap) / rate_x + psi)
+        source = running_cost(log_barrier(p_lvl, backhaul, size), overlap,
+                              rate_x, psi)
         bq = discard - size * p_lvl
         adv = (advect_x(v[level], bx, bx_forward)
                + advect_q(v[level], bq, bq > 0))
@@ -498,17 +484,8 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     start = np.asarray(m0, dtype=float)
     if start.shape != (nx, nq):
         raise ConfigurationError("initial density shape does not match the grid")
-    if start.min() < 0:
-        raise ConfigurationError("initial density must be nonnegative")
-    mass0 = start.sum() * grid.cell_area
-    if abs(mass0 - 1.0) > DENSITY_MASS_TOL:
-        raise ConfigurationError("initial density must integrate to 1 on the grid")
-
-    p_cap = config.p_max(c.backhaul, c.content_size)
-    max_bq = max(c.discard_rate, abs(c.discard_rate - c.content_size * p_cap))
-    max_bx = problem.reversion_rate * max(problem.mu - grid.x[0],
-                                          1.0 - problem.mu, 0.0)
-    grid.check_cfl(max_bx, max_bq, problem.volatility)
+    check_density(start, grid.cell_area, name="initial density")
+    _check_step_size(problem, grid, config)
 
     dt, dx, dq = grid.dt, grid.dx, grid.dq
     dt_dx, dt_dq = dt / dx, dt / dq
@@ -554,17 +531,8 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
         out_q[row_joins] = -0.0
         nxt_flat[1:] += out_q
 
-    later = m[1:].reshape(nt - 1, -1)
-    drift = later.sum(axis=1) * grid.cell_area - 1.0
-    lost = np.abs(drift) > DENSITY_MASS_TOL
-    negative = later.min(axis=1) < -1e-12
-    if lost.any() or negative.any():
-        level = int(np.argmax(lost | negative)) + 1
-        if lost[level - 1]:
-            raise SolverError(f"forward pass lost mass at t index {level}: "
-                              f"{drift[level - 1]:+.3e}")
-        raise SolverError(f"forward pass produced negative density at "
-                          f"t index {level}")
+    check_density(m, grid.cell_area, floor=ROUND_OFF_FLOOR, error=SolverError,
+                  name="forward-pass density")
     return m
 
 
@@ -603,21 +571,11 @@ def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolut
         log.warning("fixed point not converged after %d sweeps "
                     "(last residual %.3e)", iterations, residuals[-1])
 
-    p_cap = config.p_max(problem.costs.backhaul, problem.costs.content_size)
-    solution = MfeSolution(
-        v=ScalarField(v, "value-function"),
-        m=ScalarField(m, "density"),
-        p=ScalarField(p, "control"),
-        grid=grid,
-        iterations=iterations,
-        residual_history=residuals,
-        converged=converged,
-        p_max=p_cap,
+    return MfeSolution(
+        v=v, m=m, p=p, grid=grid, iterations=iterations,
+        residual_history=residuals, converged=converged,
+        p_max=config.p_max(problem.costs.backhaul, problem.costs.content_size),
     )
-    solution.v.validate(grid)
-    solution.m.validate(grid)
-    solution.p.validate(grid, p_max=p_cap)
-    return solution
 
 
 def gaussian_initial_density(grid: Grid, x_mean: float, x_std: float,

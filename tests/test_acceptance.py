@@ -179,7 +179,7 @@ def test_criterion_06_static_popularity_control_bound():
         solution = solve_mfe(problem, grid, sc.solver.config)
         assert solution.converged
         x_idx = int(np.argmin(np.abs(grid.x - x0)))
-        peak = float(solution.p.values[:, x_idx, :].max())
+        peak = float(solution.p[:, x_idx, :].max())
         details.append(f"x0={x0}: max p = {peak:.4f}")
         ok &= peak < x0
     report("criterion 6 (static-popularity control bound)", ok,
@@ -325,7 +325,7 @@ def test_criterion_11_population_consistency():
         policy = MfPolicy(solution)
         grid = solution.grid
         t_idx = int(np.argmin(np.abs(grid.t - 0.5)))
-        marginal = solution.m.values[t_idx].sum(axis=0) * grid.dx
+        marginal = solution.m[t_idx].sum(axis=0) * grid.dx
         w1 = [
             wasserstein1_grid(
                 run_scenario(sc, policy, seed=1000 + s,

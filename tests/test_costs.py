@@ -66,13 +66,25 @@ class TestStorageCost:
 
 class TestEmpiricalOverlap:
     def test_no_neighbors(self):
-        assert empirical_overlap(np.array([]), 1.0, 20) == 0.0
+        # A single-station neighbourhood: nobody else caches anything.
+        overlap = empirical_overlap(np.full((1, 4), 0.5), 1.0, 20)
+        assert overlap.shape == (1, 4)
+        assert (overlap == 0.0).all()
 
     def test_reference_value(self):
-        assert empirical_overlap(np.full(9, 0.5), 1.0, 20) == pytest.approx(0.225)
+        # Ten stations caching half of every content: each sees nine others.
+        overlap = empirical_overlap(np.full((10, 3), 0.5), 1.0, 20)
+        assert overlap == pytest.approx(np.full((10, 3), 0.225))
+
+    def test_leaves_own_control_out(self):
+        p = np.array([[0.2, 0.0], [0.6, 0.4], [0.1, 0.8]])
+        overlap = empirical_overlap(p, 2.0, 5)
+        expected = [[0.7 / 10, 1.2 / 10], [0.3 / 10, 0.8 / 10],
+                    [0.8 / 10, 0.4 / 10]]
+        assert overlap == pytest.approx(np.array(expected))
 
     def test_vanishes_with_many_similar_contents(self):
-        assert empirical_overlap(np.full(9, 0.5), 1.0, 10 ** 9) < 1e-8
+        assert empirical_overlap(np.full((10, 3), 0.5), 1.0, 10 ** 9).max() < 1e-8
 
 
 class TestMfOverlap:
@@ -116,10 +128,11 @@ class TestMfOverlap:
                                      np.linspace(0, 1, nq)) / 2.0
         n_neighbors = 10_000
         flat = (m * cell).ravel()
-        idx = rng.choice(flat.size, size=n_neighbors, p=flat)
-        sampled_p = p.ravel()[idx]
+        # One station and its n_neighbors neighbours, one content each.
+        idx = rng.choice(flat.size, size=n_neighbors + 1, p=flat)
+        sampled_p = p.ravel()[idx][:, None]
         expected = mf_overlap(m, p, cell, 1.0, 20, neighbor_count=n_neighbors)
-        observed = empirical_overlap(sampled_p, 1.0, 20)
+        observed = empirical_overlap(sampled_p, 1.0, 20)[0, 0]
         assert abs(observed - expected) / expected < 0.02
 
 

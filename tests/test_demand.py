@@ -5,12 +5,9 @@ from mfcache.demand import (
     FLOOR_EPS,
     CrpState,
     IpiModel,
-    PopularityProcess,
     crp_mean_popularity,
-    crp_next_request,
     crp_request_distribution,
     expected_distinct_contents,
-    ou_step,
     ou_step_array,
     perturb_popularity,
     refresh_period,
@@ -56,26 +53,6 @@ class TestCrpDistribution:
 
 
 class TestCrpSampling:
-    def test_next_request_updates_counts(self):
-        state = CrpState(counts=np.array([3, 1, 0, 0]), theta=1.0, nu=0.5)
-        total_before = state.total
-        j = crp_next_request(state, np.random.default_rng(0))
-        assert state.total == total_before + 1
-        assert state.counts[j] >= 1
-
-    def test_next_request_marginal_frequencies(self):
-        base = np.array([3, 1, 0, 0])
-        rng = np.random.default_rng(1)
-        hits = np.zeros(4)
-        n = 40_000
-        for _ in range(n):
-            state = CrpState(counts=base.copy(), theta=1.0, nu=0.5)
-            hits[crp_next_request(state, rng)] += 1
-        freq = hits / n
-        expected = np.array([0.5, 0.1, 0.2, 0.2])
-        se = np.sqrt(expected * (1 - expected) / n)
-        assert (np.abs(freq - expected) < 4 * se).all()
-
     def test_urn_sampler_matches_single_draw_law(self):
         base = np.array([3, 1, 0, 0])
         rng = np.random.default_rng(2)
@@ -127,32 +104,35 @@ class TestExpectedDistinct:
 
 
 class TestOuStep:
+    @staticmethod
+    def _path(x, mu, rate, dt, steps):
+        """Noise-free path of one process, one state per step."""
+        rng = np.random.default_rng(0)
+        x, mu = np.array([x]), np.array([mu])
+        out = []
+        for _ in range(steps):
+            x = ou_step_array(x, mu, rate, 0.0, dt, rng)
+            out.append(float(x[0]))
+        return out
+
     def test_zero_noise_fixed_point(self):
-        proc = PopularityProcess(mu=0.5, x=0.5, reversion_rate=1.0, volatility=0.0)
-        assert ou_step(proc, 0.01, np.random.default_rng(0)) == 0.5
+        assert self._path(0.5, 0.5, 1.0, 0.01, 1) == [0.5]
 
     def test_matches_analytic_relaxation(self):
-        proc = PopularityProcess(mu=0.5, x=0.3, reversion_rate=1.0, volatility=0.0)
-        rng = np.random.default_rng(0)
-        dt = 1e-3
-        for _ in range(1000):
-            ou_step(proc, dt, rng)
+        x = self._path(0.3, 0.5, 1.0, 1e-3, 1000)[-1]
         analytic = 0.5 - 0.2 * np.exp(-1.0)
-        assert abs(proc.x - analytic) < 1e-3
+        assert abs(x - analytic) < 1e-3
 
     def test_monotone_convergence_without_noise(self):
-        proc = PopularityProcess(mu=0.8, x=0.1, reversion_rate=2.0, volatility=0.0)
-        rng = np.random.default_rng(0)
-        xs = [ou_step(proc, 0.01, rng) for _ in range(200)]
+        xs = self._path(0.1, 0.8, 2.0, 0.01, 200)
         assert all(b >= a for a, b in zip(xs, xs[1:]))
         assert xs[-1] <= 0.8
 
     def test_invalid_dt(self):
-        proc = PopularityProcess(mu=0.5, x=0.5, reversion_rate=1.0, volatility=0.1)
-        with pytest.raises(ConfigurationError):
-            ou_step(proc, 0.0, np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            ou_step(proc, 2.0, np.random.default_rng(0))
+        x = np.full(3, 0.5)
+        for dt in (0.0, -0.01):
+            with pytest.raises(ConfigurationError):
+                ou_step_array(x, x, 1.0, 0.1, dt, np.random.default_rng(0))
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(5)

@@ -50,7 +50,7 @@ class TestMfPolicy:
         t_i, x_i, q_i = 10, 7, 13
         ctx = make_ctx(g.x[x_i], g.q[q_i], t=float(g.t[t_i]))
         assert policy(ctx)[0] == pytest.approx(
-            solution.p.values[t_i, x_i, q_i])
+            solution.p[t_i, x_i, q_i])
 
     def test_between_nodes_is_convex_combination(self, solution):
         policy = MfPolicy(solution)
@@ -58,7 +58,7 @@ class TestMfPolicy:
         t = float((g.t[10] + g.t[11]) / 2)
         x = float((g.x[7] + g.x[8]) / 2)
         q = float((g.q[13] + g.q[14]) / 2)
-        corners = solution.p.values[10:12, 7:9, 13:15]
+        corners = solution.p[10:12, 7:9, 13:15]
         value = policy(make_ctx(x, q, t=t))[0]
         assert corners.min() - 1e-12 <= value <= corners.max() + 1e-12
 
@@ -66,7 +66,7 @@ class TestMfPolicy:
         policy = MfPolicy(solution)
         g = solution.grid
         ctx = make_ctx(1.0, 1.0, t=10.0)  # t far beyond the horizon
-        assert policy(ctx)[0] == pytest.approx(solution.p.values[-1, -1, -1])
+        assert policy(ctx)[0] == pytest.approx(solution.p[-1, -1, -1])
 
     def test_vectorizes_over_station_batches(self, solution):
         policy = MfPolicy(solution)

@@ -164,6 +164,25 @@ class TestCli:
         assert "seed: 77" in manifest
         assert "grid: 41x11x11" in manifest
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("costs", "gamma", "nan"),
+        ("costs", "backhaul", "inf"),
+        ("solver", "terminal_value", "inf"),
+        ("solver", "tolerance", "nan"),
+        ("solver", "m0_q_std", "inf"),
+        ("demand", "volatility", "inf"),
+        ("demand", "ipi_bias_mean", "nan"),
+    ])
+    def test_non_finite_value_is_validation_failure(self, tmp_path, section,
+                                                    key, value):
+        text = f"[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{key}"):
+            parse_scenario(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["solve", "--scenario", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 2
+
     def test_output_collision_is_io_failure(self, small_file, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mfcache.costs import CostParams
+from mfcache.costs import CostParams, empirical_overlap, instantaneous_cost
+from mfcache.demand import FLOOR_EPS
+from mfcache.geometry import average_rate, rate_model_from_config
 from mfcache.scenario import DemandConfig, ScenarioConfig, SimulationSettings, SolverSettings
-from mfcache.simulation import build_world, ipi_experiment, run_scenario
+from mfcache.simulation import build_world, ipi_experiment, run_scenario, step
 from mfcache.policies import BaselinePolicy, RandomPolicy
 
 from support import ConstantPolicy
@@ -60,6 +62,28 @@ class TestStep:
         log = run_scenario(sc, ConstantPolicy(0.5), seed=5)
         assert (log.overlap == 0.0).all()
 
+    def test_cost_and_overlap_rows_use_the_cost_module(self):
+        # Dense enough that the typical neighbourhood holds several stations.
+        sc = small_scenario()
+        sc = replace(sc, geometry=replace(sc.geometry, lambda_b=0.2))
+        world_rng, policy_rng = (np.random.default_rng(s) for s in (1, 2))
+        world, hood = build_world(sc, world_rng)
+        assert hood.size > 1
+        rate = average_rate(rate_model_from_config(sc.geometry), sc.geometry)
+        row = step(world, hood, ConstantPolicy(0.3), 0.0, 0.02, rate, sc,
+                   world_rng, policy_rng, None)
+
+        p_hood = np.full((hood.size, sc.demand.catalog_size), 0.3)
+        q_hood = np.stack([world[k].remaining for k in hood])
+        floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
+        x_hood = np.maximum(np.stack([world[k].x for k in hood]), floor)
+        overlap = empirical_overlap(p_hood, sc.costs.storage,
+                                    sc.costs.similar_count)
+        cost = instantaneous_cost(p_hood, q_hood, x_hood, rate, overlap, sc.costs)
+        assert overlap.min() > 0.0
+        assert row["overlap"] == float(overlap.mean())
+        assert row["cost"] == float(cost.sum(axis=1).mean())
+
     def test_storage_bounds_hold_under_aggressive_caching(self):
         sc = small_scenario()
         sc = replace(sc, simulation=SimulationSettings(replications=1, seed=1))
@@ -106,7 +130,7 @@ class TestRunScenario:
         sc = small_scenario()
         a = run_scenario(sc, ConstantPolicy(0.0), seed=13)
         b = run_scenario(sc, ConstantPolicy(0.1), seed=13)
-        # same popularity paths imply same hit-ratio weights; storage differs
+        # same popularity paths and time nodes; storage differs
         assert not np.array_equal(a.storage_usage, b.storage_usage)
         assert np.array_equal(a.times, b.times)
 

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from support import reference_fpk_forward, reference_solve_mfe
 
+import mfcache.solver
 from mfcache.costs import CostParams
 from mfcache.errors import ConfigurationError, SolverError
 from mfcache.solver import (
     Grid,
     MfgProblem,
-    ScalarField,
     SolverConfig,
     audited_optimal_control,
     control_bracket,
@@ -213,9 +215,12 @@ class TestFpkForward:
 
 class TestSolveMfe:
     def test_infinite_tolerance_returns_first_sweep(self):
+        # The largest finite tolerance never binds (configuration values
+        # must be finite).
         grid = DEFAULT_GRID
         problem = make_problem(grid)
-        solution = solve_mfe(problem, grid, SolverConfig(tolerance=np.inf))
+        solution = solve_mfe(problem, grid,
+                             SolverConfig(tolerance=np.finfo(float).max))
         assert solution.converged
         assert solution.iterations == 1
 
@@ -234,7 +239,7 @@ class TestSolveMfe:
             solution = solve_mfe(problem, grid, SolverConfig())
             assert solution.converged
             x_idx = int(np.argmin(np.abs(grid.x - x0)))
-            assert solution.p.values[:, x_idx, :].max() < x0
+            assert solution.p[:, x_idx, :].max() < x0
 
     def test_converged_solution_passes_field_checks(self):
         grid = DEFAULT_GRID
@@ -243,30 +248,37 @@ class TestSolveMfe:
         assert solution.converged
         assert solution.residual_history[-1] < 1e-4
         assert np.isfinite(solution.residual_history).all()
-        mass = (solution.m.values.reshape(grid.t.size, -1).sum(axis=1)
+        mass = (solution.m.reshape(grid.t.size, -1).sum(axis=1)
                 * grid.cell_area)
         assert np.abs(mass - 1.0).max() < 1e-6
-        assert solution.p.values.min() >= 0.0
-        assert solution.p.values.max() <= solution.p_max
+        assert solution.p.min() >= 0.0
+        assert solution.p.max() <= solution.p_max
 
 
-class TestScalarField:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScalarField(np.zeros((3, 3, 3)), "mystery")
+class TestSolutionChecks:
+    """An equilibrium's fields are checked once, when the solution is built."""
 
-    def test_density_validation_catches_mass_loss(self):
-        grid = Grid.make(3, 3, 3, 1.0, 1.0)
-        field = ScalarField(np.zeros(grid.shape), "density")
-        with pytest.raises(SolverError):
-            field.validate(grid)
+    @pytest.fixture(scope="class")
+    def solution(self):
+        grid = Grid.make(21, 11, 11, 1.0, 1.0)
+        return solve_mfe(make_problem(grid), grid, SolverConfig())
 
-    def test_value_validation_catches_nan(self):
-        grid = Grid.make(3, 3, 3, 1.0, 1.0)
-        values = np.zeros(grid.shape)
+    def test_density_validation_catches_mass_loss(self, solution):
+        with pytest.raises(SolverError, match="mass"):
+            replace(solution, m=np.zeros_like(solution.m))
+
+    def test_value_validation_catches_nan(self, solution):
+        values = solution.v.copy()
         values[1, 1, 1] = np.nan
         with pytest.raises(SolverError):
-            ScalarField(values, "value-function").validate(grid)
+            replace(solution, v=values)
+
+    @pytest.mark.parametrize("name", ["m", "p"])
+    def test_nan_density_or_control_rejected(self, solution, name):
+        values = getattr(solution, name).copy()
+        values[3, 5, 5] = np.nan
+        with pytest.raises(SolverError):
+            replace(solution, **{name: values})
 
 
 def assert_bitwise_equal(actual, expected):
@@ -288,9 +300,9 @@ class TestReferenceLevelStep:
         config = SolverConfig()
         v, m, p, residuals = reference_solve_mfe(problem, grid, config)
         solution = solve_mfe(problem, grid, config)
-        assert_bitwise_equal(solution.v.values, v)
-        assert_bitwise_equal(solution.m.values, m)
-        assert_bitwise_equal(solution.p.values, p)
+        assert_bitwise_equal(solution.v, v)
+        assert_bitwise_equal(solution.m, m)
+        assert_bitwise_equal(solution.p, p)
         assert solution.residual_history == residuals
 
     def test_fpk_matches_reference_under_active_control(self):
@@ -323,15 +335,42 @@ class TestEntryValidation:
         with pytest.raises(ConfigurationError, match="nonnegative at t index 23"):
             hjb_backward(m, problem, grid, SolverConfig())
 
-    def test_hjb_non_finite_update_is_solver_error(self):
-        # A NaN density passes the sign and mass checks; the non-finite
-        # update it causes must surface as a SolverError naming the level.
+    def test_hjb_rejects_nan_density(self):
         grid = Grid.make(41, 21, 21, 1.0, 1.0)
         problem = make_problem(grid)
         m = self._density(grid, problem)
         m[9, 10, 10] = np.nan
-        with pytest.raises(SolverError, match="t index 8"):
+        with pytest.raises(ConfigurationError, match="NaN entry at t index 9"):
             hjb_backward(m, problem, grid, SolverConfig())
+
+    def test_hjb_non_finite_update_is_solver_error(self, monkeypatch):
+        # A diffusion solve that returns a NaN must surface as a SolverError
+        # naming the level it was written to. Levels are filled from
+        # t index 39 down, so the 32nd solve writes t index 8.
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid)
+        m = self._density(grid, problem)
+        real_solve = mfcache.solver.solve_banded
+        calls = []
+
+        def solve_banded(*args, **kwargs):
+            out = real_solve(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 32:
+                out[10, 10] = np.nan
+            return out
+
+        monkeypatch.setattr(mfcache.solver, "solve_banded", solve_banded)
+        with pytest.raises(SolverError, match="t index 8\\b"):
+            hjb_backward(m, problem, grid, SolverConfig())
+
+    def test_fpk_rejects_nan_initial_density(self):
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid)
+        m0 = problem.m0.copy()
+        m0[10, 10] = np.nan
+        with pytest.raises(ConfigurationError, match="initial density has a NaN"):
+            fpk_forward(np.zeros(grid.shape), m0, problem, grid, SolverConfig())
 
     def test_fpk_error_names_first_failing_level(self):
         # A control far outside the admissible range breaks the step-size

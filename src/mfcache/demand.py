@@ -110,7 +110,8 @@ crp_mean_popularity = crp_request_distribution
 
 def simulate_requests(state: CrpState, n_requests: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Advance the history by ``n_requests`` arrivals; return their ids.
+    """Sample the ids of the next ``n_requests`` arrivals and leave the
+    history unchanged; :func:`refresh_period` folds them into it.
 
     Constant-time urn sampler: a proposal is drawn from the token urn
     (probability proportional to ``n_j`` for seen contents, ``nu*K + theta``
@@ -146,7 +147,6 @@ def simulate_requests(state: CrpState, n_requests: int,
         total += 1
         tokens.append(j)
         out[i] = j
-    state.counts = counts
     return out
 
 

@@ -1,13 +1,13 @@
 """Time-stepped multi-station network simulation.
 
-One replication samples a station pattern, gives every station its own
-request history and per-content popularity state, and steps the world with a
-fixed order per step: popularity diffuses, observations are (optionally)
-perturbed, the policy picks cache fractions, storage integrates the
-cache/discard balance, content overlap is measured over the stations within
-the request radius of a typical user at the region center, and the running
-cost is accumulated. Request histories fold into new popularity means at
-every period boundary.
+One replication samples a station pattern and holds it as one :class:`World`
+of ``(stations, contents)`` arrays, plus one request history per station. A
+step runs in a fixed order: popularity diffuses, observations are
+(optionally) perturbed, the policy picks cache fractions at the time within
+the period, storage integrates the cache/discard balance, content overlap is
+measured over the stations within the request radius of a typical user at
+the region center, and the running cost is accumulated. At every period
+boundary each history folds its sampled arrivals once into new means.
 
 Randomness is split into three independent streams per replication — world
 (pattern, popularity noise, request arrivals), policy draws, and observation
@@ -45,26 +45,30 @@ from .geometry import average_rate, rate_model_from_config, sample_ppp
 from .policies import PolicyContext
 from .scenario import ScenarioConfig
 
-__all__ = ["SbsState", "MetricsLog", "PairedRun", "build_world", "step",
+__all__ = ["World", "MetricsLog", "PairedRun", "build_world", "step",
            "run_scenario", "ipi_experiment"]
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
-class SbsState:
-    """One station: position, per-content storage and popularity state, and
-    the request history of its search region."""
+class World:
+    """One replication's stations: positions ``(K, 2)``, and per station and
+    content the remaining storage, true request probabilities and current
+    period means ``(K, M)``, plus each station's request history."""
 
     position: np.ndarray
-    remaining: np.ndarray   # Q_j, data units left for content j
+    remaining: np.ndarray   # Q, data units left per station and content
     x: np.ndarray           # true request probabilities
     mu: np.ndarray          # current period means
-    crp: CrpState
+    histories: list[CrpState]
 
     def __post_init__(self) -> None:
         if not (self.remaining.shape == self.x.shape == self.mu.shape):
             raise ConfigurationError("per-content arrays must share a shape")
+
+    def __len__(self) -> int:
+        return self.remaining.shape[0]
 
 
 @dataclass
@@ -107,10 +111,10 @@ def _replication_streams(seed: int) -> tuple[np.random.Generator, ...]:
 
 
 def build_world(scenario: ScenarioConfig, rng: np.random.Generator
-                ) -> tuple[list[SbsState], np.ndarray]:
+                ) -> tuple[World, np.ndarray]:
     """Sample the station layout and initial states.
 
-    Returns the stations and the index array of the typical user's
+    Returns the world and the index array of the typical user's
     neighborhood (stations within the request radius of the region center).
     A pattern with no stations gets one forced at the center so the typical
     user always has a serving candidate; an off-center pattern with an empty
@@ -121,26 +125,20 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
     pattern = sample_ppp(geo.lambda_b, geo.region_km, rng)
     center = np.array([geo.region_km[0] / 2.0, geo.region_km[1] / 2.0])
     points = pattern.points if len(pattern) else center[None, :]
-    m = dem.catalog_size
-    stations: list[SbsState] = []
-    for k in range(points.shape[0]):
-        q0 = np.clip(rng.normal(sol.m0_q_mean, sol.m0_q_std, m), 0.0, cst.storage)
-        crp = CrpState.empty(m, theta=dem.theta, nu=dem.nu)
-        stations.append(SbsState(
-            position=points[k].copy(),
-            remaining=q0,
-            x=np.full(m, dem.x0),
-            mu=crp_mean_popularity(crp),
-            crp=crp,
-        ))
+    k, m = points.shape[0], dem.catalog_size
+    histories = [CrpState.empty(m, theta=dem.theta, nu=dem.nu) for _ in range(k)]
+    q0 = np.clip(rng.normal(sol.m0_q_mean, sol.m0_q_std, (k, m)), 0.0, cst.storage)
+    world = World(position=points, remaining=q0, x=np.full((k, m), dem.x0),
+                  mu=np.tile(crp_mean_popularity(histories[0]), (k, 1)),
+                  histories=histories)
     dist = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
     hood = np.flatnonzero(dist <= geo.request_radius_km)
     if hood.size == 0:
         hood = np.array([int(np.argmin(dist))])
-    return stations, hood
+    return world, hood
 
 
-def step(world: list[SbsState], hood: np.ndarray, policy, t: float, dt: float,
+def step(world: World, hood: np.ndarray, policy, t: float, dt: float,
          rate: float, scenario: ScenarioConfig,
          world_rng: np.random.Generator, policy_rng: np.random.Generator,
          ipi_rng: np.random.Generator | None) -> dict[str, float]:
@@ -153,29 +151,23 @@ def step(world: list[SbsState], hood: np.ndarray, policy, t: float, dt: float,
     """
     dem, cst = scenario.demand, scenario.costs
     floor = max(dem.ipi.floor_eps, FLOOR_EPS)
-    x = np.stack([s.x for s in world])
-    mu = np.stack([s.mu for s in world])
-    q = np.stack([s.remaining for s in world])
-
-    x = ou_step_array(x, mu, dem.reversion_rate, dem.volatility, dt, world_rng)
+    x = ou_step_array(world.x, world.mu, dem.reversion_rate, dem.volatility,
+                      dt, world_rng)
     if ipi_rng is not None:
         x_hat = np.clip(perturb_popularity(x, dem.ipi, ipi_rng), floor, 1.0)
     else:
         x_hat = np.clip(x, floor, 1.0)
 
     ctx = PolicyContext(
-        t=t, x_hat=x_hat, remaining=q, rate=rate,
+        t=t, x_hat=x_hat, remaining=world.remaining, rate=rate,
         backhaul=cst.backhaul, content_size=cst.content_size,
         storage=cst.storage, similar_count=cst.similar_count,
         p_max=scenario.solver.config.p_max(cst.backhaul, cst.content_size),
     )
     p = np.asarray(policy(ctx, policy_rng), dtype=float)
-    q = np.clip(q + (cst.discard_rate - cst.content_size * p) * dt,
+    q = np.clip(world.remaining + (cst.discard_rate - cst.content_size * p) * dt,
                 0.0, cst.storage)
-
-    for k, s in enumerate(world):
-        s.x = x[k]
-        s.remaining = q[k]
+    world.x, world.remaining = x, q
 
     p_hood = p[hood]
     q_hood = q[hood]
@@ -199,8 +191,9 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
     """Simulate one replication of the scenario under one policy.
 
     ``horizon`` defaults to the scenario's simulation horizon; the step size
-    is the solver grid's, so equilibrium policies evaluate on their own time
-    nodes. Request histories refresh the popularity means at every period
+    is the solver grid's and policies see the time within the period, so
+    equilibrium policies evaluate on their own time nodes in every period.
+    Request histories refresh the popularity means at every period
     boundary with arrivals Poisson-distributed in the user mass of the
     search region.
     """
@@ -234,21 +227,20 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
     barrier_hits = 0
     for k in range(n_steps):
         t = k * dt
-        row = step(world, hood, policy, t, dt, rate, scenario,
-                   world_rng, policy_rng, ipi_rng if use_ipi else None)
+        row = step(world, hood, policy, (k % steps_per_period) * dt, dt, rate,
+                   scenario, world_rng, policy_rng,
+                   ipi_rng if use_ipi else None)
         barrier_hits += row.pop("barrier_hits")
         for key, value in row.items():
             rows[key][k] = value
         times[k] = t + dt
         if snap_step is not None and k + 1 == snap_step:
-            metrics.q_snapshot = np.stack([s.remaining for s in world]).copy()
+            metrics.q_snapshot = world.remaining.copy()
         if (k + 1) % steps_per_period == 0:
-            for s in world:
-                draft = CrpState(s.crp.counts.copy(), theta=s.crp.theta,
-                                 nu=s.crp.nu)
+            for i, history in enumerate(world.histories):
                 arrivals = simulate_requests(
-                    draft, int(world_rng.poisson(arrival_rate)), world_rng)
-                s.mu = refresh_period(s.crp, arrivals)
+                    history, int(world_rng.poisson(arrival_rate)), world_rng)
+                world.mu[i] = refresh_period(history, arrivals)
     metrics.times = times
     metrics.cost = rows["cost"]
     metrics.overlap = rows["overlap"]

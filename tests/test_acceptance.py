@@ -17,7 +17,12 @@ from dataclasses import replace
 
 from mfcache.cli import main
 from mfcache.costs import CostParams
-from mfcache.demand import CrpState, expected_distinct_contents, simulate_requests
+from mfcache.demand import (
+    CrpState,
+    expected_distinct_contents,
+    refresh_period,
+    simulate_requests,
+)
 from mfcache.experiments import solve_scenario
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 from mfcache.scenario import ScenarioConfig
@@ -101,7 +106,7 @@ def test_criterion_03_crp_distinct_count():
     distinct = np.empty(runs)
     for i in range(runs):
         state = CrpState.empty(2000, theta=theta, nu=nu)
-        simulate_requests(state, n_requests, rng)
+        refresh_period(state, simulate_requests(state, n_requests, rng))
         distinct[i] = state.distinct
     expected = expected_distinct_contents(n_requests, theta, nu)
     rel = abs(distinct.mean() - expected) / expected

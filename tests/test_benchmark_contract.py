@@ -10,9 +10,13 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from mfcache.scenario import parse_scenario
+from mfcache import simulation
+from mfcache.policies import BaselinePolicy
+from mfcache.scenario import DemandConfig, ScenarioConfig, SolverSettings, parse_scenario
+from mfcache.simulation import build_world
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -44,3 +48,36 @@ def test_traced_name_resolves(module_name, attr):
 def test_workload_scenario_parses(workload):
     values = workloads.scenario_values(workload, 1)
     parse_scenario(workloads.render_ini(values))
+
+
+def _tiny_scenario():
+    return ScenarioConfig(
+        demand=DemandConfig(catalog_size=3, requests_per_user=1.0),
+        solver=SolverSettings(grid_nt=5, grid_nx=5, grid_nq=5),
+    )
+
+
+def test_world_length_is_the_station_count():
+    # The tracer's simulation.station_steps counter adds len(args[0]) of step.
+    world, _ = build_world(_tiny_scenario(), np.random.default_rng(0))
+    assert len(world) == world.position.shape[0] == world.remaining.shape[0]
+    assert len(world) == len(world.histories)
+
+
+def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
+    # The tracer's demand hook unpacks (state, n_requests, rng) positionally
+    # and reads state.counts.
+    calls = []
+    sampler = simulation.simulate_requests
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "simulate_requests", recording)
+    simulation.run_scenario(_tiny_scenario(), BaselinePolicy(), horizon=1.0,
+                            seed=3)
+    assert calls
+    for args, kwargs in calls:
+        assert len(args) == 3 and not kwargs
+        assert isinstance(args[0].counts, np.ndarray)

@@ -72,7 +72,7 @@ class TestCrpSampling:
         urn = []
         for _ in range(runs):
             state = CrpState.empty(1200)
-            simulate_requests(state, n_requests, rng)
+            refresh_period(state, simulate_requests(state, n_requests, rng))
             urn.append(state.distinct)
         ref = [naive_crp_distinct(n_requests, 1.0, 0.5, rng)
                for _ in range(runs)]
@@ -82,9 +82,17 @@ class TestCrpSampling:
     def test_urn_sampler_conserves_counts(self):
         state = CrpState.empty(50)
         ids = simulate_requests(state, 500, np.random.default_rng(4))
+        refresh_period(state, ids)
         assert ids.size == 500
         assert state.total == 500
         assert np.array_equal(np.bincount(ids, minlength=50), state.counts)
+
+    def test_sampler_leaves_history_unchanged(self):
+        counts = np.array([3, 1, 0, 0, 2])
+        state = CrpState(counts=counts.copy(), theta=1.0, nu=0.5)
+        ids = simulate_requests(state, 200, np.random.default_rng(5))
+        assert ids.size == 200
+        assert np.array_equal(state.counts, counts)
 
 
 class TestExpectedDistinct:

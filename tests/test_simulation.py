@@ -3,10 +3,11 @@ import pytest
 from dataclasses import replace
 
 from mfcache.costs import CostParams, empirical_overlap, instantaneous_cost
-from mfcache.demand import FLOOR_EPS
+from mfcache.demand import FLOOR_EPS, CrpState
+from mfcache.errors import ConfigurationError
 from mfcache.geometry import average_rate, rate_model_from_config
 from mfcache.scenario import DemandConfig, ScenarioConfig, SimulationSettings, SolverSettings
-from mfcache.simulation import build_world, ipi_experiment, run_scenario, step
+from mfcache.simulation import World, build_world, ipi_experiment, run_scenario, step
 from mfcache.policies import BaselinePolicy, RandomPolicy
 
 from support import ConstantPolicy
@@ -28,18 +29,28 @@ class TestBuildWorld:
         sc = replace(sc, geometry=replace(sc.geometry, lambda_b=1e-9))
         world, hood = build_world(sc, np.random.default_rng(0))
         assert len(world) == 1
-        assert np.array_equal(world[0].position, np.array([10.0, 10.0]))
+        assert np.array_equal(world.position, np.array([[10.0, 10.0]]))
         assert np.array_equal(hood, np.array([0]))
 
     def test_initial_state_shapes(self):
         sc = small_scenario()
         world, hood = build_world(sc, np.random.default_rng(1))
-        for s in world:
-            assert s.remaining.shape == (5,)
-            assert (s.remaining >= 0).all() and (s.remaining <= 1).all()
-            assert (s.x == sc.demand.x0).all()
-            assert s.mu == pytest.approx([0.2] * 5)  # uniform fresh history
+        k = len(world)
+        assert world.position.shape == (k, 2)
+        assert world.remaining.shape == world.x.shape == world.mu.shape == (k, 5)
+        assert (world.remaining >= 0).all() and (world.remaining <= 1).all()
+        assert (world.x == sc.demand.x0).all()
+        assert world.mu == pytest.approx(np.full((k, 5), 0.2))  # fresh histories
+        assert len(world.histories) == k
         assert hood.size >= 1
+
+
+class TestWorld:
+    def test_per_content_arrays_must_share_a_shape(self):
+        with pytest.raises(ConfigurationError):
+            World(position=np.zeros((2, 2)), remaining=np.zeros((2, 5)),
+                  x=np.zeros((2, 5)), mu=np.zeros((2, 4)),
+                  histories=[CrpState.empty(5), CrpState.empty(5)])
 
 
 class TestStep:
@@ -74,9 +85,9 @@ class TestStep:
                    world_rng, policy_rng, None)
 
         p_hood = np.full((hood.size, sc.demand.catalog_size), 0.3)
-        q_hood = np.stack([world[k].remaining for k in hood])
+        q_hood = world.remaining[hood]
         floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
-        x_hood = np.maximum(np.stack([world[k].x for k in hood]), floor)
+        x_hood = np.maximum(world.x[hood], floor)
         overlap = empirical_overlap(p_hood, sc.costs.storage,
                                     sc.costs.similar_count)
         cost = instantaneous_cost(p_hood, q_hood, x_hood, rate, overlap, sc.costs)
@@ -119,6 +130,23 @@ class TestRunScenario:
         log = run_scenario(sc, BaselinePolicy(), seed=4)
         assert (np.diff(log.cumulative_cost) >= -1e-12).all()
         assert log.cumulative_cost[-1] == pytest.approx(log.lra, rel=1e-6)
+
+    def test_policy_sees_time_within_the_period(self):
+        # The equilibrium control is indexed by time within a period, so the
+        # second period must replay the first period's time nodes.
+        seen = []
+
+        class Clock(ConstantPolicy):
+            def __call__(self, ctx, rng=None):
+                seen.append(ctx.t)
+                return super().__call__(ctx, rng)
+
+        sc = small_scenario()
+        log = run_scenario(sc, Clock(0.0), horizon=2.0, seed=6)
+        assert len(seen) == 100
+        assert max(seen) < sc.demand.period
+        assert seen[50:] == seen[:50]
+        assert log.times[-1] == pytest.approx(2.0)
 
     def test_multi_period_refresh_runs(self):
         sc = small_scenario()

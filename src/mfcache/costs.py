@@ -205,8 +205,9 @@ def instantaneous_cost(p, remaining, x, rate: float, overlap: float,
 
 def lra_cost(cost_samples, dt: float) -> float:
     """Long-run-average cost: trapezoidal time integral of uniformly sampled
-    running costs. Returns ``inf`` when the trajectory hit the barrier so the
-    caller can exclude and count it."""
+    running costs divided by the span ``(n - 1) * dt`` it covers; a single
+    sample is its own average. Returns ``inf`` when the trajectory hit the
+    barrier so the caller can exclude and count it."""
     samples = np.asarray(cost_samples, dtype=float)
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
@@ -214,4 +215,6 @@ def lra_cost(cost_samples, dt: float) -> float:
         return 0.0
     if not np.isfinite(samples).all():
         return math.inf
-    return float(np.trapezoid(samples, dx=dt))
+    if samples.size == 1:
+        return float(samples[0])
+    return float(np.trapezoid(samples, dx=dt) / ((samples.size - 1) * dt))

@@ -89,7 +89,7 @@ class MetricsLog:
     q_snapshot: np.ndarray | None = None
 
     def finalize(self) -> None:
-        self.lra = lra_cost(self.cost, self.dt) if self.cost.size else 0.0
+        self.lra = lra_cost(self.cost, self.dt)
         if not math.isfinite(self.lra):
             self.excluded = True
             log.warning("replication %d hit the barrier; trajectory flagged "

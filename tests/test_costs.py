@@ -180,6 +180,9 @@ class TestLraCost:
         fine = lra_cost(np.sin(fine_t), fine_t[1])
         assert abs(coarse - fine) < 1e-3
 
+    def test_single_sample_is_its_own_average(self):
+        assert lra_cost(np.array([2.5]), 0.01) == 2.5
+
     def test_empty_series(self):
         assert lra_cost(np.empty(0), 0.01) == 0.0
 

@@ -129,7 +129,19 @@ class TestRunScenario:
         sc = small_scenario()
         log = run_scenario(sc, BaselinePolicy(), seed=4)
         assert (np.diff(log.cumulative_cost) >= -1e-12).all()
-        assert log.cumulative_cost[-1] == pytest.approx(log.lra, rel=1e-6)
+        assert log.cumulative_cost[-1] == pytest.approx(
+            log.lra * (log.cost.size - 1) * log.dt, rel=1e-6)
+
+    def test_lra_is_the_mean_of_a_constant_step_cost(self):
+        # No caching, no discard and no popularity noise: the running cost
+        # is the same at every step, so its long-run average must be too.
+        sc = small_scenario(costs=CostParams(discard_rate=0.0),
+                            demand=DemandConfig(catalog_size=5, volatility=0.0))
+        for horizon in (1.0, 2.0):
+            log = run_scenario(sc, ConstantPolicy(0.0), horizon=horizon, seed=5)
+            assert log.cost.size == round(50 * horizon)
+            assert np.ptp(log.cost) < 1e-12
+            assert log.lra == pytest.approx(log.cost.mean(), abs=1e-12)
 
     def test_policy_sees_time_within_the_period(self):
         # The equilibrium control is indexed by time within a period, so the

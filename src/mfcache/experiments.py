@@ -206,7 +206,6 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
         solution = solve_scenario(sc)
         policies = _policies_for(solution)
         finals: dict[str, float] = {}
-        dt = sc.demand.period / (sc.solver.grid_nt - 1)
         for name in POLICY_NAMES:
             lras, cum, flags = [], [], []
             for seed in _replication_seeds(sc):
@@ -219,7 +218,7 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
             kept = [c for c, skip in zip(cum, flags) if not skip]
             mean_cum = np.mean(np.stack(kept), axis=0)
             for i, value in enumerate(mean_cum):
-                trajectory_rows.append((lambda_u, name, (i + 1) * dt, value))
+                trajectory_rows.append((lambda_u, name, (i + 1) * log_.dt, value))
         for name in POLICY_NAMES:
             reduction = ((finals["baseline"] - finals[name]) / finals["baseline"]
                          if finals["baseline"] > 0 else 0.0)

@@ -65,7 +65,8 @@ class GeometryConfig:
     tx_power_dbm: float = 23.0
     noise_dbm: float = -70.0
     num_antennas: int = 1
-    region_km: tuple[float, float] = (20.0, 20.0)
+    region_width_km: float = 20.0
+    region_height_km: float = 20.0
 
     def __post_init__(self) -> None:
         require_finite("geometry", vars(self))
@@ -85,12 +86,10 @@ class GeometryConfig:
             raise ConfigurationError("geometry.path_loss_alpha must be > 2")
         if self.num_antennas < 1:
             raise ConfigurationError("geometry.num_antennas must be >= 1")
-        for name in ("reception_radius_km", "request_radius_km", "search_radius_km"):
+        for name in ("reception_radius_km", "request_radius_km", "search_radius_km",
+                     "region_width_km", "region_height_km"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"geometry.{name} must be > 0")
-        w, h = self.region_km
-        if not (w > 0 and h > 0):
-            raise ConfigurationError("geometry.region_km sides must be > 0")
 
     @property
     def tx_power_mw(self) -> float:

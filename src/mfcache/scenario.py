@@ -1,31 +1,13 @@
 """Scenario files: every knob of one named experiment in one INI document.
 
-A scenario is an INI file with the sections below; an empty file yields the
-default experiment (density-0.03 network, 20-content catalog, unit backhaul
-and storage). Unknown sections or keys are rejected, and every validation
-error names the offending key as ``section.key``.
+An empty file yields the default experiment (density-0.03 network,
+20-content catalog, unit backhaul and storage). Unknown sections or keys are
+rejected, and every validation error names the offending key as
+``section.key``.
 
-Sections and keys (defaults in parentheses):
-
-  [geometry]    lambda_b (0.03), lambda_u (0.001), reception_radius_km
-                (10/sqrt(pi)), request_radius_km (4), search_radius_km (4),
-                path_loss_alpha (4), tx_power_dbm (23), noise_dbm (-70),
-                num_antennas (1), region_width_km (20), region_height_km (20)
-  [demand]      theta (1), nu (0.5), reversion_rate (0.5), volatility (0.1),
-                period (1), catalog_size (20), x0 (0.3),
-                requests_per_user (1000), ipi_bias_mean (0.2),
-                ipi_bias_std (0.001), floor_eps (1e-6)
-  [costs]       gamma (1), content_size (1), backhaul (1), storage (1),
-                discard_rate (0.1), similar_count (20), popularity_eps (0.05)
-  [solver]      tolerance (1e-4), max_iterations (200), damping (0.5),
-                terminal_value (0), grad_eps (1e-8),
-                backhaul_margin_scale (1e-3), grid_nt (201), grid_nx (41),
-                grid_nq (41), m0_q_mean (0.7), m0_q_std (0.05),
-                m0_x_std (0.05)
-  [simulation]  horizon (1), replications (20), seed (12345)
-  [experiments] lambda_u_values (1e-4, 2.5e-4), lambda_b_values
-                (5e-3, 2e-2, 3.5e-2, 5e-2), x0_values (0.1 ... 0.9)
-  [outputs]     directory (out), tables (all)
+The sections are the fields of ``ScenarioConfig`` and their keys are the
+fields of each section's dataclass, defaults included; the README documents
+them.
 """
 
 from __future__ import annotations
@@ -33,12 +15,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import Field, dataclass, field, fields, is_dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .costs import CostParams
-from .demand import FLOOR_EPS, IpiModel
+from .demand import IpiModel
 from .errors import ConfigurationError, require_finite
 from .geometry import GeometryConfig
 from .solver import SolverConfig
@@ -121,6 +105,7 @@ class SimulationSettings:
     seed: int = 12345
 
     def __post_init__(self) -> None:
+        require_finite("simulation", vars(self))
         if self.horizon < 0:
             raise ConfigurationError("simulation.horizon must be >= 0")
         if self.replications < 1:
@@ -167,38 +152,48 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
-# section -> key -> (caster, serializer input attribute path)
-_SCHEMA: dict[str, dict[str, type | object] ] = {
-    "geometry": {
-        "lambda_b": float, "lambda_u": float, "reception_radius_km": float,
-        "request_radius_km": float, "search_radius_km": float,
-        "path_loss_alpha": float, "tx_power_dbm": float, "noise_dbm": float,
-        "num_antennas": int, "region_width_km": float, "region_height_km": float,
-    },
-    "demand": {
-        "theta": float, "nu": float, "reversion_rate": float, "volatility": float,
-        "period": float, "catalog_size": int, "x0": float,
-        "requests_per_user": float, "ipi_bias_mean": float,
-        "ipi_bias_std": float, "floor_eps": float,
-    },
-    "costs": {
-        "gamma": float, "content_size": float, "backhaul": float,
-        "storage": float, "discard_rate": float, "similar_count": int,
-        "popularity_eps": float,
-    },
-    "solver": {
-        "tolerance": float, "max_iterations": int, "damping": float,
-        "terminal_value": float, "grad_eps": float,
-        "backhaul_margin_scale": float, "grid_nt": int, "grid_nx": int,
-        "grid_nq": int, "m0_q_mean": float, "m0_q_std": float, "m0_x_std": float,
-    },
-    "simulation": {"horizon": float, "replications": int, "seed": int},
-    "experiments": {
-        "lambda_u_values": _float_list, "lambda_b_values": _float_list,
-        "x0_values": _float_list,
-    },
-    "outputs": {"directory": str, "tables": str},
+# Dataclass field -> INI key, where the field's own name would not say which
+# model it belongs to in its section.
+_INI_NAMES = {"bias_mean": "ipi_bias_mean", "bias_std": "ipi_bias_std"}
+
+
+def _nested(f: Field) -> bool:
+    return is_dataclass(f.default_factory)
+
+
+def _walk(cls: type, prefix: str
+          ) -> Iterator[tuple[str, str, Callable[[str], object]]]:
+    """(INI key, attribute path, caster) of each field of ``cls``; a field
+    holding a dataclass contributes that dataclass's fields in place."""
+    for f in fields(cls):
+        path = prefix + f.name
+        if _nested(f):
+            yield from _walk(f.default_factory, path + ".")
+        else:
+            caster = _float_list if isinstance(f.default, tuple) else type(f.default)
+            yield _INI_NAMES.get(f.name, f.name), path, caster
+
+
+# section -> INI key -> (attribute path from the ScenarioConfig, caster), in
+# the serialized order.
+_KEYS = {
+    section.name: {key: (path, caster) for key, path, caster
+                   in _walk(section.default_factory, section.name + ".")}
+    for section in fields(ScenarioConfig)
 }
+
+
+def _instance(cls: type, values: dict[str, object], prefix: str = "") -> object:
+    """``cls`` built from ``values`` keyed by attribute path; a field with no
+    value keeps its default."""
+    kwargs = {}
+    for f in fields(cls):
+        path = prefix + f.name
+        if _nested(f):
+            kwargs[f.name] = _instance(f.default_factory, values, path + ".")
+        elif path in values:
+            kwargs[f.name] = values[path]
+    return cls(**kwargs)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -209,52 +204,20 @@ def parse_scenario(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"scenario parse error: {exc}") from exc
 
-    values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
+    values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigurationError(f"unknown scenario section '{section}'")
         for key, raw in parser.items(section):
-            caster = _SCHEMA[section].get(key)
-            if caster is None:
+            if key not in _KEYS[section]:
                 raise ConfigurationError(f"unknown scenario key '{section}.{key}'")
+            path, caster = _KEYS[section][key]
             try:
-                values[section][key] = caster(raw)
+                values[path] = caster(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"invalid value for '{section}.{key}': {raw!r}") from exc
-    return _build(values)
-
-
-def _build(values: dict[str, dict[str, object]]) -> ScenarioConfig:
-    g = dict(values["geometry"])
-    region = (g.pop("region_width_km", 20.0), g.pop("region_height_km", 20.0))
-    geometry = GeometryConfig(region_km=region, **g)
-
-    d = dict(values["demand"])
-    ipi = IpiModel(
-        bias_mean=d.pop("ipi_bias_mean", IpiModel.bias_mean),
-        bias_std=d.pop("ipi_bias_std", IpiModel.bias_std),
-        floor_eps=d.pop("floor_eps", FLOOR_EPS),
-    )
-    demand = DemandConfig(ipi=ipi, **d)
-
-    costs = CostParams(**values["costs"])
-
-    s = dict(values["solver"])
-    solver_kwargs = {k: s.pop(k) for k in
-                     ("tolerance", "max_iterations", "damping", "terminal_value",
-                      "grad_eps", "backhaul_margin_scale") if k in s}
-    solver = SolverSettings(config=SolverConfig(**solver_kwargs), **s)
-
-    return ScenarioConfig(
-        geometry=geometry,
-        demand=demand,
-        costs=costs,
-        solver=solver,
-        simulation=SimulationSettings(**values["simulation"]),
-        experiments=ExperimentSweeps(**values["experiments"]),
-        outputs=OutputSettings(**values["outputs"]),
-    )
+    return _instance(ScenarioConfig, values)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -273,61 +236,11 @@ def _fmt(value: object) -> str:
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     """Canonical text form; parsing it back yields an equal config."""
-    geo, dem, cst = cfg.geometry, cfg.demand, cfg.costs
-    sol, sim, exp, out = cfg.solver, cfg.simulation, cfg.experiments, cfg.outputs
-    sections: dict[str, dict[str, object]] = {
-        "geometry": {
-            "lambda_b": geo.lambda_b, "lambda_u": geo.lambda_u,
-            "reception_radius_km": geo.reception_radius_km,
-            "request_radius_km": geo.request_radius_km,
-            "search_radius_km": geo.search_radius_km,
-            "path_loss_alpha": geo.path_loss_alpha,
-            "tx_power_dbm": geo.tx_power_dbm, "noise_dbm": geo.noise_dbm,
-            "num_antennas": geo.num_antennas,
-            "region_width_km": geo.region_km[0],
-            "region_height_km": geo.region_km[1],
-        },
-        "demand": {
-            "theta": dem.theta, "nu": dem.nu,
-            "reversion_rate": dem.reversion_rate, "volatility": dem.volatility,
-            "period": dem.period, "catalog_size": dem.catalog_size,
-            "x0": dem.x0, "requests_per_user": dem.requests_per_user,
-            "ipi_bias_mean": dem.ipi.bias_mean, "ipi_bias_std": dem.ipi.bias_std,
-            "floor_eps": dem.ipi.floor_eps,
-        },
-        "costs": {
-            "gamma": cst.gamma, "content_size": cst.content_size,
-            "backhaul": cst.backhaul, "storage": cst.storage,
-            "discard_rate": cst.discard_rate, "similar_count": cst.similar_count,
-            "popularity_eps": cst.popularity_eps,
-        },
-        "solver": {
-            "tolerance": sol.config.tolerance,
-            "max_iterations": sol.config.max_iterations,
-            "damping": sol.config.damping,
-            "terminal_value": sol.config.terminal_value,
-            "grad_eps": sol.config.grad_eps,
-            "backhaul_margin_scale": sol.config.backhaul_margin_scale,
-            "grid_nt": sol.grid_nt, "grid_nx": sol.grid_nx, "grid_nq": sol.grid_nq,
-            "m0_q_mean": sol.m0_q_mean, "m0_q_std": sol.m0_q_std,
-            "m0_x_std": sol.m0_x_std,
-        },
-        "simulation": {
-            "horizon": sim.horizon, "replications": sim.replications,
-            "seed": sim.seed,
-        },
-        "experiments": {
-            "lambda_u_values": exp.lambda_u_values,
-            "lambda_b_values": exp.lambda_b_values,
-            "x0_values": exp.x0_values,
-        },
-        "outputs": {"directory": out.directory, "tables": out.tables},
-    }
     buf = io.StringIO()
-    for section, keys in sections.items():
+    for section, keys in _KEYS.items():
         buf.write(f"[{section}]\n")
-        for key, value in keys.items():
-            buf.write(f"{key} = {_fmt(value)}\n")
+        for key, (path, _) in keys.items():
+            buf.write(f"{key} = {_fmt(attrgetter(path)(cfg))}\n")
         buf.write("\n")
     return buf.getvalue()
 

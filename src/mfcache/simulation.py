@@ -122,8 +122,9 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
     """
     geo, dem, cst, sol = (scenario.geometry, scenario.demand, scenario.costs,
                           scenario.solver)
-    pattern = sample_ppp(geo.lambda_b, geo.region_km, rng)
-    center = np.array([geo.region_km[0] / 2.0, geo.region_km[1] / 2.0])
+    region = (geo.region_width_km, geo.region_height_km)
+    pattern = sample_ppp(geo.lambda_b, region, rng)
+    center = np.array(region) / 2.0
     points = pattern.points if len(pattern) else center[None, :]
     k, m = points.shape[0], dem.catalog_size
     histories = [CrpState.empty(m, theta=dem.theta, nu=dem.nu) for _ in range(k)]

@@ -5,6 +5,7 @@ those names, or a scenario key, fails here instead of in a traced run."""
 
 from __future__ import annotations
 
+import configparser
 import importlib
 import importlib.util
 import os
@@ -15,7 +16,13 @@ import pytest
 
 from mfcache import simulation
 from mfcache.policies import BaselinePolicy
-from mfcache.scenario import DemandConfig, ScenarioConfig, SolverSettings, parse_scenario
+from mfcache.scenario import (
+    DemandConfig,
+    ScenarioConfig,
+    SolverSettings,
+    parse_scenario,
+    serialize_scenario,
+)
 from mfcache.simulation import build_world
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -48,6 +55,15 @@ def test_traced_name_resolves(module_name, attr):
 def test_workload_scenario_parses(workload):
     values = workloads.scenario_values(workload, 1)
     parse_scenario(workloads.render_ini(values))
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_scenario_keeps_every_key_in_order(workload):
+    values = workloads.scenario_values(workload, 1)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(serialize_scenario(parse_scenario(workloads.render_ini(values))))
+    assert [(s, list(parser[s])) for s in parser.sections()] == \
+        [(s, list(keys)) for s, keys in workloads.BASE.items()]
 
 
 def _tiny_scenario():

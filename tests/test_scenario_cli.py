@@ -1,3 +1,4 @@
+import configparser
 import math
 import os
 
@@ -49,10 +50,36 @@ class TestScenarioParsing:
     def test_round_trip_equality(self):
         cfg = parse_scenario(
             "[geometry]\nlambda_b = 0.05\nlambda_u = 0.00025\n"
+            "region_height_km = 35.5\n"
             "[demand]\nvolatility = 0.07\ncatalog_size = 12\n"
+            "ipi_bias_std = 0.002\nfloor_eps = 1e-5\n"
+            "[solver]\ntolerance = 1e-3\n"
             "[experiments]\nx0_values = 0.2, 0.4\n"
         )
+        assert cfg.geometry.region_height_km == 35.5
+        assert cfg.demand.ipi.bias_std == 0.002
+        assert cfg.demand.ipi.floor_eps == 1e-5
+        assert cfg.solver.config.tolerance == 1e-3
         assert parse_scenario(serialize_scenario(cfg)) == cfg
+
+    def test_default_hash_is_stable(self):
+        # Run manifests record this digest; it moves only when a key or a
+        # default changes.
+        assert scenario_hash(ScenarioConfig()) == "6823bd88d3b148c1"
+
+    def test_example_scenario_carries_every_key(self):
+        example = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "scenarios", "example.ini")
+
+        def keys(parser):
+            return {s: list(parser[s]) for s in parser.sections()}
+
+        documented, canonical = (configparser.ConfigParser(interpolation=None)
+                                 for _ in range(2))
+        documented.read(example, encoding="utf-8")
+        canonical.read_string(serialize_scenario(ScenarioConfig()))
+        assert keys(documented) == keys(canonical)
+        assert scenario_hash(load_scenario(example)) == "ab8072eaa41ad626"
 
     def test_hash_tracks_content(self):
         a = ScenarioConfig()
@@ -172,6 +199,10 @@ class TestCli:
         ("solver", "m0_q_std", "inf"),
         ("demand", "volatility", "inf"),
         ("demand", "ipi_bias_mean", "nan"),
+        ("simulation", "horizon", "inf"),
+        ("simulation", "horizon", "nan"),
+        ("geometry", "region_width_km", "inf"),
+        ("geometry", "region_height_km", "nan"),
     ])
     def test_non_finite_value_is_validation_failure(self, tmp_path, section,
                                                     key, value):

@@ -7,7 +7,8 @@ step runs in a fixed order: popularity diffuses, observations are
 the period, storage integrates the cache/discard balance, content overlap is
 measured over the stations within the request radius of a typical user at
 the region center, and the running cost is accumulated. At every period
-boundary each history folds its sampled arrivals once into new means.
+boundary that another step follows, each history folds its sampled arrivals
+once into new means.
 
 Randomness is split into three independent streams per replication — world
 (pattern, popularity noise, request arrivals), policy draws, and observation
@@ -195,7 +196,7 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
     is the solver grid's and policies see the time within the period, so
     equilibrium policies evaluate on their own time nodes in every period.
     Request histories refresh the popularity means at every period
-    boundary with arrivals Poisson-distributed in the user mass of the
+    boundary that another step follows, with arrivals Poisson-distributed in the user mass of the
     search region.
     """
     if seed is None:
@@ -237,7 +238,9 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
         times[k] = t + dt
         if snap_step is not None and k + 1 == snap_step:
             metrics.q_snapshot = world.remaining.copy()
-        if (k + 1) % steps_per_period == 0:
+        # Nothing reads the means after the last step, so the boundary that
+        # ends the run folds no arrivals.
+        if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
             for i, history in enumerate(world.histories):
                 arrivals = simulate_requests(
                     history, int(world_rng.poisson(arrival_rate)), world_rng)

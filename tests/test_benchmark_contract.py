@@ -82,7 +82,8 @@ def test_world_length_is_the_station_count():
 
 def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
     # The tracer's demand hook unpacks (state, n_requests, rng) positionally
-    # and reads state.counts.
+    # and reads state.counts. A one-period run samples no arrivals, so the
+    # run spans two periods.
     calls = []
     sampler = simulation.simulate_requests
 
@@ -91,7 +92,7 @@ def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
         return sampler(*args, **kwargs)
 
     monkeypatch.setattr(simulation, "simulate_requests", recording)
-    simulation.run_scenario(_tiny_scenario(), BaselinePolicy(), horizon=1.0,
+    simulation.run_scenario(_tiny_scenario(), BaselinePolicy(), horizon=2.0,
                             seed=3)
     assert calls
     for args, kwargs in calls:

@@ -7,6 +7,7 @@ from mfcache.demand import FLOOR_EPS, CrpState
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import average_rate, rate_model_from_config
 from mfcache.scenario import DemandConfig, ScenarioConfig, SimulationSettings, SolverSettings
+from mfcache import simulation
 from mfcache.simulation import World, build_world, ipi_experiment, run_scenario, step
 from mfcache.policies import BaselinePolicy, RandomPolicy
 
@@ -159,6 +160,30 @@ class TestRunScenario:
         assert max(seen) < sc.demand.period
         assert seen[50:] == seen[:50]
         assert log.times[-1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("periods", [1, 2, 3])
+    def test_refresh_only_where_another_step_follows(self, monkeypatch, periods):
+        # Nothing reads the means after the last step, so a run samples
+        # arrivals once per station at each boundary inside the horizon.
+        worlds, calls = [], []
+        build, sampler = simulation.build_world, simulation.simulate_requests
+
+        def recording_build(*args):
+            world, hood = build(*args)
+            worlds.append(world)
+            return world, hood
+
+        def recording_sampler(state, n, rng):
+            calls.append(state)
+            return sampler(state, n, rng)
+
+        monkeypatch.setattr(simulation, "build_world", recording_build)
+        monkeypatch.setattr(simulation, "simulate_requests", recording_sampler)
+        run_scenario(small_scenario(), BaselinePolicy(), horizon=float(periods),
+                     seed=6)
+        (world,) = worlds
+        assert len(calls) == (periods - 1) * len(world)
+        assert all(any(c is h for h in world.histories) for c in calls)
 
     def test_multi_period_refresh_runs(self):
         sc = small_scenario()

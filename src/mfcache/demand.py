@@ -1,22 +1,26 @@
 """Spatio-temporal content-popularity engine.
 
 Long-term popularity at each station follows a two-parameter Chinese
-restaurant process over its local request history: a new arrival picks a
-never-requested content with probability ``(nu*K + theta) / (N + theta)``
-(``K`` distinct contents seen, ``N`` total requests) and a previously
-requested content ``j`` with probability ``(n_j - nu) / (N + theta)``.
-Folding the history at the end of each period yields the per-content mean
-``mu``; within a period the instantaneous request probability follows a
-mean-reverting diffusion ``dx = r (mu - x) dt + eta dW`` clamped to [0, 1].
-Observed popularity may additionally carry a Gaussian estimation error.
+restaurant process over its local request history: an arrival opens a
+never-requested content, chosen uniformly, with probability ``(nu*K +
+theta) / (N + theta)`` (``K`` distinct contents seen, ``N`` requests; the
+first arrival always opens) and requests a seen content ``j`` with
+probability ``(n_j - nu) / (N + theta)``; on an exhausted catalog the seen
+contents share all mass as a Polya urn with weights ``n_j - nu``. Only a
+period's per-content counts enter the history, so they are drawn directly
+and exactly: openings form a scalar chain, joins are Dirichlet-multinomial
+(Blackwell & MacQueen, Ann. Statist. 1(2), 1973; Pitman & Yor, Ann. Probab.
+25(2), 1997). Folding them in yields the per-content mean ``mu``; within a
+period the request probability follows ``dx = r (mu - x) dt + eta dW``
+clamped to [0, 1], optionally observed with a Gaussian error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, require_finite
 
@@ -25,9 +29,7 @@ __all__ = [
     "CrpState",
     "IpiModel",
     "crp_request_distribution",
-    "crp_mean_popularity",
     "simulate_requests",
-    "expected_distinct_contents",
     "ou_step_array",
     "perturb_popularity",
     "refresh_period",
@@ -66,10 +68,6 @@ class CrpState:
         return cls(counts=np.zeros(catalog_size, dtype=np.int64), theta=theta, nu=nu)
 
     @property
-    def catalog_size(self) -> int:
-        return int(self.counts.size)
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -94,7 +92,7 @@ def crp_request_distribution(state: CrpState) -> np.ndarray:
     k = int(np.count_nonzero(requested))
     probs = np.zeros_like(n)
     probs[requested] = (n[requested] - state.nu) / denom
-    new_mass = (state.nu * k + state.theta) / denom
+    new_mass = (state.nu * k + state.theta) / denom if total else 1.0
     n_unrequested = n.size - k
     if n_unrequested > 0:
         probs[~requested] = new_mass / n_unrequested
@@ -103,69 +101,65 @@ def crp_request_distribution(state: CrpState) -> np.ndarray:
     return probs
 
 
-# The mean popularity vector is exactly the next-request law: the branch
-# totals fix the per-content means once the new-content mass is shared.
-crp_mean_popularity = crp_request_distribution
-
-
 def simulate_requests(state: CrpState, n_requests: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Sample the ids of the next ``n_requests`` arrivals and leave the
-    history unchanged; :func:`refresh_period` folds them into it.
+    """Draw the per-content counts of the next ``n_requests`` arrivals,
+    leaving the history unchanged; :func:`refresh_period` folds them in.
 
-    Constant-time urn sampler: a proposal is drawn from the token urn
-    (probability proportional to ``n_j`` for seen contents, ``nu*K + theta``
-    for the new-content branch) and accepted with ratio ``(n_j - nu) / n_j``,
-    which reproduces the discounted law exactly. Once the catalog is
-    exhausted the new-content mass collapses onto the seen contents in
-    proportion to ``n_j - nu``, matching :func:`crp_request_distribution`.
-    Used where per-arrival catalog scans would dominate the runtime.
+    The int64 vector (one count per content, sum ``n_requests``) has
+    exactly the law of the counts of ``n_requests`` sequential draws from
+    :func:`crp_request_distribution`. Forward, the openings form a chain: the
+    joins before the next one have survival ``prod_{r<s} (N + r - nu*K) /
+    (N + r + theta)``, inverted by bisection, and each opens a uniformly
+    chosen unseen content. Backward, each new content takes ``1 +
+    BetaBinomial(pool, 1 - nu, N - nu*K at its opening)`` of the joins after
+    it still pooled. The rest is Dirichlet-multinomial with weights
+    ``n_j - nu`` over the contents seen before the period.
     """
     if n_requests < 0:
         raise ConfigurationError("n_requests must be >= 0")
-    counts = state.counts.copy()
-    tokens = np.repeat(np.arange(counts.size), counts).tolist()
-    unseen = list(np.flatnonzero(counts == 0)[::-1])
-    rng.shuffle(unseen)
-    theta, nu = state.theta, state.nu
-    out = np.empty(n_requests, dtype=np.int64)
-    total = int(counts.sum())
-    k = int(np.count_nonzero(counts))
-    uniform = rng.random
-    for i in range(n_requests):
-        while True:
-            new_mass = nu * k + theta if unseen else 0.0
-            u = uniform() * (total + new_mass)
-            if u < new_mass:
-                j = unseen.pop()
-                k += 1
-                break
-            j = tokens[int(u - new_mass)]
-            if uniform() * counts[j] <= counts[j] - nu:
-                break
-        counts[j] += 1
-        total += 1
-        tokens.append(j)
-        out[i] = j
+    counts, theta, nu = state.counts, state.theta, state.nu
+    seen = counts > 0
+    total, k = int(counts.sum()), int(np.count_nonzero(seen))
+    unseen = np.flatnonzero(~seen)
+    # Per opening: the weight N - nu*K seen before it, and the joins before it.
+    openings: list[tuple[float, int]] = []
+    done = 0
+    while done < n_requests and len(openings) < unseen.size:
+        n, kk, left = total + done, k + len(openings), n_requests - done
+        joins = 0 if n == 0 else _joins_before_opening(
+            n - nu * kk, n + theta, left, -rng.standard_exponential())
+        if joins == left:
+            break
+        openings.append((n + joins - nu * kk, done + joins - len(openings)))
+        done += joins + 1
+    out = np.zeros(counts.size, dtype=np.int64)
+    opened = rng.choice(unseen, size=len(openings), replace=False)
+    n_joins, taken = n_requests - len(openings), 0
+    for (weight, before), j in zip(reversed(openings), opened[::-1]):
+        pool = n_joins - before - taken   # later joins not taken by later openings
+        p = rng.beta(1.0 - nu, weight) if weight else 1.0   # empty history
+        share = int(rng.binomial(pool, p))
+        out[j] = 1 + share
+        taken += share
+    if n_joins > taken:
+        out[seen] = rng.multinomial(n_joins - taken, rng.dirichlet(counts[seen] - nu))
     return out
 
 
-def expected_distinct_contents(total_requests: int, theta: float, nu: float) -> float:
-    """Asymptotic mean number of distinct contents after ``total_requests``.
-
-    ``Gamma(theta+1) / (nu Gamma(theta+nu)) * N^nu`` for a positive discount,
-    ``theta * log(N + theta)`` at ``nu = 0``.
-    """
-    if total_requests < 1:
-        raise ConfigurationError("total_requests must be >= 1")
-    if theta <= 0:
-        raise ConfigurationError("theta must be > 0")
-    if not 0.0 <= nu < 1.0:
-        raise ConfigurationError("nu must lie in [0, 1)")
-    if nu == 0.0:
-        return float(theta * np.log(total_requests + theta))
-    return float(np.exp(gammaln(theta + 1.0) - gammaln(theta + nu)) / nu
-                 * total_requests ** nu)
+def _joins_before_opening(a: float, b: float, left: int, log_u: float) -> int:
+    """The largest ``s <= left`` whose survival ``Gamma(a + s) Gamma(b) /
+    (Gamma(a) Gamma(b + s))`` (all of ``s`` arrivals join, with ``a = N -
+    nu*K`` and ``b = N + theta``) exceeds ``exp(log_u)``."""
+    base = math.lgamma(b) - math.lgamma(a)
+    lo, hi = 0, left + 1   # survival(lo) > u; survival(left + 1) counts as 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.lgamma(a + mid) - math.lgamma(b + mid) + base > log_u:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def ou_step_array(x: np.ndarray, mu: np.ndarray, reversion_rate: float,
@@ -193,9 +187,9 @@ class IpiModel:
                                   "ipi_bias_std": self.bias_std,
                                   "floor_eps": self.floor_eps})
         if self.bias_std < 0:
-            raise ConfigurationError("ipi bias_std must be >= 0")
+            raise ConfigurationError("demand.ipi_bias_std must be >= 0")
         if self.floor_eps <= 0:
-            raise ConfigurationError("ipi floor_eps must be > 0")
+            raise ConfigurationError("demand.floor_eps must be > 0")
 
 
 def perturb_popularity(x, ipi: IpiModel, rng: np.random.Generator):
@@ -209,15 +203,18 @@ def perturb_popularity(x, ipi: IpiModel, rng: np.random.Generator):
     return float(out) if np.isscalar(x) else out
 
 
-def refresh_period(state: CrpState, arrivals: np.ndarray) -> np.ndarray:
-    """Fold a period's arrivals into the history and return the new means.
+def refresh_period(state: CrpState, increments: np.ndarray) -> np.ndarray:
+    """Fold a period's per-content request counts (one non-negative count
+    per content, as :func:`simulate_requests` returns) into the history and
+    return the new means, its next-request law.
 
     The caller resets each content's process mean to the returned vector
     while keeping the instantaneous state continuous across the boundary.
     """
-    ids = np.asarray(arrivals, dtype=np.int64)
-    if ids.size:
-        if ids.min() < 0 or ids.max() >= state.catalog_size:
-            raise ConfigurationError("arrival ids outside the catalog")
-        np.add.at(state.counts, ids, 1)
-    return crp_mean_popularity(state)
+    inc = np.asarray(increments, dtype=np.int64)
+    if inc.shape != state.counts.shape:
+        raise ConfigurationError("increments must hold one count per content")
+    if (inc < 0).any():
+        raise ConfigurationError("increments must be >= 0")
+    state.counts += inc
+    return crp_request_distribution(state)

@@ -94,8 +94,9 @@ class SolverSettings:
                 raise ConfigurationError(f"solver.{name} must be >= 3")
         if not 0.0 <= self.m0_q_mean:
             raise ConfigurationError("solver.m0_q_mean must be >= 0")
-        if self.m0_q_std <= 0 or self.m0_x_std <= 0:
-            raise ConfigurationError("solver initial-density widths must be > 0")
+        for name in ("m0_q_std", "m0_x_std"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"solver.{name} must be > 0")
 
 
 @dataclass(frozen=True)

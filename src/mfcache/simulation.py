@@ -35,7 +35,7 @@ from .costs import (
 from .demand import (
     FLOOR_EPS,
     CrpState,
-    crp_mean_popularity,
+    crp_request_distribution,
     ou_step_array,
     perturb_popularity,
     refresh_period,
@@ -131,7 +131,7 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
     histories = [CrpState.empty(m, theta=dem.theta, nu=dem.nu) for _ in range(k)]
     q0 = np.clip(rng.normal(sol.m0_q_mean, sol.m0_q_std, (k, m)), 0.0, cst.storage)
     world = World(position=points, remaining=q0, x=np.full((k, m), dem.x0),
-                  mu=np.tile(crp_mean_popularity(histories[0]), (k, 1)),
+                  mu=np.tile(crp_request_distribution(histories[0]), (k, 1)),
                   histories=histories)
     dist = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
     hood = np.flatnonzero(dist <= geo.request_radius_km)
@@ -196,8 +196,8 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
     is the solver grid's and policies see the time within the period, so
     equilibrium policies evaluate on their own time nodes in every period.
     Request histories refresh the popularity means at every period
-    boundary that another step follows, with arrivals Poisson-distributed in the user mass of the
-    search region.
+    boundary that another step follows, with arrivals Poisson-distributed
+    in the user mass of the search region.
     """
     if seed is None:
         seed = scenario.simulation.seed
@@ -238,13 +238,12 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
         times[k] = t + dt
         if snap_step is not None and k + 1 == snap_step:
             metrics.q_snapshot = world.remaining.copy()
-        # Nothing reads the means after the last step, so the boundary that
-        # ends the run folds no arrivals.
+        # The means after the last step are never read.
         if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
             for i, history in enumerate(world.histories):
-                arrivals = simulate_requests(
+                increments = simulate_requests(
                     history, int(world_rng.poisson(arrival_rate)), world_rng)
-                world.mu[i] = refresh_period(history, arrivals)
+                world.mu[i] = refresh_period(history, increments)
     metrics.times = times
     metrics.cost = rows["cost"]
     metrics.overlap = rows["overlap"]

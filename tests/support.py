@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from mfcache.errors import ConfigurationError
+
 
 def naive_crp_distinct(n_requests: int, theta: float, nu: float,
                        rng: np.random.Generator) -> int:
@@ -22,6 +24,64 @@ def naive_crp_distinct(n_requests: int, theta: float, nu: float,
             counts[j] += 1
         total += 1
     return len(counts)
+
+
+def urn_request_ids(state, n_requests: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference sampler: the ids of the next ``n_requests`` arrivals drawn
+    one at a time, leaving ``state`` unchanged.
+
+    A proposal is drawn from the token urn (probability proportional to
+    ``n_j`` for seen contents, ``nu*K + theta`` for the new-content branch)
+    and accepted with ratio ``(n_j - nu) / n_j``, which reproduces the
+    discounted law exactly. Once the catalog is exhausted the new-content
+    mass collapses onto the seen contents in proportion to ``n_j - nu``.
+    Needs ``theta > 0`` on an empty history.
+    """
+    counts = state.counts.copy()
+    tokens = np.repeat(np.arange(counts.size), counts).tolist()
+    unseen = list(np.flatnonzero(counts == 0)[::-1])
+    rng.shuffle(unseen)
+    theta, nu = state.theta, state.nu
+    out = np.empty(n_requests, dtype=np.int64)
+    total = int(counts.sum())
+    k = int(np.count_nonzero(counts))
+    uniform = rng.random
+    for i in range(n_requests):
+        while True:
+            new_mass = nu * k + theta if unseen else 0.0
+            u = uniform() * (total + new_mass)
+            if u < new_mass:
+                j = unseen.pop()
+                k += 1
+                break
+            j = tokens[int(u - new_mass)]
+            if uniform() * counts[j] <= counts[j] - nu:
+                break
+        counts[j] += 1
+        total += 1
+        tokens.append(j)
+        out[i] = j
+    return out
+
+
+def expected_distinct_contents(total_requests: int, theta: float, nu: float) -> float:
+    """Asymptotic mean number of distinct contents after ``total_requests``.
+
+    ``Gamma(theta+1) / (nu Gamma(theta+nu)) * N^nu`` for a positive discount,
+    ``theta * log(N + theta)`` at ``nu = 0``.
+    """
+    from scipy.special import gammaln
+
+    if total_requests < 1:
+        raise ConfigurationError("total_requests must be >= 1")
+    if theta <= 0:
+        raise ConfigurationError("theta must be > 0")
+    if not 0.0 <= nu < 1.0:
+        raise ConfigurationError("nu must lie in [0, 1)")
+    if nu == 0.0:
+        return float(theta * np.log(total_requests + theta))
+    return float(np.exp(gammaln(theta + 1.0) - gammaln(theta + nu)) / nu
+                 * total_requests ** nu)
 
 
 def wasserstein1_grid(samples: np.ndarray, nodes: np.ndarray,

@@ -17,12 +17,7 @@ from dataclasses import replace
 
 from mfcache.cli import main
 from mfcache.costs import CostParams
-from mfcache.demand import (
-    CrpState,
-    expected_distinct_contents,
-    refresh_period,
-    simulate_requests,
-)
+from mfcache.demand import CrpState, refresh_period, simulate_requests
 from mfcache.experiments import solve_scenario
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 from mfcache.scenario import ScenarioConfig
@@ -38,7 +33,7 @@ from mfcache.solver import (
     solve_mfe,
 )
 
-from support import wasserstein1_grid
+from support import expected_distinct_contents, wasserstein1_grid
 
 DEFAULT_GRID = Grid.make(201, 41, 41, 1.0, 1.0)
 TABLE_DENSITIES = (0.005, 0.02, 0.035, 0.05)

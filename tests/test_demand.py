@@ -5,9 +5,7 @@ from mfcache.demand import (
     FLOOR_EPS,
     CrpState,
     IpiModel,
-    crp_mean_popularity,
     crp_request_distribution,
-    expected_distinct_contents,
     ou_step_array,
     perturb_popularity,
     refresh_period,
@@ -15,7 +13,7 @@ from mfcache.demand import (
 )
 from mfcache.errors import ConfigurationError
 
-from support import naive_crp_distinct
+from support import expected_distinct_contents, naive_crp_distinct, urn_request_ids
 
 
 class TestCrpDistribution:
@@ -46,11 +44,6 @@ class TestCrpDistribution:
         ratios = probs / (state.counts - 0.5)
         assert np.allclose(ratios, ratios[0])
 
-    def test_mean_popularity_is_next_request_law(self):
-        state = CrpState(counts=np.array([3, 1, 0, 0]), theta=1.0, nu=0.5)
-        assert np.array_equal(crp_mean_popularity(state),
-                              crp_request_distribution(state))
-
 
 class TestCrpSampling:
     def test_urn_sampler_matches_single_draw_law(self):
@@ -60,7 +53,7 @@ class TestCrpSampling:
         n = 40_000
         for _ in range(n):
             state = CrpState(counts=base.copy(), theta=1.0, nu=0.5)
-            hits[simulate_requests(state, 1, rng)[0]] += 1
+            hits += simulate_requests(state, 1, rng)
         freq = hits / n
         expected = np.array([0.5, 0.1, 0.2, 0.2])
         se = np.sqrt(expected * (1 - expected) / n)
@@ -81,18 +74,73 @@ class TestCrpSampling:
 
     def test_urn_sampler_conserves_counts(self):
         state = CrpState.empty(50)
-        ids = simulate_requests(state, 500, np.random.default_rng(4))
-        refresh_period(state, ids)
-        assert ids.size == 500
+        inc = simulate_requests(state, 500, np.random.default_rng(4))
+        assert inc.sum() == 500 and inc.shape == (50,)
+        assert state.total == 0
+        refresh_period(state, inc)
         assert state.total == 500
-        assert np.array_equal(np.bincount(ids, minlength=50), state.counts)
+        assert np.array_equal(state.counts, inc)
 
     def test_sampler_leaves_history_unchanged(self):
         counts = np.array([3, 1, 0, 0, 2])
         state = CrpState(counts=counts.copy(), theta=1.0, nu=0.5)
-        ids = simulate_requests(state, 200, np.random.default_rng(5))
-        assert ids.size == 200
+        inc = simulate_requests(state, 200, np.random.default_rng(5))
+        assert inc.sum() == 200
         assert np.array_equal(state.counts, counts)
+        refresh_period(state, inc)
+        assert np.array_equal(state.counts, counts + inc)
+
+    @pytest.mark.parametrize("theta", [-0.2, 0.0])
+    def test_empty_history_opens_on_first_arrival(self, theta):
+        # theta <= 0 leaves no new-content mass on an empty history; the
+        # first arrival still has to open a content.
+        rng = np.random.default_rng(6)
+        state = CrpState.empty(5, theta=theta, nu=0.5)
+        assert crp_request_distribution(state) == pytest.approx([0.2] * 5)
+        first = simulate_requests(state, 1, rng)
+        assert sorted(first) == [0, 0, 0, 0, 1]
+        for n in (2, 30):
+            assert simulate_requests(state, n, rng).sum() == n
+
+    def test_exhausted_history_is_dirichlet_multinomial(self):
+        # With every content seen the joins are a Polya urn with weights
+        # a_j = n_j - nu, whose counts have closed-form moments.
+        counts = np.arange(1, 21)
+        n, draws, nu = 300, 20_000, 0.5
+        state = CrpState(counts=counts, theta=1.0, nu=nu)
+        rng = np.random.default_rng(7)
+        inc = np.array([simulate_requests(state, n, rng) for _ in range(draws)])
+        share = (counts - nu) / (counts - nu).sum()
+        a_total = (counts - nu).sum()
+        mean = n * share
+        var = n * share * (1 - share) * (n + a_total) / (1 + a_total)
+        assert (np.abs(inc.mean(axis=0) - mean) < 4 * np.sqrt(var / draws)).all()
+        assert np.allclose(inc.var(axis=0) / var, 1.0, atol=0.1)
+
+    @pytest.mark.parametrize("counts, n, theta, nu, draws", [
+        ([0] * 12, 40, 1.0, 0.5, 3000),
+        ([3, 1, 0, 0, 2, 0, 0, 0], 30, 1.0, 0.5, 4000),
+        ([5, 0, 0, 1, 0, 0], 15, 0.3, 0.8, 4000),
+    ])
+    def test_matches_urn_oracle(self, counts, n, theta, nu, draws):
+        # Per-content first and second moments, the ranked counts and the
+        # distinct count agree with one-at-a-time draws from the urn.
+        counts = np.array(counts)
+        rng = np.random.default_rng(8)
+
+        def stats(inc):
+            return np.concatenate([inc, inc ** 2, np.sort(inc)[::-1],
+                                   [np.count_nonzero(counts + inc)]])
+
+        state = CrpState(counts=counts, theta=theta, nu=nu)
+        fast = np.array([stats(simulate_requests(state, n, rng))
+                         for _ in range(draws)])
+        urn = np.array([stats(np.bincount(urn_request_ids(state, n, rng),
+                                          minlength=counts.size))
+                        for _ in range(draws)])
+        se = np.sqrt((fast.var(axis=0) + urn.var(axis=0)) / draws)
+        gap = np.abs(fast.mean(axis=0) - urn.mean(axis=0))
+        assert (gap <= 4.5 * se + 1e-12).all()
 
 
 class TestExpectedDistinct:
@@ -179,13 +227,13 @@ class TestPerturbPopularity:
 class TestRefreshPeriod:
     def test_no_arrivals_keeps_means(self):
         state = CrpState(counts=np.array([3, 1, 0, 0]), theta=1.0, nu=0.5)
-        before = crp_mean_popularity(state).copy()
-        after = refresh_period(state, np.empty(0, dtype=np.int64))
+        before = crp_request_distribution(state).copy()
+        after = refresh_period(state, np.zeros(4, dtype=np.int64))
         assert np.array_equal(before, after)
 
     def test_single_arrival_folds_in(self):
         state = CrpState(counts=np.array([3, 1, 0, 0]), theta=1.0, nu=0.5)
-        refresh_period(state, np.array([1]))
+        refresh_period(state, np.array([0, 1, 0, 0]))
         assert state.counts[1] == 2
         assert state.total == 5
 
@@ -193,13 +241,19 @@ class TestRefreshPeriod:
         state = CrpState.empty(5)
         mus = []
         for _ in range(10):
-            mus.append(refresh_period(state, np.zeros(20, dtype=np.int64))[0])
+            mus.append(refresh_period(state, np.array([20, 0, 0, 0, 0]))[0])
         assert all(b > a for a, b in zip(mus, mus[1:]))
 
     def test_rejects_out_of_catalog_ids(self):
         state = CrpState.empty(3)
         with pytest.raises(ConfigurationError):
             refresh_period(state, np.array([5]))
+
+    def test_rejects_negative_increments(self):
+        state = CrpState(counts=np.array([2, 1, 0]))
+        with pytest.raises(ConfigurationError):
+            refresh_period(state, np.array([-1, 1, 0]))
+        assert np.array_equal(state.counts, [2, 1, 0])
 
 
 def test_crp_state_validation():

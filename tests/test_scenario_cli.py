@@ -92,6 +92,12 @@ class TestScenarioParsing:
             parse_scenario("[demand]\nnu = 1.0\n")
         with pytest.raises(ConfigurationError, match="simulation.replications"):
             parse_scenario("[simulation]\nreplications = 0\n")
+        for text, key in [("[demand]\nipi_bias_std = -0.1\n", "demand.ipi_bias_std"),
+                          ("[demand]\nfloor_eps = 0\n", "demand.floor_eps"),
+                          ("[solver]\nm0_q_std = 0\n", "solver.m0_q_std"),
+                          ("[solver]\nm0_x_std = 0\n", "solver.m0_x_std")]:
+            with pytest.raises(ConfigurationError, match=key):
+                parse_scenario(text)
 
 
 SMALL = """

@@ -110,11 +110,11 @@ class TestCrpSampling:
         state = CrpState(counts=counts, theta=1.0, nu=nu)
         rng = np.random.default_rng(7)
         inc = np.array([simulate_requests(state, n, rng) for _ in range(draws)])
-        share = (counts - nu) / (counts - nu).sum()
-        a_total = (counts - nu).sum()
-        mean = n * share
-        var = n * share * (1 - share) * (n + a_total) / (1 + a_total)
-        assert (np.abs(inc.mean(axis=0) - mean) < 4 * np.sqrt(var / draws)).all()
+        a = counts - nu
+        share = a / a.sum()
+        var = n * share * (1 - share) * (n + a.sum()) / (1 + a.sum())
+        assert (np.abs(inc.mean(axis=0) - n * share)
+                < 4 * np.sqrt(var / draws)).all()
         assert np.allclose(inc.var(axis=0) / var, 1.0, atol=0.1)
 
     @pytest.mark.parametrize("counts, n, theta, nu, draws", [

@@ -5,9 +5,9 @@ on a rectangular region. A user hears every base station inside a reception
 ball of radius ``R``; signals decay with a bounded power law
 ``min(1, d^-alpha)`` and Rayleigh fading of unit mean. Only stations that
 currently serve a user transmit, which thins the interferer process by the
-active probability ``p_a``. The module provides both the closed-form
+active probability ``p_a``. The module provides the closed-form
 density-normalized interference / average-rate expressions used by the
-solver and a Monte-Carlo path used to validate them.
+solver; the Monte-Carlo paths that validate them are test oracles.
 
 All powers are converted from dBm to linear milliwatts before entering any
 formula; distances are kilometres.
@@ -32,9 +32,7 @@ __all__ = [
     "active_probability",
     "path_loss",
     "normalized_interference",
-    "monte_carlo_interference",
     "average_rate",
-    "average_rate_monte_carlo",
     "nearest_sbs_distance",
     "request_region_count",
     "rate_model_from_config",
@@ -211,34 +209,6 @@ def normalized_interference(cfg: GeometryConfig) -> float:
     return float(geom * cfg.tx_power_mw * 1.0)
 
 
-def monte_carlo_interference(pattern: PointPattern, user_xy, cfg: GeometryConfig,
-                             p_a: float, rng: np.random.Generator) -> float:
-    """One sample of the aggregate interference power at ``user_xy``.
-
-    Stations inside the reception ball are kept independently with
-    probability ``p_a`` (dormant stations do not transmit); each retained
-    station contributes ``P * min(1, d^-alpha) * g`` with ``g ~ Exp(1)``
-    Rayleigh power fading. Returns raw milliwatts; the sectored-beam factor
-    is applied downstream when forming an SINR.
-    """
-    if not 0.0 <= p_a <= 1.0:
-        raise ConfigurationError("p_a must lie in [0, 1]")
-    if len(pattern) == 0:
-        return 0.0
-    user = np.asarray(user_xy, dtype=float)
-    d = np.hypot(pattern.points[:, 0] - user[0], pattern.points[:, 1] - user[1])
-    inside = d <= cfg.reception_radius_km
-    if not inside.any():
-        return 0.0
-    d = d[inside]
-    active = rng.random(d.size) < p_a
-    if not active.any():
-        return 0.0
-    gains = path_loss(d[active], cfg.path_loss_alpha)
-    fading = rng.exponential(1.0, gains.size)
-    return float(cfg.tx_power_mw * np.sum(gains * fading))
-
-
 _LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -266,22 +236,6 @@ def average_rate(model: RateModel, cfg: GeometryConfig, quad_nodes: int = 32) ->
               * model.fading_mean)
     nodes, weights = _laguerre(quad_nodes)
     return float(np.sum(weights * np.log1p(signal * nodes / denom)))
-
-
-def average_rate_monte_carlo(model: RateModel, cfg: GeometryConfig,
-                             rng: np.random.Generator, n_samples: int = 10 ** 6) -> float:
-    """Monte-Carlo estimate of :func:`average_rate` over fading draws.
-
-    Validation path for the quadrature; same SINR structure, random fading.
-    """
-    denom = model.noise_term + model.interference_normalized * cfg.beam_gain_factor
-    if denom <= 0:
-        raise ConfigurationError("degenerate SINR: zero noise and interference")
-    signal = (cfg.num_antennas * cfg.tx_power_mw
-              * path_loss(model.serving_distance_km, cfg.path_loss_alpha)
-              * model.fading_mean)
-    g = rng.exponential(1.0, n_samples)
-    return float(np.mean(np.log1p(signal * g / denom)))
 
 
 def nearest_sbs_distance(lambda_b: float) -> float:

@@ -16,7 +16,10 @@ budget as the water level,
 
 guarded to zero when ``v_Q`` is non-positive or vanishing (the bracket is
 then increasing in ``p``). The two equations are coupled through the
-mean-field overlap ``I_r`` and iterated to a damped fixed point.
+mean-field overlap ``I_r`` and iterated to a fixed point by full Picard
+sweeps, with the density step shrunk only after a sweep whose residual rises
+(the finite-difference scheme of Achdou & Capuzzo-Dolcetta, SIAM J. Numer.
+Anal. 48(3), 2010).
 
 Discretization: uniform tensor grid; explicit upwind differencing for both
 drifts in the backward pass (one-sided inward stencils at boundaries, zero
@@ -37,7 +40,6 @@ from scipy.linalg import solve_banded
 
 from .costs import (
     CostParams,
-    backhaul_cost,
     check_density,
     log_barrier,
     overlap_integral,
@@ -53,8 +55,6 @@ __all__ = [
     "MfgProblem",
     "MfeSolution",
     "optimal_control",
-    "control_bracket",
-    "audited_optimal_control",
     "hjb_backward",
     "fpk_forward",
     "solve_mfe",
@@ -138,7 +138,7 @@ class SolverConfig:
 
     tolerance: float = 1e-4
     max_iterations: int = 200
-    damping: float = 0.5
+    damping: float = 0.5  # density step factor applied after a rising residual
     terminal_value: float = 0.0
     grad_eps: float = 1e-8
     backhaul_margin_scale: float = 1e-3  # eps_b = scale * B keeps the barrier finite
@@ -260,44 +260,6 @@ def _water_fill(active: np.ndarray, denom: np.ndarray, overlap: float,
     :func:`_water_fill_terms`."""
     raw = (backhaul - (1.0 + overlap) / denom) / content_size
     return np.where(active, raw.clip(0.0, p_cap), 0.0)
-
-
-def control_bracket(p, x: float, rate: float, overlap: float, dq_v: float,
-                    remaining: float, costs: CostParams):
-    """Control-dependent part of the backward equation's minimand:
-    running cost plus the storage-drift term ``(e - L p) v_Q``."""
-    phi = backhaul_cost(p, costs.backhaul, costs.content_size)
-    psi = storage_cost(remaining, costs.storage, costs.gamma)
-    drift = (costs.discard_rate - costs.content_size * np.asarray(p, dtype=float)) * dq_v
-    return running_cost(phi, overlap, rate * x, psi) + drift
-
-
-def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,
-                            remaining: float, costs: CostParams,
-                            config: SolverConfig,
-                            control_step: float = 1e-3) -> tuple[float, int]:
-    """Closed-form control with a convexity audit of the sampled bracket.
-
-    Evaluates the bracket on the admissible control grid, counts second
-    differences below ``-1e-8``, and falls back to the grid-search infimum at
-    audited states where convexity fails (none are expected: the barrier's
-    curvature is strictly positive). Returns ``(control, violations)``.
-    """
-    p_cap = config.p_max(costs.backhaul, costs.content_size)
-    # Uniform grid with spacing as close to control_step as the cap allows;
-    # uneven trailing spacing would corrupt the second-difference audit.
-    n_points = max(2, int(round(p_cap / control_step)) + 1)
-    grid = np.linspace(0.0, p_cap, n_points)
-    values = control_bracket(grid, x, rate, overlap, dq_v, remaining, costs)
-    second = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    violations = int(np.sum(second < -1e-8))
-    p_star = optimal_control(x, rate, overlap, dq_v, costs.backhaul,
-                             costs.content_size, config)
-    if violations:
-        log.warning("control bracket convexity violated at %d grid points; "
-                    "using grid-search infimum", violations)
-        p_star = float(grid[int(np.argmin(values))])
-    return p_star, violations
 
 
 class _Upwind:
@@ -537,14 +499,18 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
 
 
 def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolution:
-    """Damped fixed point of the backward/forward pair.
+    """Fixed point of the backward/forward pair by Picard sweeps that back
+    off only when they misbehave.
 
     The density is initialized by holding the initial distribution constant
     in time; each sweep solves the backward equation against the current
     density, transports the density forward under the resulting control, and
-    relaxes the density update. The iteration stops when both the value and
-    the (damped) density move less than the tolerance in sup norm; on
-    exhaustion the best iterate is returned flagged unconverged.
+    moves the density a fraction ``step`` of the way to the transported one.
+    The step starts at 1 (a full fixed-point step) and is multiplied by
+    ``config.damping`` after every sweep whose residual exceeds the one
+    before. The iteration stops when both the value and the density move
+    less than the tolerance in sup norm; on exhaustion the last iterate is
+    returned flagged unconverged.
     """
     nt = grid.shape[0]
     m_prev = np.repeat(np.asarray(problem.m0, dtype=float)[None, :, :], nt, axis=0)
@@ -554,13 +520,17 @@ def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolut
     v = v_prev
     p = np.zeros(grid.shape)
     m = m_prev
+    step = 1.0
 
     for iteration in range(1, config.max_iterations + 1):
         v, p = hjb_backward(m_prev, problem, grid, config)
         m_new = fpk_forward(p, problem.m0, problem, grid, config)
-        m = config.damping * m_new + (1.0 - config.damping) * m_prev
+        m = step * m_new + (1.0 - step) * m_prev
         residual = max(float(np.abs(v - v_prev).max()),
                        float(np.abs(m - m_prev).max()))
+        log.debug("sweep %d: residual %.3e at step %.3g", iteration, residual, step)
+        if residuals and residual > residuals[-1]:
+            step *= config.damping
         residuals.append(residual)
         v_prev, m_prev = v, m
         if residual < config.tolerance:

@@ -3,27 +3,16 @@ they are used to check."""
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
+from mfcache.costs import CostParams, backhaul_cost, running_cost, storage_cost
 from mfcache.errors import ConfigurationError
+from mfcache.geometry import GeometryConfig, PointPattern, RateModel, path_loss
+from mfcache.solver import SolverConfig, optimal_control
 
-
-def naive_crp_distinct(n_requests: int, theta: float, nu: float,
-                       rng: np.random.Generator) -> int:
-    """Reference two-parameter seating process, one categorical draw per
-    arrival; returns the number of distinct contents requested."""
-    counts: list[int] = []
-    total = 0
-    for _ in range(n_requests):
-        k = len(counts)
-        if rng.random() < (nu * k + theta) / (total + theta):
-            counts.append(1)
-        else:
-            weights = np.asarray(counts, dtype=float) - nu
-            j = rng.choice(k, p=weights / weights.sum())
-            counts[j] += 1
-        total += 1
-    return len(counts)
+log = logging.getLogger(__name__)
 
 
 def urn_request_ids(state, n_requests: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,6 +73,16 @@ def expected_distinct_contents(total_requests: int, theta: float, nu: float) -> 
                  * total_requests ** nu)
 
 
+def exact_distinct_mean(total_requests: int, theta: float, nu: float) -> float:
+    """Exact mean number of distinct contents after ``total_requests``
+    arrivals of the two-parameter process on an unbounded catalog, by the
+    recursion ``E[K_{n+1}] = E[K_n] + (theta + nu E[K_n]) / (theta + n)``."""
+    mean = 0.0
+    for n in range(total_requests):
+        mean += (theta + nu * mean) / (theta + n)
+    return mean
+
+
 def wasserstein1_grid(samples: np.ndarray, nodes: np.ndarray,
                       weights: np.ndarray) -> float:
     """1-Wasserstein distance between an empirical sample and a discrete
@@ -105,6 +104,94 @@ class ConstantPolicy:
 
     def __call__(self, ctx, rng=None):
         return np.full(ctx.x_hat.shape, self.level)
+
+
+# --- Reference control and geometry paths --------------------------------
+#
+# Brute-force and Monte-Carlo counterparts of the package's closed forms:
+# the control-dependent bracket of the backward equation with a convexity
+# audit of the water-filling control, and sampled interference and rate.
+
+def control_bracket(p, x: float, rate: float, overlap: float, dq_v: float,
+                    remaining: float, costs: CostParams):
+    """Control-dependent part of the backward equation's minimand:
+    running cost plus the storage-drift term ``(e - L p) v_Q``."""
+    phi = backhaul_cost(p, costs.backhaul, costs.content_size)
+    psi = storage_cost(remaining, costs.storage, costs.gamma)
+    drift = (costs.discard_rate - costs.content_size * np.asarray(p, dtype=float)) * dq_v
+    return running_cost(phi, overlap, rate * x, psi) + drift
+
+
+def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,
+                            remaining: float, costs: CostParams,
+                            config: SolverConfig,
+                            control_step: float = 1e-3) -> tuple[float, int]:
+    """Closed-form control with a convexity audit of the sampled bracket.
+
+    Evaluates the bracket on the admissible control grid, counts second
+    differences below ``-1e-8``, and falls back to the grid-search infimum at
+    audited states where convexity fails (none are expected: the barrier's
+    curvature is strictly positive). Returns ``(control, violations)``.
+    """
+    p_cap = config.p_max(costs.backhaul, costs.content_size)
+    # Uniform grid with spacing as close to control_step as the cap allows;
+    # uneven trailing spacing would corrupt the second-difference audit.
+    n_points = max(2, int(round(p_cap / control_step)) + 1)
+    grid = np.linspace(0.0, p_cap, n_points)
+    values = control_bracket(grid, x, rate, overlap, dq_v, remaining, costs)
+    second = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    violations = int(np.sum(second < -1e-8))
+    p_star = optimal_control(x, rate, overlap, dq_v, costs.backhaul,
+                             costs.content_size, config)
+    if violations:
+        log.warning("control bracket convexity violated at %d grid points; "
+                    "using grid-search infimum", violations)
+        p_star = float(grid[int(np.argmin(values))])
+    return p_star, violations
+
+
+def monte_carlo_interference(pattern: PointPattern, user_xy, cfg: GeometryConfig,
+                             p_a: float, rng: np.random.Generator) -> float:
+    """One sample of the aggregate interference power at ``user_xy``.
+
+    Stations inside the reception ball are kept independently with
+    probability ``p_a`` (dormant stations do not transmit); each retained
+    station contributes ``P * min(1, d^-alpha) * g`` with ``g ~ Exp(1)``
+    Rayleigh power fading. Returns raw milliwatts; the sectored-beam factor
+    is applied downstream when forming an SINR.
+    """
+    if not 0.0 <= p_a <= 1.0:
+        raise ConfigurationError("p_a must lie in [0, 1]")
+    if len(pattern) == 0:
+        return 0.0
+    user = np.asarray(user_xy, dtype=float)
+    d = np.hypot(pattern.points[:, 0] - user[0], pattern.points[:, 1] - user[1])
+    inside = d <= cfg.reception_radius_km
+    if not inside.any():
+        return 0.0
+    d = d[inside]
+    active = rng.random(d.size) < p_a
+    if not active.any():
+        return 0.0
+    gains = path_loss(d[active], cfg.path_loss_alpha)
+    fading = rng.exponential(1.0, gains.size)
+    return float(cfg.tx_power_mw * np.sum(gains * fading))
+
+
+def average_rate_monte_carlo(model: RateModel, cfg: GeometryConfig,
+                             rng: np.random.Generator, n_samples: int = 10 ** 6) -> float:
+    """Monte-Carlo estimate of :func:`average_rate` over fading draws.
+
+    Validation path for the quadrature; same SINR structure, random fading.
+    """
+    denom = model.noise_term + model.interference_normalized * cfg.beam_gain_factor
+    if denom <= 0:
+        raise ConfigurationError("degenerate SINR: zero noise and interference")
+    signal = (cfg.num_antennas * cfg.tx_power_mw
+              * path_loss(model.serving_distance_km, cfg.path_loss_alpha)
+              * model.fading_mean)
+    g = rng.exponential(1.0, n_samples)
+    return float(np.mean(np.log1p(signal * g / denom)))
 
 
 # --- Reference backward/forward passes -----------------------------------
@@ -228,19 +315,23 @@ def reference_fpk_forward(p, m0, problem, grid):
 
 
 def reference_solve_mfe(problem, grid, config):
-    """Damped fixed point over the reference passes; returns
-    ``(v, m, p, residual_history)``."""
+    """Fixed point over the reference passes: full Picard sweeps whose
+    density step is multiplied by ``config.damping`` after every rise of the
+    residual; returns ``(v, m, p, residual_history)``."""
     nt = grid.shape[0]
     m_prev = np.repeat(np.asarray(problem.m0, dtype=float)[None, :, :], nt, axis=0)
     v_prev = np.zeros(grid.shape)
     residuals = []
     v, p, m = v_prev, np.zeros(grid.shape), m_prev
+    step = 1.0
     for _ in range(config.max_iterations):
         v, p = reference_hjb_backward(m_prev, problem, grid, config)
         m_new = reference_fpk_forward(p, problem.m0, problem, grid)
-        m = config.damping * m_new + (1.0 - config.damping) * m_prev
+        m = step * m_new + (1.0 - step) * m_prev
         residual = max(float(np.abs(v - v_prev).max()),
                        float(np.abs(m - m_prev).max()))
+        if residuals and residual > residuals[-1]:
+            step *= config.damping
         residuals.append(residual)
         v_prev, m_prev = v, m
         if residual < config.tolerance:

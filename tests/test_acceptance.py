@@ -26,14 +26,17 @@ from mfcache.solver import (
     Grid,
     MfgProblem,
     SolverConfig,
-    audited_optimal_control,
-    control_bracket,
     fpk_forward,
     gaussian_initial_density,
     solve_mfe,
 )
 
-from support import expected_distinct_contents, wasserstein1_grid
+from support import (
+    audited_optimal_control,
+    control_bracket,
+    expected_distinct_contents,
+    wasserstein1_grid,
+)
 
 DEFAULT_GRID = Grid.make(201, 41, 41, 1.0, 1.0)
 TABLE_DENSITIES = (0.005, 0.02, 0.035, 0.05)
@@ -142,8 +145,9 @@ def test_criterion_04_control_matches_grid_search():
 
 
 def test_criterion_05_equilibrium_convergence_across_densities():
-    """Damped fixed point converges within 50 sweeps below 1e-4 at every
-    reference density, with counts within a factor of two of each other."""
+    """The fixed-point iteration converges within 50 sweeps below 1e-4 at
+    every reference density, with counts within a factor of two of each
+    other."""
     base = ScenarioConfig()
     counts, residuals = [], []
     for lambda_b in TABLE_DENSITIES:

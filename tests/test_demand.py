@@ -13,7 +13,7 @@ from mfcache.demand import (
 )
 from mfcache.errors import ConfigurationError
 
-from support import expected_distinct_contents, naive_crp_distinct, urn_request_ids
+from support import exact_distinct_mean, expected_distinct_contents, urn_request_ids
 
 
 class TestCrpDistribution:
@@ -67,10 +67,9 @@ class TestCrpSampling:
             state = CrpState.empty(1200)
             refresh_period(state, simulate_requests(state, n_requests, rng))
             urn.append(state.distinct)
-        ref = [naive_crp_distinct(n_requests, 1.0, 0.5, rng)
-               for _ in range(runs)]
-        pooled_se = np.sqrt(np.var(urn) / runs + np.var(ref) / runs)
-        assert abs(np.mean(urn) - np.mean(ref)) < 3.5 * pooled_se
+        se = np.sqrt(np.var(urn) / runs)
+        exact = exact_distinct_mean(n_requests, 1.0, 0.5)
+        assert abs(np.mean(urn) - exact) < 3.5 * se
 
     def test_urn_sampler_conserves_counts(self):
         state = CrpState.empty(50)

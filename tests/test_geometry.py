@@ -6,9 +6,7 @@ from mfcache.geometry import (
     GeometryConfig,
     active_probability,
     average_rate,
-    average_rate_monte_carlo,
     dbm_to_mw,
-    monte_carlo_interference,
     nearest_sbs_distance,
     normalized_interference,
     path_loss,
@@ -17,6 +15,8 @@ from mfcache.geometry import (
     sample_ppp,
     RateModel,
 )
+
+from support import average_rate_monte_carlo, monte_carlo_interference
 
 REGION = (20.0, 20.0)
 

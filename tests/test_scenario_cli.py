@@ -163,7 +163,7 @@ class TestCli:
         path = tmp_path / "hard.ini"
         path.write_text(SMALL.replace(
             "[solver]\ngrid_nt = 51",
-            "[solver]\ntolerance = 1e-14\nmax_iterations = 2\ngrid_nt = 51"))
+            "[solver]\ntolerance = 1e-14\nmax_iterations = 1\ngrid_nt = 51"))
         out = tmp_path / "out"
         code = main(["solve", "--scenario", str(path), "--out", str(out),
                      "--quiet"])

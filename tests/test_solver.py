@@ -3,7 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from support import reference_fpk_forward, reference_solve_mfe
+from support import (
+    audited_optimal_control,
+    control_bracket,
+    reference_fpk_forward,
+    reference_solve_mfe,
+)
 
 import mfcache.solver
 from mfcache.costs import CostParams
@@ -12,8 +17,6 @@ from mfcache.solver import (
     Grid,
     MfgProblem,
     SolverConfig,
-    audited_optimal_control,
-    control_bracket,
     fpk_forward,
     gaussian_initial_density,
     hjb_backward,
@@ -228,9 +231,9 @@ class TestSolveMfe:
         grid = DEFAULT_GRID
         problem = make_problem(grid)
         solution = solve_mfe(problem, grid,
-                             SolverConfig(tolerance=1e-12, max_iterations=2))
+                             SolverConfig(tolerance=1e-12, max_iterations=1))
         assert not solution.converged
-        assert solution.iterations == 2
+        assert solution.iterations == 1
 
     def test_static_popularity_converges_below_request_probability(self):
         grid = DEFAULT_GRID
@@ -253,6 +256,63 @@ class TestSolveMfe:
         assert np.abs(mass - 1.0).max() < 1e-6
         assert solution.p.min() >= 0.0
         assert solution.p.max() <= solution.p_max
+
+    @pytest.mark.parametrize("live", [False, True], ids=["default", "live-control"])
+    def test_converged_solution_is_a_fixed_point(self, live, monkeypatch):
+        # The default model's control is identically zero; a charge on
+        # unused storage makes it active on most nodes, so the backward pass
+        # then depends on the density through the overlap.
+        grid = Grid.make(61, 31, 31, 1.0, 1.0)
+        costs = None
+        if live:
+            monkeypatch.setattr(mfcache.solver, "storage_cost",
+                                lambda q, storage, gamma: gamma * q / storage)
+            costs = CostParams(gamma=30.0)
+        problem = make_problem(grid, costs=costs)
+        config = SolverConfig()
+        solution = solve_mfe(problem, grid, config)
+        assert solution.converged
+        assert solution.iterations <= 4
+        if live:
+            assert (solution.p > 0).mean() > 0.5
+        v, p = hjb_backward(solution.m, problem, grid, config)
+        m = fpk_forward(p, problem.m0, problem, grid, config)
+        assert np.abs(v - solution.v).max() < config.tolerance
+        assert np.abs(m - solution.m).max() < config.tolerance
+
+    def test_rising_residual_scales_the_step(self, monkeypatch, caplog):
+        # The second forward pass returns a far, narrow density, so the
+        # second residual exceeds the first; every later density step is
+        # then a `damping` fraction of the full one.
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid)
+        far = np.repeat(gaussian_initial_density(grid, 0.8, 0.03, 0.2, 0.03)[None],
+                        grid.t.size, axis=0)
+        real_fpk = mfcache.solver.fpk_forward
+        returned = []
+
+        def fpk_forward(*args):
+            out = far if len(returned) == 1 else real_fpk(*args)
+            returned.append(out)
+            return out
+
+        monkeypatch.setattr(mfcache.solver, "fpk_forward", fpk_forward)
+        damping = 0.25
+        flagged = solve_mfe(problem, grid, SolverConfig(
+            damping=damping, tolerance=1e-12, max_iterations=3))
+        assert not flagged.converged
+        history = flagged.residual_history
+        assert history[1] > history[0] > history[2]
+        assert np.array_equal(flagged.m, damping * returned[2]
+                              + (1.0 - damping) * far)
+
+        returned.clear()
+        with caplog.at_level("DEBUG", logger="mfcache.solver"):
+            solution = solve_mfe(problem, grid, SolverConfig(damping=damping))
+        assert solution.converged
+        steps = [record.args[2] for record in caplog.records
+                 if record.msg.startswith("sweep")]
+        assert steps == [1.0, 1.0] + [damping] * (solution.iterations - 2)
 
 
 class TestSolutionChecks:

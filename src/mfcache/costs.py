@@ -8,8 +8,8 @@ probability, plus a linear charge on occupied storage:
     J = -log(B - L p) * (1 + I_r) / (rate * x) + gamma * (C - Q) / C
 
 :func:`running_cost` is the one home of this formula: the solver's backward
-pass and control bracket, the simulator's step and the validating
-:func:`instantaneous_cost` all call it.
+pass, the simulator's step, the validating :func:`instantaneous_cost` and
+the control-bracket test oracle all call it.
 
 Overlap comes in two forms: :func:`empirical_overlap`, the leave-one-out sum
 over the controls of the other stations of a neighbourhood (the simulator's

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 
 from .errors import ConfigurationError, require_finite
 
@@ -214,7 +215,7 @@ _LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _LAGUERRE_CACHE:
-        _LAGUERRE_CACHE[n] = np.polynomial.laguerre.laggauss(n)
+        _LAGUERRE_CACHE[n] = laggauss(n)
     return _LAGUERRE_CACHE[n]
 
 

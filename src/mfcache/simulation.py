@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .costs import (
     backhaul_cost,
@@ -107,8 +108,8 @@ class MetricsLog:
 
 def _replication_streams(seed: int) -> tuple[np.random.Generator, ...]:
     """Independent (world, policy, observation) streams for one seed."""
-    children = np.random.SeedSequence(seed).spawn(3)
-    return tuple(np.random.default_rng(c) for c in children)
+    children = SeedSequence(seed).spawn(3)
+    return tuple(default_rng(c) for c in children)
 
 
 def build_world(scenario: ScenarioConfig, rng: np.random.Generator

@@ -21,13 +21,16 @@ sweeps, with the density step shrunk only after a sweep whose residual rises
 (the finite-difference scheme of Achdou & Capuzzo-Dolcetta, SIAM J. Numer.
 Anal. 48(3), 2010).
 
-Discretization: uniform tensor grid; explicit upwind differencing for both
-drifts in the backward pass (one-sided inward stencils at boundaries, zero
+Discretization: uniform tensor grid. The backward pass uses explicit upwind
+differencing for both drifts (one-sided inward stencils at boundaries, zero
 advection where the drift pushes against a boundary, matching the reflected
-state) and implicit centered differencing for the diffusion; conservative
-finite-volume upwind fluxes with zero-flux boundaries in the forward pass,
-so total mass is preserved to round-off and nonnegativity is maintained
-under the step-size condition checked on entry.
+state) and implicit centered differencing for the diffusion. The diffusion
+matrix is the same at every level, so it is eliminated once per pass and
+each level runs only the forward and back substitution, in numpy and in
+LAPACK ``gtsv``'s order. The forward pass uses conservative finite-volume
+upwind fluxes with zero-flux boundaries, so total mass is preserved to
+round-off and nonnegativity is maintained under the step-size condition
+checked on entry.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .costs import (
     CostParams,
@@ -323,18 +325,61 @@ def _dq_centered(v: np.ndarray, dq: float, out: np.ndarray) -> np.ndarray:
 
 
 def _diffusion_factor(nx: int, dx: float, dt: float, eta: float):
-    """Banded LHS of the implicit diffusion solve ``(I - dt D Lxx) v = rhs``
-    with reflecting ends; ``None`` when there is no diffusion."""
+    """Elimination of the implicit diffusion matrix ``I - dt D Lxx`` with
+    reflecting ends, for :func:`solve_banded`; ``None`` when there is no
+    diffusion.
+
+    The matrix is tridiagonal with ``-c`` on both off-diagonals and strictly
+    diagonally dominant, so Gaussian elimination swaps no rows. It is done
+    once, in LAPACK ``gtsv``'s order, and returned as ``(multipliers,
+    diagonal, upper)``: the row multipliers, the eliminated diagonal and the
+    constant upper diagonal ``-c``. Each entry is a 0-d array, which numpy's
+    ufuncs take in less time than a Python float.
+    """
     if eta == 0.0:
         return None
     c = dt * eta ** 2 / (2.0 * dx ** 2)
-    ab = np.zeros((3, nx))
-    ab[0, 1:] = -c
-    ab[2, :-1] = -c
-    ab[1, :] = 1.0 + 2.0 * c
-    ab[1, 0] = 1.0 + c
-    ab[1, -1] = 1.0 + c
-    return ab
+    diagonal = [1.0 + c] + [1.0 + 2.0 * c] * (nx - 2) + [1.0 + c]
+    multipliers = []
+    for i in range(nx - 1):
+        fact = -c / diagonal[i]
+        diagonal[i + 1] = diagonal[i + 1] - fact * -c
+        multipliers.append(fact)
+    return ([np.array(f) for f in multipliers], [np.array(d) for d in diagonal],
+            np.array(-c))
+
+
+_ZERO = np.array(0.0)
+
+
+def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve the diffusion system eliminated by :func:`_diffusion_factor`
+    for the columns of ``rhs`` (one row per popularity node), leaving
+    ``rhs`` unchanged.
+
+    Forward and back substitution follow LAPACK ``gtsv`` operation for
+    operation, so the result equals a LAPACK tridiagonal solve of the same
+    matrix bit for bit. The back step keeps ``gtsv``'s term for the
+    zeroed second superdiagonal, ``- 0.0 * b[i + 2]``: it turns a ``-0.0``
+    into ``+0.0`` where ``b[i + 2]`` is negative or ``-0.0``.
+    """
+    multipliers, diagonal, upper = factor
+    b = np.array(rhs, dtype=float)
+    rows = list(b)
+    tmp = np.empty(b.shape[1:])
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    for fact, prev, row in zip(multipliers, rows, rows[1:]):
+        sub(row, mul(fact, prev, tmp), row)
+    div(rows[-1], diagonal[-1], rows[-1])
+    row = rows[-2]
+    sub(row, mul(upper, rows[-1], tmp), row)
+    div(row, diagonal[-2], row)
+    for row, after, second, d in zip(rows[-3::-1], rows[-2::-1], rows[::-1],
+                                     diagonal[-3::-1]):
+        sub(row, mul(upper, after, tmp), row)
+        sub(row, mul(_ZERO, second, tmp), row)
+        div(row, d, row)
+    return b
 
 
 def _check_step_size(problem: MfgProblem, grid: Grid,
@@ -385,7 +430,7 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     bx = problem.reversion_rate * (problem.mu - x_col) * np.ones((1, nq))
     bx_forward = bx > 0
     psi = storage_cost(grid.q, c.storage, c.gamma)[None, :]
-    ab = _diffusion_factor(nx, grid.dx, grid.dt, problem.volatility)
+    factor = _diffusion_factor(nx, grid.dx, grid.dt, problem.volatility)
     advect_x = _Upwind((nx, nq), 0, grid.dx)
     advect_q = _Upwind((nx, nq), 1, grid.dq)
     dqv = np.empty((nx, nq))
@@ -413,11 +458,11 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
         adv = (advect_x(v[level], bx, bx_forward)
                + advect_q(v[level], bq, bq > 0))
         rhs = v[level] + dt * (source + adv)
-        if ab is None:
+        if factor is None:
             v[level - 1] = rhs
         else:
             # A non-finite right-hand side is caught by the check below.
-            v[level - 1] = solve_banded((1, 1), ab, rhs, check_finite=False)
+            v[level - 1] = solve_banded(factor, rhs)
         if not np.isfinite(v[level - 1]).all():
             raise SolverError(
                 f"backward pass produced non-finite values at t index {level - 1} "

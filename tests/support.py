@@ -151,31 +151,26 @@ def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,
 
 
 def monte_carlo_interference(pattern: PointPattern, user_xy, cfg: GeometryConfig,
-                             p_a: float, rng: np.random.Generator) -> float:
-    """One sample of the aggregate interference power at ``user_xy``.
+                             p_a: float, rng: np.random.Generator,
+                             n_samples: int) -> np.ndarray:
+    """``n_samples`` independent samples of the aggregate interference power
+    at ``user_xy``.
 
     Stations inside the reception ball are kept independently with
     probability ``p_a`` (dormant stations do not transmit); each retained
     station contributes ``P * min(1, d^-alpha) * g`` with ``g ~ Exp(1)``
-    Rayleigh power fading. Returns raw milliwatts; the sectored-beam factor
-    is applied downstream when forming an SINR.
+    Rayleigh power fading. The thinning and fading of all samples are drawn
+    in one array each. Returns raw milliwatts; the sectored-beam factor is
+    applied downstream when forming an SINR.
     """
     if not 0.0 <= p_a <= 1.0:
         raise ConfigurationError("p_a must lie in [0, 1]")
-    if len(pattern) == 0:
-        return 0.0
     user = np.asarray(user_xy, dtype=float)
     d = np.hypot(pattern.points[:, 0] - user[0], pattern.points[:, 1] - user[1])
-    inside = d <= cfg.reception_radius_km
-    if not inside.any():
-        return 0.0
-    d = d[inside]
-    active = rng.random(d.size) < p_a
-    if not active.any():
-        return 0.0
-    gains = path_loss(d[active], cfg.path_loss_alpha)
-    fading = rng.exponential(1.0, gains.size)
-    return float(cfg.tx_power_mw * np.sum(gains * fading))
+    gains = path_loss(d[d <= cfg.reception_radius_km], cfg.path_loss_alpha)
+    active = rng.random((n_samples, gains.size)) < p_a
+    fading = rng.exponential(1.0, (n_samples, gains.size))
+    return cfg.tx_power_mw * (active * fading) @ gains
 
 
 def average_rate_monte_carlo(model: RateModel, cfg: GeometryConfig,
@@ -226,7 +221,7 @@ def _reference_dq_centered(v, dq):
     return out
 
 
-def _reference_diffusion_factor(nx, dx, dt, eta):
+def reference_diffusion_band(nx, dx, dt, eta):
     if eta == 0.0:
         return None
     c = dt * eta ** 2 / (2.0 * dx ** 2)
@@ -254,7 +249,7 @@ def reference_hjb_backward(m, problem, grid, config):
     x_col = grid.x[:, None]
     bx = problem.reversion_rate * (problem.mu - x_col) * np.ones((1, nq))
     psi = storage_cost(grid.q, c.storage, c.gamma)[None, :]
-    ab = _reference_diffusion_factor(nx, grid.dx, grid.dt, problem.volatility)
+    ab = reference_diffusion_band(nx, grid.dx, grid.dt, problem.volatility)
     overlap_lag = 0.0
     for level in range(nt - 1, -1, -1):
         rate = float(problem.rate_path[level])

@@ -119,14 +119,16 @@ class TestMonteCarloInterference:
     def test_empty_pattern(self):
         cfg = GeometryConfig()
         pattern = sample_ppp(0.0, REGION, np.random.default_rng(0))
-        assert monte_carlo_interference(pattern, (10, 10), cfg, 0.5,
-                                        np.random.default_rng(0)) == 0.0
+        draws = monte_carlo_interference(pattern, (10, 10), cfg, 0.5,
+                                         np.random.default_rng(0), 10)
+        assert (draws == 0.0).all()
 
     def test_all_dormant(self):
         cfg = GeometryConfig()
         pattern = sample_ppp(0.1, REGION, np.random.default_rng(3))
-        assert monte_carlo_interference(pattern, (10, 10), cfg, 0.0,
-                                        np.random.default_rng(0)) == 0.0
+        draws = monte_carlo_interference(pattern, (10, 10), cfg, 0.0,
+                                         np.random.default_rng(0), 10)
+        assert (draws == 0.0).all()
 
     def test_mean_tracks_expected_sum(self):
         cfg = GeometryConfig(lambda_b=0.05)
@@ -140,10 +142,7 @@ class TestMonteCarloInterference:
         inside = d <= cfg.reception_radius_km
         expected = p_a * cfg.tx_power_mw * np.sum(
             np.minimum(1.0, d[inside] ** -cfg.path_loss_alpha))
-        draws = np.array([
-            monte_carlo_interference(pattern, user, cfg, p_a, rng)
-            for _ in range(100_000)
-        ])
+        draws = monte_carlo_interference(pattern, user, cfg, p_a, rng, 100_000)
         se = draws.std() / np.sqrt(draws.size)
         assert abs(draws.mean() - expected) < 3 * se
 

@@ -6,6 +6,7 @@ import pytest
 from support import (
     audited_optimal_control,
     control_bracket,
+    reference_diffusion_band,
     reference_fpk_forward,
     reference_solve_mfe,
 )
@@ -17,10 +18,12 @@ from mfcache.solver import (
     Grid,
     MfgProblem,
     SolverConfig,
+    _diffusion_factor,
     fpk_forward,
     gaussian_initial_density,
     hjb_backward,
     optimal_control,
+    solve_banded,
     solve_mfe,
 )
 
@@ -155,6 +158,53 @@ class TestHjbBackward:
         m = np.repeat(problem.m0[None], grid.t.size, axis=0)
         with pytest.raises(ConfigurationError):
             hjb_backward(m, problem, grid, SolverConfig())
+
+
+class TestDiffusionSolve:
+    """The diffusion matrix is eliminated once per backward pass and solved
+    per level in numpy; the result must be LAPACK's, signed zeros included."""
+
+    @pytest.mark.parametrize("eta", [0.01, 2.0], ids=["weak", "strong"])
+    @pytest.mark.parametrize("nx", [3, 4, 21, 31, 41])
+    def test_matches_lapack_bit_for_bit(self, nx, eta):
+        from scipy.linalg import solve_banded as lapack_solve_banded
+
+        dx, dt = 1.0 / (nx - 1), 0.025
+        factor = _diffusion_factor(nx, dx, dt, eta)
+        band = reference_diffusion_band(nx, dx, dt, eta)
+        rng = np.random.default_rng(nx)
+        for _ in range(30):
+            rhs = rng.normal(size=(nx, 9)) * 10.0 ** rng.integers(-3, 4, (nx, 9))
+            zeros = rng.random((nx, 9))
+            rhs[zeros < 0.25] = 0.0
+            rhs[zeros > 0.75] = -0.0
+            rhs[:, 0] = -0.0
+            rhs[:, 1] = np.where(np.arange(nx) % 2, 0.0, -0.0)
+            before = rhs.copy()
+            out = solve_banded(factor, rhs)
+            expected = lapack_solve_banded((1, 1), band, rhs)
+            assert out.tobytes() == expected.tobytes()
+            assert rhs.tobytes() == before.tobytes()
+
+    def test_no_diffusion_has_no_factor(self):
+        assert _diffusion_factor(21, 0.05, 0.025, 0.0) is None
+
+    # One solve per stepped level: nt - 1 = 40 with diffusion, none without.
+    @pytest.mark.parametrize("eta, solves", [(0.1, 40), (0.0, 0)])
+    def test_one_solve_per_level(self, eta, solves, monkeypatch):
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid, eta=eta)
+        m = np.repeat(problem.m0[None], grid.t.size, axis=0)
+        real_solve = mfcache.solver.solve_banded
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(None)
+            return real_solve(*args)
+
+        monkeypatch.setattr(mfcache.solver, "solve_banded", counting_solve)
+        hjb_backward(m, problem, grid, SolverConfig())
+        assert len(calls) == solves
 
 
 class TestFpkForward:

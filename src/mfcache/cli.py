@@ -10,6 +10,14 @@ Subcommands:
             station densities
   validate  parse and validate a scenario file
 
+Common random numbers: each replication builds and steps one world, and
+every policy (and, in ``ipi``, both information arms of each) advances its
+own storage on it in lockstep, so all of them see the same station layout,
+popularity path and request counts (see ``simulation.run_replication``).
+
+Logging goes to stderr at INFO; ``--quiet`` keeps errors only and
+``-v/--verbose`` adds DEBUG lines such as each solver sweep's residual.
+
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 4 I/O failure, 5 every replication of an experiment point hit the backhaul
 barrier (``BarrierExclusionError``). Every run writes ``manifest.txt``
@@ -76,8 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--grid-nx", type=int, default=None)
         cmd.add_argument("--grid-nq", type=int, default=None)
         cmd.add_argument("--grid-nt", type=int, default=None)
-        cmd.add_argument("--quiet", action="store_true",
-                         help="suppress progress logging")
+        noise = cmd.add_mutually_exclusive_group()
+        noise.add_argument("--quiet", action="store_true",
+                           help="suppress progress logging")
+        noise.add_argument("-v", "--verbose", action="store_true",
+                           help="also log each solver sweep's residual")
         if name == "solve":
             cmd.add_argument("--sweep-density", action="store_true",
                              help="also sweep the station densities and "
@@ -202,7 +213,8 @@ def cmd_validate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.ERROR if args.quiet else logging.INFO,
+        level=(logging.DEBUG if args.verbose else
+               logging.ERROR if args.quiet else logging.INFO),
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

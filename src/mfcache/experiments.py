@@ -26,7 +26,7 @@ from .errors import BarrierExclusionError
 from .geometry import average_rate, rate_model_from_config, request_region_count
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
 from .scenario import ScenarioConfig
-from .simulation import ipi_experiment, run_scenario
+from .simulation import MetricsLog, ipi_experiment, run_replication
 from .solver import (
     Grid,
     MfeSolution,
@@ -180,6 +180,16 @@ def _replication_seeds(scenario: ScenarioConfig) -> list[int]:
     return [base + r for r in range(scenario.simulation.replications)]
 
 
+def _replications(scenario: ScenarioConfig) -> dict[str, list[MetricsLog]]:
+    """Each policy's metrics over the replications of one sweep point, in
+    seed order. Every replication runs the three policies of the point's
+    equilibrium on one shared world."""
+    policies = _policies_for(solve_scenario(scenario))
+    runs = [run_replication(scenario, policies, seed=seed)
+            for seed in _replication_seeds(scenario)]
+    return {name: [run[name, False] for run in runs] for name in POLICY_NAMES}
+
+
 def _mean_excluding(values: list[float], excluded: list[bool], label: str) -> float:
     kept = [v for v, skip in zip(values, excluded) if not skip]
     dropped = len(values) - len(kept)
@@ -196,29 +206,27 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
 
     Produces the cost trajectories and final-cost summary across the user
     density sweep, and the overlap-per-storage sweep across initial
-    popularity values.
+    popularity values. Each replication of a sweep point runs all three
+    policies on one shared world.
     """
     trajectory_rows: list[tuple] = []
     summary_rows: list[tuple] = []
     for lambda_u in scenario.experiments.lambda_u_values:
         sc = replace(scenario,
                      geometry=replace(scenario.geometry, lambda_u=lambda_u))
-        solution = solve_scenario(sc)
-        policies = _policies_for(solution)
+        runs = _replications(sc)
         finals: dict[str, float] = {}
         for name in POLICY_NAMES:
-            lras, cum, flags = [], [], []
-            for seed in _replication_seeds(sc):
-                log_ = run_scenario(sc, policies[name], seed=seed)
-                lras.append(log_.lra)
-                cum.append(log_.cumulative_cost)
-                flags.append(log_.excluded)
+            logs = runs[name]
+            flags = [log_.excluded for log_ in logs]
             finals[name] = _mean_excluding(
-                lras, flags, f"compare lambda_u={lambda_u} policy={name}")
-            kept = [c for c, skip in zip(cum, flags) if not skip]
+                [log_.lra for log_ in logs], flags,
+                f"compare lambda_u={lambda_u} policy={name}")
+            kept = [log_.cumulative_cost for log_ in logs if not log_.excluded]
             mean_cum = np.mean(np.stack(kept), axis=0)
             for i, value in enumerate(mean_cum):
-                trajectory_rows.append((lambda_u, name, (i + 1) * log_.dt, value))
+                trajectory_rows.append((lambda_u, name, (i + 1) * logs[-1].dt,
+                                        value))
         for name in POLICY_NAMES:
             reduction = ((finals["baseline"] - finals[name]) / finals["baseline"]
                          if finals["baseline"] > 0 else 0.0)
@@ -227,16 +235,13 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
     overlap_rows: list[tuple] = []
     for x0 in scenario.experiments.x0_values:
         sc = replace(scenario, demand=replace(scenario.demand, x0=x0))
-        solution = solve_scenario(sc)
-        policies = _policies_for(solution)
+        runs = _replications(sc)
         for name in POLICY_NAMES:
-            ratios, flags = [], []
-            for seed in _replication_seeds(sc):
-                log_ = run_scenario(sc, policies[name], seed=seed)
-                ratios.append(log_.overlap_per_storage)
-                flags.append(log_.excluded)
+            logs = runs[name]
             overlap_rows.append((x0, name, _mean_excluding(
-                ratios, flags, f"overlap x0={x0} policy={name}")))
+                [log_.overlap_per_storage for log_ in logs],
+                [log_.excluded for log_ in logs],
+                f"overlap x0={x0} policy={name}")))
     return {
         "trajectories": trajectory_rows,
         "summary": summary_rows,

@@ -1,20 +1,28 @@
 """Time-stepped multi-station network simulation.
 
-One replication samples a station pattern and holds it as one :class:`World`
-of ``(stations, contents)`` arrays, plus one request history per station. A
-step runs in a fixed order: popularity diffuses, observations are
-(optionally) perturbed, the policy picks cache fractions at the time within
-the period, storage integrates the cache/discard balance, content overlap is
-measured over the stations within the request radius of a typical user at
-the region center, and the running cost is accumulated. At every period
-boundary that another step follows, each history folds its sampled arrivals
-once into new means.
+One replication, a ``(scenario, seed)`` pair, samples a station pattern once
+and holds it as one :class:`World` of ``(stations, contents)`` arrays, plus
+one request history per station. Every policy under test, and in the
+popularity-information study both the perfect and the imperfect arm of each,
+runs on that world as a :class:`Lane`: one (policy, arm) pair with its own
+remaining storage, policy stream and metrics. The lanes advance in lockstep,
+one world step at a time; no trajectory is stored.
 
-Randomness is split into three independent streams per replication — world
-(pattern, popularity noise, request arrivals), policy draws, and observation
-error — so different policies and the perfect/imperfect-information arms of
-an experiment share common random numbers. Metrics are bit-identical for an
-identical (scenario, seed) pair.
+A step runs in a fixed order: popularity diffuses, the imperfect observation
+is drawn once if a lane needs it, and then each lane's policy picks cache
+fractions at the time within the period, the lane's storage integrates the
+cache/discard balance, content overlap is measured over the stations within
+the request radius of a typical user at the region center, and the running
+cost is accumulated. At every period boundary that another step follows,
+each history folds its sampled arrivals once into new means.
+
+Randomness is split into three independent streams per seed. The world
+stream (pattern, initial storage, popularity noise, request arrivals) and
+the observation-error stream are drawn once per step and shared by every
+lane; each lane owns a fresh copy of the policy stream, so a lane draws
+exactly what a one-lane run of its policy draws. Every lane is therefore
+bit-identical to a one-lane run of the same policy, arm and seed, and
+policies and arms compare under common random numbers.
 """
 
 from __future__ import annotations
@@ -47,8 +55,8 @@ from .geometry import average_rate, rate_model_from_config, sample_ppp
 from .policies import PolicyContext
 from .scenario import ScenarioConfig
 
-__all__ = ["World", "MetricsLog", "PairedRun", "build_world", "step",
-           "run_scenario", "ipi_experiment"]
+__all__ = ["World", "Lane", "MetricsLog", "PairedRun", "build_world", "step",
+           "run_replication", "run_scenario", "ipi_experiment"]
 
 log = logging.getLogger(__name__)
 
@@ -56,11 +64,12 @@ log = logging.getLogger(__name__)
 @dataclass
 class World:
     """One replication's stations: positions ``(K, 2)``, and per station and
-    content the remaining storage, true request probabilities and current
-    period means ``(K, M)``, plus each station's request history."""
+    content the remaining storage every lane starts from, true request
+    probabilities and current period means ``(K, M)``, plus each station's
+    request history."""
 
     position: np.ndarray
-    remaining: np.ndarray   # Q, data units left per station and content
+    remaining: np.ndarray   # initial Q, data units left per station and content
     x: np.ndarray           # true request probabilities
     mu: np.ndarray          # current period means
     histories: list[CrpState]
@@ -141,64 +150,87 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
     return world, hood
 
 
-def step(world: World, hood: np.ndarray, policy, t: float, dt: float,
-         rate: float, scenario: ScenarioConfig,
-         world_rng: np.random.Generator, policy_rng: np.random.Generator,
-         ipi_rng: np.random.Generator | None) -> dict[str, float]:
-    """Advance every station by ``dt`` and return the step's metrics row.
+@dataclass
+class Lane:
+    """One policy under one information arm on a shared world, with its own
+    policy stream and remaining storage ``(K, M)``."""
 
-    Order: popularity step, observation, policy, storage update (clamped to
-    [0, C]; discarding pauses at full remaining storage), overlap over the
-    typical neighborhood, cost accumulation with the true popularity floored
-    at the observation floor.
+    policy: object
+    imperfect: bool
+    rng: np.random.Generator
+    remaining: np.ndarray
+
+
+def step(world: World, hood: np.ndarray, lanes: list[Lane], t: float,
+         dt: float, rate: float, scenario: ScenarioConfig,
+         world_rng: np.random.Generator,
+         ipi_rng: np.random.Generator | None) -> list[dict[str, float]]:
+    """Advance the world and every lane by ``dt``; return one metrics row
+    per lane, in lane order.
+
+    Order: popularity step and observations, shared by all lanes (an
+    imperfect lane needs ``ipi_rng``); then per lane the policy, the storage
+    update (clamped to [0, C]; discarding pauses at full remaining storage),
+    overlap over the typical neighborhood, and cost accumulation with the
+    true popularity floored at the observation floor.
     """
     dem, cst = scenario.demand, scenario.costs
     floor = max(dem.ipi.floor_eps, FLOOR_EPS)
     x = ou_step_array(world.x, world.mu, dem.reversion_rate, dem.volatility,
                       dt, world_rng)
-    if ipi_rng is not None:
-        x_hat = np.clip(perturb_popularity(x, dem.ipi, ipi_rng), floor, 1.0)
-    else:
-        x_hat = np.clip(x, floor, 1.0)
+    world.x = x
+    observed = {False: np.clip(x, floor, 1.0)}
+    if any(lane.imperfect for lane in lanes):
+        observed[True] = np.clip(perturb_popularity(x, dem.ipi, ipi_rng),
+                                 floor, 1.0)
+    p_max = scenario.solver.config.p_max(cst.backhaul, cst.content_size)
+    demand_hood = rate * np.maximum(x[hood], floor)
 
-    ctx = PolicyContext(
-        t=t, x_hat=x_hat, remaining=world.remaining, rate=rate,
-        backhaul=cst.backhaul, content_size=cst.content_size,
-        storage=cst.storage, similar_count=cst.similar_count,
-        p_max=scenario.solver.config.p_max(cst.backhaul, cst.content_size),
-    )
-    p = np.asarray(policy(ctx, policy_rng), dtype=float)
-    q = np.clip(world.remaining + (cst.discard_rate - cst.content_size * p) * dt,
-                0.0, cst.storage)
-    world.x, world.remaining = x, q
+    rows = []
+    for lane in lanes:
+        ctx = PolicyContext(
+            t=t, x_hat=observed[lane.imperfect], remaining=lane.remaining,
+            rate=rate, backhaul=cst.backhaul, content_size=cst.content_size,
+            storage=cst.storage, similar_count=cst.similar_count, p_max=p_max,
+        )
+        p = np.asarray(lane.policy(ctx, lane.rng), dtype=float)
+        q = np.clip(lane.remaining
+                    + (cst.discard_rate - cst.content_size * p) * dt,
+                    0.0, cst.storage)
+        lane.remaining = q
 
-    p_hood = p[hood]
-    q_hood = q[hood]
-    x_hood = np.maximum(x[hood], floor)
-    overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
-    phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
-    psi = storage_cost(q_hood, cst.storage, cst.gamma)
-    cost_kj = running_cost(phi, overlap, rate * x_hood, psi)
-    barrier = int(np.sum(~np.isfinite(phi)))
-    return {
-        "cost": float(cost_kj.sum(axis=1).mean()),
-        "overlap": float(overlap.mean()),
-        "storage_usage": float((cst.storage - q_hood).mean()),
-        "barrier_hits": barrier,
-    }
+        p_hood = p[hood]
+        q_hood = q[hood]
+        overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
+        phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
+        psi = storage_cost(q_hood, cst.storage, cst.gamma)
+        cost_kj = running_cost(phi, overlap, demand_hood, psi)
+        rows.append({
+            "cost": float(cost_kj.sum(axis=1).mean()),
+            "overlap": float(overlap.mean()),
+            "storage_usage": float((cst.storage - q_hood).mean()),
+            "barrier_hits": int(np.sum(~np.isfinite(phi))),
+        })
+    return rows
 
 
-def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
-                 seed: int | None = None, use_ipi: bool = False,
-                 snapshot_time: float | None = None) -> MetricsLog:
-    """Simulate one replication of the scenario under one policy.
+def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
+                    arms: tuple[bool, ...] = (False,),
+                    horizon: float | None = None, seed: int | None = None,
+                    snapshot_time: float | None = None
+                    ) -> dict[tuple[str, bool], MetricsLog]:
+    """Simulate one replication of the scenario under every policy and
+    information arm (``True`` for imperfect) at once.
 
-    ``horizon`` defaults to the scenario's simulation horizon; the step size
-    is the solver grid's and policies see the time within the period, so
-    equilibrium policies evaluate on their own time nodes in every period.
-    Request histories refresh the popularity means at every period
-    boundary that another step follows, with arrivals Poisson-distributed
-    in the user mass of the search region.
+    The world is built and stepped once; each ``(name, arm)`` lane starts
+    from the world's initial storage with a fresh policy stream, and its
+    metrics are returned under that key, in ``policies`` then ``arms``
+    order. ``horizon`` defaults to the scenario's simulation horizon; the
+    step size is the solver grid's and policies see the time within the
+    period, so equilibrium policies evaluate on their own time nodes in
+    every period. Request histories refresh the popularity means at every
+    period boundary that another step follows, with arrivals
+    Poisson-distributed in the user mass of the search region.
     """
     if seed is None:
         seed = scenario.simulation.seed
@@ -209,48 +241,63 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
     dem, geo = scenario.demand, scenario.geometry
     dt = dem.period / (scenario.solver.grid_nt - 1)
     n_steps = int(round(horizon / dt))
-    world_rng, policy_rng, ipi_rng = _replication_streams(seed)
+    world_rng, _, ipi_rng = _replication_streams(seed)
 
-    metrics = MetricsLog(seed=seed, dt=dt)
     world, hood = build_world(scenario, world_rng)
-    if n_steps == 0:
+    lanes = {(name, imperfect): Lane(policy=policy, imperfect=imperfect,
+                                     rng=_replication_streams(seed)[1],
+                                     remaining=world.remaining.copy())
+             for name, policy in policies.items() for imperfect in arms}
+    logs = {key: MetricsLog(seed=seed, dt=dt) for key in lanes}
+    if n_steps:
+        rate = average_rate(rate_model_from_config(geo), geo)
+        arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
+                        * dem.requests_per_user)
+        steps_per_period = max(1, int(round(dem.period / dt)))
+        snap_step = (int(round(snapshot_time / dt))
+                     if snapshot_time is not None else None)
+        times = np.arange(n_steps) * dt + dt
+        for metrics in logs.values():
+            metrics.times = times.copy()
+            metrics.cost = np.empty(n_steps)
+            metrics.overlap = np.empty(n_steps)
+            metrics.storage_usage = np.empty(n_steps)
+        order = list(lanes.values())
+        for k in range(n_steps):
+            rows = step(world, hood, order, (k % steps_per_period) * dt, dt,
+                        rate, scenario, world_rng, ipi_rng)
+            for lane, metrics, row in zip(order, logs.values(), rows):
+                metrics.cost[k] = row["cost"]
+                metrics.overlap[k] = row["overlap"]
+                metrics.storage_usage[k] = row["storage_usage"]
+                metrics.barrier_hits += row["barrier_hits"]
+                if snap_step is not None and k + 1 == snap_step:
+                    metrics.q_snapshot = lane.remaining.copy()
+            # The means after the last step are never read.
+            if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
+                for i, history in enumerate(world.histories):
+                    increments = simulate_requests(
+                        history, int(world_rng.poisson(arrival_rate)), world_rng)
+                    world.mu[i] = refresh_period(history, increments)
+    for metrics in logs.values():
         metrics.finalize()
-        return metrics
+    return logs
 
-    rate = average_rate(rate_model_from_config(geo), geo)
-    arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
-                    * dem.requests_per_user)
-    steps_per_period = max(1, int(round(dem.period / dt)))
-    snap_step = (int(round(snapshot_time / dt))
-                 if snapshot_time is not None else None)
 
-    rows = {key: np.empty(n_steps) for key in
-            ("cost", "overlap", "storage_usage")}
-    times = np.empty(n_steps)
-    barrier_hits = 0
-    for k in range(n_steps):
-        t = k * dt
-        row = step(world, hood, policy, (k % steps_per_period) * dt, dt, rate,
-                   scenario, world_rng, policy_rng,
-                   ipi_rng if use_ipi else None)
-        barrier_hits += row.pop("barrier_hits")
-        for key, value in row.items():
-            rows[key][k] = value
-        times[k] = t + dt
-        if snap_step is not None and k + 1 == snap_step:
-            metrics.q_snapshot = world.remaining.copy()
-        # The means after the last step are never read.
-        if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
-            for i, history in enumerate(world.histories):
-                increments = simulate_requests(
-                    history, int(world_rng.poisson(arrival_rate)), world_rng)
-                world.mu[i] = refresh_period(history, increments)
-    metrics.times = times
-    metrics.cost = rows["cost"]
-    metrics.overlap = rows["overlap"]
-    metrics.storage_usage = rows["storage_usage"]
-    metrics.barrier_hits = barrier_hits
-    metrics.finalize()
+def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
+                 seed: int | None = None, use_ipi: bool = False,
+                 snapshot_time: float | None = None) -> MetricsLog:
+    """Simulate one replication of the scenario under one policy: a
+    one-lane :func:`run_replication` under the perfect information arm or,
+    with ``use_ipi``, the imperfect one.
+
+    The lane owns a fresh policy stream of the seed and reads the seed's
+    world and observation streams, so its metrics equal those of the same
+    (policy, arm) lane in any shared run of that seed.
+    """
+    (metrics,) = run_replication(scenario, {"policy": policy}, arms=(use_ipi,),
+                                 horizon=horizon, seed=seed,
+                                 snapshot_time=snapshot_time).values()
     return metrics
 
 
@@ -274,13 +321,13 @@ def ipi_experiment(scenario: ScenarioConfig, policies: dict[str, object],
                    seed: int | None = None) -> dict[str, PairedRun]:
     """Paired perfect/imperfect-information runs under common random numbers.
 
-    Both arms of each policy reuse the same seed, so the world realization is
-    identical and the reported cost increment isolates the observation error.
+    One :func:`run_replication` carries both arms of every policy: the
+    seed's world is built and stepped once, every lane advances on it in
+    lockstep with its own policy stream, and all imperfect lanes read the
+    same observation error. Both arms thus see one world realization, and
+    the reported cost increment isolates the observation error.
     """
-    out: dict[str, PairedRun] = {}
-    for name, policy in policies.items():
-        out[name] = PairedRun(
-            perfect=run_scenario(scenario, policy, seed=seed, use_ipi=False),
-            imperfect=run_scenario(scenario, policy, seed=seed, use_ipi=True),
-        )
-    return out
+    logs = run_replication(scenario, policies, arms=(False, True), seed=seed)
+    return {name: PairedRun(perfect=logs[name, False],
+                            imperfect=logs[name, True])
+            for name in policies}

@@ -8,6 +8,7 @@ from __future__ import annotations
 import configparser
 import importlib
 import importlib.util
+import logging
 import os
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from mfcache import simulation
-from mfcache.policies import BaselinePolicy
+from mfcache.policies import BaselinePolicy, RandomPolicy
 from mfcache.scenario import (
     DemandConfig,
     ScenarioConfig,
@@ -23,7 +24,9 @@ from mfcache.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from mfcache.simulation import build_world
+from mfcache.simulation import build_world, ipi_experiment
+
+from support import ConstantPolicy
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -98,3 +101,24 @@ def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
     for args, kwargs in calls:
         assert len(args) == 3 and not kwargs
         assert isinstance(args[0].counts, np.ndarray)
+
+
+def test_one_barrier_warning_per_excluded_lane(caplog):
+    # perfbench/run.py counts "hit the barrier" lines on stderr as failed
+    # operations: a shared run must warn once per excluded lane, that is per
+    # policy, arm and seed, as separate runs of each lane would.
+    policies = {"over": ConstantPolicy(1.0), "baseline": BaselinePolicy(),
+                "random": RandomPolicy()}
+    seeds = (3, 4)
+    with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
+        runs = [ipi_experiment(_tiny_scenario(), policies, seed=seed)
+                for seed in seeds]
+    excluded = [(pair.perfect.seed, name)
+                for run in runs for name, pair in run.items()
+                for log in (pair.perfect, pair.imperfect) if log.excluded]
+    assert excluded == [(seed, "over") for seed in seeds for _ in range(2)]
+    warnings = [record.getMessage() for record in caplog.records
+                if "hit the barrier" in record.getMessage()]
+    assert warnings == [f"replication {seed} hit the barrier; trajectory "
+                        "flagged and excluded from aggregates"
+                        for seed, _ in excluded]

@@ -101,14 +101,17 @@ class TestOneSolvePerInput:
 class TestAllReplicationsExcluded:
     @pytest.fixture()
     def barrier_runs(self, monkeypatch):
-        def excluded_run(scenario, policy, seed=None, **kwargs):
+        def excluded_log(seed):
             log = MetricsLog(seed=seed, dt=0.1, cost=np.array([1.0, math.inf]),
                              storage_usage=np.ones(2), overlap=np.zeros(2))
             log.finalize()
             assert log.excluded
             return log
 
-        monkeypatch.setattr(experiments, "run_scenario", excluded_run)
+        def excluded_run(scenario, policies, seed=None, **kwargs):
+            return {(name, False): excluded_log(seed) for name in policies}
+
+        monkeypatch.setattr(experiments, "run_replication", excluded_run)
 
     def test_recipe_raises_runtime_error(self, barrier_runs):
         scenario = small_scenario(lambda_u_values=(1e-4,), x0_values=(0.3,))

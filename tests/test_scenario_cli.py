@@ -1,9 +1,12 @@
 import configparser
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mfcache
 from mfcache.cli import main
 from mfcache.errors import ConfigurationError
 from mfcache.scenario import (
@@ -158,6 +161,27 @@ class TestCli:
         assert header == "t,x,Q,v,m,p"
         manifest = open(out / "manifest.txt").read()
         assert "scenario_hash:" in manifest and "wall_seconds:" in manifest
+
+    @pytest.mark.parametrize("flags, shown", [((), False),
+                                              (("--verbose",), True),
+                                              (("-v",), True)],
+                             ids=["default", "verbose", "v"])
+    def test_verbose_logs_solver_sweeps(self, small_file, tmp_path, flags, shown):
+        # The root logger is configured by main, so run it as a command.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            os.path.dirname(os.path.dirname(mfcache.__file__)),
+            env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfcache.cli", "solve", "--scenario",
+             small_file, "--out", str(tmp_path / "out"), *flags],
+            env=env, capture_output=True, text=True, check=True)
+        assert ("sweep 1:" in proc.stderr) == shown
+
+    def test_quiet_and_verbose_exclude_each_other(self, small_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--scenario", small_file, "--quiet", "--verbose"])
+        assert exc.value.code == 2
 
     def test_solve_nonconvergence_exit_code(self, tmp_path):
         path = tmp_path / "hard.ini"

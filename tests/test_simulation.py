@@ -7,9 +7,18 @@ from mfcache.demand import FLOOR_EPS, CrpState
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import average_rate, rate_model_from_config
 from mfcache.scenario import DemandConfig, ScenarioConfig, SimulationSettings, SolverSettings
-from mfcache import simulation
-from mfcache.simulation import World, build_world, ipi_experiment, run_scenario, step
-from mfcache.policies import BaselinePolicy, RandomPolicy
+from mfcache import experiments, simulation
+from mfcache.experiments import compare_experiment, solve_scenario
+from mfcache.simulation import (
+    Lane,
+    World,
+    build_world,
+    ipi_experiment,
+    run_replication,
+    run_scenario,
+    step,
+)
+from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 
 from support import ConstantPolicy
 
@@ -82,11 +91,12 @@ class TestStep:
         world, hood = build_world(sc, world_rng)
         assert hood.size > 1
         rate = average_rate(rate_model_from_config(sc.geometry), sc.geometry)
-        row = step(world, hood, ConstantPolicy(0.3), 0.0, 0.02, rate, sc,
-                   world_rng, policy_rng, None)
+        lane = Lane(policy=ConstantPolicy(0.3), imperfect=False, rng=policy_rng,
+                    remaining=world.remaining.copy())
+        (row,) = step(world, hood, [lane], 0.0, 0.02, rate, sc, world_rng, None)
 
         p_hood = np.full((hood.size, sc.demand.catalog_size), 0.3)
-        q_hood = world.remaining[hood]
+        q_hood = lane.remaining[hood]
         floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
         x_hood = np.maximum(world.x[hood], floor)
         overlap = empirical_overlap(p_hood, sc.costs.storage,
@@ -227,3 +237,87 @@ class TestIpiExperiment:
         incs = [ipi_experiment(sc, {"baseline": BaselinePolicy()}, seed=30 + s)
                 ["baseline"].increment for s in range(20)]
         assert np.mean(incs) > 0.0
+
+
+def _recording(monkeypatch):
+    """Record every world built and every request-count draw of a run."""
+    worlds, draws = [], []
+    build, sampler = simulation.build_world, simulation.simulate_requests
+
+    def recording_build(*args):
+        world, hood = build(*args)
+        worlds.append(world)
+        return world, hood
+
+    def recording_sampler(state, n, rng):
+        draws.append(state)
+        return sampler(state, n, rng)
+
+    monkeypatch.setattr(simulation, "build_world", recording_build)
+    monkeypatch.setattr(simulation, "simulate_requests", recording_sampler)
+    return worlds, draws
+
+
+class TestSharedReplication:
+    @pytest.fixture(scope="class")
+    def policies(self):
+        solution = solve_scenario(small_scenario())
+        return {"mf": MfPolicy(solution), "baseline": BaselinePolicy(),
+                "random": RandomPolicy(), "constant": ConstantPolicy(0.2)}
+
+    @pytest.mark.parametrize("horizon", [0.0, 0.5, 2.0])
+    def test_each_lane_equals_a_solo_run(self, policies, horizon):
+        sc = small_scenario()
+        shared = run_replication(sc, policies, arms=(False, True),
+                                 horizon=horizon, seed=9, snapshot_time=0.5)
+        assert list(shared) == [(name, arm) for name in policies
+                                for arm in (False, True)]
+        for (name, imperfect), lane in shared.items():
+            solo = run_scenario(sc, policies[name], horizon=horizon, seed=9,
+                                use_ipi=imperfect, snapshot_time=0.5)
+            for attr in ("cost", "overlap", "storage_usage", "times"):
+                assert np.array_equal(getattr(lane, attr), getattr(solo, attr))
+            assert lane.cost.size == round(50 * horizon)
+            assert lane.lra == solo.lra
+            assert lane.barrier_hits == solo.barrier_hits
+            if horizon:
+                assert np.array_equal(lane.q_snapshot, solo.q_snapshot)
+            else:
+                assert lane.q_snapshot is None and solo.q_snapshot is None
+
+    def test_lanes_own_their_arrays(self, policies):
+        shared = list(run_replication(small_scenario(), policies, seed=9,
+                                      horizon=0.5).values())
+        for attr in ("times", "cost", "overlap", "storage_usage"):
+            arrays = [getattr(log, attr) for log in shared]
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b), attr
+
+    def test_ipi_steps_one_world_for_every_lane(self, monkeypatch, policies):
+        # 3 policies x 2 arms share one world: one build and, at each of the
+        # two inner period boundaries, one request draw per station.
+        worlds, draws = _recording(monkeypatch)
+        three = {name: policies[name] for name in ("mf", "baseline", "random")}
+        sc = small_scenario()
+        sc = replace(sc, simulation=replace(sc.simulation, horizon=3.0))
+        ipi_experiment(sc, three, seed=6)
+        (world,) = worlds
+        assert [id(d) for d in draws] == [id(h) for h in world.histories] * 2
+
+    def test_compare_builds_one_world_per_point_and_seed(self, monkeypatch):
+        worlds, _ = _recording(monkeypatch)
+        seeds = []
+        run = experiments.run_replication
+
+        def recording_run(scenario, policies, **kwargs):
+            seeds.append(kwargs["seed"])
+            return run(scenario, policies, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_replication", recording_run)
+        sc = replace(small_scenario(), experiments=replace(
+            small_scenario().experiments, lambda_u_values=(1e-4, 2e-4),
+            x0_values=(0.3,)))
+        compare_experiment(sc)
+        assert seeds == [7, 8] * 3
+        assert len(worlds) == 6

@@ -115,8 +115,8 @@ def empirical_overlap(p: np.ndarray, storage: float,
     station and one column per content; each entry of the result is the sum
     of the *other* stations' fractions of that content per unit storage and
     similar-content count, ``(sum_i p_i - p_k) / (C * N_r)``. Unchecked: the
-    fractions are range-checked where they are charged
-    (:func:`backhaul_cost`).
+    simulator checks a policy's fractions once per step, before they reach
+    this function or the barrier.
     """
     return (p.sum(axis=0) - p) / (storage * similar_count)
 

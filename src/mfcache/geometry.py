@@ -3,11 +3,12 @@
 Base stations and users form independent homogeneous Poisson point processes
 on a rectangular region. A user hears every base station inside a reception
 ball of radius ``R``; signals decay with a bounded power law
-``min(1, d^-alpha)`` and Rayleigh fading of unit mean. Only stations that
-currently serve a user transmit, which thins the interferer process by the
-active probability ``p_a``. The module provides the closed-form
-density-normalized interference / average-rate expressions used by the
-solver; the Monte-Carlo paths that validate them are test oracles.
+``min(1, d^-alpha)`` and Rayleigh fading of unit mean. The module provides
+the closed-form density-normalized interference / average-rate expressions
+used by the solver; the Monte-Carlo paths that validate them are test
+oracles. :func:`normalized_interference` does not thin the interferers by
+the active probability ``p_a`` (:func:`active_probability` is not called by
+the rate model); whether it should is ROADMAP open item 1.
 
 All powers are converted from dBm to linear milliwatts before entering any
 formula; distances are kilometres.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -210,32 +212,27 @@ def normalized_interference(cfg: GeometryConfig) -> float:
     return float(geom * cfg.tx_power_mw * 1.0)
 
 
-_LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@cache
+def _laguerre32() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-node Gauss-Laguerre rule, computed on first use."""
+    return laggauss(32)
 
 
-def _laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LAGUERRE_CACHE:
-        _LAGUERRE_CACHE[n] = laggauss(n)
-    return _LAGUERRE_CACHE[n]
-
-
-def average_rate(model: RateModel, cfg: GeometryConfig, quad_nodes: int = 32) -> float:
+def average_rate(model: RateModel, cfg: GeometryConfig) -> float:
     """Average downlink rate per unit bandwidth, in nats.
 
     ``E_g[log(1 + Na * P * l(d0) * g / (noise_term + Ihat * sqrt(Na)))]``
     with ``g ~ Exp(1)`` scaled by the fading mean, evaluated by fixed
-    Gauss-Laguerre quadrature so the result is deterministic. Strictly
-    positive and strictly decreasing in the interference term.
+    32-node Gauss-Laguerre quadrature so the result is deterministic.
+    Strictly positive and strictly decreasing in the interference term.
     """
-    if quad_nodes < 32:
-        raise ConfigurationError("average_rate requires at least 32 quadrature nodes")
     denom = model.noise_term + model.interference_normalized * cfg.beam_gain_factor
     if denom <= 0:
         raise ConfigurationError("degenerate SINR: zero noise and interference")
     signal = (cfg.num_antennas * cfg.tx_power_mw
               * path_loss(model.serving_distance_km, cfg.path_loss_alpha)
               * model.fading_mean)
-    nodes, weights = _laguerre(quad_nodes)
+    nodes, weights = _laguerre32()
     return float(np.sum(weights * np.log1p(signal * nodes / denom)))
 
 

@@ -1,9 +1,11 @@
 """Caching policies compared by the simulator.
 
-All policies map an observed station state to a per-content cache fraction
+A policy is a callable ``(ctx, rng) -> p`` returning the cache fraction of
+every station and content: ``p.shape == ctx.x_hat.shape``, values in
+``[0, 1]``, checked once per step by the simulator. The policies here stay
 inside ``[0, p_max]``, the solver's admissible cap
 ``min(1, B (1 - margin) / L)`` (``SolverConfig.p_max``) handed over in the
-policy context, so the backhaul barrier stays finite on every output. The
+context, so the backhaul barrier stays finite on every output. The
 equilibrium policy interpolates the solved control surface; the popularity
 baseline reacts to the observed request probability but ignores overlap;
 the random policy draws uniformly.
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import FLOOR_EPS
 from .errors import ConfigurationError, PolicyError
 from .solver import MfeSolution
 
@@ -26,9 +27,12 @@ __all__ = ["PolicyContext", "MfPolicy", "BaselinePolicy", "RandomPolicy"]
 class PolicyContext:
     """Observed state handed to a policy at one simulation step.
 
-    ``x_hat`` and ``remaining`` are per-content arrays; the rest are the
-    shared cost parameters of the step. ``p_max`` is the largest cache
-    fraction any policy may emit (``SolverConfig.p_max`` of the scenario).
+    ``t`` is the time within the period; ``x_hat`` (in ``[floor, 1]``) and
+    ``remaining`` (in ``[0, C]``) are ``(stations, contents)`` arrays; the
+    rest are the shared cost parameters of the step, with ``rate > 0``.
+    ``p_max`` in ``[0, 1]`` is the largest cache fraction any policy may
+    emit (``SolverConfig.p_max`` of the scenario). The simulator builds the
+    context within these ranges, so it is not rechecked.
     """
 
     t: float
@@ -37,25 +41,7 @@ class PolicyContext:
     rate: float
     backhaul: float
     content_size: float
-    storage: float
-    similar_count: int
     p_max: float
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x_hat, dtype=float)
-        q = np.asarray(self.remaining, dtype=float)
-        object.__setattr__(self, "x_hat", x)
-        object.__setattr__(self, "remaining", q)
-        if x.shape != q.shape:
-            raise ConfigurationError("x_hat and remaining must share a shape")
-        if np.any(x < FLOOR_EPS) or np.any(x > 1.0):
-            raise ConfigurationError("observed popularity must lie in [floor_eps, 1]")
-        if np.any(q < -1e-12) or np.any(q > self.storage + 1e-12):
-            raise ConfigurationError("remaining storage must lie in [0, C]")
-        if self.rate <= 0:
-            raise ConfigurationError("rate must be > 0")
-        if not 0.0 <= self.p_max <= 1.0:
-            raise ConfigurationError("p_max must lie in [0, 1]")
 
 
 class MfPolicy:
@@ -82,18 +68,17 @@ class MfPolicy:
         q_i, q_w = _locate(ctx.remaining, g.q)
         p = np.zeros(ctx.x_hat.shape)
         for step_t, wt in ((0, 1.0 - t_w), (1, t_w)):
-            plane = self._p[min(t_i + step_t, g.t.size - 1)]
+            plane = self._p[t_i + step_t]
             for step_x, wx in ((0, 1.0 - x_w), (1, x_w)):
-                xi = np.minimum(x_i + step_x, g.x.size - 1)
                 for step_q, wq in ((0, 1.0 - q_w), (1, q_w)):
-                    qi = np.minimum(q_i + step_q, g.q.size - 1)
-                    p = p + wt * wx * wq * plane[xi, qi]
+                    p += wt * wx * wq * plane[x_i + step_x, q_i + step_q]
         return np.clip(p, 0.0, self._cap)
 
 
 def _locate(coord, nodes: np.ndarray):
     """Lower cell index and fractional offset of ``coord`` in a uniform node
-    array, clamped to the grid."""
+    array, clamped to the grid; the index is at most ``size - 2``, so the
+    upper corner ``index + 1`` is a node too."""
     step = nodes[1] - nodes[0]
     rel = (np.asarray(coord, dtype=float) - nodes[0]) / step
     rel = np.clip(rel, 0.0, nodes.size - 1.0)

@@ -35,8 +35,8 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .costs import (
-    backhaul_cost,
     empirical_overlap,
+    log_barrier,
     lra_cost,
     running_cost,
     storage_cost,
@@ -172,7 +172,10 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane], t: float,
     imperfect lane needs ``ipi_rng``); then per lane the policy, the storage
     update (clamped to [0, C]; discarding pauses at full remaining storage),
     overlap over the typical neighborhood, and cost accumulation with the
-    true popularity floored at the observation floor.
+    true popularity floored at the observation floor. The context holds
+    arrays the step has clipped and is not checked; the policy's output is
+    checked once over all stations (storage shape, no NaN, values in
+    ``[0, 1]``) and raises :class:`ConfigurationError` otherwise.
     """
     dem, cst = scenario.demand, scenario.costs
     floor = max(dem.ipi.floor_eps, FLOOR_EPS)
@@ -191,9 +194,13 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane], t: float,
         ctx = PolicyContext(
             t=t, x_hat=observed[lane.imperfect], remaining=lane.remaining,
             rate=rate, backhaul=cst.backhaul, content_size=cst.content_size,
-            storage=cst.storage, similar_count=cst.similar_count, p_max=p_max,
+            p_max=p_max,
         )
         p = np.asarray(lane.policy(ctx, lane.rng), dtype=float)
+        if p.shape != lane.remaining.shape or not ((p >= 0) & (p <= 1)).all():
+            raise ConfigurationError(f"policy output of shape {p.shape} must "
+                                     "be cache fractions in [0, 1] of shape "
+                                     f"{lane.remaining.shape}, with no NaN")
         q = np.clip(lane.remaining
                     + (cst.discard_rate - cst.content_size * p) * dt,
                     0.0, cst.storage)
@@ -202,7 +209,7 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane], t: float,
         p_hood = p[hood]
         q_hood = q[hood]
         overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
-        phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
+        phi = log_barrier(p_hood, cst.backhaul, cst.content_size)
         psi = storage_cost(q_hood, cst.storage, cst.gamma)
         cost_kj = running_cost(phi, overlap, demand_hood, psi)
         rows.append({
@@ -231,6 +238,9 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     every period. Request histories refresh the popularity means at every
     period boundary that another step follows, with arrivals
     Poisson-distributed in the user mass of the search region.
+    ``snapshot_time`` picks the step, ``round(snapshot_time / dt)`` in
+    ``1..n_steps``, after which each lane's storage is kept in
+    ``q_snapshot``; a run of no steps keeps none.
     """
     if seed is None:
         seed = scenario.simulation.seed
@@ -241,6 +251,11 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     dem, geo = scenario.demand, scenario.geometry
     dt = dem.period / (scenario.solver.grid_nt - 1)
     n_steps = int(round(horizon / dt))
+    snap_step = (int(round(snapshot_time / dt))
+                 if snapshot_time is not None else None)
+    if snap_step is not None and n_steps and not 1 <= snap_step <= n_steps:
+        raise ConfigurationError(f"snapshot_time {snapshot_time!r} matches "
+                                 f"none of the run's {n_steps} steps")
     world_rng, _, ipi_rng = _replication_streams(seed)
 
     world, hood = build_world(scenario, world_rng)
@@ -254,8 +269,6 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
         arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
                         * dem.requests_per_user)
         steps_per_period = max(1, int(round(dem.period / dt)))
-        snap_step = (int(round(snapshot_time / dt))
-                     if snapshot_time is not None else None)
         times = np.arange(n_steps) * dt + dt
         for metrics in logs.values():
             metrics.times = times.copy()

@@ -96,6 +96,35 @@ def wasserstein1_grid(samples: np.ndarray, nodes: np.ndarray,
     return float(np.trapezoid(np.abs(cdf_emp - cdf_grid), pts))
 
 
+def reference_mf_interpolation(solution, t: float, x_hat: np.ndarray,
+                               remaining: np.ndarray) -> np.ndarray:
+    """Reference trilinear read of ``solution.p`` at ``(t, x_hat, Q)``:
+    every coordinate is clamped to its node range, and every corner index
+    is clamped to the last node again, in the same 2 x 2 x 2 term order and
+    weight association as :class:`mfcache.policies.MfPolicy`."""
+
+    def locate(coord, nodes):
+        rel = (np.asarray(coord, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
+        rel = np.clip(rel, 0.0, nodes.size - 1.0)
+        idx = np.minimum(rel.astype(np.int64), nodes.size - 2)
+        return idx, rel - idx
+
+    g = solution.grid
+    t_idx, t_frac = locate(t, g.t)
+    t_i, t_w = int(t_idx), float(t_frac)
+    x_i, x_w = locate(x_hat, g.x)
+    q_i, q_w = locate(remaining, g.q)
+    p = np.zeros(np.shape(x_hat))
+    for step_t, wt in ((0, 1.0 - t_w), (1, t_w)):
+        plane = solution.p[min(t_i + step_t, g.t.size - 1)]
+        for step_x, wx in ((0, 1.0 - x_w), (1, x_w)):
+            xi = np.minimum(x_i + step_x, g.x.size - 1)
+            for step_q, wq in ((0, 1.0 - q_w), (1, q_w)):
+                qi = np.minimum(q_i + step_q, g.q.size - 1)
+                p = p + wt * wx * wq * plane[xi, qi]
+    return np.clip(p, 0.0, solution.p_max)
+
+
 class ConstantPolicy:
     """Caches a fixed fraction of every content at every step."""
 

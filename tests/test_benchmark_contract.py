@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from mfcache import simulation
-from mfcache.policies import BaselinePolicy, RandomPolicy
+from mfcache.experiments import compare_experiment
+from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 from mfcache.scenario import (
     DemandConfig,
+    ExperimentSweeps,
     ScenarioConfig,
+    SimulationSettings,
     SolverSettings,
     parse_scenario,
     serialize_scenario,
@@ -101,6 +104,31 @@ def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
     for args, kwargs in calls:
         assert len(args) == 3 and not kwargs
         assert isinstance(args[0].counts, np.ndarray)
+
+
+def test_compare_calls_the_mf_policy_once_per_step(monkeypatch):
+    # The tracer's policies.mf_calls, a home counter of compare-sim, wraps
+    # the class attribute MfPolicy.__call__: every step of every
+    # replication and sweep point must reach the policy through it.
+    calls = []
+    call = MfPolicy.__call__
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(MfPolicy, "__call__", counting)
+    scenario = ScenarioConfig(
+        demand=DemandConfig(catalog_size=3),
+        solver=SolverSettings(grid_nt=21, grid_nx=11, grid_nq=11),
+        simulation=SimulationSettings(horizon=2.0, replications=2, seed=3),
+        experiments=ExperimentSweeps(lambda_u_values=(1e-4, 2e-4),
+                                     x0_values=(0.3,)))
+    compare_experiment(scenario)
+    steps = 2 * (scenario.solver.grid_nt - 1)   # two periods
+    points = 3   # two user densities and one initial popularity
+    assert len(calls) == points * 2 * steps
+    assert len(set(map(id, calls))) == points
 
 
 def test_one_barrier_warning_per_excluded_lane(caplog):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from mfcache.policies import (
 )
 from mfcache.solver import Grid, MfgProblem, SolverConfig, gaussian_initial_density, solve_mfe
 
+from support import reference_mf_interpolation
+
 
 def make_ctx(x_hat, remaining, t=0.5, rate=1.2, p_max=None):
     x = np.atleast_1d(np.asarray(x_hat, dtype=float))
@@ -18,8 +22,7 @@ def make_ctx(x_hat, remaining, t=0.5, rate=1.2, p_max=None):
     if p_max is None:
         p_max = SolverConfig().p_max(1.0, 1.0)
     return PolicyContext(t=t, x_hat=x, remaining=q, rate=rate, backhaul=1.0,
-                         content_size=1.0, storage=1.0, similar_count=20,
-                         p_max=p_max)
+                         content_size=1.0, p_max=p_max)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +70,33 @@ class TestMfPolicy:
         g = solution.grid
         ctx = make_ctx(1.0, 1.0, t=10.0)  # t far beyond the horizon
         assert policy(ctx)[0] == pytest.approx(solution.p[-1, -1, -1])
+
+    @pytest.mark.parametrize("case", ["inside", "last_node", "off_grid",
+                                      "late"])
+    def test_matches_the_clamped_reference_bit_for_bit(self, solution, case):
+        # The equilibrium control is degenerate (zero) on default costs, so
+        # the surface is replaced by random values in [0, p_max].
+        rng = np.random.default_rng(17)
+        surface = replace(solution, p=rng.uniform(0.0, solution.p_max,
+                                                  solution.p.shape))
+        g = surface.grid
+        shape = (40, 9)
+        x = rng.uniform(g.x[0], g.x[-1], shape)
+        q = rng.uniform(g.q[0], g.q[-1], shape)
+        t = float(rng.uniform(g.t[0], g.t[-1]))
+        if case == "last_node":
+            x[::2], q[::3], t = g.x[-1], g.q[-1], float(g.t[-1])
+        elif case == "off_grid":
+            x[::2] = rng.uniform(-0.5, g.x[0], x[::2].shape)
+            x[1::2] = rng.uniform(g.x[-1], 2.0, x[1::2].shape)
+            q[::2] = rng.uniform(g.q[-1], 3.0, q[::2].shape)
+            q[1::2] = rng.uniform(-1.0, g.q[0], q[1::2].shape)
+            t = -0.3
+        elif case == "late":
+            t = float(g.t[-1]) + 0.7
+        expected = reference_mf_interpolation(surface, t, x, q)
+        assert np.array_equal(MfPolicy(surface)(make_ctx(x, q, t=t)), expected)
+        assert np.ptp(expected) > 0.0
 
     def test_vectorizes_over_station_batches(self, solution):
         policy = MfPolicy(solution)
@@ -122,26 +152,6 @@ class TestRandomPolicy:
         a = policy(ctx, np.random.default_rng(9))
         b = policy(ctx, np.random.default_rng(9))
         assert np.array_equal(a, b)
-
-
-class TestPolicyContext:
-    def test_rejects_unfloored_popularity(self):
-        with pytest.raises(ConfigurationError):
-            make_ctx(0.0, 0.5)
-
-    def test_rejects_storage_outside_bounds(self):
-        with pytest.raises(ConfigurationError):
-            make_ctx(0.5, 1.5)
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ConfigurationError):
-            PolicyContext(t=0.0, x_hat=np.ones(3), remaining=np.ones(4),
-                          rate=1.0, backhaul=1.0, content_size=1.0,
-                          storage=1.0, similar_count=20, p_max=0.5)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ConfigurationError):
-            make_ctx(0.5, 0.5, rate=0.0)
 
 
 class TestSharedCap:

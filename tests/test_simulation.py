@@ -115,6 +115,69 @@ class TestStep:
         assert (log.storage_usage <= 1.0 + 1e-12).all()
 
 
+class TestPolicyBoundary:
+    """The context a policy sees is guaranteed where the simulator builds
+    it; the policy's output is checked once per step over all stations."""
+
+    @pytest.mark.parametrize("bias", [-0.9, 0.9])
+    def test_every_context_lies_in_its_range(self, bias):
+        # A large observation bias drives the imperfect arm's clip to the
+        # floor or to 1, and caching at the cap drains storage to 0.
+        sc = small_scenario()
+        sc = replace(sc, demand=replace(sc.demand, ipi=replace(
+            sc.demand.ipi, bias_mean=bias)), costs=CostParams(storage=2.0))
+        seen = []
+
+        def recording(ctx, rng=None):
+            seen.append(ctx)
+            return np.full(ctx.x_hat.shape, ctx.p_max)
+
+        run_replication(sc, {"recording": recording}, arms=(False, True),
+                        horizon=2.0, seed=4)
+        assert len(seen) == 2 * 100
+        x_hat = np.stack([ctx.x_hat for ctx in seen])
+        remaining = np.stack([ctx.remaining for ctx in seen])
+        assert x_hat.shape == remaining.shape
+        assert x_hat.shape[2] == sc.demand.catalog_size
+        floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
+        assert (x_hat >= floor).all() and (x_hat <= 1.0).all()
+        assert (x_hat == (floor if bias < 0 else 1.0)).any()
+        assert (remaining >= 0.0).all() and (remaining <= 2.0).all()
+        assert (remaining == 0.0).any()
+        assert all(ctx.rate > 0 and 0.0 <= ctx.p_max <= 1.0 for ctx in seen)
+
+    @pytest.mark.parametrize("fault", ["above_outside_hood",
+                                       "below_outside_hood", "one_nan",
+                                       "one_row"])
+    def test_bad_output_is_a_configuration_error(self, monkeypatch, fault):
+        hoods = []
+        build = simulation.build_world
+
+        def recording_build(*args):
+            world, hood = build(*args)
+            hoods.append(hood)
+            return world, hood
+
+        def faulty(ctx, rng=None):
+            p = np.full(ctx.x_hat.shape, 0.2)
+            (hood,) = hoods
+            outside = np.setdiff1d(np.arange(p.shape[0]), hood)
+            assert outside.size and hood.size
+            if fault == "above_outside_hood":
+                p[outside[0], 0] = 1.7
+            elif fault == "below_outside_hood":
+                p[outside[-1], -1] = -0.1
+            elif fault == "one_nan":
+                p[hood[0], 1] = np.nan
+            else:
+                p = p[0]
+            return p
+
+        monkeypatch.setattr(simulation, "build_world", recording_build)
+        with pytest.raises(ConfigurationError, match="policy output"):
+            run_scenario(small_scenario(), faulty, horizon=0.1, seed=3)
+
+
 class TestRunScenario:
     def test_zero_horizon_empty_metrics(self):
         sc = small_scenario()
@@ -215,6 +278,19 @@ class TestRunScenario:
         assert log.q_snapshot is not None
         assert log.q_snapshot.ndim == 2
         assert log.q_snapshot.shape[1] == 5
+
+    @pytest.mark.parametrize("snapshot_time", [0.0, 3.0, -1.0, 1.02])
+    def test_snapshot_matching_no_step_is_rejected(self, snapshot_time):
+        # The default horizon of 1 has 50 steps of 0.02.
+        with pytest.raises(ConfigurationError, match="snapshot_time"):
+            run_scenario(small_scenario(), BaselinePolicy(), seed=3,
+                         snapshot_time=snapshot_time)
+
+    @pytest.mark.parametrize("snapshot_time", [0.02, 1.0])
+    def test_snapshot_at_the_first_and_last_step(self, snapshot_time):
+        log = run_scenario(small_scenario(), BaselinePolicy(), seed=3,
+                           snapshot_time=snapshot_time)
+        assert log.q_snapshot is not None
 
 
 class TestIpiExperiment:

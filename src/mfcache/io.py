@@ -1,9 +1,10 @@
 """CSV and manifest emission.
 
 All CSVs are comma-separated with a header row and 17-significant-digit
-floats, so equal runs produce byte-identical files. Every run directory gets
-a ``manifest.txt`` recording the scenario hash, seed, versions, iteration
-counts, and wall time.
+floats, so equal runs produce byte-identical files. The solution export
+formats its grid coordinates once per grid and renders each time level from
+one template. Every run directory gets a ``manifest.txt`` recording the
+scenario hash, seed, versions, iteration counts, and wall time.
 """
 
 from __future__ import annotations
@@ -29,46 +30,44 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable,
-              row_format: str | None = None) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     """Write a header line and the rows.
 
-    By default each row is a sequence of mixed values, each rendered by
-    :func:`format_value`. With ``row_format``, a printf-style template of
-    one float row such as ``"%.17g,%.17g\\n"``, each item of ``rows`` is a
-    2-D float array holding a block of rows, rendered in one call; ``%.17g``
-    renders a float exactly as :func:`format_value` does.
+    Each row is a sequence of mixed values, each rendered by
+    :func:`format_value`, or a ``str`` holding a block of rows already
+    rendered, newline included, which is written as it is.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if row_format is None:
-            for row in rows:
-                fh.write(",".join(format_value(v) for v in row) + "\n")
-            return
-        for block in rows:
-            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        for row in rows:
+            fh.write(row if isinstance(row, str)
+                     else ",".join(format_value(v) for v in row) + "\n")
 
 
 def write_solution_csv(solution: MfeSolution, path: str) -> None:
     """Full equilibrium fields in row-major (t, x, Q) order, streamed one
-    time level at a time."""
+    time level at a time.
+
+    The ``x,Q`` text of every cell is formatted once per call; each level's
+    template joins it behind that level's ``t`` and is rendered with one
+    ``%`` over the level's ``(v, m, p)`` values. ``%.17g`` renders a float
+    exactly as :func:`format_value` does.
+    """
     g = solution.grid
-    nt, nx, nq = g.shape
-    fields = (solution.v, solution.m, solution.p)
+    # Rows of every cell; the leading "" makes the join put ``t`` before the
+    # first row as well.
+    cells = [""] + ["%.17g,%.17g,%%.17g,%%.17g,%%.17g\n" % (x, q)
+                    for x in g.x.tolist() for q in g.q.tolist()]
 
     def levels():
-        block = np.empty((nx * nq, 6))
-        block[:, 1] = np.repeat(g.x, nq)
-        block[:, 2] = np.tile(g.q, nx)
-        for level in range(nt):
-            block[:, 0] = g.t[level]
-            for col, values in enumerate(fields, start=3):
-                block[:, col] = values[level].ravel()
-            yield block
+        for level, t in enumerate(g.t.tolist()):
+            template = ("%.17g," % t).join(cells)
+            yield template % tuple(np.column_stack(
+                [f[level].ravel() for f in (solution.v, solution.m, solution.p)]
+            ).ravel().tolist())
 
-    write_csv(path, ("t", "x", "Q", "v", "m", "p"), levels(),
-              row_format=",".join(["%.17g"] * 6) + "\n")
+    write_csv(path, ("t", "x", "Q", "v", "m", "p"), levels())
 
 
 def write_residuals_csv(solution: MfeSolution, path: str) -> None:

@@ -66,12 +66,22 @@ class MfPolicy:
         t_i, t_w = int(t_idx), float(t_frac)
         x_i, x_w = _locate(ctx.x_hat, g.x)
         q_i, q_w = _locate(ctx.remaining, g.q)
+        # Each time plane is read at flat cell indices; the eight terms keep
+        # the order and the ((wt * wx) * wq) * value association of the
+        # trilinear form, so the result does not depend on this layout.
+        nq = g.q.size
+        lo = x_i * nq + q_i
+        offset = ((0, 1), (nq, nq + 1))
+        wx, wq = (1.0 - x_w, x_w), (1.0 - q_w, q_w)
         p = np.zeros(ctx.x_hat.shape)
         for step_t, wt in ((0, 1.0 - t_w), (1, t_w)):
-            plane = self._p[t_i + step_t]
-            for step_x, wx in ((0, 1.0 - x_w), (1, x_w)):
-                for step_q, wq in ((0, 1.0 - q_w), (1, q_w)):
-                    p += wt * wx * wq * plane[x_i + step_x, q_i + step_q]
+            plane = self._p[t_i + step_t].ravel()
+            for dx in (0, 1):
+                wtx = wt * wx[dx]
+                for dq in (0, 1):
+                    term = wtx * wq[dq]
+                    term *= plane.take(lo + offset[dx][dq])
+                    p += term
         return np.clip(p, 0.0, self._cap)
 
 

@@ -125,6 +125,26 @@ def reference_mf_interpolation(solution, t: float, x_hat: np.ndarray,
     return np.clip(p, 0.0, solution.p_max)
 
 
+def reference_solution_csv(solution) -> str:
+    """Reference text of :func:`mfcache.io.write_solution_csv`: the header,
+    then every ``(t, x, Q)`` node in row-major order, all six columns of
+    each row rendered by one ``%.17g`` template."""
+    g = solution.grid
+    nt, nx, nq = g.shape
+    block = np.empty((nx * nq, 6))
+    block[:, 1] = np.repeat(g.x, nq)
+    block[:, 2] = np.tile(g.q, nx)
+    row = ",".join(["%.17g"] * 6) + "\n"
+    parts = ["t,x,Q,v,m,p\n"]
+    for level in range(nt):
+        block[:, 0] = g.t[level]
+        for col, values in enumerate((solution.v, solution.m, solution.p),
+                                     start=3):
+            block[:, col] = values[level].ravel()
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
 class ConstantPolicy:
     """Caches a fixed fraction of every content at every step."""
 

@@ -112,13 +112,14 @@ def empirical_overlap(p: np.ndarray, storage: float,
     """Leave-one-out overlap of every station of a neighbourhood.
 
     ``p`` holds the cache fractions of the neighbourhood, one row per
-    station and one column per content; each entry of the result is the sum
-    of the *other* stations' fractions of that content per unit storage and
-    similar-content count, ``(sum_i p_i - p_k) / (C * N_r)``. Unchecked: the
-    simulator checks a policy's fractions once per step, before they reach
-    this function or the barrier.
+    station and one column per content, optionally behind leading axes (the
+    simulator's lanes); each entry of the result is the sum of the *other*
+    stations' fractions of that content per unit storage and similar-content
+    count, ``(sum_i p_i - p_k) / (C * N_r)``. Unchecked: the simulator
+    checks a policy's fractions once per step, before they reach this
+    function or the barrier.
     """
-    return (p.sum(axis=0) - p) / (storage * similar_count)
+    return (p.sum(axis=-2, keepdims=True) - p) / (storage * similar_count)
 
 
 def mf_overlap(m_slice: np.ndarray, p_slice: np.ndarray, cell_area: float,

@@ -68,13 +68,17 @@ class MfPolicy:
         q_i, q_w = _locate(ctx.remaining, g.q)
         # Each time plane is read at flat cell indices; the eight terms keep
         # the order and the ((wt * wx) * wq) * value association of the
-        # trilinear form, so the result does not depend on this layout.
+        # trilinear form, so the result does not depend on this layout. A
+        # plane of weight 0.0 (on a time node) would add only +0.0 terms to
+        # a sum that starts at +0.0, so it is not read.
         nq = g.q.size
         lo = x_i * nq + q_i
         offset = ((0, 1), (nq, nq + 1))
         wx, wq = (1.0 - x_w, x_w), (1.0 - q_w, q_w)
         p = np.zeros(ctx.x_hat.shape)
         for step_t, wt in ((0, 1.0 - t_w), (1, t_w)):
+            if wt == 0.0:
+                continue
             plane = self._p[t_i + step_t].ravel()
             for dx in (0, 1):
                 wtx = wt * wx[dx]

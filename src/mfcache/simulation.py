@@ -5,15 +5,17 @@ and holds it as one :class:`World` of ``(stations, contents)`` arrays, plus
 one request history per station. Every policy under test, and in the
 popularity-information study both the perfect and the imperfect arm of each,
 runs on that world as a :class:`Lane`: one (policy, arm) pair with its own
-remaining storage, policy stream and metrics. The lanes advance in lockstep,
+policy stream and metrics. The remaining storage of all lanes is one
+``(lanes, stations, contents)`` array, and the lanes advance in lockstep,
 one world step at a time; no trajectory is stored.
 
 A step runs in a fixed order: popularity diffuses, the imperfect observation
 is drawn once if a lane needs it, and then each lane's policy picks cache
-fractions at the time within the period, the lane's storage integrates the
-cache/discard balance, content overlap is measured over the stations within
-the request radius of a typical user at the region center, and the running
-cost is accumulated. At every period boundary that another step follows,
+fractions at the time within the period from its row of the storage stack.
+The rest runs once per step over the whole stack: the output check, the
+storage update (the cache/discard balance), the content overlap over the
+stations within the request radius of a typical user at the region center,
+and the running cost. At every period boundary that another step follows,
 each history folds its sampled arrivals once into new means.
 
 Randomness is split into three independent streams per seed. The world
@@ -153,29 +155,35 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
 @dataclass
 class Lane:
     """One policy under one information arm on a shared world, with its own
-    policy stream and remaining storage ``(K, M)``."""
+    policy stream; its remaining storage is one row of the replication's
+    stacked ``(lanes, K, M)`` array."""
 
     policy: object
     imperfect: bool
     rng: np.random.Generator
-    remaining: np.ndarray
 
 
-def step(world: World, hood: np.ndarray, lanes: list[Lane], t: float,
-         dt: float, rate: float, scenario: ScenarioConfig,
-         world_rng: np.random.Generator,
-         ipi_rng: np.random.Generator | None) -> list[dict[str, float]]:
-    """Advance the world and every lane by ``dt``; return one metrics row
-    per lane, in lane order.
+def step(world: World, hood: np.ndarray, lanes: list[Lane],
+         remaining: np.ndarray, t: float, dt: float, rate: float,
+         scenario: ScenarioConfig, world_rng: np.random.Generator,
+         ipi_rng: np.random.Generator | None
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance the world and every lane by ``dt``.
+
+    ``remaining`` stacks the lanes' storage ``(lanes, K, M)`` in lane order.
+    Returns the new storage stack (a new array: a context keeps its row of
+    the old one), the metrics rows ``(3, lanes)`` (cost, overlap, storage
+    usage) and the barrier hits per lane.
 
     Order: popularity step and observations, shared by all lanes (an
-    imperfect lane needs ``ipi_rng``); then per lane the policy, the storage
-    update (clamped to [0, C]; discarding pauses at full remaining storage),
-    overlap over the typical neighborhood, and cost accumulation with the
-    true popularity floored at the observation floor. The context holds
-    arrays the step has clipped and is not checked; the policy's output is
-    checked once over all stations (storage shape, no NaN, values in
-    ``[0, 1]``) and raises :class:`ConfigurationError` otherwise.
+    imperfect lane needs ``ipi_rng``); each lane's policy on its row of the
+    stack; then, once over all lanes, the storage update (clamped to [0, C];
+    discarding pauses at full remaining storage), overlap over the typical
+    neighborhood, and cost accumulation with the true popularity floored at
+    the observation floor. The context holds arrays the step has clipped and
+    is not checked; the policies' outputs are checked (each of the storage
+    shape, then no NaN and values in ``[0, 1]`` over all lanes and stations)
+    and raise :class:`ConfigurationError` otherwise.
     """
     dem, cst = scenario.demand, scenario.costs
     floor = max(dem.ipi.floor_eps, FLOOR_EPS)
@@ -187,38 +195,42 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane], t: float,
         observed[True] = np.clip(perturb_popularity(x, dem.ipi, ipi_rng),
                                  floor, 1.0)
     p_max = scenario.solver.config.p_max(cst.backhaul, cst.content_size)
-    demand_hood = rate * np.maximum(x[hood], floor)
 
-    rows = []
-    for lane in lanes:
+    p = np.empty(remaining.shape)
+    for i, lane in enumerate(lanes):
         ctx = PolicyContext(
-            t=t, x_hat=observed[lane.imperfect], remaining=lane.remaining,
+            t=t, x_hat=observed[lane.imperfect], remaining=remaining[i],
             rate=rate, backhaul=cst.backhaul, content_size=cst.content_size,
             p_max=p_max,
         )
-        p = np.asarray(lane.policy(ctx, lane.rng), dtype=float)
-        if p.shape != lane.remaining.shape or not ((p >= 0) & (p <= 1)).all():
-            raise ConfigurationError(f"policy output of shape {p.shape} must "
-                                     "be cache fractions in [0, 1] of shape "
-                                     f"{lane.remaining.shape}, with no NaN")
-        q = np.clip(lane.remaining
-                    + (cst.discard_rate - cst.content_size * p) * dt,
-                    0.0, cst.storage)
-        lane.remaining = q
+        out = np.asarray(lane.policy(ctx, lane.rng), dtype=float)
+        # Checked before the write, which would broadcast a (M,) row.
+        if out.shape != ctx.remaining.shape:
+            raise ConfigurationError(f"policy output of shape {out.shape} "
+                                     "must have the storage shape "
+                                     f"{ctx.remaining.shape}")
+        p[i] = out
+    if not ((p >= 0) & (p <= 1)).all():
+        raise ConfigurationError("policy output must be cache fractions in "
+                                 "[0, 1], with no NaN")
+    q = np.clip(remaining + (cst.discard_rate - cst.content_size * p) * dt,
+                0.0, cst.storage)
 
-        p_hood = p[hood]
-        q_hood = q[hood]
-        overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
-        phi = log_barrier(p_hood, cst.backhaul, cst.content_size)
-        psi = storage_cost(q_hood, cst.storage, cst.gamma)
-        cost_kj = running_cost(phi, overlap, demand_hood, psi)
-        rows.append({
-            "cost": float(cost_kj.sum(axis=1).mean()),
-            "overlap": float(overlap.mean()),
-            "storage_usage": float((cst.storage - q_hood).mean()),
-            "barrier_hits": int(np.sum(~np.isfinite(phi))),
-        })
-    return rows
+    # The gathers keep lanes outermost (p[:, hood] would put the hood axis
+    # first), so each lane's means below reduce the same contiguous runs, in
+    # the same order, as a one-lane step does.
+    p_hood = p.take(hood, axis=1)
+    q_hood = q.take(hood, axis=1)
+    overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
+    phi = log_barrier(p_hood, cst.backhaul, cst.content_size)
+    psi = storage_cost(q_hood, cst.storage, cst.gamma)
+    cost = running_cost(phi, overlap, rate * np.maximum(x[hood], floor), psi)
+    n = len(lanes)
+    rows = np.stack([cost.sum(axis=2).mean(axis=1),
+                     overlap.reshape(n, -1).mean(axis=1),
+                     (cst.storage - q_hood).reshape(n, -1).mean(axis=1)])
+    hits = (~np.isfinite(phi)).reshape(n, -1).sum(axis=1)
+    return q, rows, hits
 
 
 def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
@@ -230,13 +242,15 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     information arm (``True`` for imperfect) at once.
 
     The world is built and stepped once; each ``(name, arm)`` lane starts
-    from the world's initial storage with a fresh policy stream, and its
-    metrics are returned under that key, in ``policies`` then ``arms``
-    order. ``horizon`` defaults to the scenario's simulation horizon; the
-    step size is the solver grid's and policies see the time within the
-    period, so equilibrium policies evaluate on their own time nodes in
-    every period. Request histories refresh the popularity means at every
-    period boundary that another step follows, with arrivals
+    from the world's initial storage, as one row of a ``(lanes, K, M)``
+    storage stack, with a fresh policy stream, and its metrics are returned
+    under that key, in ``policies`` then ``arms`` order. The metrics of all
+    lanes fill one ``(3, lanes, n_steps)`` series that is split into the
+    logs at the end. ``horizon`` defaults to the scenario's simulation
+    horizon; the step size is the solver grid's and policies see the time
+    within the period, so equilibrium policies evaluate on their own time
+    nodes in every period. Request histories refresh the popularity means at
+    every period boundary that another step follows, with arrivals
     Poisson-distributed in the user mass of the search region.
     ``snapshot_time`` picks the step, ``round(snapshot_time / dt)`` in
     ``1..n_steps``, after which each lane's storage is kept in
@@ -259,41 +273,40 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     world_rng, _, ipi_rng = _replication_streams(seed)
 
     world, hood = build_world(scenario, world_rng)
-    lanes = {(name, imperfect): Lane(policy=policy, imperfect=imperfect,
-                                     rng=_replication_streams(seed)[1],
-                                     remaining=world.remaining.copy())
-             for name, policy in policies.items() for imperfect in arms}
-    logs = {key: MetricsLog(seed=seed, dt=dt) for key in lanes}
+    keys = [(name, imperfect) for name in policies for imperfect in arms]
+    lanes = [Lane(policy=policies[name], imperfect=imperfect,
+                  rng=_replication_streams(seed)[1]) for name, imperfect in keys]
+    remaining = np.repeat(world.remaining[None], len(lanes), axis=0)
+    series = np.empty((3, len(lanes), n_steps))
+    hits = np.zeros(len(lanes), dtype=np.int64)
+    snapshot = None
     if n_steps:
         rate = average_rate(rate_model_from_config(geo), geo)
         arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
                         * dem.requests_per_user)
         steps_per_period = max(1, int(round(dem.period / dt)))
-        times = np.arange(n_steps) * dt + dt
-        for metrics in logs.values():
-            metrics.times = times.copy()
-            metrics.cost = np.empty(n_steps)
-            metrics.overlap = np.empty(n_steps)
-            metrics.storage_usage = np.empty(n_steps)
-        order = list(lanes.values())
         for k in range(n_steps):
-            rows = step(world, hood, order, (k % steps_per_period) * dt, dt,
-                        rate, scenario, world_rng, ipi_rng)
-            for lane, metrics, row in zip(order, logs.values(), rows):
-                metrics.cost[k] = row["cost"]
-                metrics.overlap[k] = row["overlap"]
-                metrics.storage_usage[k] = row["storage_usage"]
-                metrics.barrier_hits += row["barrier_hits"]
-                if snap_step is not None and k + 1 == snap_step:
-                    metrics.q_snapshot = lane.remaining.copy()
+            remaining, series[:, :, k], step_hits = step(
+                world, hood, lanes, remaining, (k % steps_per_period) * dt,
+                dt, rate, scenario, world_rng, ipi_rng)
+            hits += step_hits
+            if k + 1 == snap_step:
+                snapshot = remaining
             # The means after the last step are never read.
             if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
                 for i, history in enumerate(world.histories):
                     increments = simulate_requests(
                         history, int(world_rng.poisson(arrival_rate)), world_rng)
                     world.mu[i] = refresh_period(history, increments)
-    for metrics in logs.values():
+    times = np.arange(n_steps) * dt + dt
+    logs = {}
+    for i, key in enumerate(keys):
+        metrics = MetricsLog(seed=seed, dt=dt, times=times.copy(),
+                             barrier_hits=int(hits[i]),
+                             q_snapshot=None if snapshot is None else snapshot[i])
+        metrics.cost, metrics.overlap, metrics.storage_usage = series[:, i]
         metrics.finalize()
+        logs[key] = metrics
     return logs
 
 

@@ -4,12 +4,29 @@ they are used to check."""
 from __future__ import annotations
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 
 from mfcache.costs import CostParams, backhaul_cost, running_cost, storage_cost
+from mfcache.demand import (
+    FLOOR_EPS,
+    ou_step_array,
+    perturb_popularity,
+    refresh_period,
+    simulate_requests,
+)
 from mfcache.errors import ConfigurationError
-from mfcache.geometry import GeometryConfig, PointPattern, RateModel, path_loss
+from mfcache.geometry import (
+    GeometryConfig,
+    PointPattern,
+    RateModel,
+    average_rate,
+    path_loss,
+    rate_model_from_config,
+)
+from mfcache.policies import PolicyContext
+from mfcache.simulation import MetricsLog, build_world
 from mfcache.solver import SolverConfig, optimal_control
 
 log = logging.getLogger(__name__)
@@ -153,6 +170,84 @@ class ConstantPolicy:
 
     def __call__(self, ctx, rng=None):
         return np.full(ctx.x_hat.shape, self.level)
+
+
+def reference_replication(scenario, policies: dict, arms=(False,),
+                          horizon: float | None = None, seed: int | None = None,
+                          snapshot_time: float | None = None) -> dict:
+    """Reference :func:`mfcache.simulation.run_replication`, lane by lane.
+
+    The same world, streams and step order, but every lane keeps its own
+    storage array, and the storage update, overlap, barrier, storage charge
+    and running cost are computed one lane at a time on 2-D hood arrays,
+    through the checked cost functions. Returns ``{(name, imperfect):
+    MetricsLog}`` in ``policies`` then ``arms`` order."""
+    seed = scenario.simulation.seed if seed is None else seed
+    horizon = scenario.simulation.horizon if horizon is None else horizon
+    dem, geo, cst = scenario.demand, scenario.geometry, scenario.costs
+
+    def streams():
+        return [np.random.default_rng(c)
+                for c in np.random.SeedSequence(seed).spawn(3)]
+
+    dt = dem.period / (scenario.solver.grid_nt - 1)
+    n_steps = int(round(horizon / dt))
+    snap_step = None if snapshot_time is None else int(round(snapshot_time / dt))
+    world_rng, _, ipi_rng = streams()
+    world, hood = build_world(scenario, world_rng)
+    lanes = {(name, imperfect): SimpleNamespace(
+                 policy=policy, imperfect=imperfect, rng=streams()[1],
+                 remaining=world.remaining.copy(),
+                 log=MetricsLog(seed=seed, dt=dt,
+                                times=np.arange(n_steps) * dt + dt,
+                                cost=np.empty(n_steps),
+                                overlap=np.empty(n_steps),
+                                storage_usage=np.empty(n_steps)))
+             for name, policy in policies.items() for imperfect in arms}
+    rate = average_rate(rate_model_from_config(geo), geo)
+    arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
+                    * dem.requests_per_user)
+    steps_per_period = max(1, int(round(dem.period / dt)))
+    floor = max(dem.ipi.floor_eps, FLOOR_EPS)
+    p_max = scenario.solver.config.p_max(cst.backhaul, cst.content_size)
+    for k in range(n_steps):
+        x = ou_step_array(world.x, world.mu, dem.reversion_rate,
+                          dem.volatility, dt, world_rng)
+        world.x = x
+        observed = {False: np.clip(x, floor, 1.0)}
+        if True in arms:
+            observed[True] = np.clip(perturb_popularity(x, dem.ipi, ipi_rng),
+                                     floor, 1.0)
+        demand_hood = rate * np.maximum(x[hood], floor)
+        for lane in lanes.values():
+            ctx = PolicyContext(
+                t=(k % steps_per_period) * dt, x_hat=observed[lane.imperfect],
+                remaining=lane.remaining, rate=rate, backhaul=cst.backhaul,
+                content_size=cst.content_size, p_max=p_max)
+            p = np.asarray(lane.policy(ctx, lane.rng), dtype=float)
+            lane.remaining = np.clip(
+                lane.remaining + (cst.discard_rate - cst.content_size * p) * dt,
+                0.0, cst.storage)
+            p_hood, q_hood = p[hood], lane.remaining[hood]
+            overlap = ((p_hood.sum(axis=0) - p_hood)
+                       / (cst.storage * cst.similar_count))
+            phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
+            psi = storage_cost(q_hood, cst.storage, cst.gamma)
+            cost = running_cost(phi, overlap, demand_hood, psi)
+            lane.log.cost[k] = cost.sum(axis=1).mean()
+            lane.log.overlap[k] = overlap.mean()
+            lane.log.storage_usage[k] = (cst.storage - q_hood).mean()
+            lane.log.barrier_hits += int(np.sum(~np.isfinite(phi)))
+            if k + 1 == snap_step:
+                lane.log.q_snapshot = lane.remaining.copy()
+        if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
+            for i, history in enumerate(world.histories):
+                increments = simulate_requests(
+                    history, int(world_rng.poisson(arrival_rate)), world_rng)
+                world.mu[i] = refresh_period(history, increments)
+    for lane in lanes.values():
+        lane.log.finalize()
+    return {key: lane.log for key, lane in lanes.items()}
 
 
 # --- Reference control and geometry paths --------------------------------

@@ -86,6 +86,32 @@ def test_world_length_is_the_station_count():
     assert len(world) == len(world.histories)
 
 
+@pytest.mark.parametrize("policies, arms", [
+    ({"baseline": BaselinePolicy()}, (False,)),
+    ({"baseline": BaselinePolicy(), "random": RandomPolicy(),
+      "constant": ConstantPolicy(0.2)}, (False, True)),
+], ids=["1_lane", "6_lanes"])
+def test_step_is_called_once_per_world_step(monkeypatch, policies, arms):
+    # The tracer's simulation.steps counts calls of step and its
+    # station_steps adds len(args[0]): both count world steps, whether a
+    # replication runs 1 lane or 6.
+    worlds = []
+    step = simulation.step
+
+    def counting(*args, **kwargs):
+        worlds.append(args[0])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "step", counting)
+    scenario = _tiny_scenario()
+    logs = simulation.run_replication(scenario, policies, arms=arms,
+                                      horizon=2.0, seed=3)
+    assert len(logs) == len(policies) * len(arms)
+    assert len(worlds) == 2 * (scenario.solver.grid_nt - 1)
+    assert all(isinstance(w, simulation.World) for w in worlds)
+    assert len({id(w) for w in worlds}) == 1
+
+
 def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
     # The tracer's demand hook unpacks (state, n_requests, rng) positionally
     # and reads state.counts. A one-period run samples no arrivals, so the

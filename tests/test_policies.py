@@ -10,8 +10,16 @@ from mfcache.policies import (
     MfPolicy,
     PolicyContext,
     RandomPolicy,
+    _locate,
 )
-from mfcache.solver import Grid, MfgProblem, SolverConfig, gaussian_initial_density, solve_mfe
+from mfcache.solver import (
+    Grid,
+    MfeSolution,
+    MfgProblem,
+    SolverConfig,
+    gaussian_initial_density,
+    solve_mfe,
+)
 
 from support import reference_mf_interpolation
 
@@ -72,7 +80,8 @@ class TestMfPolicy:
         assert policy(ctx)[0] == pytest.approx(solution.p[-1, -1, -1])
 
     @pytest.mark.parametrize("case", ["inside", "last_node", "off_grid",
-                                      "late"])
+                                      "late", "step_times_41", "step_times_61",
+                                      "step_times_201"])
     def test_matches_the_clamped_reference_bit_for_bit(self, solution, case):
         # The equilibrium control is degenerate (zero) on default costs, so
         # the surface is replaced by random values in [0, p_max].
@@ -83,20 +92,39 @@ class TestMfPolicy:
         shape = (40, 9)
         x = rng.uniform(g.x[0], g.x[-1], shape)
         q = rng.uniform(g.q[0], g.q[-1], shape)
-        t = float(rng.uniform(g.t[0], g.t[-1]))
+        times = [float(rng.uniform(g.t[0], g.t[-1]))]
         if case == "last_node":
-            x[::2], q[::3], t = g.x[-1], g.q[-1], float(g.t[-1])
+            x[::2], q[::3], times = g.x[-1], g.q[-1], [float(g.t[-1])]
         elif case == "off_grid":
             x[::2] = rng.uniform(-0.5, g.x[0], x[::2].shape)
             x[1::2] = rng.uniform(g.x[-1], 2.0, x[1::2].shape)
             q[::2] = rng.uniform(g.q[-1], 3.0, q[::2].shape)
             q[1::2] = rng.uniform(-1.0, g.q[0], q[1::2].shape)
-            t = -0.3
+            times = [-0.3]
         elif case == "late":
-            t = float(g.t[-1]) + 0.7
-        expected = reference_mf_interpolation(surface, t, x, q)
-        assert np.array_equal(MfPolicy(surface)(make_ctx(x, q, t=t)), expected)
-        assert np.ptp(expected) > 0.0
+            times = [float(g.t[-1]) + 0.7]
+        elif case.startswith("step_times_"):
+            # Every time the simulator asks for on an nt-level grid, k * dt:
+            # most sit on a node (a time plane of weight exactly 0.0), some
+            # a round-off away from one.
+            nt = int(case.rsplit("_", 1)[1])
+            g = Grid.make(nt, g.x.size, g.q.size, 1.0, 1.0)
+            surface = MfeSolution(
+                v=np.zeros(g.shape),
+                m=np.full(g.shape, 1.0 / (g.x.size * g.q.size * g.cell_area)),
+                p=rng.uniform(0.0, solution.p_max, g.shape), grid=g,
+                iterations=1, residual_history=[0.0], converged=True,
+                p_max=solution.p_max)
+            times = [k * (1.0 / (nt - 1)) for k in range(nt - 1)]
+            fractions = np.array([_locate(t, g.t)[1] for t in times])
+            assert (fractions == 0.0).any()
+            assert (((fractions > 0.0) & (fractions < 1e-14))
+                    | ((fractions < 1.0) & (fractions > 1.0 - 1e-14))).any()
+        policy = MfPolicy(surface)
+        for t in times:
+            expected = reference_mf_interpolation(surface, t, x, q)
+            assert np.array_equal(policy(make_ctx(x, q, t=t)), expected)
+            assert np.ptp(expected) > 0.0
 
     def test_vectorizes_over_station_batches(self, solution):
         policy = MfPolicy(solution)

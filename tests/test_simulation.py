@@ -20,7 +20,7 @@ from mfcache.simulation import (
 )
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 
-from support import ConstantPolicy
+from support import ConstantPolicy, reference_replication
 
 
 def small_scenario(**overrides):
@@ -91,20 +91,30 @@ class TestStep:
         world, hood = build_world(sc, world_rng)
         assert hood.size > 1
         rate = average_rate(rate_model_from_config(sc.geometry), sc.geometry)
-        lane = Lane(policy=ConstantPolicy(0.3), imperfect=False, rng=policy_rng,
-                    remaining=world.remaining.copy())
-        (row,) = step(world, hood, [lane], 0.0, 0.02, rate, sc, world_rng, None)
+        levels = (0.3, 0.6)
+        lanes = [Lane(policy=ConstantPolicy(level), imperfect=False,
+                      rng=policy_rng) for level in levels]
+        start = np.repeat(world.remaining[None], len(lanes), axis=0)
+        remaining, rows, hits = step(world, hood, lanes, start, 0.0, 0.02,
+                                     rate, sc, world_rng, None)
+        assert remaining.shape == start.shape and not np.shares_memory(
+            remaining, start)
+        assert rows.shape == (3, len(lanes))
+        assert list(hits) == [0, 0]
 
-        p_hood = np.full((hood.size, sc.demand.catalog_size), 0.3)
-        q_hood = lane.remaining[hood]
         floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
         x_hood = np.maximum(world.x[hood], floor)
-        overlap = empirical_overlap(p_hood, sc.costs.storage,
-                                    sc.costs.similar_count)
-        cost = instantaneous_cost(p_hood, q_hood, x_hood, rate, overlap, sc.costs)
-        assert overlap.min() > 0.0
-        assert row["overlap"] == float(overlap.mean())
-        assert row["cost"] == float(cost.sum(axis=1).mean())
+        for i, level in enumerate(levels):
+            p_hood = np.full((hood.size, sc.demand.catalog_size), level)
+            q_hood = remaining[i][hood]
+            overlap = empirical_overlap(p_hood, sc.costs.storage,
+                                        sc.costs.similar_count)
+            cost = instantaneous_cost(p_hood, q_hood, x_hood, rate, overlap,
+                                      sc.costs)
+            assert overlap.min() > 0.0
+            assert rows[1, i] == float(overlap.mean())
+            assert rows[0, i] == float(cost.sum(axis=1).mean())
+            assert rows[2, i] == float((sc.costs.storage - q_hood).mean())
 
     def test_storage_bounds_hold_under_aggressive_caching(self):
         sc = small_scenario()
@@ -145,6 +155,22 @@ class TestPolicyBoundary:
         assert (remaining >= 0.0).all() and (remaining <= 2.0).all()
         assert (remaining == 0.0).any()
         assert all(ctx.rate > 0 and 0.0 <= ctx.p_max <= 1.0 for ctx in seen)
+
+    def test_a_kept_context_keeps_its_step(self):
+        # The storage stack is replaced, never written in place, so a
+        # context saved at step k still reads step k's storage after the run.
+        seen = []
+
+        def recording(ctx, rng=None):
+            seen.append((ctx, ctx.remaining.copy()))
+            return np.full(ctx.x_hat.shape, 0.1 + 0.2 * (len(seen) % 3))
+
+        run_replication(small_scenario(), {"a": recording, "b": recording},
+                        arms=(False, True), horizon=0.5, seed=4)
+        assert len(seen) == 4 * 25
+        assert not all(np.array_equal(seen[0][1], kept) for _, kept in seen)
+        for ctx, kept in seen:
+            assert np.array_equal(ctx.remaining, kept)
 
     @pytest.mark.parametrize("fault", ["above_outside_hood",
                                        "below_outside_hood", "one_nan",
@@ -397,3 +423,40 @@ class TestSharedReplication:
         compare_experiment(sc)
         assert seeds == [7, 8] * 3
         assert len(worlds) == 6
+
+
+class TestStackedLanes:
+    """The stacked step equals the lane-by-lane oracle bit for bit."""
+
+    @pytest.mark.parametrize("level", [0.2, 1.0])
+    def test_every_lane_equals_the_lane_by_lane_reference(self, level):
+        # 20 contents, a hood of at least 8 stations, 4 policies under both
+        # arms and 2 periods; a constant 1.0 hits the barrier everywhere.
+        sc = small_scenario(demand=DemandConfig(catalog_size=20))
+        sc = replace(sc, geometry=replace(sc.geometry, lambda_b=0.3))
+        _, hood = build_world(sc, simulation._replication_streams(5)[0])
+        assert hood.size >= 8
+        solution = solve_scenario(sc)
+        rng = np.random.default_rng(3)
+        live = replace(solution, p=rng.uniform(0.0, solution.p_max,
+                                               solution.p.shape))
+        policies = {"mf": MfPolicy(live), "baseline": BaselinePolicy(),
+                    "random": RandomPolicy(), "constant": ConstantPolicy(level)}
+        shared = run_replication(sc, policies, arms=(False, True),
+                                 horizon=2.0, seed=5, snapshot_time=1.5)
+        reference = reference_replication(sc, policies, arms=(False, True),
+                                          horizon=2.0, seed=5,
+                                          snapshot_time=1.5)
+        assert list(shared) == list(reference)
+        for key, log in shared.items():
+            ref = reference[key]
+            for attr in ("cost", "overlap", "storage_usage", "times",
+                         "q_snapshot"):
+                assert np.array_equal(getattr(log, attr), getattr(ref, attr)), \
+                    (key, attr)
+            assert log.cost.size == 100
+            assert log.barrier_hits == ref.barrier_hits
+            assert (log.barrier_hits > 0) == (key[0] == "constant"
+                                              and level == 1.0)
+            assert log.lra == ref.lra
+        assert np.ptp(shared["mf", False].overlap) > 0.0

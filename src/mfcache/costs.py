@@ -7,9 +7,9 @@ probability, plus a linear charge on occupied storage:
 
     J = -log(B - L p) * (1 + I_r) / (rate * x) + gamma * (C - Q) / C
 
-:func:`running_cost` is the one home of this formula: the solver's backward
-pass, the simulator's step, the validating :func:`instantaneous_cost` and
-the control-bracket test oracle all call it.
+Each term has one function, called by the solver's backward pass and the
+simulator's step alike: :func:`backhaul_cost` (the barrier),
+:func:`storage_cost` (the charge) and :func:`running_cost` (the sum).
 
 Overlap comes in two forms: :func:`empirical_overlap`, the leave-one-out sum
 over the controls of the other stations of a neighbourhood (the simulator's
@@ -17,6 +17,10 @@ overlap), and its mean-field limit :func:`mf_overlap`, an integral of the
 population density against the control surface scaled by the expected
 neighbor count. :func:`check_density` is the one test of whether a field is
 a population density.
+
+The formulas do not check their arguments: values are checked once, where
+they enter the program (the configuration objects, the entry of each solver
+pass and a policy's output in the simulator's step).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "mf_overlap",
     "check_density",
     "running_cost",
-    "instantaneous_cost",
     "lra_cost",
 ]
 
@@ -75,36 +78,24 @@ class CostParams:
 
 
 def backhaul_cost(p, backhaul: float, content_size: float):
-    """Log-barrier ``-log(B - L p)`` on the download rate.
+    """Log-barrier ``-log(B - L p)`` on the download rate, for cache
+    fractions ``p`` the caller has checked.
 
     Finite exactly when ``L p < B``; returns an ``inf`` sentinel (never
     raises) once the budget is hit. Strictly increasing and convex in ``p``.
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ConfigurationError("cache fraction must lie in [0, 1]")
-    cost = log_barrier(arr, backhaul, content_size)
-    return float(cost) if np.ndim(p) == 0 else cost
-
-
-def log_barrier(p: np.ndarray, backhaul: float, content_size: float) -> np.ndarray:
-    """Unchecked core of :func:`backhaul_cost` for callers that validated
-    ``p`` already."""
     slack = backhaul - content_size * p
     inside = slack > 0
-    if inside.all():
+    if np.all(inside):
         return -np.log(slack)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(inside, -np.log(np.where(inside, slack, 1.0)), np.inf)
 
 
 def storage_cost(remaining, storage: float, gamma: float):
-    """Linear charge ``gamma (C - Q) / C`` on occupied storage."""
-    q = np.asarray(remaining, dtype=float)
-    if np.any(q < 0) or np.any(q > storage):
-        raise ConfigurationError("remaining storage must lie in [0, C]")
-    out = gamma * (storage - q) / storage
-    return float(out) if np.ndim(remaining) == 0 else out
+    """Linear charge ``gamma (C - Q) / C`` on occupied storage; ``remaining``
+    lies in ``[0, C]`` (grid nodes or storage the simulator has clipped)."""
+    return gamma * (storage - remaining) / storage
 
 
 def empirical_overlap(p: np.ndarray, storage: float,
@@ -128,25 +119,11 @@ def mf_overlap(m_slice: np.ndarray, p_slice: np.ndarray, cell_area: float,
     control, per unit storage and similar-content count.
 
     ``m_slice`` is a density over the (popularity, storage) grid integrating
-    to 1 under the cell rule; ``neighbor_count`` is the expected number of
-    other stations in the request region.
+    to 1 under the cell rule, of the shape of ``p_slice``; ``neighbor_count``
+    is the expected number of other stations in the request region.
+    Unchecked: the backward pass checks the density on entry.
     """
-    m = np.asarray(m_slice, dtype=float)
-    p = np.asarray(p_slice, dtype=float)
-    if m.shape != p.shape:
-        raise ConfigurationError("density and control slices must share a shape")
-    check_density(m, cell_area)
-    if neighbor_count < 0:
-        raise ConfigurationError("neighbor_count must be >= 0")
-    return overlap_integral(m, p, cell_area, storage, similar_count, neighbor_count)
-
-
-def overlap_integral(m: np.ndarray, p: np.ndarray, cell_area: float,
-                     storage: float, similar_count: int,
-                     neighbor_count: int) -> float:
-    """Unchecked core of :func:`mf_overlap` for callers that validated the
-    density already."""
-    return float(neighbor_count * (m * p).sum() * cell_area
+    return float(neighbor_count * (m_slice * p_slice).sum() * cell_area
                  / (storage * similar_count))
 
 
@@ -183,25 +160,9 @@ def check_density(m: np.ndarray, cell_area: float, *, floor: float = 0.0,
 
 
 def running_cost(phi, overlap, rate_x, psi):
-    """Unchecked core of :func:`instantaneous_cost`: the barrier value
-    ``phi`` scaled by the overlap and divided by ``rate_x`` (the product
-    ``rate * x``), plus the storage charge ``psi``."""
+    """The barrier value ``phi`` scaled by the overlap and divided by
+    ``rate_x`` (the product ``rate * x``), plus the storage charge ``psi``."""
     return phi * (1.0 + overlap) / rate_x + psi
-
-
-def instantaneous_cost(p, remaining, x, rate: float, overlap: float,
-                       params: CostParams):
-    """Running cost of one station/content state; propagates the barrier
-    sentinel instead of raising."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ConfigurationError("request probability must be > 0 (floor observations)")
-    if rate <= 0:
-        raise ConfigurationError("rate must be > 0")
-    phi = backhaul_cost(p, params.backhaul, params.content_size)
-    psi = storage_cost(remaining, params.storage, params.gamma)
-    out = running_cost(phi, overlap, rate * x_arr, psi)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def lra_cost(cost_samples, dt: float) -> float:

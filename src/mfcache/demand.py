@@ -176,7 +176,9 @@ def ou_step_array(x: np.ndarray, mu: np.ndarray, reversion_rate: float,
 
 @dataclass(frozen=True)
 class IpiModel:
-    """Gaussian observation error applied to the true request probability."""
+    """Gaussian observation error applied to the true request probability;
+    ``floor_eps``, in ``[FLOOR_EPS, 1)``, is the smallest observable
+    popularity."""
 
     bias_mean: float = 0.2
     bias_std: float = 0.001
@@ -188,16 +190,16 @@ class IpiModel:
                                   "floor_eps": self.floor_eps})
         if self.bias_std < 0:
             raise ConfigurationError("demand.ipi_bias_std must be >= 0")
-        if self.floor_eps <= 0:
-            raise ConfigurationError("demand.floor_eps must be > 0")
+        if not FLOOR_EPS <= self.floor_eps < 1.0:
+            raise ConfigurationError(
+                f"demand.floor_eps must lie in [{FLOOR_EPS!r}, 1)")
 
 
 def perturb_popularity(x, ipi: IpiModel, rng: np.random.Generator):
     """Observed popularity ``clamp(x + delta, floor_eps, 1)`` with
-    ``delta ~ N(bias_mean, bias_std^2)``."""
+    ``delta ~ N(bias_mean, bias_std^2)``, for a true popularity ``x`` in
+    ``[0, 1]``."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ConfigurationError("true popularity must lie in [0, 1]")
     delta = rng.normal(ipi.bias_mean, ipi.bias_std, arr.shape)
     out = np.clip(arr + delta, ipi.floor_eps, 1.0)
     return float(out) if np.isscalar(x) else out

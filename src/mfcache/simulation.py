@@ -37,14 +37,13 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .costs import (
+    backhaul_cost,
     empirical_overlap,
-    log_barrier,
     lra_cost,
     running_cost,
     storage_cost,
 )
 from .demand import (
-    FLOOR_EPS,
     CrpState,
     crp_request_distribution,
     ou_step_array,
@@ -186,14 +185,13 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane],
     and raise :class:`ConfigurationError` otherwise.
     """
     dem, cst = scenario.demand, scenario.costs
-    floor = max(dem.ipi.floor_eps, FLOOR_EPS)
+    floor = dem.ipi.floor_eps
     x = ou_step_array(world.x, world.mu, dem.reversion_rate, dem.volatility,
                       dt, world_rng)
     world.x = x
     observed = {False: np.clip(x, floor, 1.0)}
     if any(lane.imperfect for lane in lanes):
-        observed[True] = np.clip(perturb_popularity(x, dem.ipi, ipi_rng),
-                                 floor, 1.0)
+        observed[True] = perturb_popularity(x, dem.ipi, ipi_rng)
     p_max = scenario.solver.config.p_max(cst.backhaul, cst.content_size)
 
     p = np.empty(remaining.shape)
@@ -222,7 +220,7 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane],
     p_hood = p.take(hood, axis=1)
     q_hood = q.take(hood, axis=1)
     overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
-    phi = log_barrier(p_hood, cst.backhaul, cst.content_size)
+    phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
     psi = storage_cost(q_hood, cst.storage, cst.gamma)
     cost = running_cost(phi, overlap, rate * np.maximum(x[hood], floor), psi)
     n = len(lanes)

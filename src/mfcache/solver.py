@@ -15,11 +15,11 @@ budget as the water level,
     p* = (1/L) [ B - (1 + I_r) / (rate * x * v_Q) ]+,
 
 guarded to zero when ``v_Q`` is non-positive or vanishing (the bracket is
-then increasing in ``p``). The two equations are coupled through the
-mean-field overlap ``I_r`` and iterated to a fixed point by full Picard
-sweeps, with the density step shrunk only after a sweep whose residual rises
-(the finite-difference scheme of Achdou & Capuzzo-Dolcetta, SIAM J. Numer.
-Anal. 48(3), 2010).
+then increasing in ``p``); :func:`optimal_control` is its one home. The two
+equations are coupled through the mean-field overlap ``I_r`` and iterated to
+a fixed point by full Picard sweeps, with the density step shrunk only after
+a sweep whose residual rises (the finite-difference scheme of Achdou &
+Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48(3), 2010).
 
 Discretization: uniform tensor grid. The backward pass uses explicit upwind
 differencing for both drifts (one-sided inward stencils at boundaries, zero
@@ -30,7 +30,8 @@ each level runs only the forward and back substitution, in numpy and in
 LAPACK ``gtsv``'s order. The forward pass uses conservative finite-volume
 upwind fluxes with zero-flux boundaries, so total mass is preserved to
 round-off and nonnegativity is maintained under the step-size condition
-checked on entry.
+checked on entry. Each pass checks its inputs once, on entry; the level loop
+calls the control and the cost formulas of :mod:`.costs` unchecked.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 
 from .costs import (
     CostParams,
+    backhaul_cost,
     check_density,
-    log_barrier,
-    overlap_integral,
+    mf_overlap,
     running_cost,
     storage_cost,
 )
@@ -233,35 +234,15 @@ def optimal_control(x, rate, overlap, dq_v, backhaul: float, content_size: float
     ``p* = (1/L) [B - (1 + I_r) / (rate * x * v_Q)]+`` clamped to the
     admissible range; zero whenever ``v_Q`` is negative or smaller than the
     degeneracy guard (the bracket is then monotone increasing in ``p``).
+    ``x`` and ``rate`` are positive (the caller checks them); the arguments
+    broadcast, as ``x`` of shape ``(nx, 1)`` against ``v_Q`` of shape
+    ``(nx, nq)`` in the backward pass.
     """
-    x_arr = np.asarray(x, dtype=float)
-    dqv_arr = np.asarray(dq_v, dtype=float)
-    rate_arr = np.asarray(rate, dtype=float)
-    if np.any(x_arr < FLOOR_EPS):
-        raise ConfigurationError("optimal_control requires x >= floor_eps")
-    if np.any(rate_arr <= 0):
-        raise ConfigurationError("optimal_control requires rate > 0")
-    p_cap = config.p_max(backhaul, content_size)
-    active, denom = _water_fill_terms(rate_arr * x_arr, dqv_arr, config.grad_eps)
-    p = _water_fill(active, denom, overlap, backhaul, content_size, p_cap)
-    return float(p) if np.ndim(p) == 0 else p
-
-
-def _water_fill_terms(rate_x, dq_v: np.ndarray, grad_eps: float):
-    """Overlap-free part of :func:`optimal_control`: the mask of states whose
-    ``v_Q`` clears the degeneracy guard, and the denominator
-    ``rate * x * v_Q`` (``rate_x`` is the product ``rate * x``) with ``v_Q``
-    replaced by 1 outside the mask."""
-    active = dq_v > grad_eps
-    return active, rate_x * np.where(active, dq_v, 1.0)
-
-
-def _water_fill(active: np.ndarray, denom: np.ndarray, overlap: float,
-                backhaul: float, content_size: float, p_cap: float) -> np.ndarray:
-    """Unchecked core of :func:`optimal_control` on the terms of
-    :func:`_water_fill_terms`."""
+    active = dq_v > config.grad_eps
+    denom = rate * x * np.where(active, dq_v, 1.0)
     raw = (backhaul - (1.0 + overlap) / denom) / content_size
-    return np.where(active, raw.clip(0.0, p_cap), 0.0)
+    p = np.where(active, raw.clip(0.0, config.p_max(backhaul, content_size)), 0.0)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 class _Upwind:
@@ -383,16 +364,15 @@ def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
 
 
 def _check_step_size(problem: MfgProblem, grid: Grid,
-                     config: SolverConfig) -> float:
+                     config: SolverConfig) -> None:
     """Check the step-size condition at the largest drifts an admissible
-    control can produce; return the control cap ``p_max``."""
+    control can produce."""
     c = problem.costs
     p_cap = config.p_max(c.backhaul, c.content_size)
     max_bq = max(c.discard_rate, abs(c.discard_rate - c.content_size * p_cap))
     max_bx = problem.reversion_rate * max(problem.mu - grid.x[0],
                                           1.0 - problem.mu, 0.0)
     grid.check_cfl(max_bx, max_bq, problem.volatility)
-    return p_cap
 
 
 def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
@@ -401,13 +381,14 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     record the minimizing control at every node.
 
     The inputs are validated once on entry, the density on all levels at
-    once; the level loop then runs the unchecked formula cores. At each time
-    level the storage gradient of the already-computed later
-    level drives the closed-form control; the overlap term is resolved by a
-    one-sweep fixed point (control from the lagged overlap, overlap from
-    that control, control refreshed) and the level is then stepped with
-    explicit upwind drifts, an implicit diffusion solve in the popularity
-    direction, and the running cost as source.
+    once (the rate path is positive by construction of the problem); the
+    level loop then calls the unchecked formulas of the control, overlap,
+    barrier and running cost. At each time level the storage gradient of
+    the already-computed later level drives the closed-form control; the
+    overlap term is resolved by a one-sweep fixed point (control from the
+    lagged overlap, overlap from that control, control refreshed) and the
+    level is then stepped with explicit upwind drifts, an implicit diffusion
+    solve in the popularity direction, and the running cost as source.
     """
     c = problem.costs
     nt, nx, nq = grid.shape
@@ -418,10 +399,9 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
         raise ConfigurationError("rate path length must match the time grid")
     check_density(m, grid.cell_area)
     if np.any(grid.x < FLOOR_EPS):
-        raise ConfigurationError("optimal_control requires x >= floor_eps")
-    if np.any(problem.rate_path <= 0):
-        raise ConfigurationError("optimal_control requires rate > 0")
-    p_cap = _check_step_size(problem, grid, config)
+        raise ConfigurationError("grid.x must be >= the observation floor "
+                                 f"{FLOOR_EPS!r}")
+    _check_step_size(problem, grid, config)
 
     v = np.empty(grid.shape)
     p = np.empty(grid.shape)
@@ -440,20 +420,20 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
 
     for level in range(nt - 1, -1, -1):
         rate = float(problem.rate_path[level])
-        rate_x = rate * x_col
         _dq_centered(v[level], dq, dqv)
-        active, denom = _water_fill_terms(rate_x, dqv, config.grad_eps)
-        p_lvl = _water_fill(active, denom, overlap_lag, backhaul, size, p_cap)
-        overlap = overlap_integral(m[level], p_lvl, cell_area, c.storage,
-                                   c.similar_count, problem.neighbor_count)
-        p_lvl = _water_fill(active, denom, overlap, backhaul, size, p_cap)
+        p_lvl = optimal_control(x_col, rate, overlap_lag, dqv, backhaul, size,
+                                config)
+        overlap = mf_overlap(m[level], p_lvl, cell_area, c.storage,
+                             c.similar_count, problem.neighbor_count)
+        p_lvl = optimal_control(x_col, rate, overlap, dqv, backhaul, size,
+                                config)
         p[level] = p_lvl
         overlap_lag = overlap
         if level == 0:
             break
 
-        source = running_cost(log_barrier(p_lvl, backhaul, size), overlap,
-                              rate_x, psi)
+        source = running_cost(backhaul_cost(p_lvl, backhaul, size), overlap,
+                              rate * x_col, psi)
         bq = discard - size * p_lvl
         adv = (advect_x(v[level], bx, bx_forward)
                + advect_q(v[level], bq, bq > 0))

@@ -179,9 +179,9 @@ def reference_replication(scenario, policies: dict, arms=(False,),
 
     The same world, streams and step order, but every lane keeps its own
     storage array, and the storage update, overlap, barrier, storage charge
-    and running cost are computed one lane at a time on 2-D hood arrays,
-    through the checked cost functions. Returns ``{(name, imperfect):
-    MetricsLog}`` in ``policies`` then ``arms`` order."""
+    and running cost are computed one lane at a time on 2-D hood arrays.
+    Returns ``{(name, imperfect): MetricsLog}`` in ``policies`` then
+    ``arms`` order."""
     seed = scenario.simulation.seed if seed is None else seed
     horizon = scenario.simulation.horizon if horizon is None else horizon
     dem, geo, cst = scenario.demand, scenario.geometry, scenario.costs
@@ -255,6 +255,18 @@ def reference_replication(scenario, policies: dict, arms=(False,),
 # Brute-force and Monte-Carlo counterparts of the package's closed forms:
 # the control-dependent bracket of the backward equation with a convexity
 # audit of the water-filling control, and sampled interference and rate.
+
+def instantaneous_cost(p, remaining, x, rate: float, overlap: float,
+                       params: CostParams):
+    """Running cost of one station/content state, or of arrays of states,
+    through the package's barrier, storage charge and running cost;
+    propagates the barrier sentinel instead of raising."""
+    phi = backhaul_cost(np.asarray(p, dtype=float), params.backhaul,
+                        params.content_size)
+    psi = storage_cost(remaining, params.storage, params.gamma)
+    out = running_cost(phi, overlap, rate * np.asarray(x, dtype=float), psi)
+    return float(out) if np.ndim(out) == 0 else out
+
 
 def control_bracket(p, x: float, rate: float, overlap: float, dq_v: float,
                     remaining: float, costs: CostParams):
@@ -336,10 +348,10 @@ def average_rate_monte_carlo(model: RateModel, cfg: GeometryConfig,
 # --- Reference backward/forward passes -----------------------------------
 #
 # The level steps of the coupled solver as first written: every level calls
-# the validating public cost and control functions, allocates its upwind
-# differences afresh and checks the density mass as it goes. The package
-# hoists that validation out of the level loop and reuses buffers; the
-# arithmetic must stay the same, so its fields equal these bit for bit.
+# the package's control and cost formulas, allocates its upwind differences
+# afresh, solves the diffusion with LAPACK and checks the density mass as it
+# goes. The package checks once on entry and reuses buffers; the arithmetic
+# must stay the same, so its fields equal these bit for bit.
 
 def _reference_upwind_advection(v, drift, step, axis):
     sl = [slice(None)] * v.ndim

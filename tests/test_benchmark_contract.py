@@ -15,8 +15,12 @@ import sys
 import numpy as np
 import pytest
 
-from mfcache import simulation
-from mfcache.experiments import compare_experiment
+from mfcache import simulation, solver
+from mfcache.experiments import (
+    compare_experiment,
+    grid_from_scenario,
+    problem_from_scenario,
+)
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 from mfcache.scenario import (
     DemandConfig,
@@ -27,7 +31,8 @@ from mfcache.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from mfcache.simulation import build_world, ipi_experiment
+from mfcache.simulation import Lane, build_world, ipi_experiment
+from mfcache.solver import SolverConfig
 
 from support import ConstantPolicy
 
@@ -110,6 +115,56 @@ def test_step_is_called_once_per_world_step(monkeypatch, policies, arms):
     assert len(worlds) == 2 * (scenario.solver.grid_nt - 1)
     assert all(isinstance(w, simulation.World) for w in worlds)
     assert len({id(w) for w in worlds}) == 1
+
+
+def _count_calls(monkeypatch, module, names):
+    """Replace each function ``names`` binds in ``module`` by a counting
+    wrapper, as the tracer wraps every binding of a target, and return the
+    call counts by name."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+def test_one_sweep_calls_each_formula_by_its_traced_name(monkeypatch):
+    # The tracer's solver.optimal_control_calls, costs.mf_overlap_calls and
+    # costs.backhaul_cost_calls count calls through the solver's bindings:
+    # per backward pass, the control twice and the overlap once per level,
+    # the barrier once per stepped level.
+    scenario = ScenarioConfig(
+        demand=DemandConfig(catalog_size=3),
+        solver=SolverSettings(grid_nt=21, grid_nx=11, grid_nq=11))
+    grid = grid_from_scenario(scenario)
+    problem = problem_from_scenario(scenario, grid)
+    counts = _count_calls(monkeypatch, solver,
+                          ("optimal_control", "mf_overlap", "backhaul_cost"))
+    solver.solve_mfe(problem, grid, SolverConfig(max_iterations=1))
+    nt = grid.shape[0]
+    assert counts == {"optimal_control": 2 * nt, "mf_overlap": nt,
+                      "backhaul_cost": nt - 1}
+
+
+def test_step_charges_the_barrier_by_its_traced_name(monkeypatch):
+    # costs.backhaul_cost_calls on compare-sim and ipi-demand counts the
+    # step's one barrier charge over all lanes.
+    scenario = _tiny_scenario()
+    world_rng, policy_rng = np.random.default_rng(1), np.random.default_rng(2)
+    world, hood = build_world(scenario, world_rng)
+    lanes = [Lane(policy=policy, imperfect=False, rng=policy_rng)
+             for policy in (BaselinePolicy(), ConstantPolicy(0.2))]
+    counts = _count_calls(monkeypatch, simulation, ("backhaul_cost",))
+    simulation.step(world, hood, lanes,
+                    np.repeat(world.remaining[None], len(lanes), axis=0),
+                    0.0, 0.25, 1.0, scenario, world_rng, None)
+    assert counts == {"backhaul_cost": 1}
 
 
 def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):

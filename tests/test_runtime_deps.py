@@ -1,10 +1,14 @@
-"""The package runs on numpy alone; scipy is a test-only dependency."""
+"""The package runs on numpy alone; scipy is a test-only dependency. Every
+module exports only names it defines."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 import mfcache
 
@@ -27,3 +31,14 @@ def test_source_names_no_scipy():
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 assert "scipy" not in fh.read(), name
+
+
+@pytest.mark.parametrize("module", ["mfcache"] + sorted(
+    f"mfcache.{name[:-3]}" for name in os.listdir(PACKAGE)
+    if name.endswith(".py") and name != "__init__.py"))
+def test_star_import_resolves_every_exported_name(module):
+    # A star import raises on a name left in __all__ after its deletion.
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    exported = getattr(importlib.import_module(module), "__all__", ())
+    assert set(exported) <= namespace.keys()

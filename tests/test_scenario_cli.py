@@ -97,6 +97,8 @@ class TestScenarioParsing:
             parse_scenario("[simulation]\nreplications = 0\n")
         for text, key in [("[demand]\nipi_bias_std = -0.1\n", "demand.ipi_bias_std"),
                           ("[demand]\nfloor_eps = 0\n", "demand.floor_eps"),
+                          ("[demand]\nfloor_eps = 1e-9\n", "demand.floor_eps"),
+                          ("[demand]\nfloor_eps = 1.0\n", "demand.floor_eps"),
                           ("[solver]\nm0_q_std = 0\n", "solver.m0_q_std"),
                           ("[solver]\nm0_x_std = 0\n", "solver.m0_x_std")]:
             with pytest.raises(ConfigurationError, match=key):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mfcache.costs import CostParams, empirical_overlap, instantaneous_cost
+from mfcache.costs import CostParams, empirical_overlap
 from mfcache.demand import FLOOR_EPS, CrpState
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import average_rate, rate_model_from_config
@@ -20,7 +20,7 @@ from mfcache.simulation import (
 )
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 
-from support import ConstantPolicy, reference_replication
+from support import ConstantPolicy, instantaneous_cost, reference_replication
 
 
 def small_scenario(**overrides):

@@ -11,6 +11,7 @@ from support import (
     reference_solve_mfe,
 )
 
+import mfcache.costs
 import mfcache.solver
 from mfcache.costs import CostParams
 from mfcache.errors import ConfigurationError, SolverError
@@ -84,6 +85,27 @@ class TestOptimalControl:
     def test_respects_admissible_cap(self):
         p = optimal_control(1.0, 100.0, 0.0, 100.0, 1.0, 1.0, self.CONFIG)
         assert p <= self.CONFIG.p_max(1.0, 1.0)
+
+    def test_broadcast_call_equals_scalar_calls_bit_for_bit(self):
+        # The backward pass calls with x of shape (nx, 1) against v_Q of
+        # shape (nx, nq); each entry must be the scalar call's value.
+        rng = np.random.default_rng(5)
+        x = np.linspace(1e-6, 1.0, 9)[:, None]
+        dqv = rng.uniform(-1.0, 8.0, (9, 7))
+        dqv[0, :3] = (0.0, 1e-12, self.CONFIG.grad_eps)
+        args = (1.7, 0.13)
+        costs = (1.3, 0.9)
+        p = optimal_control(x, *args, dqv, *costs, self.CONFIG)
+        expected = np.array([[optimal_control(float(x[i, 0]), *args,
+                                              float(dqv[i, j]), *costs,
+                                              self.CONFIG)
+                              for j in range(dqv.shape[1])]
+                             for i in range(x.shape[0])])
+        cap = self.CONFIG.p_max(*costs)
+        assert p.shape == dqv.shape
+        assert (p == 0.0).any() and (p == cap).any()
+        assert ((p > 0.0) & (p < cap)).any()
+        assert_bitwise_equal(p, expected)
 
     def test_matches_grid_search_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -401,15 +423,28 @@ class TestReferenceLevelStep:
     """The passes validate on entry and reuse buffers; their fields must
     equal the reference level steps of ``tests/support.py`` bit for bit."""
 
-    @pytest.mark.parametrize("grid, costs", [
-        (DEFAULT_GRID, None),
-        (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(backhaul=2.0, gamma=0.1)),
-    ], ids=["default-grid", "backhaul-2-gamma-0.1"])
-    def test_solve_mfe_matches_reference(self, grid, costs):
+    @pytest.mark.parametrize("grid, costs, live", [
+        (DEFAULT_GRID, None, False),
+        (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(backhaul=2.0, gamma=0.1),
+         False),
+        (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(gamma=30.0), True),
+    ], ids=["default-grid", "backhaul-2-gamma-0.1", "live-control-gamma-30"])
+    def test_solve_mfe_matches_reference(self, grid, costs, live, monkeypatch):
+        if live:
+            # The charge on unused storage of the live fixed-point test, in
+            # the solver's binding and in the one the reference imports.
+            def flipped(q, storage, gamma):
+                return gamma * q / storage
+
+            monkeypatch.setattr(mfcache.solver, "storage_cost", flipped)
+            monkeypatch.setattr(mfcache.costs, "storage_cost", flipped)
         problem = make_problem(grid, costs=costs)
         config = SolverConfig()
         v, m, p, residuals = reference_solve_mfe(problem, grid, config)
         solution = solve_mfe(problem, grid, config)
+        if live:
+            assert (solution.p > 0).mean() > 0.5
+            assert len(residuals) > 2
         assert_bitwise_equal(solution.v, v)
         assert_bitwise_equal(solution.m, m)
         assert_bitwise_equal(solution.p, p)
@@ -452,6 +487,13 @@ class TestEntryValidation:
         m[9, 10, 10] = np.nan
         with pytest.raises(ConfigurationError, match="NaN entry at t index 9"):
             hjb_backward(m, problem, grid, SolverConfig())
+
+    def test_hjb_rejects_grid_below_the_floor_by_name(self):
+        grid = Grid.make(41, 21, 21, 1.0, 1.0, x_min=1e-9)
+        problem = make_problem(grid)
+        with pytest.raises(ConfigurationError, match="grid.x"):
+            hjb_backward(self._density(grid, problem), problem, grid,
+                         SolverConfig())
 
     def test_hjb_non_finite_update_is_solver_error(self, monkeypatch):
         # A diffusion solve that returns a NaN must surface as a SolverError

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .costs import CostParams
 from .demand import CrpState, IpiModel
 from .errors import ConfigurationError, PolicyError, SolverError
-from .geometry import GeometryConfig, PointPattern, RateModel
+from .geometry import GeometryConfig, RateModel
 from .policies import BaselinePolicy, MfPolicy, PolicyContext, RandomPolicy
 from .scenario import ScenarioConfig, load_scenario, serialize_scenario
 from .solver import (
@@ -35,7 +35,6 @@ __all__ = [
     "MfPolicy",
     "MfeSolution",
     "MfgProblem",
-    "PointPattern",
     "PolicyContext",
     "PolicyError",
     "RandomPolicy",

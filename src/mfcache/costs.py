@@ -166,13 +166,11 @@ def running_cost(phi, overlap, rate_x, psi):
 
 
 def lra_cost(cost_samples, dt: float) -> float:
-    """Long-run-average cost: trapezoidal time integral of uniformly sampled
-    running costs divided by the span ``(n - 1) * dt`` it covers; a single
-    sample is its own average. Returns ``inf`` when the trajectory hit the
-    barrier so the caller can exclude and count it."""
+    """Long-run-average cost: trapezoidal time integral of running costs
+    sampled every ``dt > 0``, divided by the span ``(n - 1) * dt`` it
+    covers; a single sample is its own average. Returns ``inf`` when the
+    trajectory hit the barrier so the caller can exclude and count it."""
     samples = np.asarray(cost_samples, dtype=float)
-    if dt <= 0:
-        raise ConfigurationError("dt must be > 0")
     if samples.size == 0:
         return 0.0
     if not np.isfinite(samples).all():

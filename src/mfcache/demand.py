@@ -13,6 +13,11 @@ and exactly: openings form a scalar chain, joins are Dirichlet-multinomial
 25(2), 1997). Folding them in yields the per-content mean ``mu``; within a
 period the request probability follows ``dx = r (mu - x) dt + eta dW``
 clamped to [0, 1], optionally observed with a Gaussian error.
+
+The scenario's ``DemandConfig`` and :class:`IpiModel` check every value
+once, when they are built. The functions here take values as those configs
+and the package's own functions produce them (a history's counts, a
+period's arrivals, the solver grid's step) and do not check them again.
 """
 
 from __future__ import annotations
@@ -54,27 +59,10 @@ class CrpState:
 
     def __post_init__(self) -> None:
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or self.counts.size == 0:
-            raise ConfigurationError("crp counts must be a non-empty 1-d array")
-        if (self.counts < 0).any():
-            raise ConfigurationError("crp counts must be >= 0")
-        if not 0.0 <= self.nu < 1.0:
-            raise ConfigurationError("crp discount nu must lie in [0, 1)")
-        if self.theta <= -self.nu:
-            raise ConfigurationError("crp concentration theta must exceed -nu")
 
     @classmethod
     def empty(cls, catalog_size: int, theta: float = 1.0, nu: float = 0.5) -> "CrpState":
         return cls(counts=np.zeros(catalog_size, dtype=np.int64), theta=theta, nu=nu)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def distinct(self) -> int:
-        """Number of contents requested at least once."""
-        return int(np.count_nonzero(self.counts))
 
 
 def crp_request_distribution(state: CrpState) -> np.ndarray:
@@ -116,8 +104,6 @@ def simulate_requests(state: CrpState, n_requests: int,
     it still pooled. The rest is Dirichlet-multinomial with weights
     ``n_j - nu`` over the contents seen before the period.
     """
-    if n_requests < 0:
-        raise ConfigurationError("n_requests must be >= 0")
     counts, theta, nu = state.counts, state.theta, state.nu
     seen = counts > 0
     total, k = int(counts.sum()), int(np.count_nonzero(seen))
@@ -165,9 +151,8 @@ def _joins_before_opening(a: float, b: float, left: int, log_u: float) -> int:
 def ou_step_array(x: np.ndarray, mu: np.ndarray, reversion_rate: float,
                   volatility: float, dt: float,
                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized Euler-Maruyama step for many independent processes."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be > 0")
+    """Vectorized Euler-Maruyama step of size ``dt > 0`` for many
+    independent processes."""
     drift = reversion_rate * (mu - x) * dt
     if volatility > 0:
         drift = drift + volatility * np.sqrt(dt) * rng.standard_normal(x.shape)
@@ -213,10 +198,5 @@ def refresh_period(state: CrpState, increments: np.ndarray) -> np.ndarray:
     The caller resets each content's process mean to the returned vector
     while keeping the instantaneous state continuous across the boundary.
     """
-    inc = np.asarray(increments, dtype=np.int64)
-    if inc.shape != state.counts.shape:
-        raise ConfigurationError("increments must hold one count per content")
-    if (inc < 0).any():
-        raise ConfigurationError("increments must be >= 0")
-    state.counts += inc
+    state.counts += np.asarray(increments, dtype=np.int64)
     return crp_request_distribution(state)

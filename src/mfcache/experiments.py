@@ -60,8 +60,7 @@ def grid_from_scenario(scenario: ScenarioConfig) -> Grid:
                      x_min=dem.ipi.floor_eps)
 
 
-def problem_from_scenario(scenario: ScenarioConfig, grid: Grid,
-                          x0: float | None = None) -> MfgProblem:
+def problem_from_scenario(scenario: ScenarioConfig, grid: Grid) -> MfgProblem:
     """Reduced problem for one content under the scenario's prior.
 
     With a fresh request history every content shares the uniform mean
@@ -69,12 +68,10 @@ def problem_from_scenario(scenario: ScenarioConfig, grid: Grid,
     density-normalized value held constant over the horizon.
     """
     dem, cst, geo = scenario.demand, scenario.costs, scenario.geometry
-    if x0 is None:
-        x0 = dem.x0
     rate = average_rate(rate_model_from_config(geo), geo)
     m0 = gaussian_initial_density(
         grid,
-        x_mean=max(x0, dem.ipi.floor_eps), x_std=scenario.solver.m0_x_std,
+        x_mean=max(dem.x0, dem.ipi.floor_eps), x_std=scenario.solver.m0_x_std,
         q_mean=scenario.solver.m0_q_mean, q_std=scenario.solver.m0_q_std,
     )
     return MfgProblem(
@@ -121,14 +118,14 @@ def _exact(value) -> object:
     return value
 
 
-def solve_scenario(scenario: ScenarioConfig, x0: float | None = None) -> MfeSolution:
-    """Equilibrium of the scenario, at initial popularity ``x0`` when given.
+def solve_scenario(scenario: ScenarioConfig) -> MfeSolution:
+    """Equilibrium of the scenario.
 
     Inside :func:`one_solve_per_input`, a solve whose grid, reduced problem
     and solver settings equal an earlier one's returns that solution.
     """
     grid = grid_from_scenario(scenario)
-    problem = problem_from_scenario(scenario, grid, x0=x0)
+    problem = problem_from_scenario(scenario, grid)
     config = scenario.solver.config
     memo = _SOLVES.get()
     if memo is None:

@@ -12,6 +12,11 @@ the rate model); whether it should is ROADMAP open item 1.
 
 All powers are converted from dBm to linear milliwatts before entering any
 formula; distances are kilometres.
+
+:class:`GeometryConfig` checks every value once, when it is built; the
+functions here take values as the config produces them and do not check
+them again. :func:`sample_ppp` returns a pattern as an ``(n, 2)`` array of
+positions.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .errors import ConfigurationError, require_finite
 
 __all__ = [
     "GeometryConfig",
-    "PointPattern",
     "RateModel",
     "dbm_to_mw",
     "sample_ppp",
@@ -108,28 +112,6 @@ class GeometryConfig:
 
 
 @dataclass(frozen=True)
-class PointPattern:
-    """A realization of a planar point process on a rectangular region."""
-
-    points: np.ndarray  # shape (n, 2), km
-    intensity: float    # per km^2, generating density
-    region: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
-        w, h = self.region
-        if pts.size and not (
-            (pts[:, 0] >= 0).all() and (pts[:, 0] <= w).all()
-            and (pts[:, 1] >= 0).all() and (pts[:, 1] <= h).all()
-        ):
-            raise ConfigurationError("point pattern contains points outside its region")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
 class RateModel:
     """Inputs of the average-rate formula, all in linear units.
 
@@ -141,32 +123,19 @@ class RateModel:
     interference_normalized: float
     noise_term: float
     serving_distance_km: float
-    fading_mean: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("interference_normalized", "noise_term",
-                     "serving_distance_km", "fading_mean"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigurationError(f"rate model field {name} must be finite and >= 0")
 
 
 def sample_ppp(intensity: float, region: tuple[float, float],
-               rng: np.random.Generator) -> PointPattern:
-    """Draw a homogeneous Poisson point pattern on ``[0,w] x [0,h]``.
+               rng: np.random.Generator) -> np.ndarray:
+    """Draw a homogeneous Poisson point pattern on ``[0,w] x [0,h]`` as an
+    ``(n, 2)`` array of positions in km.
 
     The count is Poisson(intensity * area) and positions are i.i.d. uniform.
     Deterministic given the generator state.
     """
-    if not np.isfinite(intensity) or intensity < 0:
-        raise ConfigurationError("ppp intensity must be finite and >= 0")
     w, h = region
-    area = w * h
-    if area <= 0:
-        raise ConfigurationError("ppp region area must be > 0")
-    n = int(rng.poisson(intensity * area))
-    pts = np.column_stack((rng.uniform(0.0, w, n), rng.uniform(0.0, h, n)))
-    return PointPattern(points=pts, intensity=intensity, region=(w, h))
+    n = int(rng.poisson(intensity * (w * h)))
+    return np.column_stack((rng.uniform(0.0, w, n), rng.uniform(0.0, h, n)))
 
 
 def active_probability(lambda_u: float, lambda_b: float) -> float:
@@ -184,12 +153,9 @@ def active_probability(lambda_u: float, lambda_b: float) -> float:
 
 
 def path_loss(distance_km, alpha: float):
-    """Bounded power-law gain ``min(1, d^-alpha)``; equals 1 within unit distance."""
-    if alpha <= 2:
-        raise ConfigurationError("path loss exponent must be > 2")
+    """Bounded power-law gain ``min(1, d^-alpha)`` of distances ``d >= 0``;
+    equals 1 within unit distance."""
     d = np.asarray(distance_km, dtype=float)
-    if np.any(d < 0):
-        raise ConfigurationError("distance must be >= 0")
     with np.errstate(divide="ignore"):
         gain = np.minimum(1.0, np.where(d > 0, d, 1.0) ** (-alpha))
     return float(gain) if np.isscalar(distance_km) else gain
@@ -203,8 +169,6 @@ def normalized_interference(cfg: GeometryConfig) -> float:
     with the transmit power converted from dBm. Singular as alpha -> 2.
     """
     a = cfg.path_loss_alpha
-    if a <= 2:
-        raise ConfigurationError("normalized interference undefined for alpha <= 2")
     R = cfg.reception_radius_km
     geom = (cfg.lambda_u * np.pi * R) ** 2
     geom *= cfg.num_antennas ** -0.5 * cfg.lambda_b ** (-a / 2.0)
@@ -222,7 +186,7 @@ def average_rate(model: RateModel, cfg: GeometryConfig) -> float:
     """Average downlink rate per unit bandwidth, in nats.
 
     ``E_g[log(1 + Na * P * l(d0) * g / (noise_term + Ihat * sqrt(Na)))]``
-    with ``g ~ Exp(1)`` scaled by the fading mean, evaluated by fixed
+    with ``g ~ Exp(1)`` (unit-mean Rayleigh fading), evaluated by fixed
     32-node Gauss-Laguerre quadrature so the result is deterministic.
     Strictly positive and strictly decreasing in the interference term.
     """
@@ -230,8 +194,7 @@ def average_rate(model: RateModel, cfg: GeometryConfig) -> float:
     if denom <= 0:
         raise ConfigurationError("degenerate SINR: zero noise and interference")
     signal = (cfg.num_antennas * cfg.tx_power_mw
-              * path_loss(model.serving_distance_km, cfg.path_loss_alpha)
-              * model.fading_mean)
+              * path_loss(model.serving_distance_km, cfg.path_loss_alpha))
     nodes, weights = _laguerre32()
     return float(np.sum(weights * np.log1p(signal * nodes / denom)))
 
@@ -239,8 +202,6 @@ def average_rate(model: RateModel, cfg: GeometryConfig) -> float:
 def nearest_sbs_distance(lambda_b: float) -> float:
     """Expected distance to the nearest station of a density-``lambda_b`` PPP,
     ``1 / (2 sqrt(lambda_b))``; used as the representative serving distance."""
-    if lambda_b <= 0:
-        raise ConfigurationError("lambda_b must be > 0")
     return float(1.0 / (2.0 * np.sqrt(lambda_b)))
 
 
@@ -257,5 +218,4 @@ def rate_model_from_config(cfg: GeometryConfig) -> RateModel:
         interference_normalized=normalized_interference(cfg),
         noise_term=noise_term,
         serving_distance_km=nearest_sbs_distance(cfg.lambda_b),
-        fading_mean=1.0,
     )

@@ -15,8 +15,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import Field, dataclass, field, fields, is_dataclass
+from dataclasses import Field, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -115,21 +116,28 @@ class SimulationSettings:
             raise ConfigurationError("simulation.seed must be a 64-bit value")
 
 
+# Sweep key -> (section, field) that each of its values replaces in a sweep
+# point's scenario; that section's config holds the value's bounds.
+_SWEPT = {
+    "lambda_u_values": ("geometry", "lambda_u"),
+    "lambda_b_values": ("geometry", "lambda_b"),
+    "x0_values": ("demand", "x0"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSweeps:
-    """Parameter sweeps used by the comparison and robustness recipes."""
+    """Parameter sweeps used by the comparison and robustness recipes; the
+    scenario checks each value against the bounds of the field it sweeps."""
 
     lambda_u_values: tuple[float, ...] = (1e-4, 2.5e-4)
     lambda_b_values: tuple[float, ...] = (0.005, 0.02, 0.035, 0.05)
     x0_values: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
     def __post_init__(self) -> None:
-        for name in ("lambda_u_values", "lambda_b_values", "x0_values"):
-            vals = getattr(self, name)
-            if not vals:
+        for name in _SWEPT:
+            if not getattr(self, name):
                 raise ConfigurationError(f"experiments.{name} must be non-empty")
-            if any(not np.isfinite(v) for v in vals):
-                raise ConfigurationError(f"experiments.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,20 @@ class ScenarioConfig:
     simulation: SimulationSettings = field(default_factory=SimulationSettings)
     experiments: ExperimentSweeps = field(default_factory=ExperimentSweeps)
     outputs: OutputSettings = field(default_factory=OutputSettings)
+
+    def __post_init__(self) -> None:
+        """Build each sweep point's section as the recipes do, so a bad
+        sweep value fails here, by its sweep key, and not mid-run."""
+        with warnings.catch_warnings():
+            # A sweep point outside the ultra-dense regime warns when run.
+            warnings.simplefilter("ignore", UserWarning)
+            for name, (section, key) in _SWEPT.items():
+                for value in getattr(self.experiments, name):
+                    try:
+                        replace(getattr(self, section), **{key: value})
+                    except ConfigurationError as exc:
+                        raise ConfigurationError(
+                            f"experiments.{name} value {value!r}: {exc}") from exc
 
 
 def _float_list(raw: str) -> tuple[float, ...]:

@@ -75,10 +75,6 @@ class World:
     mu: np.ndarray          # current period means
     histories: list[CrpState]
 
-    def __post_init__(self) -> None:
-        if not (self.remaining.shape == self.x.shape == self.mu.shape):
-            raise ConfigurationError("per-content arrays must share a shape")
-
     def __len__(self) -> int:
         return self.remaining.shape[0]
 
@@ -135,9 +131,10 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
     geo, dem, cst, sol = (scenario.geometry, scenario.demand, scenario.costs,
                           scenario.solver)
     region = (geo.region_width_km, geo.region_height_km)
-    pattern = sample_ppp(geo.lambda_b, region, rng)
+    points = sample_ppp(geo.lambda_b, region, rng)
     center = np.array(region) / 2.0
-    points = pattern.points if len(pattern) else center[None, :]
+    if not len(points):
+        points = center[None, :]
     k, m = points.shape[0], dem.catalog_size
     histories = [CrpState.empty(m, theta=dem.theta, nu=dem.nu) for _ in range(k)]
     q0 = np.clip(rng.normal(sol.m0_q_mean, sol.m0_q_std, (k, m)), 0.0, cst.storage)

@@ -93,8 +93,8 @@ class Grid:
     @classmethod
     def make(cls, nt: int, nx: int, nq: int, horizon: float,
              storage: float, x_min: float = FLOOR_EPS) -> "Grid":
-        if horizon <= 0 or storage <= 0 or not 0 < x_min < 1:
-            raise ConfigurationError("grid bounds must be positive with x_min in (0, 1)")
+        """Uniform grid on ``[0, horizon] x [x_min, 1] x [0, storage]``;
+        bounds that span no interval fail the node checks."""
         return cls(
             t=np.linspace(0.0, horizon, nt),
             x=np.linspace(x_min, 1.0, nx),
@@ -576,9 +576,7 @@ def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolut
 def gaussian_initial_density(grid: Grid, x_mean: float, x_std: float,
                              q_mean: float, q_std: float) -> np.ndarray:
     """Truncated product Gaussian on the (x, q) grid, normalized to unit mass
-    under the cell rule."""
-    if x_std <= 0 or q_std <= 0:
-        raise ConfigurationError("initial density widths must be > 0")
+    under the cell rule; the widths are positive."""
     gx = np.exp(-0.5 * ((grid.x - x_mean) / x_std) ** 2)
     gq = np.exp(-0.5 * ((grid.q - q_mean) / q_std) ** 2)
     m0 = gx[:, None] * gq[None, :]

@@ -19,7 +19,6 @@ from mfcache.demand import (
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import (
     GeometryConfig,
-    PointPattern,
     RateModel,
     average_rate,
     path_loss,
@@ -306,11 +305,11 @@ def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,
     return p_star, violations
 
 
-def monte_carlo_interference(pattern: PointPattern, user_xy, cfg: GeometryConfig,
+def monte_carlo_interference(pattern: np.ndarray, user_xy, cfg: GeometryConfig,
                              p_a: float, rng: np.random.Generator,
                              n_samples: int) -> np.ndarray:
     """``n_samples`` independent samples of the aggregate interference power
-    at ``user_xy``.
+    at ``user_xy`` from the stations of an ``(n, 2)`` position array.
 
     Stations inside the reception ball are kept independently with
     probability ``p_a`` (dormant stations do not transmit); each retained
@@ -322,7 +321,7 @@ def monte_carlo_interference(pattern: PointPattern, user_xy, cfg: GeometryConfig
     if not 0.0 <= p_a <= 1.0:
         raise ConfigurationError("p_a must lie in [0, 1]")
     user = np.asarray(user_xy, dtype=float)
-    d = np.hypot(pattern.points[:, 0] - user[0], pattern.points[:, 1] - user[1])
+    d = np.hypot(pattern[:, 0] - user[0], pattern[:, 1] - user[1])
     gains = path_loss(d[d <= cfg.reception_radius_km], cfg.path_loss_alpha)
     active = rng.random((n_samples, gains.size)) < p_a
     fading = rng.exponential(1.0, (n_samples, gains.size))
@@ -339,8 +338,7 @@ def average_rate_monte_carlo(model: RateModel, cfg: GeometryConfig,
     if denom <= 0:
         raise ConfigurationError("degenerate SINR: zero noise and interference")
     signal = (cfg.num_antennas * cfg.tx_power_mw
-              * path_loss(model.serving_distance_km, cfg.path_loss_alpha)
-              * model.fading_mean)
+              * path_loss(model.serving_distance_km, cfg.path_loss_alpha))
     g = rng.exponential(1.0, n_samples)
     return float(np.mean(np.log1p(signal * g / denom)))
 

@@ -105,7 +105,7 @@ def test_criterion_03_crp_distinct_count():
     for i in range(runs):
         state = CrpState.empty(2000, theta=theta, nu=nu)
         refresh_period(state, simulate_requests(state, n_requests, rng))
-        distinct[i] = state.distinct
+        distinct[i] = np.count_nonzero(state.counts)
     expected = expected_distinct_contents(n_requests, theta, nu)
     rel = abs(distinct.mean() - expected) / expected
     report("criterion 3 (request-history oracle)", rel < 0.05,
@@ -174,7 +174,7 @@ def test_criterion_06_static_popularity_control_bound():
         grid = DEFAULT_GRID
         from mfcache.experiments import problem_from_scenario
         sc = replace(base, demand=replace(base.demand, x0=x0))
-        template = problem_from_scenario(sc, grid, x0=x0)
+        template = problem_from_scenario(sc, grid)
         problem = MfgProblem(mu=x0, reversion_rate=0.0, volatility=0.0,
                              costs=template.costs,
                              rate_path=template.rate_path,

@@ -100,7 +100,19 @@ class TestScenarioParsing:
                           ("[demand]\nfloor_eps = 1e-9\n", "demand.floor_eps"),
                           ("[demand]\nfloor_eps = 1.0\n", "demand.floor_eps"),
                           ("[solver]\nm0_q_std = 0\n", "solver.m0_q_std"),
-                          ("[solver]\nm0_x_std = 0\n", "solver.m0_x_std")]:
+                          ("[solver]\nm0_x_std = 0\n", "solver.m0_x_std"),
+                          ("[geometry]\nlambda_b = nan\n", "geometry.lambda_b"),
+                          ("[geometry]\npath_loss_alpha = 2.0\n",
+                           "geometry.path_loss_alpha"),
+                          ("[demand]\ntheta = 0\n", "demand.theta"),
+                          ("[demand]\nperiod = 0\n", "demand.period"),
+                          ("[solver]\ngrid_nt = 2\n", "solver.grid_nt"),
+                          ("[experiments]\nlambda_b_values = 0.05, -1\n",
+                           "experiments.lambda_b_values"),
+                          ("[experiments]\nlambda_u_values = -3\n",
+                           "experiments.lambda_u_values"),
+                          ("[experiments]\nx0_values = 0.2, 1.5\n",
+                           "experiments.x0_values")]:
             with pytest.raises(ConfigurationError, match=key):
                 parse_scenario(text)
 
@@ -143,6 +155,16 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[geometry]\nlambda_b = -1\n")
         assert main(["validate", "--scenario", str(bad), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("key, value", [("lambda_b_values", "-1"),
+                                            ("lambda_u_values", "-3"),
+                                            ("x0_values", "1.5")])
+    def test_validate_rejects_bad_sweep_value_by_key(self, tmp_path, caplog,
+                                                     key, value):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[experiments]\n{key} = {value}\n")
+        assert main(["validate", "--scenario", str(bad), "--quiet"]) == 2
+        assert f"experiments.{key}" in caplog.text
 
     def test_missing_scenario_is_validation_failure(self):
         assert main(["validate", "--scenario", "/no/such/file", "--quiet"]) == 2

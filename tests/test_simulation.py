@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from mfcache.costs import CostParams, empirical_overlap
-from mfcache.demand import FLOOR_EPS, CrpState
+from mfcache.demand import FLOOR_EPS
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import average_rate, rate_model_from_config
 from mfcache.scenario import DemandConfig, ScenarioConfig, SimulationSettings, SolverSettings
@@ -53,14 +53,6 @@ class TestBuildWorld:
         assert world.mu == pytest.approx(np.full((k, 5), 0.2))  # fresh histories
         assert len(world.histories) == k
         assert hood.size >= 1
-
-
-class TestWorld:
-    def test_per_content_arrays_must_share_a_shape(self):
-        with pytest.raises(ConfigurationError):
-            World(position=np.zeros((2, 2)), remaining=np.zeros((2, 5)),
-                  x=np.zeros((2, 5)), mu=np.zeros((2, 4)),
-                  histories=[CrpState.empty(5), CrpState.empty(5)])
 
 
 class TestStep:

@@ -50,7 +50,8 @@ class CostParams:
 
     ``similar_count`` is the number of contents with asymptotically equal
     request probability (the overlap denominator); ``popularity_eps`` is the
-    half-width of the band defining that set.
+    half-width of the band defining that set. It is parsed and hashed with
+    the scenario, but nothing reads it yet.
     """
 
     gamma: float = 1.0

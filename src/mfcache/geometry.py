@@ -79,14 +79,6 @@ class GeometryConfig:
             raise ConfigurationError("geometry.lambda_b must be > 0")
         if self.lambda_u < 0:
             raise ConfigurationError("geometry.lambda_u must be >= 0")
-        if self.lambda_u > self.lambda_b:
-            # Ultra-dense regime assumes more stations than users; still usable.
-            warnings.warn(
-                "geometry: lambda_u exceeds lambda_b; outside the ultra-dense "
-                "regime the density-normalized interference model is a rough "
-                "approximation",
-                stacklevel=2,
-            )
         if self.path_loss_alpha <= 2:
             raise ConfigurationError("geometry.path_loss_alpha must be > 2")
         if self.num_antennas < 1:
@@ -167,7 +159,15 @@ def normalized_interference(cfg: GeometryConfig) -> float:
     ``(lambda_u pi R)^2 * Na^-1/2 * lambda_b^-alpha/2
     * (1 + (1 - R^(2-alpha)) / (alpha - 2)) * P * E|g|^2`` in milliwatts,
     with the transmit power converted from dBm. Singular as alpha -> 2.
+    The model assumes more stations than users and warns, once per process,
+    when ``lambda_u`` exceeds ``lambda_b``.
     """
+    if cfg.lambda_u > cfg.lambda_b:
+        warnings.warn(
+            "geometry: lambda_u exceeds lambda_b; outside the ultra-dense "
+            "regime the density-normalized interference model is a rough "
+            "approximation",
+        )
     a = cfg.path_loss_alpha
     R = cfg.reception_radius_km
     geom = (cfg.lambda_u * np.pi * R) ** 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import Field, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -159,16 +158,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         """Build each sweep point's section as the recipes do, so a bad
         sweep value fails here, by its sweep key, and not mid-run."""
-        with warnings.catch_warnings():
-            # A sweep point outside the ultra-dense regime warns when run.
-            warnings.simplefilter("ignore", UserWarning)
-            for name, (section, key) in _SWEPT.items():
-                for value in getattr(self.experiments, name):
-                    try:
-                        replace(getattr(self, section), **{key: value})
-                    except ConfigurationError as exc:
-                        raise ConfigurationError(
-                            f"experiments.{name} value {value!r}: {exc}") from exc
+        for name, (section, key) in _SWEPT.items():
+            for value in getattr(self.experiments, name):
+                try:
+                    replace(getattr(self, section), **{key: value})
+                except ConfigurationError as exc:
+                    raise ConfigurationError(
+                        f"experiments.{name} value {value!r}: {exc}") from exc
 
 
 def _float_list(raw: str) -> tuple[float, ...]:

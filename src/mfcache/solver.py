@@ -25,13 +25,14 @@ Discretization: uniform tensor grid. The backward pass uses explicit upwind
 differencing for both drifts (one-sided inward stencils at boundaries, zero
 advection where the drift pushes against a boundary, matching the reflected
 state) and implicit centered differencing for the diffusion. The diffusion
-matrix is the same at every level, so it is eliminated once per pass and
-each level runs only the forward and back substitution, in numpy and in
-LAPACK ``gtsv``'s order. The forward pass uses conservative finite-volume
-upwind fluxes with zero-flux boundaries, so total mass is preserved to
-round-off and nonnegativity is maintained under the step-size condition
-checked on entry. Each pass checks its inputs once, on entry; the level loop
-calls the control and the cost formulas of :mod:`.costs` unchecked.
+matrix is the same at every level, so its inverse is formed once per pass
+and each level's implicit step is one matrix product; the values agree with
+a LAPACK tridiagonal solve to round-off. The forward pass uses conservative
+finite-volume upwind fluxes with zero-flux boundaries, so total mass is
+preserved to round-off and nonnegativity is maintained under the step-size
+condition checked on entry. Each pass checks its inputs once, on entry; the
+level loop calls the control and the cost formulas of :mod:`.costs`
+unchecked.
 """
 
 from __future__ import annotations
@@ -305,62 +306,22 @@ def _dq_centered(v: np.ndarray, dq: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diffusion_factor(nx: int, dx: float, dt: float, eta: float):
-    """Elimination of the implicit diffusion matrix ``I - dt D Lxx`` with
-    reflecting ends, for :func:`solve_banded`; ``None`` when there is no
-    diffusion.
-
-    The matrix is tridiagonal with ``-c`` on both off-diagonals and strictly
-    diagonally dominant, so Gaussian elimination swaps no rows. It is done
-    once, in LAPACK ``gtsv``'s order, and returned as ``(multipliers,
-    diagonal, upper)``: the row multipliers, the eliminated diagonal and the
-    constant upper diagonal ``-c``. Each entry is a 0-d array, which numpy's
-    ufuncs take in less time than a Python float.
-    """
-    if eta == 0.0:
-        return None
+def _diffusion_inverse(nx: int, dx: float, dt: float, eta: float) -> np.ndarray:
+    """Inverse of the implicit diffusion matrix ``I - dt D Lxx`` with
+    reflecting ends, formed once per backward pass; the identity when there
+    is no diffusion."""
     c = dt * eta ** 2 / (2.0 * dx ** 2)
-    diagonal = [1.0 + c] + [1.0 + 2.0 * c] * (nx - 2) + [1.0 + c]
-    multipliers = []
-    for i in range(nx - 1):
-        fact = -c / diagonal[i]
-        diagonal[i + 1] = diagonal[i + 1] - fact * -c
-        multipliers.append(fact)
-    return ([np.array(f) for f in multipliers], [np.array(d) for d in diagonal],
-            np.array(-c))
+    matrix = np.diag(np.full(nx, 1.0 + 2.0 * c))
+    matrix[0, 0] = matrix[-1, -1] = 1.0 + c
+    off = np.arange(nx - 1)
+    matrix[off, off + 1] = matrix[off + 1, off] = -c
+    return np.linalg.inv(matrix)
 
 
-_ZERO = np.array(0.0)
-
-
-def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve the diffusion system eliminated by :func:`_diffusion_factor`
-    for the columns of ``rhs`` (one row per popularity node), leaving
-    ``rhs`` unchanged.
-
-    Forward and back substitution follow LAPACK ``gtsv`` operation for
-    operation, so the result equals a LAPACK tridiagonal solve of the same
-    matrix bit for bit. The back step keeps ``gtsv``'s term for the
-    zeroed second superdiagonal, ``- 0.0 * b[i + 2]``: it turns a ``-0.0``
-    into ``+0.0`` where ``b[i + 2]`` is negative or ``-0.0``.
-    """
-    multipliers, diagonal, upper = factor
-    b = np.array(rhs, dtype=float)
-    rows = list(b)
-    tmp = np.empty(b.shape[1:])
-    mul, sub, div = np.multiply, np.subtract, np.divide
-    for fact, prev, row in zip(multipliers, rows, rows[1:]):
-        sub(row, mul(fact, prev, tmp), row)
-    div(rows[-1], diagonal[-1], rows[-1])
-    row = rows[-2]
-    sub(row, mul(upper, rows[-1], tmp), row)
-    div(row, diagonal[-2], row)
-    for row, after, second, d in zip(rows[-3::-1], rows[-2::-1], rows[::-1],
-                                     diagonal[-3::-1]):
-        sub(row, mul(upper, after, tmp), row)
-        sub(row, mul(_ZERO, second, tmp), row)
-        div(row, d, row)
-    return b
+def solve_banded(inverse: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Apply the diffusion step, the inverse of :func:`_diffusion_inverse`,
+    to the columns of ``rhs`` (one row per popularity node)."""
+    return inverse @ rhs
 
 
 def _check_step_size(problem: MfgProblem, grid: Grid,
@@ -410,7 +371,7 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     bx = problem.reversion_rate * (problem.mu - x_col) * np.ones((1, nq))
     bx_forward = bx > 0
     psi = storage_cost(grid.q, c.storage, c.gamma)[None, :]
-    factor = _diffusion_factor(nx, grid.dx, grid.dt, problem.volatility)
+    inverse = _diffusion_inverse(nx, grid.dx, grid.dt, problem.volatility)
     advect_x = _Upwind((nx, nq), 0, grid.dx)
     advect_q = _Upwind((nx, nq), 1, grid.dq)
     dqv = np.empty((nx, nq))
@@ -438,11 +399,8 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
         adv = (advect_x(v[level], bx, bx_forward)
                + advect_q(v[level], bq, bq > 0))
         rhs = v[level] + dt * (source + adv)
-        if factor is None:
-            v[level - 1] = rhs
-        else:
-            # A non-finite right-hand side is caught by the check below.
-            v[level - 1] = solve_banded(factor, rhs)
+        # A non-finite right-hand side is caught by the check below.
+        v[level - 1] = solve_banded(inverse, rhs)
         if not np.isfinite(v[level - 1]).all():
             raise SolverError(
                 f"backward pass produced non-finite values at t index {level - 1} "

@@ -376,8 +376,6 @@ def _reference_dq_centered(v, dq):
 
 
 def reference_diffusion_band(nx, dx, dt, eta):
-    if eta == 0.0:
-        return None
     c = dt * eta ** 2 / (2.0 * dx ** 2)
     ab = np.zeros((3, nx))
     ab[0, 1:] = -c
@@ -389,8 +387,6 @@ def reference_diffusion_band(nx, dx, dt, eta):
 
 
 def reference_hjb_backward(m, problem, grid, config):
-    from scipy.linalg import solve_banded
-
     from mfcache.costs import backhaul_cost, mf_overlap, storage_cost
     from mfcache.errors import SolverError
     from mfcache.solver import optimal_control
@@ -404,6 +400,8 @@ def reference_hjb_backward(m, problem, grid, config):
     bx = problem.reversion_rate * (problem.mu - x_col) * np.ones((1, nq))
     psi = storage_cost(grid.q, c.storage, c.gamma)[None, :]
     ab = reference_diffusion_band(nx, grid.dx, grid.dt, problem.volatility)
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    inverse = np.linalg.inv(dense)
     overlap_lag = 0.0
     for level in range(nt - 1, -1, -1):
         rate = float(problem.rate_path[level])
@@ -424,7 +422,7 @@ def reference_hjb_backward(m, problem, grid, config):
         adv = (_reference_upwind_advection(v[level], bx, grid.dx, axis=0)
                + _reference_upwind_advection(v[level], bq, grid.dq, axis=1))
         rhs = v[level] + grid.dt * (source + adv)
-        v[level - 1] = rhs if ab is None else solve_banded((1, 1), ab, rhs)
+        v[level - 1] = inverse @ rhs
         if not np.isfinite(v[level - 1]).all():
             raise SolverError(f"non-finite values at t index {level - 1}")
     return v, p

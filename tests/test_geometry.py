@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mfcache
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import (
     GeometryConfig,
@@ -18,6 +23,7 @@ from mfcache.geometry import (
 
 from support import average_rate_monte_carlo, monte_carlo_interference
 
+SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(mfcache.__file__)))
 REGION = (20.0, 20.0)
 
 
@@ -205,5 +211,27 @@ def test_request_region_count_floor():
 
 
 def test_udn_inversion_only_warns():
-    with pytest.warns(UserWarning):
-        GeometryConfig(lambda_b=0.001, lambda_u=0.01)
+    cfg = GeometryConfig(lambda_b=0.001, lambda_u=0.01)
+    with pytest.warns(UserWarning, match="lambda_u exceeds lambda_b"):
+        normalized_interference(cfg)
+
+
+def test_udn_warning_shows_once_per_process():
+    # Three sweep-point scenarios outside the ultra-dense regime, each
+    # built with its sweeps checked, then each one's rate model.
+    code = (
+        "from dataclasses import replace\n"
+        "from mfcache.geometry import rate_model_from_config\n"
+        "from mfcache.scenario import ScenarioConfig\n"
+        "sc = ScenarioConfig()\n"
+        "points = [replace(sc, geometry=replace(sc.geometry, lambda_u=v))\n"
+        "          for v in (0.1, 0.2, 0.3)]\n"
+        "for point in points:\n"
+        "    rate_model_from_config(point.geometry)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SOURCE_ROOT, env.get("PYTHONPATH"))))
+    err = subprocess.run([sys.executable, "-W", "default", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stderr
+    assert err.count("lambda_u exceeds lambda_b") == 1, err

@@ -19,7 +19,7 @@ from mfcache.solver import (
     Grid,
     MfgProblem,
     SolverConfig,
-    _diffusion_factor,
+    _diffusion_inverse,
     fpk_forward,
     gaussian_initial_density,
     hjb_backward,
@@ -183,16 +183,17 @@ class TestHjbBackward:
 
 
 class TestDiffusionSolve:
-    """The diffusion matrix is eliminated once per backward pass and solved
-    per level in numpy; the result must be LAPACK's, signed zeros included."""
+    """The inverse of the diffusion matrix is formed once per backward pass
+    and applied per level; the result must be LAPACK's tridiagonal solve of
+    the same matrix, to round-off."""
 
     @pytest.mark.parametrize("eta", [0.01, 2.0], ids=["weak", "strong"])
     @pytest.mark.parametrize("nx", [3, 4, 21, 31, 41])
-    def test_matches_lapack_bit_for_bit(self, nx, eta):
+    def test_matches_lapack_to_round_off(self, nx, eta):
         from scipy.linalg import solve_banded as lapack_solve_banded
 
         dx, dt = 1.0 / (nx - 1), 0.025
-        factor = _diffusion_factor(nx, dx, dt, eta)
+        inverse = _diffusion_inverse(nx, dx, dt, eta)
         band = reference_diffusion_band(nx, dx, dt, eta)
         rng = np.random.default_rng(nx)
         for _ in range(30):
@@ -203,16 +204,19 @@ class TestDiffusionSolve:
             rhs[:, 0] = -0.0
             rhs[:, 1] = np.where(np.arange(nx) % 2, 0.0, -0.0)
             before = rhs.copy()
-            out = solve_banded(factor, rhs)
+            out = solve_banded(inverse, rhs)
             expected = lapack_solve_banded((1, 1), band, rhs)
-            assert out.tobytes() == expected.tobytes()
+            bound = 1e-13 * np.abs(rhs).max(axis=0)
+            assert (np.abs(out - expected) <= bound).all()
             assert rhs.tobytes() == before.tobytes()
 
-    def test_no_diffusion_has_no_factor(self):
-        assert _diffusion_factor(21, 0.05, 0.025, 0.0) is None
+    def test_no_diffusion_inverse_is_identity(self):
+        inverse = _diffusion_inverse(21, 0.05, 0.025, 0.0)
+        assert np.array_equal(inverse, np.eye(21))
+        assert not np.signbit(inverse).any()
 
-    # One solve per stepped level: nt - 1 = 40 with diffusion, none without.
-    @pytest.mark.parametrize("eta, solves", [(0.1, 40), (0.0, 0)])
+    # One solve per stepped level, nt - 1 = 40, with or without diffusion.
+    @pytest.mark.parametrize("eta, solves", [(0.1, 40), (0.0, 40)])
     def test_one_solve_per_level(self, eta, solves, monkeypatch):
         grid = Grid.make(41, 21, 21, 1.0, 1.0)
         problem = make_problem(grid, eta=eta)
@@ -419,25 +423,34 @@ def assert_bitwise_equal(actual, expected):
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
+REFERENCE_CASES = [
+    (DEFAULT_GRID, None, False),
+    (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(backhaul=2.0, gamma=0.1), False),
+    (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(gamma=30.0), True),
+]
+REFERENCE_IDS = ["default-grid", "backhaul-2-gamma-0.1", "live-control-gamma-30"]
+
+
+def flip_storage_charge(monkeypatch):
+    """The charge on unused storage of the live fixed-point test, in the
+    solver's binding and in the one the reference imports."""
+    def flipped(q, storage, gamma):
+        return gamma * q / storage
+
+    monkeypatch.setattr(mfcache.solver, "storage_cost", flipped)
+    monkeypatch.setattr(mfcache.costs, "storage_cost", flipped)
+
+
 class TestReferenceLevelStep:
     """The passes validate on entry and reuse buffers; their fields must
-    equal the reference level steps of ``tests/support.py`` bit for bit."""
+    equal the reference level steps of ``tests/support.py`` bit for bit, and
+    those of a LAPACK diffusion solve to round-off."""
 
-    @pytest.mark.parametrize("grid, costs, live", [
-        (DEFAULT_GRID, None, False),
-        (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(backhaul=2.0, gamma=0.1),
-         False),
-        (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(gamma=30.0), True),
-    ], ids=["default-grid", "backhaul-2-gamma-0.1", "live-control-gamma-30"])
+    @pytest.mark.parametrize("grid, costs, live", REFERENCE_CASES,
+                             ids=REFERENCE_IDS)
     def test_solve_mfe_matches_reference(self, grid, costs, live, monkeypatch):
         if live:
-            # The charge on unused storage of the live fixed-point test, in
-            # the solver's binding and in the one the reference imports.
-            def flipped(q, storage, gamma):
-                return gamma * q / storage
-
-            monkeypatch.setattr(mfcache.solver, "storage_cost", flipped)
-            monkeypatch.setattr(mfcache.costs, "storage_cost", flipped)
+            flip_storage_charge(monkeypatch)
         problem = make_problem(grid, costs=costs)
         config = SolverConfig()
         v, m, p, residuals = reference_solve_mfe(problem, grid, config)
@@ -449,6 +462,30 @@ class TestReferenceLevelStep:
         assert_bitwise_equal(solution.m, m)
         assert_bitwise_equal(solution.p, p)
         assert solution.residual_history == residuals
+
+    @pytest.mark.parametrize("grid, costs, live", REFERENCE_CASES,
+                             ids=REFERENCE_IDS)
+    def test_solve_mfe_matches_the_lapack_solve(self, grid, costs, live,
+                                                monkeypatch):
+        # The same fixed point with each diffusion step solved by LAPACK's
+        # banded solve of the same matrix: the fields agree to round-off.
+        from scipy.linalg import solve_banded as lapack_solve_banded
+
+        if live:
+            flip_storage_charge(monkeypatch)
+        problem = make_problem(grid, costs=costs)
+        config = SolverConfig()
+        solution = solve_mfe(problem, grid, config)
+        band = reference_diffusion_band(grid.x.size, grid.dx, grid.dt,
+                                        problem.volatility)
+        monkeypatch.setattr(mfcache.solver, "solve_banded",
+                            lambda inverse, rhs: lapack_solve_banded((1, 1), band, rhs))
+        lapack = solve_mfe(problem, grid, config)
+        assert solution.iterations == lapack.iterations
+        v_scale = np.abs(lapack.v).max()
+        assert np.abs(solution.v - lapack.v).max() <= 1e-12 * v_scale
+        assert np.abs(solution.m - lapack.m).max() <= 1e-12
+        assert np.abs(solution.p - lapack.p).max() <= 1e-12
 
     def test_fpk_matches_reference_under_active_control(self):
         grid = Grid.make(61, 31, 31, 1.0, 1.0)

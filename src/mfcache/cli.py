@@ -50,7 +50,13 @@ from .experiments import (
     one_solve_per_input,
     solve_all_contents,
 )
-from .io import write_csv, write_manifest, write_residuals_csv, write_solution_csv
+from .io import (
+    write_csv,
+    write_manifest,
+    write_marginal_csv,
+    write_residuals_csv,
+    write_solution_csv,
+)
 from .scenario import ScenarioConfig, load_scenario, scenario_hash, serialize_scenario
 
 log = logging.getLogger(__name__)
@@ -147,12 +153,9 @@ def cmd_solve(args) -> int:
     rows = control_trajectory(solution, scenario, scenario.demand.x0)
     write_csv(os.path.join(out, f"control_trajectory_{stem}.csv"),
               ("t", "Q", "p"), rows)
-    g = solution.grid
-    marginal = solution.m.sum(axis=1) * g.dx
-    write_csv(os.path.join(out, f"density_marginal_{stem}.csv"),
-              ("t", "Q", "m"),
-              ((g.t[i], g.q[j], marginal[i, j])
-               for i in range(g.t.size) for j in range(g.q.size)))
+    write_marginal_csv(solution.grid,
+                       solution.m.sum(axis=1) * solution.grid.dx,
+                       os.path.join(out, f"density_marginal_{stem}.csv"))
     write_csv(os.path.join(out, "content_solutions.csv"),
               ("content", "solution_content"),
               ((content, 0) for content in range(scenario.demand.catalog_size)))

@@ -8,7 +8,7 @@ probability, plus a linear charge on occupied storage:
     J = -log(B - L p) * (1 + I_r) / (rate * x) + gamma * (C - Q) / C
 
 Each term has one function, called by the solver's backward pass and the
-simulator's step alike: :func:`backhaul_cost` (the barrier),
+simulator's metrics pass alike: :func:`backhaul_cost` (the barrier),
 :func:`storage_cost` (the charge) and :func:`running_cost` (the sum).
 
 Overlap comes in two forms: :func:`empirical_overlap`, the leave-one-out sum

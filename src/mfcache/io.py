@@ -2,9 +2,10 @@
 
 All CSVs are comma-separated with a header row and 17-significant-digit
 floats, so equal runs produce byte-identical files. The solution export
-formats its grid coordinates once per grid and renders each time level from
-one template. Every run directory gets a ``manifest.txt`` recording the
-scenario hash, seed, versions, iteration counts, and wall time.
+and the storage-marginal table format their grid coordinates once per grid
+and render each time level from one template. Every run directory gets a
+``manifest.txt`` recording the scenario hash, seed, versions, iteration
+counts, and wall time.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .solver import MfeSolution
+from .solver import Grid, MfeSolution
 
 __all__ = ["format_value", "write_csv", "write_solution_csv",
-           "write_residuals_csv", "write_manifest"]
+           "write_marginal_csv", "write_residuals_csv", "write_manifest"]
 
 
 def format_value(value) -> str:
@@ -68,6 +69,16 @@ def write_solution_csv(solution: MfeSolution, path: str) -> None:
             ).ravel().tolist())
 
     write_csv(path, ("t", "x", "Q", "v", "m", "p"), levels())
+
+
+def write_marginal_csv(grid: Grid, marginal: np.ndarray, path: str) -> None:
+    """Storage-marginal density ``(t, Q)`` table in row-major order: each
+    time level is rendered with one ``%`` over the level's ``marginal`` row,
+    as :func:`write_solution_csv` renders its levels."""
+    cells = [""] + ["%.17g,%%.17g\n" % q for q in grid.q.tolist()]
+    write_csv(path, ("t", "Q", "m"),
+              (("%.17g," % t).join(cells) % tuple(row)
+               for t, row in zip(grid.t.tolist(), marginal.tolist())))
 
 
 def write_residuals_csv(solution: MfeSolution, path: str) -> None:

@@ -58,12 +58,18 @@ class MfPolicy:
         self._grid = solution.grid
         self._p = solution.p
         self._cap = solution.p_max
+        t = solution.grid.t
+        self._t0, self._t_step = float(t[0]), float(t[1] - t[0])
 
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None
                  ) -> np.ndarray:
         g = self._grid
-        t_idx, t_frac = _locate(ctx.t, g.t)
-        t_i, t_w = int(t_idx), float(t_frac)
+        # The scalar time takes the steps of _locate in float arithmetic,
+        # the same IEEE operations as its array path.
+        nt = g.t.size
+        rel = min(max((ctx.t - self._t0) / self._t_step, 0.0), nt - 1.0)
+        t_i = min(int(rel), nt - 2)
+        t_w = rel - t_i
         x_i, x_w = _locate(ctx.x_hat, g.x)
         q_i, q_w = _locate(ctx.remaining, g.q)
         # Each time plane is read at flat cell indices; the eight terms keep

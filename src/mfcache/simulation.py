@@ -12,10 +12,13 @@ one world step at a time; no trajectory is stored.
 A step runs in a fixed order: popularity diffuses, the imperfect observation
 is drawn once if a lane needs it, and then each lane's policy picks cache
 fractions at the time within the period from its row of the storage stack.
-The rest runs once per step over the whole stack: the output check, the
-storage update (the cache/discard balance), the content overlap over the
-stations within the request radius of a typical user at the region center,
-and the running cost. At every period boundary that another step follows,
+The output check and the storage update (the cache/discard balance) then run
+once over the whole stack. No step reads the metrics, so they are computed
+apart from the state transition: the hood's rows of each step (the stations
+within the request radius of a typical user at the region center) are
+buffered, and once per period :func:`hood_metrics` computes the content
+overlap, the running cost, the storage usage and the barrier hits of all
+buffered steps at once. At every period boundary that another step follows,
 each history folds its sampled arrivals once into new means.
 
 Randomness is split into three independent streams per seed. The world
@@ -37,6 +40,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .costs import (
+    CostParams,
     backhaul_cost,
     empirical_overlap,
     lra_cost,
@@ -57,7 +61,7 @@ from .policies import PolicyContext
 from .scenario import ScenarioConfig
 
 __all__ = ["World", "Lane", "MetricsLog", "PairedRun", "build_world", "step",
-           "run_replication", "run_scenario", "ipi_experiment"]
+           "hood_metrics", "run_replication", "run_scenario", "ipi_experiment"]
 
 log = logging.getLogger(__name__)
 
@@ -163,23 +167,23 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane],
          remaining: np.ndarray, t: float, dt: float, rate: float,
          scenario: ScenarioConfig, world_rng: np.random.Generator,
          ipi_rng: np.random.Generator | None
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+         ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the world and every lane by ``dt``.
 
     ``remaining`` stacks the lanes' storage ``(lanes, K, M)`` in lane order.
     Returns the new storage stack (a new array: a context keeps its row of
-    the old one), the metrics rows ``(3, lanes)`` (cost, overlap, storage
-    usage) and the barrier hits per lane.
+    the old one) and the stack of the lanes' cache fractions, of the same
+    shape. The step does not read ``hood``: the caller buffers the hood's
+    rows of both stacks for :func:`hood_metrics`.
 
     Order: popularity step and observations, shared by all lanes (an
     imperfect lane needs ``ipi_rng``); each lane's policy on its row of the
-    stack; then, once over all lanes, the storage update (clamped to [0, C];
-    discarding pauses at full remaining storage), overlap over the typical
-    neighborhood, and cost accumulation with the true popularity floored at
-    the observation floor. The context holds arrays the step has clipped and
-    is not checked; the policies' outputs are checked (each of the storage
-    shape, then no NaN and values in ``[0, 1]`` over all lanes and stations)
-    and raise :class:`ConfigurationError` otherwise.
+    stack; then, once over all lanes, the output check and the storage
+    update (clamped to [0, C]; discarding pauses at full remaining storage).
+    The context holds arrays the step has clipped and is not checked; the
+    policies' outputs are checked (each of the storage shape, then no NaN
+    and values in ``[0, 1]`` over all lanes and stations) and raise
+    :class:`ConfigurationError` otherwise.
     """
     dem, cst = scenario.demand, scenario.costs
     floor = dem.ipi.floor_eps
@@ -210,22 +214,36 @@ def step(world: World, hood: np.ndarray, lanes: list[Lane],
                                  "[0, 1], with no NaN")
     q = np.clip(remaining + (cst.discard_rate - cst.content_size * p) * dt,
                 0.0, cst.storage)
+    return q, p
 
-    # The gathers keep lanes outermost (p[:, hood] would put the hood axis
-    # first), so each lane's means below reduce the same contiguous runs, in
-    # the same order, as a one-lane step does.
-    p_hood = p.take(hood, axis=1)
-    q_hood = q.take(hood, axis=1)
-    overlap = empirical_overlap(p_hood, cst.storage, cst.similar_count)
-    phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
-    psi = storage_cost(q_hood, cst.storage, cst.gamma)
-    cost = running_cost(phi, overlap, rate * np.maximum(x[hood], floor), psi)
-    n = len(lanes)
-    rows = np.stack([cost.sum(axis=2).mean(axis=1),
-                     overlap.reshape(n, -1).mean(axis=1),
-                     (cst.storage - q_hood).reshape(n, -1).mean(axis=1)])
-    hits = (~np.isfinite(phi)).reshape(n, -1).sum(axis=1)
-    return q, rows, hits
+
+def hood_metrics(p: np.ndarray, q: np.ndarray, x: np.ndarray, rate: float,
+                 costs: CostParams, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Metrics of buffered steps over the typical neighborhood.
+
+    ``p`` and ``q`` hold the hood's cache fractions and storage after each
+    step, ``(steps, lanes, H, M)``, and ``x`` its true request
+    probabilities, ``(steps, H, M)``. Returns the rows ``(3, lanes,
+    steps)`` (cost, overlap, storage usage) and the barrier hits per lane.
+    The overlap is the leave-one-out sum over the hood; the cost floors the
+    true popularity at ``floor``. Each row sums over contents, then
+    averages over the hood, so a step's row does not depend on how many
+    steps share the call.
+    """
+    # Row-major inputs make every sum run over each row in memory order, as
+    # a one-lane run's do; run_replication's buffers already are, so this
+    # copies nothing there.
+    p, q, x = (np.ascontiguousarray(a) for a in (p, q, x))
+    overlap = empirical_overlap(p, costs.storage, costs.similar_count)
+    phi = backhaul_cost(p, costs.backhaul, costs.content_size)
+    psi = storage_cost(q, costs.storage, costs.gamma)
+    cost = running_cost(phi, overlap, rate * np.maximum(x, floor)[:, None], psi)
+    steps, lanes = p.shape[:2]
+    rows = np.stack([cost.sum(axis=3).mean(axis=2),
+                     overlap.reshape(steps, lanes, -1).mean(axis=2),
+                     (costs.storage - q).reshape(steps, lanes, -1).mean(axis=2)])
+    hits = (~np.isfinite(phi)).reshape(steps, lanes, -1).sum(axis=(0, 2))
+    return rows.swapaxes(1, 2), hits
 
 
 def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
@@ -239,9 +257,12 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     The world is built and stepped once; each ``(name, arm)`` lane starts
     from the world's initial storage, as one row of a ``(lanes, K, M)``
     storage stack, with a fresh policy stream, and its metrics are returned
-    under that key, in ``policies`` then ``arms`` order. The metrics of all
-    lanes fill one ``(3, lanes, n_steps)`` series that is split into the
-    logs at the end. ``horizon`` defaults to the scenario's simulation
+    under that key, in ``policies`` then ``arms`` order. Each step's hood
+    rows of the cache fractions, storage and true popularity go into
+    buffers of one period of steps, allocated once; at each period end and
+    after the last step, :func:`hood_metrics` turns the buffered steps into
+    their columns of one ``(3, lanes, n_steps)`` series, which is split into
+    the logs at the end. ``horizon`` defaults to the scenario's simulation
     horizon; the step size is the solver grid's and policies see the time
     within the period, so equilibrium policies evaluate on their own time
     nodes in every period. Request histories refresh the popularity means at
@@ -280,15 +301,34 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
         arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
                         * dem.requests_per_user)
         steps_per_period = max(1, int(round(dem.period / dt)))
+        # The hood's rows of the steps since the last metrics pass. The
+        # gathers keep lanes outermost in memory (p[:, hood] would lay the
+        # hood axis out first), so each lane's means reduce the same
+        # contiguous runs, in the same order, as a one-lane run does.
+        size = min(steps_per_period, n_steps)
+        p_hood = np.empty((size, len(lanes), hood.size, dem.catalog_size))
+        q_hood = np.empty_like(p_hood)
+        x_hood = np.empty((size, hood.size, dem.catalog_size))
+        start = 0
         for k in range(n_steps):
-            remaining, series[:, :, k], step_hits = step(
+            remaining, p = step(
                 world, hood, lanes, remaining, (k % steps_per_period) * dt,
                 dt, rate, scenario, world_rng, ipi_rng)
-            hits += step_hits
+            j = k - start
+            p.take(hood, axis=1, out=p_hood[j])
+            remaining.take(hood, axis=1, out=q_hood[j])
+            world.x.take(hood, axis=0, out=x_hood[j])
             if k + 1 == snap_step:
                 snapshot = remaining
+            period_end = (k + 1) % steps_per_period == 0
+            if period_end or k + 1 == n_steps:
+                series[:, :, start:k + 1], period_hits = hood_metrics(
+                    p_hood[:j + 1], q_hood[:j + 1], x_hood[:j + 1], rate,
+                    scenario.costs, dem.ipi.floor_eps)
+                hits += period_hits
+                start = k + 1
             # The means after the last step are never read.
-            if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
+            if period_end and k + 1 < n_steps:
                 for i, history in enumerate(world.histories):
                     increments = simulate_requests(
                         history, int(world_rng.poisson(arrival_rate)), world_rng)

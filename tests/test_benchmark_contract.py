@@ -31,7 +31,7 @@ from mfcache.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from mfcache.simulation import Lane, build_world, ipi_experiment
+from mfcache.simulation import build_world, ipi_experiment
 from mfcache.solver import SolverConfig
 
 from support import ConstantPolicy
@@ -152,19 +152,35 @@ def test_one_sweep_calls_each_formula_by_its_traced_name(monkeypatch):
                       "backhaul_cost": nt - 1}
 
 
-def test_step_charges_the_barrier_by_its_traced_name(monkeypatch):
+@pytest.mark.parametrize("horizon", [3.0, 2.5])
+def test_metrics_pass_charges_the_barrier_once_per_period(monkeypatch,
+                                                          horizon):
     # costs.backhaul_cost_calls on compare-sim and ipi-demand counts the
-    # step's one barrier charge over all lanes.
+    # metrics pass's one barrier charge over all lanes and the steps of a
+    # period (the last period may be partial), through the simulator's
+    # bindings; no pass holds more than one period of steps.
     scenario = _tiny_scenario()
-    world_rng, policy_rng = np.random.default_rng(1), np.random.default_rng(2)
-    world, hood = build_world(scenario, world_rng)
-    lanes = [Lane(policy=policy, imperfect=False, rng=policy_rng)
-             for policy in (BaselinePolicy(), ConstantPolicy(0.2))]
-    counts = _count_calls(monkeypatch, simulation, ("backhaul_cost",))
-    simulation.step(world, hood, lanes,
-                    np.repeat(world.remaining[None], len(lanes), axis=0),
-                    0.0, 0.25, 1.0, scenario, world_rng, None)
-    assert counts == {"backhaul_cost": 1}
+    steps_per_period = scenario.solver.grid_nt - 1
+    counts = _count_calls(monkeypatch, simulation,
+                          ("backhaul_cost", "storage_cost", "running_cost",
+                           "empirical_overlap"))
+    passes = []
+    metrics = simulation.hood_metrics
+
+    def recording(p, *args):
+        passes.append(p.shape[0])
+        return metrics(p, *args)
+
+    monkeypatch.setattr(simulation, "hood_metrics", recording)
+    policies = {"baseline": BaselinePolicy(), "constant": ConstantPolicy(0.2)}
+    logs = simulation.run_replication(scenario, policies, arms=(False, True),
+                                      horizon=horizon, seed=3)
+    n_steps = round(horizon * steps_per_period)
+    assert all(log.cost.size == n_steps for log in logs.values())
+    assert counts == dict.fromkeys(counts, 3)
+    assert len(passes) == 3
+    assert all(rows <= steps_per_period for rows in passes)
+    assert sum(passes) == n_steps
 
 
 def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):

@@ -1,5 +1,6 @@
 """CSV export: the solution file against the six-column reference renderer,
-read back exactly, and written through ``write_csv``."""
+read back exactly, and written through ``write_csv``; the storage-marginal
+table against the value-by-value render."""
 
 import csv
 
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 import mfcache.io
-from mfcache.io import write_csv, write_solution_csv
+from mfcache.io import (
+    format_value,
+    write_csv,
+    write_marginal_csv,
+    write_solution_csv,
+)
 from mfcache.solver import Grid, MfeSolution, SolverConfig
 
 from support import reference_solution_csv
@@ -76,8 +82,10 @@ def test_export_reads_back_exactly(solution, tmp_path):
         assert (np.signbit(column) == np.signbit(values)).all(), name
 
 
-def test_solution_goes_through_write_csv(solution, tmp_path, monkeypatch):
-    # The benchmark counts CSV bytes and rows on ``mfcache.io.write_csv``.
+@pytest.fixture
+def csv_calls(monkeypatch):
+    """The ``(path, header)`` of every ``mfcache.io.write_csv`` call; the
+    benchmark counts CSV bytes and rows there."""
     calls = []
     real = mfcache.io.write_csv
 
@@ -86,11 +94,32 @@ def test_solution_goes_through_write_csv(solution, tmp_path, monkeypatch):
         real(path, header, rows)
 
     monkeypatch.setattr(mfcache.io, "write_csv", spy)
+    return calls
+
+
+def test_solution_goes_through_write_csv(solution, tmp_path, csv_calls):
     path = str(tmp_path / "solution_base.csv")
     write_solution_csv(solution, path)
-    assert calls == [(path, ("t", "x", "Q", "v", "m", "p"))]
+    assert csv_calls == [(path, ("t", "x", "Q", "v", "m", "p"))]
     with open(path, "rb") as fh:
         assert fh.read() == reference_solution_csv(solution).encode()
+
+
+def test_marginal_equals_the_value_by_value_render(solution, tmp_path,
+                                                  csv_calls):
+    # The value-by-value render is the marginal's former path: write_csv
+    # rows of (t, Q, m), each value through format_value.
+    g = solution.grid
+    marginal = solution.m.sum(axis=1) * g.dx
+    marginal[0, :3] = (-0.0, SUBNORMAL, 0.1 + 0.2)
+    path = str(tmp_path / "density_marginal.csv")
+    write_marginal_csv(g, marginal, path)
+    assert csv_calls == [(path, ("t", "Q", "m"))]
+    expected = "t,Q,m\n" + "".join(
+        ",".join(format_value(v) for v in (g.t[i], g.q[j], marginal[i, j]))
+        + "\n" for i in range(g.t.size) for j in range(g.q.size))
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode()
 
 
 def test_mixed_rows_render_as_before(tmp_path):

@@ -13,6 +13,7 @@ from mfcache.simulation import (
     Lane,
     World,
     build_world,
+    hood_metrics,
     ipi_experiment,
     run_replication,
     run_scenario,
@@ -86,27 +87,35 @@ class TestStep:
         levels = (0.3, 0.6)
         lanes = [Lane(policy=ConstantPolicy(level), imperfect=False,
                       rng=policy_rng) for level in levels]
-        start = np.repeat(world.remaining[None], len(lanes), axis=0)
-        remaining, rows, hits = step(world, hood, lanes, start, 0.0, 0.02,
-                                     rate, sc, world_rng, None)
-        assert remaining.shape == start.shape and not np.shares_memory(
-            remaining, start)
-        assert rows.shape == (3, len(lanes))
+        remaining = np.repeat(world.remaining[None], len(lanes), axis=0)
+        buffered = []
+        for k in range(2):
+            start = remaining
+            remaining, p = step(world, hood, lanes, start, k * 0.02, 0.02,
+                                rate, sc, world_rng, None)
+            assert remaining.shape == p.shape == start.shape
+            assert not np.shares_memory(remaining, start)
+            buffered.append((p[:, hood], remaining[:, hood], world.x[hood]))
+        p_hood, q_hood, x_hood = (np.stack(a) for a in zip(*buffered))
+        rows, hits = hood_metrics(p_hood, q_hood, x_hood, rate, sc.costs,
+                                  sc.demand.ipi.floor_eps)
+        assert rows.shape == (3, len(lanes), 2)
         assert list(hits) == [0, 0]
 
         floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
-        x_hood = np.maximum(world.x[hood], floor)
-        for i, level in enumerate(levels):
-            p_hood = np.full((hood.size, sc.demand.catalog_size), level)
-            q_hood = remaining[i][hood]
-            overlap = empirical_overlap(p_hood, sc.costs.storage,
-                                        sc.costs.similar_count)
-            cost = instantaneous_cost(p_hood, q_hood, x_hood, rate, overlap,
-                                      sc.costs)
-            assert overlap.min() > 0.0
-            assert rows[1, i] == float(overlap.mean())
-            assert rows[0, i] == float(cost.sum(axis=1).mean())
-            assert rows[2, i] == float((sc.costs.storage - q_hood).mean())
+        for k in range(2):
+            x = np.maximum(x_hood[k], floor)
+            for i, level in enumerate(levels):
+                p_i = np.full((hood.size, sc.demand.catalog_size), level)
+                assert np.array_equal(p_hood[k, i], p_i)
+                q_i = q_hood[k, i]
+                overlap = empirical_overlap(p_i, sc.costs.storage,
+                                            sc.costs.similar_count)
+                cost = instantaneous_cost(p_i, q_i, x, rate, overlap, sc.costs)
+                assert overlap.min() > 0.0
+                assert rows[1, i, k] == float(overlap.mean())
+                assert rows[0, i, k] == float(cost.sum(axis=1).mean())
+                assert rows[2, i, k] == float((sc.costs.storage - q_i).mean())
 
     def test_storage_bounds_hold_under_aggressive_caching(self):
         sc = small_scenario()
@@ -418,12 +427,13 @@ class TestSharedReplication:
 
 
 class TestStackedLanes:
-    """The stacked step equals the lane-by-lane oracle bit for bit."""
+    """The stacked step and the per-period metrics pass equal the
+    lane-by-lane oracle bit for bit."""
 
-    @pytest.mark.parametrize("level", [0.2, 1.0])
-    def test_every_lane_equals_the_lane_by_lane_reference(self, level):
-        # 20 contents, a hood of at least 8 stations, 4 policies under both
-        # arms and 2 periods; a constant 1.0 hits the barrier everywhere.
+    @pytest.fixture(scope="class")
+    def dense(self):
+        # 20 contents and a hood of at least 8 stations; the equilibrium
+        # surface is replaced by random values so the MF lane moves.
         sc = small_scenario(demand=DemandConfig(catalog_size=20))
         sc = replace(sc, geometry=replace(sc.geometry, lambda_b=0.3))
         _, hood = build_world(sc, simulation._replication_streams(5)[0])
@@ -432,13 +442,20 @@ class TestStackedLanes:
         rng = np.random.default_rng(3)
         live = replace(solution, p=rng.uniform(0.0, solution.p_max,
                                                solution.p.shape))
-        policies = {"mf": MfPolicy(live), "baseline": BaselinePolicy(),
+        return sc, MfPolicy(live)
+
+    @staticmethod
+    def _assert_equals_reference(sc, mf, level, horizon, snapshot_time):
+        # 4 policies under both arms; a constant 1.0 hits the barrier
+        # everywhere.
+        policies = {"mf": mf, "baseline": BaselinePolicy(),
                     "random": RandomPolicy(), "constant": ConstantPolicy(level)}
         shared = run_replication(sc, policies, arms=(False, True),
-                                 horizon=2.0, seed=5, snapshot_time=1.5)
+                                 horizon=horizon, seed=5,
+                                 snapshot_time=snapshot_time)
         reference = reference_replication(sc, policies, arms=(False, True),
-                                          horizon=2.0, seed=5,
-                                          snapshot_time=1.5)
+                                          horizon=horizon, seed=5,
+                                          snapshot_time=snapshot_time)
         assert list(shared) == list(reference)
         for key, log in shared.items():
             ref = reference[key]
@@ -446,9 +463,26 @@ class TestStackedLanes:
                          "q_snapshot"):
                 assert np.array_equal(getattr(log, attr), getattr(ref, attr)), \
                     (key, attr)
-            assert log.cost.size == 100
+            assert log.cost.size == round(50 * horizon)
             assert log.barrier_hits == ref.barrier_hits
             assert (log.barrier_hits > 0) == (key[0] == "constant"
                                               and level == 1.0)
             assert log.lra == ref.lra
+        return shared
+
+    @pytest.mark.parametrize("level", [0.2, 1.0])
+    def test_every_lane_equals_the_lane_by_lane_reference(self, dense, level):
+        # 2 periods, snapshot mid-period.
+        shared = self._assert_equals_reference(*dense, level, 2.0, 1.5)
         assert np.ptp(shared["mf", False].overlap) > 0.0
+
+    @pytest.mark.parametrize("level, horizon, snapshot_time", [
+        (0.2, 1.3, 1.3),    # ends mid-period: the last pass is partial
+        (0.2, 0.02, 0.02),  # one step
+        (0.2, 2.0, 1.0),    # snapshot on a period boundary
+        (1.0, 3.0, 2.5),    # three periods at the barrier
+    ], ids=["mid_period_end", "one_step", "snapshot_on_boundary",
+            "three_periods_barrier"])
+    def test_partial_and_boundary_runs_equal_the_reference(
+            self, dense, level, horizon, snapshot_time):
+        self._assert_equals_reference(*dense, level, horizon, snapshot_time)

@@ -163,18 +163,17 @@ class Lane:
     rng: np.random.Generator
 
 
-def step(world: World, hood: np.ndarray, lanes: list[Lane],
-         remaining: np.ndarray, t: float, dt: float, rate: float,
-         scenario: ScenarioConfig, world_rng: np.random.Generator,
-         ipi_rng: np.random.Generator | None
+def step(world: World, lanes: list[Lane], remaining: np.ndarray, t: float,
+         dt: float, rate: float, scenario: ScenarioConfig,
+         world_rng: np.random.Generator, ipi_rng: np.random.Generator | None
          ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the world and every lane by ``dt``.
 
     ``remaining`` stacks the lanes' storage ``(lanes, K, M)`` in lane order.
     Returns the new storage stack (a new array: a context keeps its row of
     the old one) and the stack of the lanes' cache fractions, of the same
-    shape. The step does not read ``hood``: the caller buffers the hood's
-    rows of both stacks for :func:`hood_metrics`.
+    shape. The caller buffers the hood's rows of both stacks for
+    :func:`hood_metrics`.
 
     Order: popularity step and observations, shared by all lanes (an
     imperfect lane needs ``ipi_rng``); each lane's policy on its row of the
@@ -257,9 +256,10 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     The world is built and stepped once; each ``(name, arm)`` lane starts
     from the world's initial storage, as one row of a ``(lanes, K, M)``
     storage stack, with a fresh policy stream, and its metrics are returned
-    under that key, in ``policies`` then ``arms`` order. Each step's hood
-    rows of the cache fractions, storage and true popularity go into
-    buffers of one period of steps, allocated once; at each period end and
+    under that key, in ``policies`` then ``arms`` order. :func:`step` does
+    not see the hood: after each step, this loop gathers the hood's rows of
+    the cache fractions, storage and true popularity into buffers of one
+    period of steps, allocated once; at each period end and
     after the last step, :func:`hood_metrics` turns the buffered steps into
     their columns of one ``(3, lanes, n_steps)`` series, which is split into
     the logs at the end. ``horizon`` defaults to the scenario's simulation
@@ -312,8 +312,8 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
         start = 0
         for k in range(n_steps):
             remaining, p = step(
-                world, hood, lanes, remaining, (k % steps_per_period) * dt,
-                dt, rate, scenario, world_rng, ipi_rng)
+                world, lanes, remaining, (k % steps_per_period) * dt, dt,
+                rate, scenario, world_rng, ipi_rng)
             j = k - start
             p.take(hood, axis=1, out=p_hood[j])
             remaining.take(hood, axis=1, out=q_hood[j])

@@ -481,6 +481,18 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     return m
 
 
+# The sweep's element-wise work runs on blocks of time levels of at most
+# this many bytes (or one level), so its temporaries stay small next to a
+# grid field and its Python cost stays small next to the passes'.
+_BLOCK_BYTES = 1 << 16
+
+
+def _sup_distance(a: np.ndarray, b: np.ndarray):
+    """``max |a - b|`` through one temporary of ``a``'s size; NaN propagates."""
+    diff = np.subtract(a, b)
+    return np.abs(diff, out=diff).max()
+
+
 def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolution:
     """Fixed point of the backward/forward pair by Picard sweeps that back
     off only when they misbehave.
@@ -488,34 +500,53 @@ def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolut
     The density is initialized by holding the initial distribution constant
     in time; each sweep solves the backward equation against the current
     density, transports the density forward under the resulting control, and
-    moves the density a fraction ``step`` of the way to the transported one.
+    moves the density a fraction ``step`` of the way to the transported one,
+    ``step * m_new + (1 - step) * m_prev`` with the operands in that order.
     The step starts at 1 (a full fixed-point step) and is multiplied by
     ``config.damping`` after every sweep whose residual exceeds the one
     before. The iteration stops when both the value and the density move
-    less than the tolerance in sup norm; on exhaustion the last iterate is
-    returned flagged unconverged.
+    less than the tolerance in sup norm (a NaN residual never passes); on
+    exhaustion the last iterate is returned flagged unconverged.
+
+    At most four grid fields are live at once: the backward pass's value and
+    control, the running density and the forward pass's density. The value
+    residual is taken as soon as the backward pass returns, so the previous
+    value and control are released before the forward pass; the relaxation
+    overwrites the running density a block of time levels at a time. The
+    first sweep starts from a read-only broadcast of ``problem.m0``, which is
+    never written. The solution owns the last sweep's value and control and
+    the running density; the array the forward pass returned is not written.
     """
-    nt = grid.shape[0]
-    m_prev = np.repeat(np.asarray(problem.m0, dtype=float)[None, :, :], nt, axis=0)
-    v_prev = np.zeros(grid.shape)
+    nt, nx, nq = grid.shape
+    size = max(1, _BLOCK_BYTES // (8 * nx * nq))
+    blocks = [slice(start, start + size) for start in range(0, nt, size)]
+    m = np.broadcast_to(problem.m0, grid.shape)
+    v = np.broadcast_to(0.0, grid.shape)   # the first value residual is max |v|
     residuals: list[float] = []
     converged = False
-    v = v_prev
-    p = np.zeros(grid.shape)
-    m = m_prev
     step = 1.0
 
     for iteration in range(1, config.max_iterations + 1):
-        v, p = hjb_backward(m_prev, problem, grid, config)
+        # The previous control is not read again; release it before the pass.
+        v_prev, p = v, None
+        v, p = hjb_backward(m, problem, grid, config)
+        sups = [_sup_distance(v[s], v_prev[s]) for s in blocks]
+        del v_prev
         m_new = fpk_forward(p, problem.m0, problem, grid, config)
-        m = step * m_new + (1.0 - step) * m_prev
-        residual = max(float(np.abs(v - v_prev).max()),
-                       float(np.abs(m - m_prev).max()))
+        relaxed = np.empty(grid.shape) if iteration == 1 else m
+        for s in blocks:
+            # A block's distance is taken before the block is overwritten.
+            new = step * m_new[s]
+            new += (1.0 - step) * m[s]
+            sups.append(_sup_distance(new, m[s]))
+            relaxed[s] = new
+        m = relaxed
+        del m_new
+        residual = float(np.max(sups))
         log.debug("sweep %d: residual %.3e at step %.3g", iteration, residual, step)
         if residuals and residual > residuals[-1]:
             step *= config.damping
         residuals.append(residual)
-        v_prev, m_prev = v, m
         if residual < config.tolerance:
             converged = True
             break

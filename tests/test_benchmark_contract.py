@@ -11,6 +11,7 @@ import importlib.util
 import logging
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mfcache.experiments import (
     compare_experiment,
     grid_from_scenario,
     problem_from_scenario,
+    solve_scenario,
 )
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 from mfcache.scenario import (
@@ -132,6 +134,25 @@ def _count_calls(monkeypatch, module, names):
     for name in names:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
+
+
+def test_solve_holds_at_most_five_grid_fields():
+    # peak_rss_mb on solve-export reads the solver's working set: the fixed
+    # point keeps at most four (t, x, Q) fields live, plus temporaries of a
+    # block of time levels, and the solution keeps its three fields.
+    scenario = parse_scenario(workloads.render_ini(
+        workloads.scenario_values("solve-export", 1)))
+    field = 8 * int(np.prod(grid_from_scenario(scenario).shape))
+    solve_scenario(scenario)   # first-call allocations are not the solve's
+    tracemalloc.start()
+    try:
+        solution = solve_scenario(scenario)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solution.iterations == 2
+    assert peak <= 5 * field
+    assert retained == pytest.approx(3 * field, rel=0.01)
 
 
 def test_one_sweep_calls_each_formula_by_its_traced_name(monkeypatch):

@@ -91,8 +91,8 @@ class TestStep:
         buffered = []
         for k in range(2):
             start = remaining
-            remaining, p = step(world, hood, lanes, start, k * 0.02, 0.02,
-                                rate, sc, world_rng, None)
+            remaining, p = step(world, lanes, start, k * 0.02, 0.02, rate,
+                                sc, world_rng, None)
             assert remaining.shape == p.shape == start.shape
             assert not np.shares_memory(remaining, start)
             buffered.append((p[:, hood], remaining[:, hood], world.x[hood]))

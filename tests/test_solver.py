@@ -390,6 +390,35 @@ class TestSolveMfe:
                  if record.msg.startswith("sweep")]
         assert steps == [1.0, 1.0] + [damping] * (solution.iterations - 2)
 
+    def test_solve_writes_no_input(self, monkeypatch):
+        # The memo keys a solve on the bytes of problem.m0, and a forward
+        # pass may hand back an array it keeps: the solve writes into
+        # neither. The second forward pass returns a far density, so the
+        # third sweep relaxes with a step below 1.
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid)
+        m0_bytes = problem.m0.tobytes()
+        far = gaussian_initial_density(grid, 0.8, 0.03, 0.2, 0.03)
+        real_fpk = mfcache.solver.fpk_forward
+        shared = np.empty(grid.shape)
+        written = []
+
+        def fpk_forward(*args):
+            if written:
+                assert shared.tobytes() == written[-1]
+            shared[...] = far if len(written) == 1 else real_fpk(*args)
+            written.append(shared.tobytes())
+            return shared
+
+        monkeypatch.setattr(mfcache.solver, "fpk_forward", fpk_forward)
+        solution = solve_mfe(problem, grid, SolverConfig(
+            damping=0.25, tolerance=1e-12, max_iterations=4))
+        assert len(written) == 4
+        assert solution.residual_history[1] > solution.residual_history[0]
+        assert shared.tobytes() == written[-1]
+        assert problem.m0.tobytes() == m0_bytes
+        assert not np.shares_memory(solution.m, shared)
+
 
 class TestSolutionChecks:
     """An equilibrium's fields are checked once, when the solution is built."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import Iterator
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BarrierExclusionError
 from .geometry import average_rate, rate_model_from_config, request_region_count
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, sweep_points
 from .simulation import MetricsLog, ipi_experiment, run_replication
 from .solver import (
     Grid,
@@ -187,14 +187,16 @@ def _replications(scenario: ScenarioConfig) -> dict[str, list[MetricsLog]]:
     return {name: [run[name, False] for run in runs] for name in POLICY_NAMES}
 
 
-def _mean_excluding(values: list[float], excluded: list[bool], label: str) -> float:
-    kept = [v for v, skip in zip(values, excluded) if not skip]
-    dropped = len(values) - len(kept)
-    if dropped:
-        log.warning("%s: excluded %d barrier-hit replication(s)", label, dropped)
+def _kept(runs: list, label: str) -> list:
+    """The runs that are not ``.excluded``, in order; one warning names how
+    many were dropped, and none left fails the sweep point."""
+    kept = [run for run in runs if not run.excluded]
+    if len(kept) < len(runs):
+        log.warning("%s: excluded %d barrier-hit replication(s)",
+                    label, len(runs) - len(kept))
     if not kept:
         raise BarrierExclusionError(f"{label}: every replication hit the barrier")
-    return float(np.mean(kept))
+    return kept
 
 
 @one_solve_per_input()
@@ -204,25 +206,22 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
     Produces the cost trajectories and final-cost summary across the user
     density sweep, and the overlap-per-storage sweep across initial
     popularity values. Each replication of a sweep point runs all three
-    policies on one shared world.
+    policies on one shared world. A bad sweep value fails before any solve.
     """
+    user_points = sweep_points(scenario, "lambda_u_values")
+    x0_points = sweep_points(scenario, "x0_values")
     trajectory_rows: list[tuple] = []
     summary_rows: list[tuple] = []
-    for lambda_u in scenario.experiments.lambda_u_values:
-        sc = replace(scenario,
-                     geometry=replace(scenario.geometry, lambda_u=lambda_u))
+    for lambda_u, sc in user_points:
         runs = _replications(sc)
         finals: dict[str, float] = {}
         for name in POLICY_NAMES:
-            logs = runs[name]
-            flags = [log_.excluded for log_ in logs]
-            finals[name] = _mean_excluding(
-                [log_.lra for log_ in logs], flags,
-                f"compare lambda_u={lambda_u} policy={name}")
-            kept = [log_.cumulative_cost for log_ in logs if not log_.excluded]
-            mean_cum = np.mean(np.stack(kept), axis=0)
+            kept = _kept(runs[name], f"compare lambda_u={lambda_u} policy={name}")
+            finals[name] = float(np.mean([log_.lra for log_ in kept]))
+            mean_cum = np.mean(np.stack([log_.cumulative_cost for log_ in kept]),
+                               axis=0)
             for i, value in enumerate(mean_cum):
-                trajectory_rows.append((lambda_u, name, (i + 1) * logs[-1].dt,
+                trajectory_rows.append((lambda_u, name, (i + 1) * kept[-1].dt,
                                         value))
         for name in POLICY_NAMES:
             reduction = ((finals["baseline"] - finals[name]) / finals["baseline"]
@@ -230,15 +229,12 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
             summary_rows.append((lambda_u, name, finals[name], reduction))
 
     overlap_rows: list[tuple] = []
-    for x0 in scenario.experiments.x0_values:
-        sc = replace(scenario, demand=replace(scenario.demand, x0=x0))
+    for x0, sc in x0_points:
         runs = _replications(sc)
         for name in POLICY_NAMES:
-            logs = runs[name]
-            overlap_rows.append((x0, name, _mean_excluding(
-                [log_.overlap_per_storage for log_ in logs],
-                [log_.excluded for log_ in logs],
-                f"overlap x0={x0} policy={name}")))
+            kept = _kept(runs[name], f"overlap x0={x0} policy={name}")
+            overlap_rows.append((x0, name, float(np.mean(
+                [log_.overlap_per_storage for log_ in kept]))))
     return {
         "trajectories": trajectory_rows,
         "summary": summary_rows,
@@ -251,30 +247,21 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
     """Paired-seed popularity-information study across station densities.
 
     Rows: (lambda_b, policy, mean perfect-information cost, mean
-    imperfect-information cost, mean increment).
+    imperfect-information cost, mean increment) over the unexcluded pairs.
     """
     rows: list[tuple] = []
-    for lambda_b in scenario.experiments.lambda_b_values:
-        sc = replace(scenario,
-                     geometry=replace(scenario.geometry, lambda_b=lambda_b))
-        solution = solve_scenario(sc)
-        policies = _policies_for(solution)
-        sums = {name: {"lra_ppi": [], "lra_ipi": [], "increment": [], "flags": []}
-                for name in POLICY_NAMES}
-        for seed in _replication_seeds(sc):
-            paired = ipi_experiment(sc, policies, seed=seed)
-            for name, pair in paired.items():
-                sums[name]["lra_ppi"].append(pair.perfect.lra)
-                sums[name]["lra_ipi"].append(pair.imperfect.lra)
-                sums[name]["increment"].append(pair.increment)
-                sums[name]["flags"].append(pair.excluded)
+    for lambda_b, sc in sweep_points(scenario, "lambda_b_values"):
+        policies = _policies_for(solve_scenario(sc))
+        runs = [ipi_experiment(sc, policies, seed=seed)
+                for seed in _replication_seeds(sc)]
         for name in POLICY_NAMES:
-            label = f"ipi lambda_b={lambda_b} policy={name}"
+            kept = _kept([run[name] for run in runs],
+                         f"ipi lambda_b={lambda_b} policy={name}")
             rows.append((
                 lambda_b, name,
-                _mean_excluding(sums[name]["lra_ppi"], sums[name]["flags"], label),
-                _mean_excluding(sums[name]["lra_ipi"], sums[name]["flags"], label),
-                _mean_excluding(sums[name]["increment"], sums[name]["flags"], label),
+                float(np.mean([pair.perfect.lra for pair in kept])),
+                float(np.mean([pair.imperfect.lra for pair in kept])),
+                float(np.mean([pair.increment for pair in kept])),
             ))
     return rows
 
@@ -283,9 +270,7 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
 def iteration_sweep(scenario: ScenarioConfig) -> list[tuple]:
     """Solver iteration counts across the station-density sweep."""
     rows = []
-    for lambda_b in scenario.experiments.lambda_b_values:
-        sc = replace(scenario,
-                     geometry=replace(scenario.geometry, lambda_b=lambda_b))
+    for lambda_b, sc in sweep_points(scenario, "lambda_b_values"):
         solution = solve_scenario(sc)
         rows.append((lambda_b, solution.iterations, int(solution.converged),
                      solution.residual_history[-1]))

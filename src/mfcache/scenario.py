@@ -38,6 +38,7 @@ __all__ = [
     "parse_scenario",
     "serialize_scenario",
     "scenario_hash",
+    "sweep_points",
 ]
 
 
@@ -126,8 +127,8 @@ _SWEPT = {
 
 @dataclass(frozen=True)
 class ExperimentSweeps:
-    """Parameter sweeps used by the comparison and robustness recipes; the
-    scenario checks each value against the bounds of the field it sweeps."""
+    """Parameter sweeps used by the comparison and robustness recipes;
+    :func:`sweep_points` checks each value against the field it sweeps."""
 
     lambda_u_values: tuple[float, ...] = (1e-4, 2.5e-4)
     lambda_b_values: tuple[float, ...] = (0.005, 0.02, 0.035, 0.05)
@@ -155,16 +156,22 @@ class ScenarioConfig:
     experiments: ExperimentSweeps = field(default_factory=ExperimentSweeps)
     outputs: OutputSettings = field(default_factory=OutputSettings)
 
-    def __post_init__(self) -> None:
-        """Build each sweep point's section as the recipes do, so a bad
-        sweep value fails here, by its sweep key, and not mid-run."""
-        for name, (section, key) in _SWEPT.items():
-            for value in getattr(self.experiments, name):
-                try:
-                    replace(getattr(self, section), **{key: value})
-                except ConfigurationError as exc:
-                    raise ConfigurationError(
-                        f"experiments.{name} value {value!r}: {exc}") from exc
+
+def sweep_points(scenario: ScenarioConfig, name: str
+                 ) -> list[tuple[float, ScenarioConfig]]:
+    """``(value, point scenario)`` of each value of ``experiments.<name>``:
+    the scenario with the value in the field that sweep replaces. A value
+    outside that field's bounds fails, naming the sweep key."""
+    section, key = _SWEPT[name]
+    points = []
+    for value in getattr(scenario.experiments, name):
+        try:
+            part = replace(getattr(scenario, section), **{key: value})
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"experiments.{name} value {value!r}: {exc}") from exc
+        points.append((value, replace(scenario, **{section: part})))
+    return points
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -216,7 +223,8 @@ def _instance(cls: type, values: dict[str, object], prefix: str = "") -> object:
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse scenario text, applying defaults for every omitted key."""
+    """Parse scenario text, applying defaults for every omitted key. Every
+    sweep point is built, so a bad sweep value fails here."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -236,7 +244,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"invalid value for '{section}.{key}': {raw!r}") from exc
-    return _instance(ScenarioConfig, values)
+    scenario = _instance(ScenarioConfig, values)
+    for sweep in fields(ExperimentSweeps):
+        sweep_points(scenario, sweep.name)
+    return scenario
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -6,9 +7,10 @@ import pytest
 
 import mfcache.experiments as experiments
 from mfcache.cli import EXIT_ALL_EXCLUDED, main
-from mfcache.errors import BarrierExclusionError
+from mfcache.errors import BarrierExclusionError, ConfigurationError
 from mfcache.experiments import (
     compare_experiment,
+    ipi_sweep_experiment,
     iteration_sweep,
     one_solve_per_input,
     solve_all_contents,
@@ -21,7 +23,7 @@ from mfcache.scenario import (
     SimulationSettings,
     SolverSettings,
 )
-from mfcache.simulation import MetricsLog
+from mfcache.simulation import MetricsLog, PairedRun
 
 
 def small_scenario(**experiment_values):
@@ -97,34 +99,100 @@ class TestOneSolvePerInput:
         table = (out / "content_solutions.csv").read_text().splitlines()
         assert table == ["content,solution_content", "0,0", "1,0", "2,0"]
 
+    def test_bad_sweep_value_fails_before_any_solve(self, solves):
+        scenario = small_scenario(x0_values=(0.2, 1.5))
+        with pytest.raises(ConfigurationError, match="experiments.x0_values"):
+            compare_experiment(scenario)
+        assert solves == []
+
+
+def finished_log(seed, level):
+    """A replication whose cost holds at ``level``; ``inf`` hits the barrier."""
+    log = MetricsLog(seed=seed, dt=0.1, cost=np.array([1.0, level]),
+                     storage_usage=np.ones(2), overlap=np.full(2, 0.5))
+    log.finalize()
+    return log
+
+
+def fake_runs(monkeypatch, level_of):
+    """Replace both replication entry points of the recipes: every lane of
+    seed ``s`` finishes at ``level_of(s)``, the imperfect arm 0.5 above."""
+    def run(scenario, policies, seed=None, **kwargs):
+        return {(name, False): finished_log(seed, level_of(seed))
+                for name in policies}
+
+    def paired(scenario, policies, seed=None):
+        return {name: PairedRun(finished_log(seed, level_of(seed)),
+                                finished_log(seed, level_of(seed) + 0.5))
+                for name in policies}
+
+    monkeypatch.setattr(experiments, "run_replication", run)
+    monkeypatch.setattr(experiments, "ipi_experiment", paired)
+
+
+RECIPES = {"compare": compare_experiment, "ipi": ipi_sweep_experiment}
+
 
 class TestAllReplicationsExcluded:
     @pytest.fixture()
     def barrier_runs(self, monkeypatch):
-        def excluded_log(seed):
-            log = MetricsLog(seed=seed, dt=0.1, cost=np.array([1.0, math.inf]),
-                             storage_usage=np.ones(2), overlap=np.zeros(2))
-            log.finalize()
-            assert log.excluded
-            return log
+        fake_runs(monkeypatch, lambda seed: math.inf)
 
-        def excluded_run(scenario, policies, seed=None, **kwargs):
-            return {(name, False): excluded_log(seed) for name in policies}
-
-        monkeypatch.setattr(experiments, "run_replication", excluded_run)
-
-    def test_recipe_raises_runtime_error(self, barrier_runs):
-        scenario = small_scenario(lambda_u_values=(1e-4,), x0_values=(0.3,))
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_recipe_raises_runtime_error(self, barrier_runs, recipe):
+        scenario = small_scenario(lambda_u_values=(1e-4,), x0_values=(0.3,),
+                                  lambda_b_values=(0.05,))
         with pytest.raises(BarrierExclusionError,
                            match="every replication hit the barrier"):
-            compare_experiment(scenario)
+            RECIPES[recipe](scenario)
 
-    def test_command_exit_code(self, barrier_runs, tmp_path):
+    @pytest.mark.parametrize("command", sorted(RECIPES))
+    def test_command_exit_code(self, barrier_runs, tmp_path, command):
         path = tmp_path / "cmp.ini"
         path.write_text("[solver]\ngrid_nt = 21\ngrid_nx = 11\ngrid_nq = 11\n"
                         "[simulation]\nreplications = 1\n"
                         "[experiments]\nlambda_u_values = 0.0001\n"
-                        "x0_values = 0.3\n")
-        assert main(["compare", "--scenario", str(path), "--out",
+                        "x0_values = 0.3\nlambda_b_values = 0.05\n")
+        assert main([command, "--scenario", str(path), "--out",
                      str(tmp_path / "out"), "--quiet"]) == EXIT_ALL_EXCLUDED
         assert EXIT_ALL_EXCLUDED == 5
+
+
+class TestSomeReplicationsExcluded:
+    """Seeds 3, 4 and 5 run; seed 4 hits the barrier."""
+
+    LEVELS = {3: 2.0, 4: math.inf, 5: 6.0}
+
+    @pytest.fixture()
+    def scenario(self, monkeypatch):
+        fake_runs(monkeypatch, self.LEVELS.__getitem__)
+        return replace(small_scenario(lambda_u_values=(1e-4,), x0_values=(0.3,),
+                                      lambda_b_values=(0.05,)),
+                       simulation=SimulationSettings(replications=3, seed=3))
+
+    def kept_mean(self, value):
+        return float(np.mean([value(finished_log(seed, self.LEVELS[seed]),
+                                    finished_log(seed, self.LEVELS[seed] + 0.5))
+                              for seed in (3, 5)]))
+
+    def warnings(self, caplog):
+        return [r for r in caplog.records if r.name == experiments.__name__
+                and r.levelno == logging.WARNING]
+
+    def test_compare_rows_average_the_kept_runs(self, scenario, caplog):
+        results = compare_experiment(scenario)
+        lra = self.kept_mean(lambda perfect, _: perfect.lra)
+        assert [row[2] for row in results["summary"]] == [lra] * 3
+        overlap = self.kept_mean(lambda perfect, _: perfect.overlap_per_storage)
+        assert [row[2] for row in results["overlap"]] == [overlap] * 3
+        assert len(self.warnings(caplog)) == 2 * 3
+
+    def test_ipi_rows_average_the_kept_pairs(self, scenario, caplog):
+        rows = ipi_sweep_experiment(scenario)
+        expected = (self.kept_mean(lambda p, i: p.lra),
+                    self.kept_mean(lambda p, i: i.lra),
+                    self.kept_mean(lambda p, i: i.lra - p.lra))
+        assert [row[2:] for row in rows] == [expected] * 3
+        warnings = self.warnings(caplog)
+        assert len(warnings) == 3
+        assert all("excluded 1 barrier-hit" in r.getMessage() for r in warnings)

@@ -218,7 +218,8 @@ def test_udn_inversion_only_warns():
 
 def test_udn_warning_shows_once_per_process():
     # Three sweep-point scenarios outside the ultra-dense regime, each
-    # built with its sweeps checked, then each one's rate model.
+    # built as ``scenario.sweep_points`` builds one, then each one's rate
+    # model.
     code = (
         "from dataclasses import replace\n"
         "from mfcache.geometry import rate_model_from_config\n"

@@ -3,18 +3,22 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import mfcache
 from mfcache.cli import main
 from mfcache.errors import ConfigurationError
+from mfcache.geometry import GeometryConfig
 from mfcache.scenario import (
+    DemandConfig,
     ScenarioConfig,
     load_scenario,
     parse_scenario,
     scenario_hash,
     serialize_scenario,
+    sweep_points,
 )
 
 
@@ -115,6 +119,43 @@ class TestScenarioParsing:
                            "experiments.x0_values")]:
             with pytest.raises(ConfigurationError, match=key):
                 parse_scenario(text)
+
+
+class TestSweepPoints:
+    def test_points_equal_the_hand_built_scenarios(self):
+        sc = ScenarioConfig()
+        for name, expected in [
+            ("lambda_u_values",
+             [replace(sc, geometry=replace(sc.geometry, lambda_u=v))
+              for v in sc.experiments.lambda_u_values]),
+            ("lambda_b_values",
+             [replace(sc, geometry=replace(sc.geometry, lambda_b=v))
+              for v in sc.experiments.lambda_b_values]),
+            ("x0_values",
+             [replace(sc, demand=replace(sc.demand, x0=v))
+              for v in sc.experiments.x0_values]),
+        ]:
+            points = sweep_points(sc, name)
+            assert [value for value, _ in points] == list(
+                getattr(sc.experiments, name))
+            assert [point for _, point in points] == expected
+
+    def test_copying_a_scenario_builds_no_section(self, monkeypatch):
+        sc = ScenarioConfig()
+        built = []
+        for cls in (GeometryConfig, DemandConfig):
+            check = cls.__post_init__
+
+            def counting(self, check=check):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        copy = replace(sc, simulation=replace(sc.simulation, seed=1))
+        assert copy.simulation.seed == 1
+        assert built == []
+        sweep_points(sc, "x0_values")
+        assert built == ["DemandConfig"] * len(sc.experiments.x0_values)
 
 
 SMALL = """

@@ -3,16 +3,20 @@
 All CSVs are comma-separated with a header row and 17-significant-digit
 floats, so equal runs produce byte-identical files. The solution export
 and the storage-marginal table format their grid coordinates once per grid
-and render each time level from one template. Every run directory gets a
-``manifest.txt`` recording the scenario hash, seed, versions, iteration
-counts, and wall time.
+and render each time level from one template. Where ``os.fork`` exists and
+the process may run on two CPUs, a forked helper renders the later half of
+the solution's time levels while the command renders the first half; the
+command alone writes the file, with the same bytes as an inline render.
+Every run directory gets a ``manifest.txt`` recording the scenario hash,
+seed, versions, iteration counts, and wall time.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import platform
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +39,10 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     """Write a header line and the rows.
 
     Each row is a sequence of mixed values, each rendered by
-    :func:`format_value`, or a ``str`` holding a block of rows already
-    rendered, newline included, which is written as it is.
+    :func:`format_value`, or a ``str`` of text already rendered, which is
+    written as it is. A ``str`` need not hold whole rows: consecutive ones
+    may split a row anywhere, as the chunks of the solution export's pipe
+    do, so a row of values must not follow a ``str`` that ends mid-row.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -46,29 +52,98 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
                      else ",".join(format_value(v) for v in row) + "\n")
 
 
+# Bytes per read of the helper's pipe: the command never holds more of the
+# helper's half than this at once.
+_PIPE_CHUNK = 1 << 16
+
+
+def _fork_helper(render: Callable[[], str]) -> tuple[int, int]:
+    """Fork a helper that writes ``render()`` to a pipe and exits; return
+    its pid and the pipe's read end.
+
+    The helper renders its whole text before it writes, so it does not
+    block on the pipe while there is work to overlap. It never returns into
+    the caller: it leaves through ``os._exit`` (no stdio flush, no atexit
+    hooks), with status 0 only once every byte is written. A helper whose
+    reader has closed the pipe gets ``EPIPE`` and exits 1. ``render`` must
+    only format text (no BLAS, no logging), so that no lock held by another
+    thread at the fork can stop the helper.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            data = memoryview(render().encode("ascii"))
+            while data:
+                data = data[os.write(write_fd, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _pipe_text(read_fd: int) -> Iterator[str]:
+    """The pipe's text, in chunks of at most ``_PIPE_CHUNK`` bytes."""
+    while chunk := os.read(read_fd, _PIPE_CHUNK):
+        yield chunk.decode("ascii")
+
+
 def write_solution_csv(solution: MfeSolution, path: str) -> None:
     """Full equilibrium fields in row-major (t, x, Q) order, streamed one
-    time level at a time.
+    time level at a time through one :func:`write_csv` call.
 
     The ``x,Q`` text of every cell is formatted once per call; each level's
     template joins it behind that level's ``t`` and is rendered with one
     ``%`` over the level's ``(v, m, p)`` values. ``%.17g`` renders a float
     exactly as :func:`format_value` does.
+
+    Where ``os.fork`` exists and this process may run on two CPUs or more,
+    a forked helper renders levels ``[ceil(nt/2), nt)`` while this process
+    renders and writes the levels before them; the helper's text then
+    follows through a pipe, copied in chunks that need not end on a row.
+    The bytes are those of the inline render. The helper is reaped before this returns or
+    raises, the pipe closed first so that a helper still writing gets
+    ``EPIPE``; a helper that fails raises ``OSError``.
     """
     g = solution.grid
     # Rows of every cell; the leading "" makes the join put ``t`` before the
     # first row as well.
     cells = [""] + ["%.17g,%.17g,%%.17g,%%.17g,%%.17g\n" % (x, q)
                     for x in g.x.tolist() for q in g.q.tolist()]
+    times = g.t.tolist()
 
-    def levels():
-        for level, t in enumerate(g.t.tolist()):
-            template = ("%.17g," % t).join(cells)
+    def levels(start: int, stop: int) -> Iterator[str]:
+        for level in range(start, stop):
+            template = ("%.17g," % times[level]).join(cells)
             yield template % tuple(np.column_stack(
                 [f[level].ravel() for f in (solution.v, solution.m, solution.p)]
             ).ravel().tolist())
 
-    write_csv(path, ("t", "x", "Q", "v", "m", "p"), levels())
+    header = ("t", "x", "Q", "v", "m", "p")
+    nt = len(times)
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        write_csv(path, header, levels(0, nt))
+        return
+    split = (nt + 1) // 2
+    pid, read_fd = _fork_helper(lambda: "".join(levels(split, nt)))
+    try:
+        write_csv(path, header,
+                  itertools.chain(levels(0, split), _pipe_text(read_fd)))
+    finally:
+        os.close(read_fd)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise OSError(f"the solution export helper for {path} ended with "
+                      f"status {status}")
 
 
 def write_marginal_csv(grid: Grid, marginal: np.ndarray, path: str) -> None:

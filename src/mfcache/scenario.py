@@ -253,7 +253,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
 def load_scenario(path: str) -> ScenarioConfig:
     """Load and validate a scenario file; empty files mean all defaults."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"scenario file is not UTF-8 text: {path} ({exc.reason} at "
+                f"byte {exc.start})") from exc
+    return parse_scenario(text)
 
 
 def _fmt(value: object) -> str:

@@ -1,13 +1,21 @@
 """CSV export: the solution file against the six-column reference renderer,
-read back exactly, and written through ``write_csv``; the storage-marginal
+read back exactly, and written through ``write_csv``, inline and through the
+forked helper, with the helper reaped on every path; the storage-marginal
 table against the value-by-value render."""
 
 import csv
+import os
+import signal
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mfcache
 import mfcache.io
+from mfcache.cli import main
 from mfcache.io import (
     format_value,
     write_csv,
@@ -19,6 +27,14 @@ from mfcache.solver import Grid, MfeSolution, SolverConfig
 from support import reference_solution_csv
 
 SUBNORMAL = 5e-324
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test of this module leaves a child process behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +153,125 @@ def test_rendered_blocks_are_written_as_they_are(tmp_path):
     path = tmp_path / "table.csv"
     write_csv(str(path), ("a", "b"), ["1,2\n3,4\n", (5, 6.5)])
     assert path.read_text() == "a,b\n1,2\n3,4\n5,6.5\n"
+
+
+def random_solution(nt: int) -> MfeSolution:
+    grid = Grid(t=np.linspace(0.0, 1.0, nt), x=np.linspace(0.1, 0.7, 3),
+                q=np.linspace(0.0, 0.3, 4))
+    rng = np.random.default_rng(nt)
+    return MfeSolution(v=-rng.exponential(1.0, grid.shape),
+                       m=np.full(grid.shape, 1.0 / (grid.cell_area * 12)),
+                       p=rng.uniform(0.0, 0.5, grid.shape), grid=grid,
+                       iterations=1, residual_history=[0.0], converged=True,
+                       p_max=1.0)
+
+
+@pytest.fixture(params=[(1, True), (2, True), (2, False)],
+                ids=["one-cpu", "two-cpus", "two-cpus-no-fork"])
+def forks(request, monkeypatch):
+    """The pids forked (``.pids``) and whether a helper should run
+    (``.expected``), with the CPUs this process may use and the presence of
+    ``os.fork`` set by the parameter."""
+    cpus, has_fork = request.param
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    if has_fork:
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        monkeypatch.delattr(os, "fork")
+    return SimpleNamespace(pids=pids, expected=cpus > 1 and has_fork)
+
+
+@pytest.mark.parametrize("nt", [None, 4, 7],
+                         ids=["hard-values-nt-3", "nt-4", "nt-7"])
+def test_export_is_the_reference_inline_and_through_the_helper(
+        solution, nt, forks, tmp_path, csv_calls):
+    case = solution if nt is None else random_solution(nt)
+    path = str(tmp_path / "solution_base.csv")
+    write_solution_csv(case, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == reference_solution_csv(case).encode()
+    assert csv_calls == [(path, ("t", "x", "Q", "v", "m", "p"))]
+    assert len(forks.pids) == forks.expected
+
+
+@pytest.mark.parametrize("ending", ["exit-1", "killed"])
+def test_failed_helper_is_an_io_failure(ending, monkeypatch, tmp_path,
+                                        caplog):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    command = os.getpid()
+    real_write = os.write
+
+    def write(fd, data):
+        # Only the helper writes with ``os.write``; it fails there.
+        if os.getpid() != command:
+            if ending == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    scenario = tmp_path / "small.ini"
+    scenario.write_text("[solver]\ngrid_nt = 21\ngrid_nx = 5\ngrid_nq = 5\n")
+    assert main(["solve", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 4
+    assert "solution export helper" in caplog.text
+
+
+# The command fails inside ``write_csv`` while the helper still has text to
+# write, more than the pipe holds, after reading ``ROWS`` of what it was given.
+FAILING_COMMAND = """
+import os, sys
+import numpy as np
+import mfcache.io
+from mfcache.solver import Grid, MfeSolution
+
+os.sched_getaffinity = lambda pid: {0, 1}
+ROWS = int(sys.argv[1])
+grid = Grid(t=np.linspace(0.0, 1.0, 4), x=np.linspace(0.1, 0.7, 40),
+            q=np.linspace(0.0, 1.0, 40))
+rng = np.random.default_rng(3)
+solution = MfeSolution(v=-rng.exponential(1.0, grid.shape),
+                       m=np.full(grid.shape, 1.0 / (grid.cell_area * 1600)),
+                       p=rng.uniform(0.0, 0.5, grid.shape), grid=grid,
+                       iterations=1, residual_history=[0.0], converged=True,
+                       p_max=1.0)
+
+def write_csv(path, header, rows):
+    for _ in zip(range(ROWS), rows):
+        pass
+    raise OSError("the disk is full")
+
+mfcache.io.write_csv = write_csv
+try:
+    mfcache.io.write_solution_csv(solution, os.devnull)
+except OSError as exc:
+    assert str(exc) == "the disk is full", exc
+else:
+    raise AssertionError("the export did not raise")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("reaped")
+"""
+
+
+@pytest.mark.parametrize("rows", [0, 3], ids=["before-any-row",
+                                               "inside-the-pipe"])
+def test_command_failure_mid_export_raises_and_reaps(rows):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(mfcache.__file__)),
+        env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", FAILING_COMMAND, str(rows)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "reaped\n"

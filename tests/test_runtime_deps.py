@@ -15,15 +15,28 @@ import mfcache
 PACKAGE = os.path.dirname(os.path.abspath(mfcache.__file__))
 
 
-def test_import_loads_no_scipy():
+def modules_loaded_by_import(roots: tuple[str, ...]) -> str:
+    """The modules under ``roots`` that ``import mfcache, mfcache.cli``
+    loads in a fresh interpreter, as a printed sorted list."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (os.path.dirname(PACKAGE), env.get("PYTHONPATH"))))
     code = ("import sys, mfcache, mfcache.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    assert modules_loaded_by_import(("scipy",)) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # The export forks with ``os`` alone; these modules would add their
+    # import time to every command's start-up.
+    assert modules_loaded_by_import(
+        ("multiprocessing", "concurrent", "subprocess")) == "[]"
 
 
 def test_source_names_no_scipy():

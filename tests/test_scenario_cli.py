@@ -210,6 +210,15 @@ class TestCli:
     def test_missing_scenario_is_validation_failure(self):
         assert main(["validate", "--scenario", "/no/such/file", "--quiet"]) == 2
 
+    def test_scenario_that_is_not_utf8_is_validation_failure(self, tmp_path,
+                                                              caplog):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[geometry]\nlambda_b = 0.03\xff\n")
+        with pytest.raises(ConfigurationError, match="bad.ini"):
+            load_scenario(str(bad))
+        assert main(["validate", "--scenario", str(bad), "--quiet"]) == 2
+        assert str(bad) in caplog.text
+
     def test_solve_writes_artifacts(self, small_file, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--scenario", small_file, "--out", str(out),

@@ -15,6 +15,8 @@ import mfcache.costs
 import mfcache.solver
 from mfcache.costs import CostParams
 from mfcache.errors import ConfigurationError, SolverError
+from mfcache.experiments import solve_scenario
+from mfcache.scenario import ScenarioConfig
 from mfcache.solver import (
     Grid,
     MfgProblem,
@@ -418,6 +420,55 @@ class TestSolveMfe:
         assert shared.tobytes() == written[-1]
         assert problem.m0.tobytes() == m0_bytes
         assert not np.shares_memory(solution.m, shared)
+
+
+def closed_form_value_error(nt: int, nq: int) -> tuple[float, float]:
+    """``max |v - v_exact|`` of the default scenario solved on an
+    ``nt x 41 x nq`` grid, and its bound ``gamma T dq / (2 C)``.
+
+    No caching pays there, so ``p = 0`` and the remaining storage drifts at
+    ``+e`` until it reaches ``C``; the value is the storage charge along that
+    path, ``(gamma/C) [(C - Q) tau - e tau^2 / 2]`` with
+    ``tau = min(T - t, (C - Q)/e)``, whatever the popularity.
+    """
+    scenario = ScenarioConfig()
+    scenario = replace(scenario, solver=replace(scenario.solver, grid_nt=nt,
+                                                grid_nq=nq))
+    solution = solve_scenario(scenario)
+    g, c = solution.grid, scenario.costs
+    free = c.storage - g.q
+    tau = np.minimum(g.t[-1] - g.t[:, None], free / c.discard_rate)
+    exact = c.gamma / c.storage * (free * tau - c.discard_rate * tau ** 2 / 2)
+    error = float(np.abs(solution.v - exact[:, None, :]).max())
+    assert not solution.p.any()
+    return error, c.gamma * g.t[-1] * g.dq / (2.0 * c.storage)
+
+
+class TestClosedFormValue:
+    """The solved value against its closed form at the default scenario, an
+    oracle that does not share the scheme's discretization.
+
+    The bound is the modified-equation estimate of the first-order upwind
+    ``Q`` step: numerical diffusion ``e dq / 2`` acting for the horizon
+    ``T`` on the value's curvature ``gamma / (C e)`` behind the kink at
+    ``Q = C - e (T - t)`` gives ``gamma T dq / (2 C)``. A monotone scheme
+    converges at least at half order near a kink (Crandall & Lions 1984),
+    so halving ``dt`` and ``dq`` must shrink the error by ``2 ** -0.5``.
+    """
+
+    @pytest.fixture(scope="class")
+    def errors(self):
+        return [closed_form_value_error(nt, nq)
+                for nt, nq in ((201, 41), (401, 81))]
+
+    @pytest.mark.parametrize("level", [0, 1], ids=["201x41x41", "401x41x81"])
+    def test_value_is_within_the_upwind_bound(self, errors, level):
+        error, bound = errors[level]
+        assert error <= bound
+
+    def test_refinement_shrinks_the_error_at_half_order(self, errors):
+        (coarse, _), (fine, _) = errors
+        assert fine <= 2.0 ** -0.5 * coarse
 
 
 class TestSolutionChecks:

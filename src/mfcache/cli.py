@@ -103,13 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    if args.scenario:
-        try:
-            scenario = load_scenario(args.scenario)
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"scenario file not found: {args.scenario}") from exc
-    else:
-        scenario = ScenarioConfig()
+    scenario = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
     if args.seed is not None:
         scenario = replace(scenario,
                            simulation=replace(scenario.simulation, seed=args.seed))

@@ -10,20 +10,29 @@ Inside :func:`one_solve_per_input` (every recipe, and every command of the
 command-line front end, runs in one) equilibrium solves are memoized on the
 solver's actual inputs: sweep points that differ only in settings the
 solver never sees share one solve.
+
+The replications of a sweep point are independent (each seed has its own
+world, policy and observation streams). Where :func:`io.two_cpus` allows,
+a point of two replications or more runs them on two processes
+(:func:`_per_seed`): a forked helper runs the later half of the seeds while
+the command runs the first half, and the results, log records and errors
+come back in seed order, as the inline loop gives them.
 """
 
 from __future__ import annotations
 
 import logging
+import pickle
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import BarrierExclusionError
 from .geometry import average_rate, rate_model_from_config, request_region_count
+from .io import fork_helper, two_cpus
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
 from .scenario import ScenarioConfig, sweep_points
 from .simulation import MetricsLog, ipi_experiment, run_replication
@@ -177,13 +186,75 @@ def _replication_seeds(scenario: ScenarioConfig) -> list[int]:
     return [base + r for r in range(scenario.simulation.replications)]
 
 
+class _Records(logging.Handler):
+    """Keeps every record it handles, with its text rendered (as
+    ``logging.handlers.QueueHandler`` does), so that the records pickle.
+    ``logging.handlers`` itself would cost the helper about 9 ms of imports
+    (``socket``, ``queue``)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg = self.format(record)
+        record.args = record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
+
+
+def _per_seed(run: Callable[[int], object], seeds: list[int]) -> list:
+    """``[run(seed) for seed in seeds]``, on two processes where
+    :func:`io.two_cpus` allows and there are two seeds or more.
+
+    A helper forked by :func:`io.fork_helper` runs the seeds from
+    ``ceil(n/2)`` on while this process runs those before them. The helper
+    stops at its first error and pickles its results, that error and its
+    log records, which reach none of its own handlers. This process then
+    re-emits the records and raises the error after its own seeds, so the
+    earliest failing seed's error wins and every record is handled once,
+    in seed order, as in the inline loop. The simulator path the helper
+    runs uses no BLAS; the solve and the quadrature nodes it needs are
+    computed before the fork. A helper that dies, or whose results, error
+    or records do not pickle, raises ``OSError``.
+    """
+    if len(seeds) < 2 or not two_cpus():
+        return [run(seed) for seed in seeds]
+    half = (len(seeds) + 1) // 2
+
+    def helper() -> bytes:
+        kept = _Records()
+        logging.root.handlers = [kept]
+        results, error = [], None
+        try:
+            for seed in seeds[half:]:
+                results.append(run(seed))
+        except Exception as exc:
+            error = exc
+        return pickle.dumps((kept.records, results, error))
+
+    what = f"the replication helper for seeds {seeds[half:]}"
+    with fork_helper(helper, what) as chunks:
+        results = [run(seed) for seed in seeds[:half]]
+        payload = b"".join(chunks)
+    try:
+        records, theirs, error = pickle.loads(payload)
+    except Exception as exc:
+        raise OSError(f"{what} sent back what does not unpickle: "
+                      f"{exc}") from exc
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if error is not None:
+        raise error
+    return results + theirs
+
+
 def _replications(scenario: ScenarioConfig) -> dict[str, list[MetricsLog]]:
     """Each policy's metrics over the replications of one sweep point, in
     seed order. Every replication runs the three policies of the point's
     equilibrium on one shared world."""
     policies = _policies_for(solve_scenario(scenario))
-    runs = [run_replication(scenario, policies, seed=seed)
-            for seed in _replication_seeds(scenario)]
+    runs = _per_seed(lambda seed: run_replication(scenario, policies, seed=seed),
+                     _replication_seeds(scenario))
     return {name: [run[name, False] for run in runs] for name in POLICY_NAMES}
 
 
@@ -252,8 +323,8 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
     rows: list[tuple] = []
     for lambda_b, sc in sweep_points(scenario, "lambda_b_values"):
         policies = _policies_for(solve_scenario(sc))
-        runs = [ipi_experiment(sc, policies, seed=seed)
-                for seed in _replication_seeds(sc)]
+        runs = _per_seed(lambda seed: ipi_experiment(sc, policies, seed=seed),
+                         _replication_seeds(sc))
         for name in POLICY_NAMES:
             kept = _kept([run[name] for run in runs],
                          f"ipi lambda_b={lambda_b} policy={name}")

@@ -7,8 +7,10 @@ and render each time level from one template. Where ``os.fork`` exists and
 the process may run on two CPUs, a forked helper renders the later half of
 the solution's time levels while the command renders the first half; the
 command alone writes the file, with the same bytes as an inline render.
-Every run directory gets a ``manifest.txt`` recording the scenario hash,
-seed, versions, iteration counts, and wall time.
+:func:`fork_helper` is the package's one fork, pipe and reap; the experiment
+recipes split a sweep point's replications with it too. Every run directory
+gets a ``manifest.txt`` recording the scenario hash, seed, versions,
+iteration counts, and wall time.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 import platform
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,8 +26,9 @@ import numpy as np
 from . import __version__
 from .solver import Grid, MfeSolution
 
-__all__ = ["format_value", "write_csv", "write_solution_csv",
-           "write_marginal_csv", "write_residuals_csv", "write_manifest"]
+__all__ = ["format_value", "write_csv", "two_cpus", "fork_helper",
+           "write_solution_csv", "write_marginal_csv", "write_residuals_csv",
+           "write_manifest"]
 
 
 def format_value(value) -> str:
@@ -53,21 +57,36 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
 
 
 # Bytes per read of the helper's pipe: the command never holds more of the
-# helper's half than this at once.
+# helper's output than this at once.
 _PIPE_CHUNK = 1 << 16
 
 
-def _fork_helper(render: Callable[[], str]) -> tuple[int, int]:
-    """Fork a helper that writes ``render()`` to a pipe and exits; return
-    its pid and the pipe's read end.
+def two_cpus() -> bool:
+    """Whether ``os.fork`` exists and this process may run on two CPUs or
+    more: the condition under which work is split with :func:`fork_helper`."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
-    The helper renders its whole text before it writes, so it does not
-    block on the pipe while there is work to overlap. It never returns into
-    the caller: it leaves through ``os._exit`` (no stdio flush, no atexit
-    hooks), with status 0 only once every byte is written. A helper whose
-    reader has closed the pipe gets ``EPIPE`` and exits 1. ``render`` must
-    only format text (no BLAS, no logging), so that no lock held by another
-    thread at the fork can stop the helper.
+
+@contextmanager
+def fork_helper(work: Callable[[], bytes], what: str) -> Iterator[Iterator[bytes]]:
+    """Fork a helper that writes ``work()`` to a pipe and exits; the block
+    runs in this process beside it and reads the pipe through the iterator
+    it is given, in chunks of at most ``_PIPE_CHUNK`` bytes.
+
+    ``work`` runs in the helper alone, on a copy of this process's memory.
+    It must not use BLAS (a thread pool's lock held at the fork would stop
+    the helper) nor stdio, and it has no way back but its bytes. The helper
+    computes all of them before it writes, so it does not block on the pipe
+    while there is work to overlap. It never returns into the caller: it
+    leaves through ``os._exit`` (no stdio flush, no atexit hooks), with
+    status 0 only once every byte is written; a ``work`` that raises, or a
+    reader that has closed the pipe (``EPIPE``), makes it exit 1.
+
+    On leaving the block the read end is closed, so that a helper still
+    writing gets ``EPIPE``, and then the helper is reaped. If the block
+    raised, its error propagates; otherwise a helper that did not exit 0
+    raises ``OSError`` naming ``what``.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -80,20 +99,25 @@ def _fork_helper(render: Callable[[], str]) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_fd)
-            data = memoryview(render().encode("ascii"))
+            data = memoryview(work())
             while data:
                 data = data[os.write(write_fd, data):]
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
-    return pid, read_fd
 
+    def chunks() -> Iterator[bytes]:
+        while chunk := os.read(read_fd, _PIPE_CHUNK):
+            yield chunk
 
-def _pipe_text(read_fd: int) -> Iterator[str]:
-    """The pipe's text, in chunks of at most ``_PIPE_CHUNK`` bytes."""
-    while chunk := os.read(read_fd, _PIPE_CHUNK):
-        yield chunk.decode("ascii")
+    try:
+        yield chunks()
+    finally:
+        os.close(read_fd)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise OSError(f"{what} ended with status {status}")
 
 
 def write_solution_csv(solution: MfeSolution, path: str) -> None:
@@ -109,9 +133,9 @@ def write_solution_csv(solution: MfeSolution, path: str) -> None:
     a forked helper renders levels ``[ceil(nt/2), nt)`` while this process
     renders and writes the levels before them; the helper's text then
     follows through a pipe, copied in chunks that need not end on a row.
-    The bytes are those of the inline render. The helper is reaped before this returns or
-    raises, the pipe closed first so that a helper still writing gets
-    ``EPIPE``; a helper that fails raises ``OSError``.
+    The bytes are those of the inline render. The helper is reaped before
+    this returns or raises (see :func:`fork_helper`); a helper that fails
+    raises ``OSError``.
     """
     g = solution.grid
     # Rows of every cell; the leading "" makes the join put ``t`` before the
@@ -129,21 +153,14 @@ def write_solution_csv(solution: MfeSolution, path: str) -> None:
 
     header = ("t", "x", "Q", "v", "m", "p")
     nt = len(times)
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
+    if not two_cpus():
         write_csv(path, header, levels(0, nt))
         return
     split = (nt + 1) // 2
-    pid, read_fd = _fork_helper(lambda: "".join(levels(split, nt)))
-    try:
-        write_csv(path, header,
-                  itertools.chain(levels(0, split), _pipe_text(read_fd)))
-    finally:
-        os.close(read_fd)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
-        raise OSError(f"the solution export helper for {path} ended with "
-                      f"status {status}")
+    with fork_helper(lambda: "".join(levels(split, nt)).encode("ascii"),
+                     f"the solution export helper for {path}") as chunks:
+        write_csv(path, header, itertools.chain(
+            levels(0, split), (chunk.decode("ascii") for chunk in chunks)))
 
 
 def write_marginal_csv(grid: Grid, marginal: np.ndarray, path: str) -> None:

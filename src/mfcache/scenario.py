@@ -251,14 +251,21 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Load and validate a scenario file; empty files mean all defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Load and validate a scenario file; empty files mean all defaults.
+
+    A path that does not open and read as a file of UTF-8 text (missing, a
+    directory, unreadable) raises :class:`ConfigurationError` naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(
-                f"scenario file is not UTF-8 text: {path} ({exc.reason} at "
-                f"byte {exc.start})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"scenario file is not UTF-8 text: {path} ({exc.reason} at "
+            f"byte {exc.start})") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"scenario file {path} cannot be read: "
+                                 f"{exc.strerror or exc}") from exc
     return parse_scenario(text)
 
 

@@ -224,15 +224,20 @@ def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
         assert isinstance(args[0].counts, np.ndarray)
 
 
-def test_compare_calls_the_mf_policy_once_per_step(monkeypatch):
+def test_compare_calls_the_mf_policy_once_per_step(monkeypatch, forks,
+                                                    shared_lines):
     # The tracer's policies.mf_calls, a home counter of compare-sim, wraps
     # the class attribute MfPolicy.__call__: every step of every
-    # replication and sweep point must reach the policy through it.
-    calls = []
+    # replication and sweep point must reach the policy through it, on the
+    # inline path and through the replication helper. The helper's calls
+    # are recorded in a file it shares, by the policy's id, which a forked
+    # copy keeps; the policies are kept alive so that no id is reused.
+    alive = []
     call = MfPolicy.__call__
 
     def counting(self, *args, **kwargs):
-        calls.append(self)
+        alive.append(self)
+        shared_lines.append(id(self))
         return call(self, *args, **kwargs)
 
     monkeypatch.setattr(MfPolicy, "__call__", counting)
@@ -243,10 +248,12 @@ def test_compare_calls_the_mf_policy_once_per_step(monkeypatch):
         experiments=ExperimentSweeps(lambda_u_values=(1e-4, 2e-4),
                                      x0_values=(0.3,)))
     compare_experiment(scenario)
+    calls = shared_lines.read()
     steps = 2 * (scenario.solver.grid_nt - 1)   # two periods
     points = 3   # two user densities and one initial popularity
     assert len(calls) == points * 2 * steps
-    assert len(set(map(id, calls))) == points
+    assert len(set(calls)) == points
+    assert len(forks.pids) == points * forks.expected
 
 
 def test_one_barrier_warning_per_excluded_lane(caplog):

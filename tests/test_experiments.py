@@ -1,12 +1,16 @@
 import logging
 import math
-from dataclasses import replace
+import os
+import signal
+import subprocess
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import mfcache.experiments as experiments
-from mfcache.cli import EXIT_ALL_EXCLUDED, main
+from mfcache.cli import EXIT_ALL_EXCLUDED, EXIT_IO, EXIT_VALIDATION, main
 from mfcache.errors import BarrierExclusionError, ConfigurationError
 from mfcache.experiments import (
     compare_experiment,
@@ -23,7 +27,15 @@ from mfcache.scenario import (
     SimulationSettings,
     SolverSettings,
 )
-from mfcache.simulation import MetricsLog, PairedRun
+from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
+from mfcache.simulation import (
+    MetricsLog,
+    PairedRun,
+    ipi_experiment,
+    run_replication,
+)
+
+from support import ConstantPolicy
 
 
 def small_scenario(**experiment_values):
@@ -196,3 +208,234 @@ class TestSomeReplicationsExcluded:
         warnings = self.warnings(caplog)
         assert len(warnings) == 3
         assert all("excluded 1 barrier-hit" in r.getMessage() for r in warnings)
+
+
+def assert_same_log(a: MetricsLog, b: MetricsLog):
+    """Every field of the two logs holds the same bits."""
+    for f in fields(MetricsLog):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert repr(x) == repr(y), f.name
+
+
+def use_cpus(monkeypatch, cpus: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+HELPER_INI = ("[demand]\ncatalog_size = 3\n"
+              "[solver]\ngrid_nt = 21\ngrid_nx = 11\ngrid_nq = 11\n"
+              "[simulation]\nreplications = 4\nseed = 3\n"
+              "[experiments]\nlambda_u_values = 0.0001\nx0_values = 0.3\n"
+              "lambda_b_values = 0.05\n")
+
+
+class TestReplicationHelper:
+    """Where two CPUs are allowed, a sweep point's later seeds run in a
+    forked helper; the results, errors and log records are those of the
+    inline loop."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        # Two periods, three seeds: the command runs two, the helper one.
+        return replace(small_scenario(lambda_u_values=(1e-4,), x0_values=(0.3,),
+                                      lambda_b_values=(0.05,)),
+                       simulation=SimulationSettings(horizon=2.0,
+                                                     replications=3, seed=3))
+
+    @pytest.fixture(scope="class")
+    def policies(self, scenario):
+        # A constant 1.0 hits the barrier, so exclusions come back too.
+        return {"mf": MfPolicy(solve_scenario(scenario)),
+                "baseline": BaselinePolicy(), "random": RandomPolicy(),
+                "over": ConstantPolicy(1.0)}
+
+    def test_compare_replications_equal_the_inline_loop(self, scenario,
+                                                       forks):
+        with one_solve_per_input():
+            split = experiments._replications(scenario)
+            policies = experiments._policies_for(solve_scenario(scenario))
+        inline = [run_replication(scenario, policies, seed=seed)
+                  for seed in (3, 4, 5)]
+        assert list(split) == list(experiments.POLICY_NAMES)
+        for name, logs in split.items():
+            assert len(logs) == 3
+            for log, run in zip(logs, inline):
+                assert_same_log(log, run[name, False])
+        assert len(forks.pids) == forks.expected
+
+    def test_ipi_pairs_equal_the_inline_loop(self, scenario, policies, forks):
+        split = experiments._per_seed(
+            lambda seed: ipi_experiment(scenario, policies, seed=seed),
+            [3, 4, 5])
+        inline = [ipi_experiment(scenario, policies, seed=seed)
+                  for seed in (3, 4, 5)]
+        assert len(split) == 3
+        for run, expected in zip(split, inline):
+            assert list(run) == list(policies)
+            for name, pair in run.items():
+                assert_same_log(pair.perfect, expected[name].perfect)
+                assert_same_log(pair.imperfect, expected[name].imperfect)
+        assert all(run["over"].excluded for run in split)
+        assert len(forks.pids) == forks.expected
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_recipe_rows_equal_inline_and_through_the_helper(
+            self, scenario, monkeypatch, recipe):
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        rows = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            rows[cpus] = RECIPES[recipe](scenario)
+        assert repr(rows[1]) == repr(rows[2])
+        # One helper per sweep point: compare has two, ipi one.
+        assert len(forked) == {"compare": 2, "ipi": 1}[recipe]
+
+    def test_barrier_warnings_once_per_excluded_lane_in_seed_order(
+            self, scenario, policies, forks, caplog):
+        seeds = [3, 4, 5, 6]
+        with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
+            experiments._per_seed(
+                lambda seed: ipi_experiment(scenario, policies, seed=seed),
+                seeds)
+        warnings = [(record.name, record.levelno, record.getMessage())
+                    for record in caplog.records
+                    if "hit the barrier" in record.getMessage()]
+        # Both arms of the "over" lane, per seed.
+        assert warnings == [
+            ("mfcache.simulation", logging.WARNING,
+             f"replication {seed} hit the barrier; trajectory flagged and "
+             "excluded from aggregates") for seed in seeds for _ in range(2)]
+        assert len(forks.pids) == forks.expected
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({6}, 6), ({5, 6}, 5), ({4, 6}, 4), ({3, 5}, 3)],
+        ids=["last-helper-seed", "both-helper-seeds", "command-and-helper",
+             "first-seed"])
+    def test_earliest_failing_seed_wins(self, forks, caplog, failing, raised):
+        # Seeds 3 and 4 run in the command, 5 and 6 in the helper; the
+        # records of the seeds before the failing one are all handled.
+        def run(seed):
+            if seed in failing:
+                raise ConfigurationError(f"seed {seed} failed")
+            return finished_log(seed, math.inf)
+
+        with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
+            with pytest.raises(ConfigurationError, match=f"^seed {raised} "):
+                experiments._per_seed(run, [3, 4, 5, 6])
+        assert [record.getMessage().split()[1] for record in caplog.records
+                if "hit the barrier" in record.getMessage()] == \
+            [str(seed) for seed in range(3, raised)]
+        assert len(forks.pids) == forks.expected
+
+    @pytest.mark.parametrize("command", ["compare", "ipi"])
+    def test_bad_policy_output_on_a_helper_seed_exits_2(
+            self, command, monkeypatch, tmp_path, caplog):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        call = BaselinePolicy.__call__
+
+        def bad_in_the_helper(self, ctx, rng=None):
+            out = call(self, ctx, rng)
+            return out + 2.0 if os.getpid() != parent else out
+
+        monkeypatch.setattr(BaselinePolicy, "__call__", bad_in_the_helper)
+        path = tmp_path / "helper.ini"
+        path.write_text(HELPER_INI)
+        assert main([command, "--scenario", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == EXIT_VALIDATION
+        assert "policy output must be cache fractions" in caplog.text
+
+    class Unpicklable(RuntimeError):
+        def __init__(self):
+            super().__init__("unpicklable")
+            self.hook = lambda: None
+
+    class Ununpicklable(RuntimeError):
+        def __init__(self, first, second):
+            super().__init__(f"{first} {second}")
+
+    @pytest.mark.parametrize("ending", ["killed", "error-does-not-pickle",
+                                        "error-does-not-unpickle"])
+    def test_helper_that_cannot_report_is_an_io_failure(
+            self, ending, monkeypatch, tmp_path, caplog):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        run = experiments.run_replication
+
+        def failing_in_the_helper(*args, **kwargs):
+            if os.getpid() != parent:
+                if ending == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if ending == "error-does-not-pickle":
+                    raise self.Unpicklable()
+                raise self.Ununpicklable("one", "two")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_replication",
+                            failing_in_the_helper)
+        path = tmp_path / "helper.ini"
+        path.write_text(HELPER_INI)
+        assert main(["compare", "--scenario", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == EXIT_IO
+        assert "replication helper for seeds [5, 6]" in caplog.text
+
+
+# ``mfcache ipi`` with a policy that hits the barrier in place of the random
+# one, on the CPUs given: every replication's random lanes are excluded,
+# so the point fails with exit 5 after its "hit the barrier" lines.
+BARRIER_COMMAND = """
+import os, sys
+import numpy as np
+import mfcache.experiments as experiments
+from mfcache.cli import main
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+
+class Over:
+    def __call__(self, ctx, rng=None):
+        return np.full(ctx.x_hat.shape, 1.0)
+
+policies_for = experiments._policies_for
+experiments._policies_for = lambda solution: {**policies_for(solution),
+                                              "random": Over()}
+sys.exit(main(["ipi", "--scenario", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+def test_each_barrier_line_reaches_stderr_once(tmp_path):
+    # The helper's records reach stderr through the command's handler only:
+    # the command prints the same text on one CPU and on two.
+    path = tmp_path / "helper.ini"
+    path.write_text(HELPER_INI)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(experiments.__file__)),
+        env.get("PYTHONPATH"))))
+    stderr = {}
+    for cpus in (1, 2):
+        done = subprocess.run(
+            [sys.executable, "-c", BARRIER_COMMAND, str(cpus), str(path),
+             str(tmp_path / f"out{cpus}")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_ALL_EXCLUDED, done.stderr
+        stderr[cpus] = done.stderr
+    assert stderr[1] == stderr[2]
+    lines = [line.split() for line in stderr[2].splitlines()
+             if "hit the barrier" in line]
+    # Seeds 3 to 6, both arms of the random lane, then the point's error.
+    assert [line[3] for line in lines[:-1]] == \
+        [str(seed) for seed in (3, 4, 5, 6) for _ in range(2)]
+    assert lines[-1][:2] == ["ERROR", "mfcache.cli:"]

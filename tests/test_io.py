@@ -8,7 +8,6 @@ import os
 import signal
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,14 +26,6 @@ from mfcache.solver import Grid, MfeSolution, SolverConfig
 from support import reference_solution_csv
 
 SUBNORMAL = 5e-324
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """No test of this module leaves a child process behind."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -164,30 +155,6 @@ def random_solution(nt: int) -> MfeSolution:
                        p=rng.uniform(0.0, 0.5, grid.shape), grid=grid,
                        iterations=1, residual_history=[0.0], converged=True,
                        p_max=1.0)
-
-
-@pytest.fixture(params=[(1, True), (2, True), (2, False)],
-                ids=["one-cpu", "two-cpus", "two-cpus-no-fork"])
-def forks(request, monkeypatch):
-    """The pids forked (``.pids``) and whether a helper should run
-    (``.expected``), with the CPUs this process may use and the presence of
-    ``os.fork`` set by the parameter."""
-    cpus, has_fork = request.param
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    if has_fork:
-        monkeypatch.setattr(os, "fork", fork)
-    else:
-        monkeypatch.delattr(os, "fork")
-    return SimpleNamespace(pids=pids, expected=cpus > 1 and has_fork)
 
 
 @pytest.mark.parametrize("nt", [None, 4, 7],

@@ -219,6 +219,13 @@ class TestCli:
         assert main(["validate", "--scenario", str(bad), "--quiet"]) == 2
         assert str(bad) in caplog.text
 
+    def test_scenario_that_is_a_directory_is_validation_failure(self, tmp_path,
+                                                                caplog):
+        with pytest.raises(ConfigurationError, match="Is a directory"):
+            load_scenario(str(tmp_path))
+        assert main(["validate", "--scenario", str(tmp_path), "--quiet"]) == 2
+        assert f"scenario file {tmp_path} cannot be read" in caplog.text
+
     def test_solve_writes_artifacts(self, small_file, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--scenario", small_file, "--out", str(out),

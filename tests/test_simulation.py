@@ -408,22 +408,37 @@ class TestSharedReplication:
         (world,) = worlds
         assert [id(d) for d in draws] == [id(h) for h in world.histories] * 2
 
-    def test_compare_builds_one_world_per_point_and_seed(self, monkeypatch):
-        worlds, _ = _recording(monkeypatch)
-        seeds = []
-        run = experiments.run_replication
+    def test_compare_builds_one_world_per_point_and_seed(
+            self, monkeypatch, forks, shared_lines):
+        # Inline and through the replication helper, which runs seed 8 of
+        # each point beside the command's seed 7: the calls are recorded in
+        # a file both processes append to, and each point's pair of seeds
+        # is sorted (a point starts once the previous one's helper is
+        # reaped).
+        run, build = experiments.run_replication, simulation.build_world
 
         def recording_run(scenario, policies, **kwargs):
-            seeds.append(kwargs["seed"])
+            shared_lines.append(f"seed {kwargs['seed']}")
             return run(scenario, policies, **kwargs)
 
+        def recording_build(*args):
+            shared_lines.append("world")
+            return build(*args)
+
         monkeypatch.setattr(experiments, "run_replication", recording_run)
+        monkeypatch.setattr(simulation, "build_world", recording_build)
         sc = replace(small_scenario(), experiments=replace(
             small_scenario().experiments, lambda_u_values=(1e-4, 2e-4),
             x0_values=(0.3,)))
         compare_experiment(sc)
+        lines = shared_lines.read()
+        calls = [int(line.split()[1]) for line in lines if line != "world"]
+        seeds = [seed for i in range(0, len(calls), 2)
+                 for seed in sorted(calls[i:i + 2])]
+        worlds = [line for line in lines if line == "world"]
         assert seeds == [7, 8] * 3
         assert len(worlds) == 6
+        assert len(forks.pids) == 3 * forks.expected
 
 
 class TestStackedLanes:

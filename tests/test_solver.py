@@ -294,6 +294,84 @@ class TestFpkForward:
                         SolverConfig())
 
 
+class TestForwardMoments:
+    """The forward pass's first moments against their exact recursion, an
+    oracle that does not share the scheme's code.
+
+    With no diffusion and a constant control the storage drift is the
+    constant ``b = e - L p``, and the zero-flux finite-volume update moves
+    the storage mean by ``b dt (1 - w)``, where ``w`` is the mass in the
+    last cell downstream (the wall cell, ``Q = C`` for ``b > 0`` and
+    ``Q = 0`` for ``b < 0``): exactly ``b dt`` per level until mass reaches
+    that wall. The popularity drift ``r (mu - x)`` is taken at the cell
+    faces; with ``mu`` above the grid it points up everywhere, and each
+    cell's mass moves at the drift of its upper face, so the popularity
+    mean follows ``E' = E + r dt (mu - dx/2 - E)`` until mass reaches the
+    top row. Each pass moves the initial block, which sits away from every
+    wall, one cell per level at most: the early levels check the plain
+    recursions, the later ones the wall terms.
+    """
+
+    MU, RATE = 0.9, 0.5
+    COSTS = CostParams(discard_rate=0.6)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        # x stays below mu; dt (|b_x|/dx + |b_q|/dq) <= 0.55.
+        return Grid(t=np.linspace(0.0, 1.0, 81), x=np.linspace(0.1, 0.5, 21),
+                    q=np.linspace(0.0, 1.0, 41))
+
+    def moments(self, grid, level):
+        """Per time level: mass, ``E[x]``, ``E[Q]``, the mass of the top x
+        row and of the first and last ``Q`` column."""
+        m = self.run(grid, level) * grid.cell_area
+        return (m.sum(axis=(1, 2)), (m.sum(axis=2) * grid.x).sum(axis=1),
+                (m.sum(axis=1) * grid.q).sum(axis=1), m[:, -1, :].sum(axis=1),
+                m[:, :, 0].sum(axis=1), m[:, :, -1].sum(axis=1))
+
+    def run(self, grid, level):
+        m0 = np.zeros(grid.shape[1:])
+        m0[2:7, 15:26] = np.random.default_rng(4).uniform(0.5, 1.5, (5, 11))
+        m0 /= m0.sum() * grid.cell_area
+        problem = MfgProblem(mu=self.MU, reversion_rate=self.RATE,
+                             volatility=0.0, costs=self.COSTS,
+                             rate_path=np.ones(grid.t.size), m0=m0,
+                             neighbor_count=1)
+        return fpk_forward(np.full(grid.shape, level), m0, problem, grid,
+                           SolverConfig())
+
+    @pytest.mark.parametrize("level", [0.0, 0.95], ids=["b>0", "b<0"])
+    def test_storage_mean_moves_by_the_drift(self, grid, level):
+        mass, _, mean_q, _, first, last = self.moments(grid, level)
+        b = self.COSTS.discard_rate - self.COSTS.content_size * level
+        wall = last if b > 0 else first
+        step = np.diff(mean_q)
+        np.testing.assert_allclose(step, b * grid.dt * (1.0 - wall[:-1]),
+                                   rtol=0, atol=1e-13)
+        # Mass first reaches the wall cell after 15 levels.
+        assert (wall[:15] == 0.0).all() and wall[15] > 0.0
+        np.testing.assert_allclose(step[:15], b * grid.dt, rtol=0, atol=1e-13)
+        assert wall[-1] > 1e-3
+        np.testing.assert_allclose(mass, 1.0, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("level", [0.0, 0.95], ids=["b>0", "b<0"])
+    def test_popularity_mean_relaxes_toward_mu(self, grid, level):
+        _, mean_x, _, top, _, _ = self.moments(grid, level)
+        target = self.MU - grid.dx / 2.0
+        x_top = grid.x[-1]
+        # A mass w in the top row does not move: E' = E + r dt (target (1 -
+        # w) - (E - x_top w)).
+        expected = mean_x[:-1] + self.RATE * grid.dt * (
+            target * (1.0 - top[:-1]) - (mean_x[:-1] - x_top * top[:-1]))
+        np.testing.assert_allclose(mean_x[1:], expected, rtol=0, atol=1e-13)
+        # Mass first reaches the top row after 14 levels.
+        assert (top[:14] == 0.0).all() and top[14] > 0.0
+        exact = target + (mean_x[0] - target) * (
+            1.0 - self.RATE * grid.dt) ** np.arange(15)
+        np.testing.assert_allclose(mean_x[:15], exact, rtol=0, atol=1e-13)
+        assert top[-1] > 1e-3
+
+
 class TestSolveMfe:
     def test_infinite_tolerance_returns_first_sweep(self):
         # The largest finite tolerance never binds (configuration values

@@ -11,12 +11,16 @@ command-line front end, runs in one) equilibrium solves are memoized on the
 solver's actual inputs: sweep points that differ only in settings the
 solver never sees share one solve.
 
-The replications of a sweep point are independent (each seed has its own
-world, policy and observation streams). Where :func:`io.two_cpus` allows,
-a point of two replications or more runs them on two processes
-(:func:`_per_seed`): a forked helper runs the later half of the seeds while
-the command runs the first half, and the results, log records and errors
-come back in seed order, as the inline loop gives them.
+A recipe's sweep is one ordered list of independent tasks: each seed of
+each sweep point is one replication, with its own world, policy and
+observation streams, and each point of the iteration sweep is one solve.
+Where :func:`io.two_cpus` allows, a list of two tasks or more runs on two
+processes (:func:`_sweep`): a forked helper runs the later half of the
+tasks, solving the equilibria of the points it reaches, while the command
+runs the first half. Only an equilibrium that both halves need is solved
+before the fork, so each distinct one is still solved once per command.
+The helper's results, log records and error come back and are used in task
+order, as the inline loop gives them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import pickle
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,11 +40,12 @@ from .geometry import average_rate, rate_model_from_config, request_region_count
 from .io import fork_helper, two_cpus
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
 from .scenario import ScenarioConfig, sweep_points
-from .simulation import MetricsLog, ipi_experiment, run_replication
+from .simulation import ipi_experiment, run_replication
 from .solver import (
     Grid,
     MfeSolution,
     MfgProblem,
+    SolverConfig,
     gaussian_initial_density,
     solve_mfe,
 )
@@ -103,7 +109,9 @@ def one_solve_per_input() -> Iterator[None]:
     solver inputs once and hands every later caller the same solution.
 
     Nested scopes share the outermost memo; it is dropped when that scope
-    exits. Callers must not modify a returned solution.
+    exits. Callers must not modify a returned solution. A solve that a
+    sweep helper runs (see :func:`_sweep`) fills the helper's copy of the
+    memo only.
     """
     if _SOLVES.get() is not None:
         yield
@@ -127,19 +135,27 @@ def _exact(value) -> object:
     return value
 
 
+def _solver_inputs(scenario: ScenarioConfig
+                   ) -> tuple[Grid, MfgProblem, SolverConfig, tuple]:
+    """Grid, reduced problem and solver settings of the scenario's solve,
+    and the bit-exact key :func:`one_solve_per_input` keeps its solution
+    under."""
+    grid = grid_from_scenario(scenario)
+    problem = problem_from_scenario(scenario, grid)
+    config = scenario.solver.config
+    return grid, problem, config, (_exact(grid), _exact(problem), _exact(config))
+
+
 def solve_scenario(scenario: ScenarioConfig) -> MfeSolution:
     """Equilibrium of the scenario.
 
     Inside :func:`one_solve_per_input`, a solve whose grid, reduced problem
     and solver settings equal an earlier one's returns that solution.
     """
-    grid = grid_from_scenario(scenario)
-    problem = problem_from_scenario(scenario, grid)
-    config = scenario.solver.config
+    grid, problem, config, key = _solver_inputs(scenario)
     memo = _SOLVES.get()
     if memo is None:
         return solve_mfe(problem, grid, config)
-    key = (_exact(grid), _exact(problem), _exact(config))
     if key not in memo:
         memo[key] = solve_mfe(problem, grid, config)
     return memo[key]
@@ -202,60 +218,144 @@ class _Records(logging.Handler):
         self.records.append(record)
 
 
-def _per_seed(run: Callable[[int], object], seeds: list[int]) -> list:
-    """``[run(seed) for seed in seeds]``, on two processes where
-    :func:`io.two_cpus` allows and there are two seeds or more.
+def _captured(step: Callable, *args) -> tuple[list[logging.LogRecord], object,
+                                               Exception | None]:
+    """``step(*args)`` with the log records it makes kept, not handled:
+    ``(records, value, None)``, or ``(records, None, error)`` if it raised."""
+    kept = _Records()
+    handlers, logging.root.handlers = logging.root.handlers, [kept]
+    try:
+        return kept.records, step(*args), None
+    except Exception as exc:
+        return kept.records, None, exc
+    finally:
+        logging.root.handlers = handlers
 
-    A helper forked by :func:`io.fork_helper` runs the seeds from
-    ``ceil(n/2)`` on while this process runs those before them. The helper
-    stops at its first error and pickles its results, that error and its
-    log records, which reach none of its own handlers. This process then
-    re-emits the records and raises the error after its own seeds, so the
-    earliest failing seed's error wins and every record is handled once,
-    in seed order, as in the inline loop. The simulator path the helper
-    runs uses no BLAS; the solve and the quadrature nodes it needs are
-    computed before the fork. A helper that dies, or whose results, error
-    or records do not pickle, raises ``OSError``.
+
+def _handle(records: list[logging.LogRecord]) -> None:
+    """Hand records kept by :func:`_captured` to their loggers, in order."""
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
+class _Point(NamedTuple):
+    """A sweep point of a recipe: its scenario, one task per entry of
+    ``seeds``, and ``finish``, which takes the tasks' results in seed order
+    once they are all in (it makes the point's rows and may log or raise)."""
+
+    scenario: ScenarioConfig
+    seeds: Sequence
+    finish: Callable[[list], None]
+
+
+def _needed_by_both(points: list[_Point], tasks: list[tuple], split: int
+                    ) -> list[int]:
+    """The points of ``tasks[:split]`` whose solution ``tasks[split:]``
+    needs too: the point whose tasks straddle the split, and the first
+    point with each solver input that a later point shares."""
+    keys = [_solver_inputs(point.scenario)[3] for point in points]
+    later = {i for i, _ in tasks[split:]}
+    later_keys = {keys[i] for i in later}
+    needed, seen = [], set()
+    for i in sorted({i for i, _ in tasks[:split]}):
+        if i in later or (keys[i] in later_keys and keys[i] not in seen):
+            needed.append(i)
+        seen.add(keys[i])
+    return needed
+
+
+def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
+           run: Callable[[ScenarioConfig, object, object], object]) -> None:
+    """Run the tasks ``(point, seed)`` of ``points`` in order. A point's
+    first task solves its scenario and keeps ``prepare(solution)``; every
+    task's result is ``run(scenario, prepared, seed)``; and once a point's
+    results are all in, they go to its ``finish``.
+
+    Where :func:`io.two_cpus` allows and there are two tasks or more, a
+    helper forked by :func:`io.fork_helper` runs the tasks from
+    ``ceil(n/2)`` on, preparing the points it reaches, while this process
+    runs those before them. Only the solutions that both halves need are
+    prepared before the fork (see :func:`_needed_by_both`), so each
+    distinct equilibrium is solved once; the log records of that
+    preparation are kept and handled at the point's first task. Every
+    point's solver inputs are built before the fork, so a Python warning
+    they raise shows once, from this process.
+
+    The helper stops at its first error and pickles, task by task, the log
+    records (which reach none of its own handlers) and the result, and
+    that error. This process handles them, and finishes the helper's
+    points, after its own tasks, so the earliest failing task's error wins
+    and every record, and every point's warning or error from ``finish``,
+    comes in task order, as in the inline loop. An error in this process's
+    half kills the helper. A helper that dies, or whose results, errors or
+    records do not pickle, raises ``OSError``.
     """
-    if len(seeds) < 2 or not two_cpus():
-        return [run(seed) for seed in seeds]
-    half = (len(seeds) + 1) // 2
+    tasks = [(i, seed) for i, point in enumerate(points) for seed in point.seeds]
+    prepared: dict[int, object] = {}
+    results: list[list] = [[] for _ in points]
+
+    def ready(i: int) -> object:
+        return prepare(solve_scenario(points[i].scenario))
+
+    def task(i: int, seed) -> object:
+        if i not in prepared:
+            prepared[i] = ready(i)
+        return run(points[i].scenario, prepared[i], seed)
+
+    def done(i: int, result) -> None:
+        results[i].append(result)
+        if len(results[i]) == len(points[i].seeds):
+            points[i].finish(results[i])
+
+    split = len(tasks)
+    early: dict[int, tuple[list, Exception | None]] = {}
+    if len(tasks) > 1 and two_cpus():
+        split = (len(tasks) + 1) // 2
+        for i in _needed_by_both(points, tasks, split):
+            records, value, error = _captured(ready, i)
+            early[i] = records, error
+            if error is not None:
+                # This process raises it at point i: no later task is read.
+                split = len(tasks)
+                break
+            prepared[i] = value
+
+    def own_tasks() -> None:
+        for i, seed in tasks[:split]:
+            if i in early:
+                records, error = early.pop(i)
+                _handle(records)
+                if error is not None:
+                    raise error
+            done(i, task(i, seed))
+
+    if split == len(tasks):
+        own_tasks()
+        return
+    theirs = tasks[split:]
 
     def helper() -> bytes:
-        kept = _Records()
-        logging.root.handlers = [kept]
-        results, error = [], None
-        try:
-            for seed in seeds[half:]:
-                results.append(run(seed))
-        except Exception as exc:
-            error = exc
-        return pickle.dumps((kept.records, results, error))
+        outcomes = []
+        for i, seed in theirs:
+            outcomes.append(_captured(task, i, seed))
+            if outcomes[-1][2] is not None:
+                break
+        return pickle.dumps(outcomes)
 
-    what = f"the replication helper for seeds {seeds[half:]}"
+    what = f"the sweep helper for tasks {split} to {len(tasks) - 1}"
     with fork_helper(helper, what) as chunks:
-        results = [run(seed) for seed in seeds[:half]]
+        own_tasks()
         payload = b"".join(chunks)
     try:
-        records, theirs, error = pickle.loads(payload)
+        outcomes = pickle.loads(payload)
     except Exception as exc:
         raise OSError(f"{what} sent back what does not unpickle: "
                       f"{exc}") from exc
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-    if error is not None:
-        raise error
-    return results + theirs
-
-
-def _replications(scenario: ScenarioConfig) -> dict[str, list[MetricsLog]]:
-    """Each policy's metrics over the replications of one sweep point, in
-    seed order. Every replication runs the three policies of the point's
-    equilibrium on one shared world."""
-    policies = _policies_for(solve_scenario(scenario))
-    runs = _per_seed(lambda seed: run_replication(scenario, policies, seed=seed),
-                     _replication_seeds(scenario))
-    return {name: [run[name, False] for run in runs] for name in POLICY_NAMES}
+    for (i, _), (records, result, error) in zip(theirs, outcomes):
+        _handle(records)
+        if error is not None:
+            raise error
+        done(i, result)
 
 
 def _kept(runs: list, label: str) -> list:
@@ -277,17 +377,21 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
     Produces the cost trajectories and final-cost summary across the user
     density sweep, and the overlap-per-storage sweep across initial
     popularity values. Each replication of a sweep point runs all three
-    policies on one shared world. A bad sweep value fails before any solve.
+    policies on one shared world. The sweep's tasks are the user density
+    points' replications, then the initial popularity points' (see
+    :func:`_sweep`). A bad sweep value fails before any solve.
     """
     user_points = sweep_points(scenario, "lambda_u_values")
     x0_points = sweep_points(scenario, "x0_values")
     trajectory_rows: list[tuple] = []
     summary_rows: list[tuple] = []
-    for lambda_u, sc in user_points:
-        runs = _replications(sc)
+    overlap_rows: list[tuple] = []
+
+    def user_rows(lambda_u: float, runs: list) -> None:
         finals: dict[str, float] = {}
         for name in POLICY_NAMES:
-            kept = _kept(runs[name], f"compare lambda_u={lambda_u} policy={name}")
+            kept = _kept([run[name, False] for run in runs],
+                         f"compare lambda_u={lambda_u} policy={name}")
             finals[name] = float(np.mean([log_.lra for log_ in kept]))
             mean_cum = np.mean(np.stack([log_.cumulative_cost for log_ in kept]),
                                axis=0)
@@ -299,13 +403,19 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
                          if finals["baseline"] > 0 else 0.0)
             summary_rows.append((lambda_u, name, finals[name], reduction))
 
-    overlap_rows: list[tuple] = []
-    for x0, sc in x0_points:
-        runs = _replications(sc)
+    def x0_rows(x0: float, runs: list) -> None:
         for name in POLICY_NAMES:
-            kept = _kept(runs[name], f"overlap x0={x0} policy={name}")
+            kept = _kept([run[name, False] for run in runs],
+                         f"overlap x0={x0} policy={name}")
             overlap_rows.append((x0, name, float(np.mean(
                 [log_.overlap_per_storage for log_ in kept]))))
+
+    _sweep([_Point(sc, _replication_seeds(sc), partial(user_rows, lambda_u))
+            for lambda_u, sc in user_points]
+           + [_Point(sc, _replication_seeds(sc), partial(x0_rows, x0))
+              for x0, sc in x0_points],
+           _policies_for,
+           lambda sc, policies, seed: run_replication(sc, policies, seed=seed))
     return {
         "trajectories": trajectory_rows,
         "summary": summary_rows,
@@ -319,12 +429,12 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
 
     Rows: (lambda_b, policy, mean perfect-information cost, mean
     imperfect-information cost, mean increment) over the unexcluded pairs.
+    The sweep's tasks are the station density points' paired replications
+    (see :func:`_sweep`).
     """
     rows: list[tuple] = []
-    for lambda_b, sc in sweep_points(scenario, "lambda_b_values"):
-        policies = _policies_for(solve_scenario(sc))
-        runs = _per_seed(lambda seed: ipi_experiment(sc, policies, seed=seed),
-                         _replication_seeds(sc))
+
+    def point_rows(lambda_b: float, runs: list) -> None:
         for name in POLICY_NAMES:
             kept = _kept([run[name] for run in runs],
                          f"ipi lambda_b={lambda_b} policy={name}")
@@ -334,15 +444,26 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
                 float(np.mean([pair.imperfect.lra for pair in kept])),
                 float(np.mean([pair.increment for pair in kept])),
             ))
+
+    _sweep([_Point(sc, _replication_seeds(sc), partial(point_rows, lambda_b))
+            for lambda_b, sc in sweep_points(scenario, "lambda_b_values")],
+           _policies_for,
+           lambda sc, policies, seed: ipi_experiment(sc, policies, seed=seed))
     return rows
 
 
 @one_solve_per_input()
 def iteration_sweep(scenario: ScenarioConfig) -> list[tuple]:
-    """Solver iteration counts across the station-density sweep."""
-    rows = []
-    for lambda_b, sc in sweep_points(scenario, "lambda_b_values"):
-        solution = solve_scenario(sc)
-        rows.append((lambda_b, solution.iterations, int(solution.converged),
-                     solution.residual_history[-1]))
+    """Solver iteration counts across the station-density sweep; each
+    point's solve is one task of the sweep (see :func:`_sweep`)."""
+    rows: list[tuple] = []
+
+    def point_row(lambda_b: float, results: list) -> None:
+        rows.append((lambda_b, *results[0]))
+
+    _sweep([_Point(sc, (None,), partial(point_row, lambda_b))
+            for lambda_b, sc in sweep_points(scenario, "lambda_b_values")],
+           lambda solution: (solution.iterations, int(solution.converged),
+                             solution.residual_history[-1]),
+           lambda sc, row, seed: row)
     return rows

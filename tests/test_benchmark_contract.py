@@ -8,6 +8,7 @@ from __future__ import annotations
 import configparser
 import importlib
 import importlib.util
+import itertools
 import logging
 import os
 import sys
@@ -229,17 +230,22 @@ def test_compare_calls_the_mf_policy_once_per_step(monkeypatch, forks,
     # The tracer's policies.mf_calls, a home counter of compare-sim, wraps
     # the class attribute MfPolicy.__call__: every step of every
     # replication and sweep point must reach the policy through it, on the
-    # inline path and through the replication helper. The helper's calls
-    # are recorded in a file it shares, by the policy's id, which a forked
-    # copy keeps; the policies are kept alive so that no id is reused.
-    alive = []
-    call = MfPolicy.__call__
+    # inline path and through the sweep helper. The helper's calls are
+    # recorded in a file it shares, by a label each policy gets when it is
+    # built: the pid that built it and a serial number (ids would not do,
+    # since the two processes allocate from copies of one heap).
+    init, call = MfPolicy.__init__, MfPolicy.__call__
+    serial = itertools.count()
+
+    def labelled(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.label = f"{os.getpid()}-{next(serial)}"
 
     def counting(self, *args, **kwargs):
-        alive.append(self)
-        shared_lines.append(id(self))
+        shared_lines.append(self.label)
         return call(self, *args, **kwargs)
 
+    monkeypatch.setattr(MfPolicy, "__init__", labelled)
     monkeypatch.setattr(MfPolicy, "__call__", counting)
     scenario = ScenarioConfig(
         demand=DemandConfig(catalog_size=3),
@@ -253,7 +259,8 @@ def test_compare_calls_the_mf_policy_once_per_step(monkeypatch, forks,
     points = 3   # two user densities and one initial popularity
     assert len(calls) == points * 2 * steps
     assert len(set(calls)) == points
-    assert len(forks.pids) == points * forks.expected
+    # One helper for the recipe's six tasks.
+    assert len(forks.pids) == forks.expected
 
 
 def test_one_barrier_warning_per_excluded_lane(caplog):

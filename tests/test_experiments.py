@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,6 +27,8 @@ from mfcache.scenario import (
     ScenarioConfig,
     SimulationSettings,
     SolverSettings,
+    load_scenario,
+    sweep_points,
 )
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 from mfcache.simulation import (
@@ -62,14 +65,45 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def solve_log(solves, monkeypatch, shared_lines):
+    """Lines of a file that a forked helper appends to as well:
+    ``solve <pid> <rate>`` for every equilibrium solve, with the first
+    value of the problem's rate path (each sweep point of these tests has
+    its own), and ``fork`` at every fork. ``.pids`` holds the forked pids."""
+    solve, fork = experiments.solve_mfe, os.fork
+    pids = []
+
+    def logged_solve(problem, grid, config):
+        shared_lines.append(f"solve {os.getpid()} {problem.rate_path[0].hex()}")
+        return solve(problem, grid, config)
+
+    def logged_fork():
+        shared_lines.append("fork")
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments, "solve_mfe", logged_solve)
+    monkeypatch.setattr(os, "fork", logged_fork)
+    shared_lines.pids = pids
+    return shared_lines
+
+
+def solve_lines(solve_log) -> list[str]:
+    return [line for line in solve_log.read() if line.startswith("solve")]
+
+
 class TestOneSolvePerInput:
-    def test_base_density_in_sweep_reuses_base_solve(self, solves):
+    def test_base_density_in_sweep_reuses_base_solve(self, solves, solve_log):
         base = ScenarioConfig().geometry.lambda_b
         scenario = small_scenario(lambda_b_values=(base, 0.05))
         with one_solve_per_input():
             solution = solve_all_contents(scenario)
             rows = iteration_sweep(scenario)
-        assert len(solves) == 2
+        # Counted in this process and in a sweep helper alike.
+        assert len(solve_lines(solve_log)) == 2
         assert solves[0][1] is solution
         assert rows[0][1:] == (solution.iterations, int(solution.converged),
                                solution.residual_history[-1])
@@ -99,7 +133,8 @@ class TestOneSolvePerInput:
         solve_scenario(scenario)
         assert len(solves) == 3
 
-    def test_solve_command_solves_each_distinct_input_once(self, solves, tmp_path):
+    def test_solve_command_solves_each_distinct_input_once(self, solve_log,
+                                                           tmp_path):
         path = tmp_path / "sweep.ini"
         path.write_text("[demand]\ncatalog_size = 3\n"
                         "[solver]\ngrid_nt = 21\ngrid_nx = 11\ngrid_nq = 11\n"
@@ -107,7 +142,7 @@ class TestOneSolvePerInput:
         out = tmp_path / "out"
         assert main(["solve", "--scenario", str(path), "--out", str(out),
                      "--sweep-density", "--quiet"]) == 0
-        assert len(solves) == 2
+        assert len(solve_lines(solve_log)) == 2
         table = (out / "content_solutions.csv").read_text().splitlines()
         assert table == ["content,solution_content", "0,0", "1,0", "2,0"]
 
@@ -233,10 +268,22 @@ HELPER_INI = ("[demand]\ncatalog_size = 3\n"
               "lambda_b_values = 0.05\n")
 
 
+def per_seed(scenario, prepare, run, seeds) -> list:
+    """The results of one sweep point's tasks, through ``_sweep``."""
+    results = []
+    experiments._sweep([experiments._Point(scenario, seeds, results.extend)],
+                       prepare, run)
+    return results
+
+
+def replicate(scenario, policies, seed):
+    return run_replication(scenario, policies, seed=seed)
+
+
 class TestReplicationHelper:
-    """Where two CPUs are allowed, a sweep point's later seeds run in a
-    forked helper; the results, errors and log records are those of the
-    inline loop."""
+    """Where two CPUs are allowed, a sweep's later tasks run in a forked
+    helper; the results, errors and log records are those of the inline
+    loop."""
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -256,20 +303,22 @@ class TestReplicationHelper:
     def test_compare_replications_equal_the_inline_loop(self, scenario,
                                                        forks):
         with one_solve_per_input():
-            split = experiments._replications(scenario)
+            split = per_seed(scenario, experiments._policies_for, replicate,
+                             [3, 4, 5])
             policies = experiments._policies_for(solve_scenario(scenario))
         inline = [run_replication(scenario, policies, seed=seed)
                   for seed in (3, 4, 5)]
-        assert list(split) == list(experiments.POLICY_NAMES)
-        for name, logs in split.items():
-            assert len(logs) == 3
-            for log, run in zip(logs, inline):
-                assert_same_log(log, run[name, False])
+        assert len(split) == 3
+        for run, expected in zip(split, inline):
+            assert list(run) == list(expected)
+            for lane, log in run.items():
+                assert_same_log(log, expected[lane])
         assert len(forks.pids) == forks.expected
 
     def test_ipi_pairs_equal_the_inline_loop(self, scenario, policies, forks):
-        split = experiments._per_seed(
-            lambda seed: ipi_experiment(scenario, policies, seed=seed),
+        split = per_seed(
+            scenario, lambda solution: policies,
+            lambda sc, given, seed: ipi_experiment(sc, given, seed=seed),
             [3, 4, 5])
         inline = [ipi_experiment(scenario, policies, seed=seed)
                   for seed in (3, 4, 5)]
@@ -300,16 +349,17 @@ class TestReplicationHelper:
             use_cpus(monkeypatch, cpus)
             rows[cpus] = RECIPES[recipe](scenario)
         assert repr(rows[1]) == repr(rows[2])
-        # One helper per sweep point: compare has two, ipi one.
-        assert len(forked) == {"compare": 2, "ipi": 1}[recipe]
+        # One helper per recipe of two tasks or more: compare has six
+        # tasks (two points), ipi three (one point).
+        assert len(forked) == 1
 
     def test_barrier_warnings_once_per_excluded_lane_in_seed_order(
             self, scenario, policies, forks, caplog):
         seeds = [3, 4, 5, 6]
         with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
-            experiments._per_seed(
-                lambda seed: ipi_experiment(scenario, policies, seed=seed),
-                seeds)
+            per_seed(scenario, lambda solution: policies,
+                     lambda sc, given, seed: ipi_experiment(sc, given, seed=seed),
+                     seeds)
         warnings = [(record.name, record.levelno, record.getMessage())
                     for record in caplog.records
                     if "hit the barrier" in record.getMessage()]
@@ -324,21 +374,42 @@ class TestReplicationHelper:
         ({6}, 6), ({5, 6}, 5), ({4, 6}, 4), ({3, 5}, 3)],
         ids=["last-helper-seed", "both-helper-seeds", "command-and-helper",
              "first-seed"])
-    def test_earliest_failing_seed_wins(self, forks, caplog, failing, raised):
+    def test_earliest_failing_seed_wins(self, scenario, forks, caplog,
+                                        failing, raised):
         # Seeds 3 and 4 run in the command, 5 and 6 in the helper; the
         # records of the seeds before the failing one are all handled.
-        def run(seed):
+        def run(sc, prepared, seed):
             if seed in failing:
                 raise ConfigurationError(f"seed {seed} failed")
             return finished_log(seed, math.inf)
 
         with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
             with pytest.raises(ConfigurationError, match=f"^seed {raised} "):
-                experiments._per_seed(run, [3, 4, 5, 6])
+                per_seed(scenario, lambda solution: None, run, [3, 4, 5, 6])
         assert [record.getMessage().split()[1] for record in caplog.records
                 if "hit the barrier" in record.getMessage()] == \
             [str(seed) for seed in range(3, raised)]
         assert len(forks.pids) == forks.expected
+
+    def test_an_error_in_the_command_kills_the_helper(self, monkeypatch):
+        # The command's first task fails at once; each of the helper's two
+        # tasks would sleep 0.5 s. The error surfaces without waiting for
+        # them.
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "solve_scenario", lambda sc: None)
+        command = os.getpid()
+
+        def run(sc, prepared, seed):
+            if os.getpid() == command:
+                raise ConfigurationError(f"seed {seed} failed")
+            time.sleep(0.5)
+
+        sc = small_scenario()
+        started = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="^seed 3 "):
+            experiments._sweep([experiments._Point(sc, (3, 4), list)] * 2,
+                               lambda solution: None, run)
+        assert time.perf_counter() - started < 0.25
 
     @pytest.mark.parametrize("command", ["compare", "ipi"])
     def test_bad_policy_output_on_a_helper_seed_exits_2(
@@ -390,7 +461,236 @@ class TestReplicationHelper:
         path.write_text(HELPER_INI)
         assert main(["compare", "--scenario", str(path), "--out",
                      str(tmp_path / "out"), "--quiet"]) == EXIT_IO
-        assert "replication helper for seeds [5, 6]" in caplog.text
+        # Eight tasks: the helper runs the x0 point's four.
+        assert "sweep helper for tasks 4 to 7" in caplog.text
+
+
+def point_rates(scenario, sweep: str) -> list[str]:
+    """The first rate-path value of each sweep point's reduced problem, as
+    ``solve_log`` records it."""
+    return [experiments.problem_from_scenario(
+                sc, experiments.grid_from_scenario(sc)).rate_path[0].hex()
+            for _, sc in sweep_points(scenario, sweep)]
+
+
+class TestEachEquilibriumSolvedOnce:
+    """A sweep through the helper solves each distinct equilibrium once, in
+    the process that needs it, or before the fork when both do."""
+
+    @pytest.fixture()
+    def ipi_sweep(self, monkeypatch, solve_log):
+        use_cpus(monkeypatch, 2)
+        fake_runs(monkeypatch, lambda seed: 1.0)
+
+        def sweep(densities, replications):
+            scenario = replace(small_scenario(lambda_b_values=densities),
+                               simulation=SimulationSettings(
+                                   replications=replications, seed=3))
+            ipi_sweep_experiment(scenario)
+            (helper,) = solve_log.pids
+            rates = point_rates(scenario, "lambda_b_values")
+            return solve_log.read(), helper, rates
+        return sweep
+
+    def test_two_points_of_four_seeds_solve_one_in_each_process(
+            self, ipi_sweep):
+        lines, helper, rates = ipi_sweep((0.02, 0.05), 4)
+        assert lines[0] == "fork"
+        assert sorted(lines[1:]) == sorted([f"solve {os.getpid()} {rates[0]}",
+                                            f"solve {helper} {rates[1]}"])
+
+    def test_one_point_of_four_seeds_solves_before_the_fork(self, ipi_sweep):
+        lines, helper, rates = ipi_sweep((0.05,), 4)
+        assert lines == [f"solve {os.getpid()} {rates[0]}", "fork"]
+
+    def test_inputs_shared_across_the_split_solve_before_the_fork(
+            self, ipi_sweep):
+        # The helper's one task repeats the first point's solver inputs.
+        lines, helper, rates = ipi_sweep((0.02, 0.05, 0.02), 1)
+        assert lines == [f"solve {os.getpid()} {rates[0]}", "fork",
+                         f"solve {os.getpid()} {rates[1]}"]
+
+    def test_a_straddling_point_solves_once_before_the_fork(self, ipi_sweep):
+        # Six tasks: the command runs 0.02's two seeds and 0.035's first,
+        # the helper 0.035's second and 0.05's two.
+        lines, helper, rates = ipi_sweep((0.02, 0.035, 0.05), 2)
+        assert lines[:2] == [f"solve {os.getpid()} {rates[1]}", "fork"]
+        assert sorted(lines[2:]) == sorted([f"solve {os.getpid()} {rates[0]}",
+                                            f"solve {helper} {rates[2]}"])
+
+
+def fault_in(point, fault, monkeypatch):
+    """Make the sweep point ``point`` (a scenario) fail with ``fault``,
+    whichever process runs it."""
+    target = experiments._exact(experiments.problem_from_scenario(
+        point, experiments.grid_from_scenario(point)))
+    solve, replication = experiments.solve_mfe, experiments.run_replication
+
+    def unconverged(problem, grid, config):
+        if experiments._exact(problem) == target:
+            config = replace(config, max_iterations=1)
+        return solve(problem, grid, config)
+
+    def faulty(scenario, policies, **kwargs):
+        if scenario == point:
+            level = 2.0 if fault == "bad-output" else 1.0
+            policies = {name: ConstantPolicy(level) for name in policies}
+        return replication(scenario, policies, **kwargs)
+
+    if fault == "no-convergence":
+        monkeypatch.setattr(experiments, "solve_mfe", unconverged)
+    else:
+        monkeypatch.setattr(experiments, "run_replication", faulty)
+
+
+@pytest.mark.parametrize("sweep, fault, where, code", [
+    ("0.0001", None, None, 0),
+    ("0.0001", "bad-output", "x0", EXIT_VALIDATION),
+    ("0.0001", "no-convergence", "x0", 3),
+    ("0.0001", "all-excluded", "x0", EXIT_ALL_EXCLUDED),
+    ("0.0001", "all-excluded", "first", EXIT_ALL_EXCLUDED),
+    ("0.0001, 0.0002", None, None, 0),
+    ("0.0001, 0.0002", "no-convergence", "straddling", 3),
+    ("0.0001, 0.0002", "all-excluded", "straddling", EXIT_ALL_EXCLUDED),
+], ids=["two-points", "two-points-bad-output", "two-points-no-convergence",
+        "two-points-all-excluded", "command-side-all-excluded",
+        "three-points", "straddling-no-convergence",
+        "straddling-all-excluded"])
+def test_compare_is_the_same_on_one_and_two_cpus(sweep, fault, where, code,
+                                                 monkeypatch, tmp_path, caplog):
+    # Two seeds per point. With two user densities the second one's tasks
+    # straddle the split, so it is solved before the fork, its records
+    # kept until its turn. The x0 point's tasks all run in the helper, the
+    # first point's in the command.
+    path = tmp_path / "compare.ini"
+    path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
+                    .replace("lambda_u_values = 0.0001", f"lambda_u_values = {sweep}")
+                    .replace("x0_values = 0.3", "x0_values = 0.6"))
+    scenario = load_scenario(str(path))
+    if fault:
+        user_points = sweep_points(scenario, "lambda_u_values")
+        points = {"first": user_points[0][1], "straddling": user_points[-1][1],
+                  "x0": sweep_points(scenario, "x0_values")[0][1]}
+        fault_in(points[where], fault, monkeypatch)
+    # Each solve logs which point it solves, so that the order of the
+    # points' records shows.
+    solve = experiments.solve_mfe
+
+    def logged_solve(problem, grid, config):
+        logging.getLogger("tests.solves").info(
+            "solving at rate %r, x mean %r", float(problem.rate_path[0]),
+            float((problem.m0.sum(axis=1) * grid.x).sum() / problem.m0.sum()))
+        return solve(problem, grid, config)
+
+    monkeypatch.setattr(experiments, "solve_mfe", logged_solve)
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    seen = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        caplog.clear()
+        out = tmp_path / f"out{cpus}"
+        with caplog.at_level(logging.DEBUG):
+            exit_code = main(["compare", "--scenario", str(path), "--out",
+                              str(out)])
+        records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        tables = {name: (out / name).read_bytes()
+                  for name in sorted(os.listdir(out)) if name.endswith(".csv")}
+        seen[cpus] = exit_code, records, tables
+    assert seen[1] == seen[2]
+    exit_code, records, tables = seen[2]
+    assert exit_code == code
+    solves = [message for name, _, message in records if name == "tests.solves"]
+    assert solves and len(solves) == len(set(solves))
+    if code:
+        assert records[-1][:2] == ("mfcache.cli", logging.ERROR)
+    else:
+        assert len(solves) == sweep.count(",") + 2
+        assert len(tables) == 3
+    # A failed solve before the fork leaves no work for a helper.
+    assert len(forked) == (where != "straddling" or fault != "no-convergence")
+
+
+# ``mfcache compare`` on the CPUs given, after a call that starts the BLAS
+# thread pool: the helper's solves then run BLAS and LAPACK in a process
+# forked from one whose pool has run.
+BLAS_COMMAND = """
+import os, sys
+import numpy as np
+from mfcache.cli import main
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+a = np.random.default_rng(0).random((512, 512))
+assert np.isfinite(a @ a).all()
+sys.exit(main(["compare", "--scenario", sys.argv[2], "--out", sys.argv[3],
+               "--quiet"]))
+"""
+
+
+def test_helper_solves_after_threaded_blas(tmp_path):
+    path = tmp_path / "blas.ini"
+    path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
+                    .replace("x0_values = 0.3", "x0_values = 0.6"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(experiments.__file__)),
+        env.get("PYTHONPATH"))))
+    tables = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}"
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_COMMAND, str(cpus), str(path),
+             str(out)], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        tables[cpus] = {name: (out / name).read_bytes()
+                        for name in sorted(os.listdir(out))
+                        if name.endswith(".csv")}
+    assert len(tables[2]) == 3
+    assert tables[1] == tables[2]
+
+
+# ``mfcache compare --quiet`` on the CPUs given: stderr then holds only
+# Python warnings.
+WARNING_COMMAND = """
+import os, sys
+from mfcache.cli import main
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+sys.exit(main(["compare", "--scenario", sys.argv[2], "--out", sys.argv[3],
+               "--quiet"]))
+"""
+
+
+def test_a_warning_of_points_on_both_sides_shows_once(tmp_path):
+    # Both points have more users than stations, so the solve and the
+    # replications of each, in the command and in the helper, reach the
+    # geometry warning; the command shows it once, as on one CPU.
+    path = tmp_path / "dense.ini"
+    path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
+                    .replace("lambda_u_values = 0.0001", "lambda_u_values = 0.1")
+                    .replace("[demand]", "[geometry]\nlambda_u = 0.2\n[demand]"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(experiments.__file__)),
+        env.get("PYTHONPATH"))))
+    stderr = {}
+    for cpus in (1, 2):
+        done = subprocess.run(
+            [sys.executable, "-c", WARNING_COMMAND, str(cpus), str(path),
+             str(tmp_path / f"out{cpus}")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        stderr[cpus] = done.stderr
+    assert stderr[2] == stderr[1]
+    assert stderr[2].count("lambda_u exceeds lambda_b") == 1
 
 
 # ``mfcache ipi`` with a policy that hits the barrier in place of the random

@@ -410,15 +410,15 @@ class TestSharedReplication:
 
     def test_compare_builds_one_world_per_point_and_seed(
             self, monkeypatch, forks, shared_lines):
-        # Inline and through the replication helper, which runs seed 8 of
-        # each point beside the command's seed 7: the calls are recorded in
-        # a file both processes append to, and each point's pair of seeds
-        # is sorted (a point starts once the previous one's helper is
-        # reaped).
+        # Inline and through the sweep helper, which runs the later three
+        # of the six (point, seed) tasks beside the command: the calls are
+        # recorded in a file both processes append to, so their order
+        # across the two processes is free.
         run, build = experiments.run_replication, simulation.build_world
 
         def recording_run(scenario, policies, **kwargs):
-            shared_lines.append(f"seed {kwargs['seed']}")
+            shared_lines.append(f"seed {scenario.geometry.lambda_u!r} "
+                                f"{scenario.demand.x0!r} {kwargs['seed']}")
             return run(scenario, policies, **kwargs)
 
         def recording_build(*args):
@@ -432,13 +432,16 @@ class TestSharedReplication:
             x0_values=(0.3,)))
         compare_experiment(sc)
         lines = shared_lines.read()
-        calls = [int(line.split()[1]) for line in lines if line != "world"]
-        seeds = [seed for i in range(0, len(calls), 2)
-                 for seed in sorted(calls[i:i + 2])]
+        calls = sorted(tuple(line.split()[1:]) for line in lines
+                       if line != "world")
         worlds = [line for line in lines if line == "world"]
-        assert seeds == [7, 8] * 3
+        points = [(repr(1e-4), repr(sc.demand.x0)),
+                  (repr(2e-4), repr(sc.demand.x0)),
+                  (repr(sc.geometry.lambda_u), repr(0.3))]
+        assert calls == sorted(point + (str(seed),) for point in points
+                               for seed in (7, 8))
         assert len(worlds) == 6
-        assert len(forks.pids) == 3 * forks.expected
+        assert len(forks.pids) == forks.expected
 
 
 class TestStackedLanes:

@@ -11,22 +11,25 @@ command-line front end, runs in one) equilibrium solves are memoized on the
 solver's actual inputs: sweep points that differ only in settings the
 solver never sees share one solve.
 
-A recipe's sweep is one ordered list of independent tasks: each seed of
-each sweep point is one replication, with its own world, policy and
-observation streams, and each point of the iteration sweep is one solve.
-Where :func:`io.two_cpus` allows, a list of two tasks or more runs on two
+The comparison and information-study recipes run their sweeps as one
+ordered list of independent tasks: each seed of each sweep point is one
+replication, with its own world, policy and observation streams. Where
+:func:`io.two_cpus` allows, a list of two tasks or more runs on two
 processes (:func:`_sweep`): a forked helper runs the later half of the
 tasks, solving the equilibria of the points it reaches, while the command
 runs the first half. Only an equilibrium that both halves need is solved
-before the fork, so each distinct one is still solved once per command.
-The helper's results, log records and error come back and are used in task
-order, as the inline loop gives them.
+before the fork, so each distinct one is still solved once per command;
+where numpy's BLAS is not the build checked to run in a forked helper
+(:func:`io.forked_blas_checked`), the command solves the helper's points
+before the fork too. The helper's results, log records, warnings and error
+come back and are used in task order, as the inline loop gives them.
 """
 
 from __future__ import annotations
 
 import logging
 import pickle
+import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import BarrierExclusionError
 from .geometry import average_rate, rate_model_from_config, request_region_count
-from .io import fork_helper, two_cpus
+from .io import forked_blas_checked, fork_helper, two_cpus
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
 from .scenario import ScenarioConfig, sweep_points
 from .simulation import ipi_experiment, run_replication
@@ -111,7 +114,10 @@ def one_solve_per_input() -> Iterator[None]:
     Nested scopes share the outermost memo; it is dropped when that scope
     exits. Callers must not modify a returned solution. A solve that a
     sweep helper runs (see :func:`_sweep`) fills the helper's copy of the
-    memo only.
+    memo only: a later :func:`solve_scenario` of that point in the same
+    scope solves it again. Only :func:`compare_experiment` and
+    :func:`ipi_sweep_experiment` split their sweeps, and the commands that
+    run them solve nothing after them.
     """
     if _SOLVES.get() is not None:
         yield
@@ -135,24 +141,33 @@ def _exact(value) -> object:
     return value
 
 
-def _solver_inputs(scenario: ScenarioConfig
-                   ) -> tuple[Grid, MfgProblem, SolverConfig, tuple]:
-    """Grid, reduced problem and solver settings of the scenario's solve,
-    and the bit-exact key :func:`one_solve_per_input` keeps its solution
-    under."""
+class _Inputs(NamedTuple):
+    """Grid, reduced problem and solver settings of a scenario's solve, and
+    the bit-exact key :func:`one_solve_per_input` keeps its solution under."""
+
+    grid: Grid
+    problem: MfgProblem
+    config: SolverConfig
+    key: tuple
+
+
+def _solver_inputs(scenario: ScenarioConfig) -> _Inputs:
     grid = grid_from_scenario(scenario)
     problem = problem_from_scenario(scenario, grid)
     config = scenario.solver.config
-    return grid, problem, config, (_exact(grid), _exact(problem), _exact(config))
+    return _Inputs(grid, problem, config,
+                   (_exact(grid), _exact(problem), _exact(config)))
 
 
-def solve_scenario(scenario: ScenarioConfig) -> MfeSolution:
-    """Equilibrium of the scenario.
+def solve_scenario(scenario: ScenarioConfig, *,
+                   inputs: _Inputs | None = None) -> MfeSolution:
+    """Equilibrium of the scenario; ``inputs`` are its solver inputs, if
+    the caller has built them already.
 
     Inside :func:`one_solve_per_input`, a solve whose grid, reduced problem
     and solver settings equal an earlier one's returns that solution.
     """
-    grid, problem, config, key = _solver_inputs(scenario)
+    grid, problem, config, key = inputs or _solver_inputs(scenario)
     memo = _SOLVES.get()
     if memo is None:
         return solve_mfe(problem, grid, config)
@@ -202,40 +217,51 @@ def _replication_seeds(scenario: ScenarioConfig) -> list[int]:
     return [base + r for r in range(scenario.simulation.replications)]
 
 
-class _Records(logging.Handler):
-    """Keeps every record it handles, with its text rendered (as
-    ``logging.handlers.QueueHandler`` does), so that the records pickle.
-    ``logging.handlers`` itself would cost the helper about 9 ms of imports
-    (``socket``, ``queue``)."""
+class _Kept(logging.Handler):
+    """Keeps, in order, every log record it handles and the arguments of
+    every warning shown through :meth:`show`. A record's text is rendered
+    (as ``logging.handlers.QueueHandler`` does), so that the records
+    pickle. ``logging.handlers`` itself would cost the helper about 9 ms of
+    imports (``socket``, ``queue``)."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.records: list[logging.LogRecord] = []
+        self.kept: list = []
 
     def emit(self, record: logging.LogRecord) -> None:
         record.msg = self.format(record)
         record.args = record.exc_info = record.exc_text = record.stack_info = None
-        self.records.append(record)
+        self.kept.append(record)
+
+    def show(self, message, category, filename, lineno, file=None, line=None):
+        self.kept.append((message, category, filename, lineno, file, line))
 
 
-def _captured(step: Callable, *args) -> tuple[list[logging.LogRecord], object,
-                                               Exception | None]:
-    """``step(*args)`` with the log records it makes kept, not handled:
-    ``(records, value, None)``, or ``(records, None, error)`` if it raised."""
-    kept = _Records()
-    handlers, logging.root.handlers = logging.root.handlers, [kept]
+def _captured(step: Callable, *args) -> tuple[list, object, Exception | None]:
+    """``step(*args)`` with the log records it makes and the warnings it
+    shows kept, in order, not handled: ``(kept, value, None)``, or
+    ``(kept, None, error)`` if it raised. The warning filters still apply,
+    so a warning shown once per process is kept once."""
+    keeper = _Kept()
+    handlers, logging.root.handlers = logging.root.handlers, [keeper]
+    show, warnings.showwarning = warnings.showwarning, keeper.show
     try:
-        return kept.records, step(*args), None
+        return keeper.kept, step(*args), None
     except Exception as exc:
-        return kept.records, None, exc
+        return keeper.kept, None, exc
     finally:
         logging.root.handlers = handlers
+        warnings.showwarning = show
 
 
-def _handle(records: list[logging.LogRecord]) -> None:
-    """Hand records kept by :func:`_captured` to their loggers, in order."""
-    for record in records:
-        logging.getLogger(record.name).handle(record)
+def _handle(kept: list) -> None:
+    """Hand what :func:`_captured` kept to the loggers and to
+    ``warnings.showwarning``, in order."""
+    for item in kept:
+        if isinstance(item, logging.LogRecord):
+            logging.getLogger(item.name).handle(item)
+        else:
+            warnings.showwarning(*item)
 
 
 class _Point(NamedTuple):
@@ -248,17 +274,20 @@ class _Point(NamedTuple):
     finish: Callable[[list], None]
 
 
-def _needed_by_both(points: list[_Point], tasks: list[tuple], split: int
-                    ) -> list[int]:
-    """The points of ``tasks[:split]`` whose solution ``tasks[split:]``
-    needs too: the point whose tasks straddle the split, and the first
-    point with each solver input that a later point shares."""
-    keys = [_solver_inputs(point.scenario)[3] for point in points]
+def _solved_before_fork(keys: list[tuple], tasks: list[tuple], split: int,
+                        helper_solves: bool) -> list[int]:
+    """The points, in order, whose solutions are prepared before the fork:
+    the point whose tasks straddle the split, the first point of
+    ``tasks[:split]`` with each memo key that a point of ``tasks[split:]``
+    shares, and, unless ``helper_solves``, every point of
+    ``tasks[split:]``."""
+    own = {i for i, _ in tasks[:split]}
     later = {i for i, _ in tasks[split:]}
     later_keys = {keys[i] for i in later}
     needed, seen = [], set()
-    for i in sorted({i for i, _ in tasks[:split]}):
-        if i in later or (keys[i] in later_keys and keys[i] not in seen):
+    for i in sorted(own | later):
+        if (i in later and (i in own or not helper_solves)
+                or i in own and keys[i] in later_keys and keys[i] not in seen):
             needed.append(i)
         seen.add(keys[i])
     return needed
@@ -267,35 +296,46 @@ def _needed_by_both(points: list[_Point], tasks: list[tuple], split: int
 def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
            run: Callable[[ScenarioConfig, object, object], object]) -> None:
     """Run the tasks ``(point, seed)`` of ``points`` in order. A point's
-    first task solves its scenario and keeps ``prepare(solution)``; every
-    task's result is ``run(scenario, prepared, seed)``; and once a point's
-    results are all in, they go to its ``finish``.
+    first task builds its solver inputs, solves them and keeps
+    ``prepare(solution)``; every task's result is ``run(scenario,
+    prepared, seed)``; and once a point's results are all in, they go to
+    its ``finish``.
 
     Where :func:`io.two_cpus` allows and there are two tasks or more, a
     helper forked by :func:`io.fork_helper` runs the tasks from
-    ``ceil(n/2)`` on, preparing the points it reaches, while this process
-    runs those before them. Only the solutions that both halves need are
-    prepared before the fork (see :func:`_needed_by_both`), so each
-    distinct equilibrium is solved once; the log records of that
-    preparation are kept and handled at the point's first task. Every
-    point's solver inputs are built before the fork, so a Python warning
-    they raise shows once, from this process.
+    ``ceil(n/2)`` on, while this process runs those before them. Before the
+    fork, this process builds every point's solver inputs, for their memo
+    keys, and prepares the solutions that both halves need (see
+    :func:`_solved_before_fork`), so each distinct equilibrium is solved
+    once. The helper prepares the other points it reaches where
+    :func:`io.forked_blas_checked` holds; elsewhere a helper must not call
+    BLAS, so this process prepares those points before the fork as well.
+    The log records and warnings of the work before the fork are kept and
+    handled at each point's first task.
 
-    The helper stops at its first error and pickles, task by task, the log
-    records (which reach none of its own handlers) and the result, and
-    that error. This process handles them, and finishes the helper's
-    points, after its own tasks, so the earliest failing task's error wins
-    and every record, and every point's warning or error from ``finish``,
-    comes in task order, as in the inline loop. An error in this process's
-    half kills the helper. A helper that dies, or whose results, errors or
-    records do not pickle, raises ``OSError``.
+    The helper stops at its first error and pickles, task by task, what it
+    kept of its log records (which reach none of its own handlers) and
+    warnings, the result, and that error. This process handles them, and
+    finishes the helper's points, after its own tasks, so the earliest
+    failing task's error wins and every record, warning, and point's
+    warning or error from ``finish`` comes in task order, as in the inline
+    loop. An error in this process's half kills the helper. A helper that
+    dies, or whose results, errors or records do not pickle, raises
+    ``OSError``. An error before the fork skips it: the tasks then run
+    inline and raise it at its point.
     """
     tasks = [(i, seed) for i, point in enumerate(points) for seed in point.seeds]
+    inputs: dict[int, _Inputs] = {}
     prepared: dict[int, object] = {}
     results: list[list] = [[] for _ in points]
 
+    def build(i: int) -> _Inputs:
+        if i not in inputs:
+            inputs[i] = _solver_inputs(points[i].scenario)
+        return inputs[i]
+
     def ready(i: int) -> object:
-        return prepare(solve_scenario(points[i].scenario))
+        return prepare(solve_scenario(points[i].scenario, inputs=build(i)))
 
     def task(i: int, seed) -> object:
         if i not in prepared:
@@ -309,24 +349,36 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
 
     split = len(tasks)
     early: dict[int, tuple[list, Exception | None]] = {}
+
+    def before_fork() -> Iterator[tuple[Callable, int]]:
+        yield from ((build, i) for i in range(len(points)))
+        keys = [inputs[i].key for i in range(len(points))]
+        yield from ((ready, i) for i in _solved_before_fork(
+            keys, tasks, split, forked_blas_checked()))
+
     if len(tasks) > 1 and two_cpus():
         split = (len(tasks) + 1) // 2
-        for i in _needed_by_both(points, tasks, split):
-            records, value, error = _captured(ready, i)
-            early[i] = records, error
+        for step, i in before_fork():
+            kept, value, error = _captured(step, i)
+            early[i] = early.get(i, ([], None))[0] + kept, error
             if error is not None:
-                # This process raises it at point i: no later task is read.
+                # The tasks run inline and raise it at point i.
                 split = len(tasks)
                 break
-            prepared[i] = value
+            if step is ready:
+                prepared[i] = value
+
+    def first(i: int) -> None:
+        """Handle what point ``i`` kept before the fork; raise its error."""
+        if i in early:
+            kept, error = early.pop(i)
+            _handle(kept)
+            if error is not None:
+                raise error
 
     def own_tasks() -> None:
         for i, seed in tasks[:split]:
-            if i in early:
-                records, error = early.pop(i)
-                _handle(records)
-                if error is not None:
-                    raise error
+            first(i)
             done(i, task(i, seed))
 
     if split == len(tasks):
@@ -351,8 +403,9 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     except Exception as exc:
         raise OSError(f"{what} sent back what does not unpickle: "
                       f"{exc}") from exc
-    for (i, _), (records, result, error) in zip(theirs, outcomes):
-        _handle(records)
+    for (i, _), (kept, result, error) in zip(theirs, outcomes):
+        first(i)
+        _handle(kept)
         if error is not None:
             raise error
         done(i, result)
@@ -454,16 +507,10 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
 
 @one_solve_per_input()
 def iteration_sweep(scenario: ScenarioConfig) -> list[tuple]:
-    """Solver iteration counts across the station-density sweep; each
-    point's solve is one task of the sweep (see :func:`_sweep`)."""
-    rows: list[tuple] = []
-
-    def point_row(lambda_b: float, results: list) -> None:
-        rows.append((lambda_b, *results[0]))
-
-    _sweep([_Point(sc, (None,), partial(point_row, lambda_b))
-            for lambda_b, sc in sweep_points(scenario, "lambda_b_values")],
-           lambda solution: (solution.iterations, int(solution.converged),
-                             solution.residual_history[-1]),
-           lambda sc, row, seed: row)
+    """Solver iteration counts across the station-density sweep."""
+    rows = []
+    for lambda_b, sc in sweep_points(scenario, "lambda_b_values"):
+        solution = solve_scenario(sc)
+        rows.append((lambda_b, solution.iterations, int(solution.converged),
+                     solution.residual_history[-1]))
     return rows

@@ -19,6 +19,7 @@ import itertools
 import os
 import platform
 from contextlib import contextmanager
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,9 +27,9 @@ import numpy as np
 from . import __version__
 from .solver import Grid, MfeSolution
 
-__all__ = ["format_value", "write_csv", "two_cpus", "fork_helper",
-           "write_solution_csv", "write_marginal_csv", "write_residuals_csv",
-           "write_manifest"]
+__all__ = ["format_value", "write_csv", "two_cpus", "forked_blas_checked",
+           "fork_helper", "write_solution_csv", "write_marginal_csv",
+           "write_residuals_csv", "write_manifest"]
 
 
 def format_value(value) -> str:
@@ -68,6 +69,25 @@ def two_cpus() -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
+@cache
+def forked_blas_checked() -> bool:
+    """Whether numpy's BLAS and LAPACK are of the kind on which a helper of
+    :func:`fork_helper` is checked to call them: an OpenBLAS built without
+    OpenMP, whose threads are pthreads, as numpy's bundled build is. A test
+    runs the equilibrium solves of a sweep helper forked after threaded
+    BLAS calls, on numpy's bundled OpenBLAS 0.3.31. An OpenMP thread pool
+    (MKL, or an OpenBLAS built with ``USE_OPENMP``) that the parent has
+    used may deadlock in a forked child."""
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    for lib in ("blas", "lapack"):
+        dep = deps.get(lib, {})
+        build = dep.get("openblas configuration")
+        if (not dep.get("name", "").endswith("openblas") or build is None
+                or "USE_OPENMP" in build):
+            return False
+    return True
+
+
 @contextmanager
 def fork_helper(work: Callable[[], bytes], what: str) -> Iterator[Iterator[bytes]]:
     """Fork a helper that writes ``work()`` to a pipe and exits; the block
@@ -75,15 +95,14 @@ def fork_helper(work: Callable[[], bytes], what: str) -> Iterator[Iterator[bytes
     it is given, in chunks of at most ``_PIPE_CHUNK`` bytes.
 
     ``work`` runs in the helper alone, on a copy of this process's memory.
-    It must not use stdio, and it has no way back but its bytes. It may use
-    BLAS and LAPACK: with numpy's bundled OpenBLAS (0.3.31, a pthreads
-    build), a test runs the equilibrium solves of a sweep helper forked
-    after threaded BLAS calls. The helper computes all of its bytes before
-    it writes, so it does not block on the pipe while there is work to
-    overlap. It never returns into the caller: it leaves through
-    ``os._exit`` (no stdio flush, no atexit hooks), with status 0 only once
-    every byte is written; a ``work`` that raises, or a reader that has
-    closed the pipe (``EPIPE``), makes it exit 1.
+    It must not use stdio, and it has no way back but its bytes. It may
+    call BLAS and LAPACK only where :func:`forked_blas_checked` holds. The
+    helper computes all of its bytes before it writes, so it does not block
+    on the pipe while there is work to overlap. It never returns into the
+    caller: it leaves through ``os._exit`` (no stdio flush, no atexit
+    hooks), with status 0 only once every byte is written; a ``work`` that
+    raises, or a reader that has closed the pipe (``EPIPE``), makes it exit
+    1.
 
     If the block raises, the helper is killed, since nothing it computes
     will be read; its error then propagates. On leaving the block the read

@@ -91,19 +91,14 @@ def solve_log(solves, monkeypatch, shared_lines):
     return shared_lines
 
 
-def solve_lines(solve_log) -> list[str]:
-    return [line for line in solve_log.read() if line.startswith("solve")]
-
-
 class TestOneSolvePerInput:
-    def test_base_density_in_sweep_reuses_base_solve(self, solves, solve_log):
+    def test_base_density_in_sweep_reuses_base_solve(self, solves):
         base = ScenarioConfig().geometry.lambda_b
         scenario = small_scenario(lambda_b_values=(base, 0.05))
         with one_solve_per_input():
             solution = solve_all_contents(scenario)
             rows = iteration_sweep(scenario)
-        # Counted in this process and in a sweep helper alike.
-        assert len(solve_lines(solve_log)) == 2
+        assert len(solves) == 2
         assert solves[0][1] is solution
         assert rows[0][1:] == (solution.iterations, int(solution.converged),
                                solution.residual_history[-1])
@@ -133,8 +128,7 @@ class TestOneSolvePerInput:
         solve_scenario(scenario)
         assert len(solves) == 3
 
-    def test_solve_command_solves_each_distinct_input_once(self, solve_log,
-                                                           tmp_path):
+    def test_solve_command_solves_each_distinct_input_once(self, solves, tmp_path):
         path = tmp_path / "sweep.ini"
         path.write_text("[demand]\ncatalog_size = 3\n"
                         "[solver]\ngrid_nt = 21\ngrid_nx = 11\ngrid_nq = 11\n"
@@ -142,7 +136,7 @@ class TestOneSolvePerInput:
         out = tmp_path / "out"
         assert main(["solve", "--scenario", str(path), "--out", str(out),
                      "--sweep-density", "--quiet"]) == 0
-        assert len(solve_lines(solve_log)) == 2
+        assert len(solves) == 2
         table = (out / "content_solutions.csv").read_text().splitlines()
         assert table == ["content,solution_content", "0,0", "1,0", "2,0"]
 
@@ -396,7 +390,8 @@ class TestReplicationHelper:
         # tasks would sleep 0.5 s. The error surfaces without waiting for
         # them.
         use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(experiments, "solve_scenario", lambda sc: None)
+        monkeypatch.setattr(experiments, "solve_scenario",
+                            lambda sc, inputs: None)
         command = os.getpid()
 
         def run(sc, prepared, seed):
@@ -518,6 +513,36 @@ class TestEachEquilibriumSolvedOnce:
         assert sorted(lines[2:]) == sorted([f"solve {os.getpid()} {rates[0]}",
                                             f"solve {helper} {rates[2]}"])
 
+    def test_a_helper_that_must_not_call_blas_gets_its_points_solved(
+            self, ipi_sweep, monkeypatch):
+        # Without the checked BLAS build the command solves the helper's
+        # point before the fork, and its own after.
+        monkeypatch.setattr(experiments, "forked_blas_checked", lambda: False)
+        lines, helper, rates = ipi_sweep((0.02, 0.05), 4)
+        assert lines == [f"solve {os.getpid()} {rates[1]}", "fork",
+                         f"solve {os.getpid()} {rates[0]}"]
+
+    def test_a_helper_solve_stays_out_of_the_command_memo(self, monkeypatch,
+                                                          solve_log):
+        # In the scope of the sweep, the command's point is not solved
+        # again, the helper's point is: its solution stayed in the helper.
+        use_cpus(monkeypatch, 2)
+        fake_runs(monkeypatch, lambda seed: 1.0)
+        scenario = replace(small_scenario(lambda_b_values=(0.02, 0.05)),
+                           simulation=SimulationSettings(replications=4, seed=3))
+        (_, own), (_, theirs) = sweep_points(scenario, "lambda_b_values")
+        with one_solve_per_input():
+            ipi_sweep_experiment(scenario)
+            solve_scenario(own)
+            solve_scenario(theirs)
+        (helper,) = solve_log.pids
+        rates = point_rates(scenario, "lambda_b_values")
+        lines = solve_log.read()
+        assert lines[0] == "fork"
+        assert sorted(lines[1:3]) == sorted([f"solve {os.getpid()} {rates[0]}",
+                                             f"solve {helper} {rates[1]}"])
+        assert lines[3:] == [f"solve {os.getpid()} {rates[1]}"]
+
 
 def fault_in(point, fault, monkeypatch):
     """Make the sweep point ``point`` (a scenario) fail with ``fault``,
@@ -543,25 +568,36 @@ def fault_in(point, fault, monkeypatch):
         monkeypatch.setattr(experiments, "run_replication", faulty)
 
 
-@pytest.mark.parametrize("sweep, fault, where, code", [
-    ("0.0001", None, None, 0),
-    ("0.0001", "bad-output", "x0", EXIT_VALIDATION),
-    ("0.0001", "no-convergence", "x0", 3),
-    ("0.0001", "all-excluded", "x0", EXIT_ALL_EXCLUDED),
-    ("0.0001", "all-excluded", "first", EXIT_ALL_EXCLUDED),
-    ("0.0001, 0.0002", None, None, 0),
-    ("0.0001, 0.0002", "no-convergence", "straddling", 3),
-    ("0.0001, 0.0002", "all-excluded", "straddling", EXIT_ALL_EXCLUDED),
+@pytest.mark.parametrize("sweep, fault, where, code, checked", [
+    ("0.0001", None, None, 0, True),
+    ("0.0001", "bad-output", "x0", EXIT_VALIDATION, True),
+    ("0.0001", "no-convergence", "x0", 3, True),
+    ("0.0001", "all-excluded", "x0", EXIT_ALL_EXCLUDED, True),
+    ("0.0001", "all-excluded", "first", EXIT_ALL_EXCLUDED, True),
+    ("0.0001, 0.0002", None, None, 0, True),
+    ("0.0001, 0.0002", "no-convergence", "straddling", 3, True),
+    ("0.0001, 0.0002", "all-excluded", "straddling", EXIT_ALL_EXCLUDED, True),
+    ("0.0001, 0.0002", None, None, 0, False),
+    ("0.0001", "no-convergence", "x0", 3, False),
+    ("0.0001", "all-excluded", "x0", EXIT_ALL_EXCLUDED, False),
 ], ids=["two-points", "two-points-bad-output", "two-points-no-convergence",
         "two-points-all-excluded", "command-side-all-excluded",
         "three-points", "straddling-no-convergence",
-        "straddling-all-excluded"])
+        "straddling-all-excluded", "three-points-unchecked-blas",
+        "two-points-no-convergence-unchecked-blas",
+        "two-points-all-excluded-unchecked-blas"])
 def test_compare_is_the_same_on_one_and_two_cpus(sweep, fault, where, code,
-                                                 monkeypatch, tmp_path, caplog):
+                                                 checked, monkeypatch,
+                                                 tmp_path, caplog):
     # Two seeds per point. With two user densities the second one's tasks
     # straddle the split, so it is solved before the fork, its records
     # kept until its turn. The x0 point's tasks all run in the helper, the
     # first point's in the command.
+    # Without the checked BLAS build the command solves the x0 point before
+    # the fork as well.
+    if not checked:
+        monkeypatch.setattr(experiments, "forked_blas_checked", lambda: False)
+    helper_solves = experiments.forked_blas_checked()
     path = tmp_path / "compare.ini"
     path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
                     .replace("lambda_u_values = 0.0001", f"lambda_u_values = {sweep}")
@@ -616,7 +652,8 @@ def test_compare_is_the_same_on_one_and_two_cpus(sweep, fault, where, code,
         assert len(solves) == sweep.count(",") + 2
         assert len(tables) == 3
     # A failed solve before the fork leaves no work for a helper.
-    assert len(forked) == (where != "straddling" or fault != "no-convergence")
+    assert len(forked) == (fault != "no-convergence"
+                           or where == "x0" and helper_solves)
 
 
 # ``mfcache compare`` on the CPUs given, after a call that starts the BLAS
@@ -657,25 +694,32 @@ def test_helper_solves_after_threaded_blas(tmp_path):
     assert tables[1] == tables[2]
 
 
-# ``mfcache compare --quiet`` on the CPUs given: stderr then holds only
-# Python warnings.
+# ``mfcache compare`` on the CPUs given, with the further options given:
+# with ``--quiet``, stderr holds only Python warnings.
 WARNING_COMMAND = """
 import os, sys
 from mfcache.cli import main
 
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
 sys.exit(main(["compare", "--scenario", sys.argv[2], "--out", sys.argv[3],
-               "--quiet"]))
+               *sys.argv[4:]]))
 """
 
 
-def test_a_warning_of_points_on_both_sides_shows_once(tmp_path):
-    # Both points have more users than stations, so the solve and the
-    # replications of each, in the command and in the helper, reach the
-    # geometry warning; the command shows it once, as on one CPU.
+@pytest.mark.parametrize("lambda_u, options", [
+    ("0.1", ["--quiet"]), ("0.1", ["-v"]), ("0.0001", ["-v"])],
+    ids=["both-points", "both-points-verbose", "helper-point-verbose"])
+def test_a_warning_of_points_on_both_sides_shows_once(tmp_path, lambda_u,
+                                                      options):
+    # The x0 point, run by the helper, has more users than stations, and so
+    # has the user density point at 0.1, run by the command. The solve and
+    # the replications of each dense point reach the geometry warning; the
+    # command shows it once, where the one-CPU run does: at the first dense
+    # point's solve, after the solver lines of any point before it.
     path = tmp_path / "dense.ini"
     path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
-                    .replace("lambda_u_values = 0.0001", "lambda_u_values = 0.1")
+                    .replace("lambda_u_values = 0.0001",
+                             f"lambda_u_values = {lambda_u}")
                     .replace("[demand]", "[geometry]\nlambda_u = 0.2\n[demand]"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (
@@ -685,12 +729,15 @@ def test_a_warning_of_points_on_both_sides_shows_once(tmp_path):
     for cpus in (1, 2):
         done = subprocess.run(
             [sys.executable, "-c", WARNING_COMMAND, str(cpus), str(path),
-             str(tmp_path / f"out{cpus}")],
+             str(tmp_path / f"out{cpus}"), *options],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         stderr[cpus] = done.stderr
     assert stderr[2] == stderr[1]
     assert stderr[2].count("lambda_u exceeds lambda_b") == 1
+    # With solver lines, the warning follows the first point's when that
+    # point is not dense.
+    assert stderr[2].startswith("DEBUG") == (lambda_u == "0.0001")
 
 
 # ``mfcache ipi`` with a policy that hits the barrier in place of the random

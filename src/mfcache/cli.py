@@ -23,8 +23,9 @@ Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 barrier (``BarrierExclusionError``). Every run writes ``manifest.txt``
 beside its CSVs.
 
-Each command solves every distinct equilibrium once: solves with identical
-solver inputs share one result (see ``experiments.one_solve_per_input``).
+Each command solves every distinct equilibrium once per process (see
+``experiments.one_solve_per_input``): a sweep helper shows none of what
+its duplicate solves log.
 """
 
 from __future__ import annotations

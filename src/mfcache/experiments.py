@@ -14,15 +14,14 @@ solver never sees share one solve.
 The comparison and information-study recipes run their sweeps as one
 ordered list of independent tasks: each seed of each sweep point is one
 replication, with its own world, policy and observation streams. Where
-:func:`io.two_cpus` allows, a list of two tasks or more runs on two
-processes (:func:`_sweep`): a forked helper runs the later half of the
-tasks, solving the equilibria of the points it reaches, while the command
-runs the first half. Only an equilibrium that both halves need is solved
-before the fork, so each distinct one is still solved once per command;
-where numpy's BLAS is not the build checked to run in a forked helper
-(:func:`io.forked_blas_checked`), the command solves the helper's points
-before the fork too. The helper's results, log records, warnings and error
-come back and are used in task order, as the inline loop gives them.
+:func:`io.two_cpus` allows and numpy's BLAS is the build checked to run in
+a forked helper (:func:`io.forked_blas_checked`), a list of two tasks or
+more runs on two processes (:func:`_sweep`): a forked helper runs the later
+half of the tasks while the command runs the first half. Each process
+solves each distinct equilibrium of its own half once, so one that both
+halves need is solved in both; the helper shows none of what its duplicate
+solve logs. The helper's results, log records, warnings and error come back
+and are used in task order, as the inline loop gives them.
 """
 
 from __future__ import annotations
@@ -112,12 +111,12 @@ def one_solve_per_input() -> Iterator[None]:
     solver inputs once and hands every later caller the same solution.
 
     Nested scopes share the outermost memo; it is dropped when that scope
-    exits. Callers must not modify a returned solution. A solve that a
-    sweep helper runs (see :func:`_sweep`) fills the helper's copy of the
-    memo only: a later :func:`solve_scenario` of that point in the same
-    scope solves it again. Only :func:`compare_experiment` and
-    :func:`ipi_sweep_experiment` split their sweeps, and the commands that
-    run them solve nothing after them.
+    exits. Callers must not modify a returned solution. The memo is per
+    process: a sweep helper (see :func:`_sweep`) solves in its own copy, so
+    an equilibrium both halves need is solved in both (the helper shows
+    none of what its duplicate solve logs), and a later call for a
+    helper's point in the same scope solves it again; the commands that
+    split a sweep make no such call.
     """
     if _SOLVES.get() is not None:
         yield
@@ -274,23 +273,12 @@ class _Point(NamedTuple):
     finish: Callable[[list], None]
 
 
-def _solved_before_fork(keys: list[tuple], tasks: list[tuple], split: int,
-                        helper_solves: bool) -> list[int]:
-    """The points, in order, whose solutions are prepared before the fork:
-    the point whose tasks straddle the split, the first point of
-    ``tasks[:split]`` with each memo key that a point of ``tasks[split:]``
-    shares, and, unless ``helper_solves``, every point of
-    ``tasks[split:]``."""
-    own = {i for i, _ in tasks[:split]}
-    later = {i for i, _ in tasks[split:]}
-    later_keys = {keys[i] for i in later}
-    needed, seen = [], set()
-    for i in sorted(own | later):
-        if (i in later and (i in own or not helper_solves)
-                or i in own and keys[i] in later_keys and keys[i] not in seen):
-            needed.append(i)
-        seen.add(keys[i])
-    return needed
+def _quietly(step: Callable[[], object]) -> object:
+    """``step()``, dropping what it logs and the warnings it shows."""
+    _, value, error = _captured(step)
+    if error is not None:
+        raise error
+    return value
 
 
 def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
@@ -301,17 +289,15 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     prepared, seed)``; and once a point's results are all in, they go to
     its ``finish``.
 
-    Where :func:`io.two_cpus` allows and there are two tasks or more, a
-    helper forked by :func:`io.fork_helper` runs the tasks from
-    ``ceil(n/2)`` on, while this process runs those before them. Before the
-    fork, this process builds every point's solver inputs, for their memo
-    keys, and prepares the solutions that both halves need (see
-    :func:`_solved_before_fork`), so each distinct equilibrium is solved
-    once. The helper prepares the other points it reaches where
-    :func:`io.forked_blas_checked` holds; elsewhere a helper must not call
-    BLAS, so this process prepares those points before the fork as well.
-    The log records and warnings of the work before the fork are kept and
-    handled at each point's first task.
+    Where :func:`io.two_cpus` and :func:`io.forked_blas_checked` allow and
+    there are two tasks or more, a helper forked by :func:`io.fork_helper`
+    runs the tasks from ``ceil(n/2)`` on, while this process runs those
+    before them; nothing runs before the fork. Each process solves the
+    points it runs, so a straddling point, or solver inputs shared across
+    the split, are solved in both. The helper first builds this process's
+    points' solver inputs, dropping what that logs: this gives the memo
+    keys this process solves, and marks the warnings it shows as shown, as
+    in the inline loop. It drops what its solves of those keys log.
 
     The helper stops at its first error and pickles, task by task, what it
     kept of its log records (which reach none of its own handlers) and
@@ -321,64 +307,32 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     warning or error from ``finish`` comes in task order, as in the inline
     loop. An error in this process's half kills the helper. A helper that
     dies, or whose results, errors or records do not pickle, raises
-    ``OSError``. An error before the fork skips it: the tasks then run
-    inline and raise it at its point.
+    ``OSError``.
     """
     tasks = [(i, seed) for i, point in enumerate(points) for seed in point.seeds]
-    inputs: dict[int, _Inputs] = {}
+    split = len(tasks)
+    if split > 1 and two_cpus() and forked_blas_checked():
+        split = (split + 1) // 2
+    quiet: set[tuple] = set()   # filled in the helper's copy only
     prepared: dict[int, object] = {}
     results: list[list] = [[] for _ in points]
 
-    def build(i: int) -> _Inputs:
-        if i not in inputs:
-            inputs[i] = _solver_inputs(points[i].scenario)
-        return inputs[i]
-
-    def ready(i: int) -> object:
-        return prepare(solve_scenario(points[i].scenario, inputs=build(i)))
-
     def task(i: int, seed) -> object:
+        scenario = points[i].scenario
         if i not in prepared:
-            prepared[i] = ready(i)
-        return run(points[i].scenario, prepared[i], seed)
+            inputs = _solver_inputs(scenario)
+            solve = partial(solve_scenario, scenario, inputs=inputs)
+            prepared[i] = prepare(_quietly(solve) if inputs.key in quiet
+                                  else solve())
+        return run(scenario, prepared[i], seed)
 
     def done(i: int, result) -> None:
         results[i].append(result)
         if len(results[i]) == len(points[i].seeds):
             points[i].finish(results[i])
 
-    split = len(tasks)
-    early: dict[int, tuple[list, Exception | None]] = {}
-
-    def before_fork() -> Iterator[tuple[Callable, int]]:
-        yield from ((build, i) for i in range(len(points)))
-        keys = [inputs[i].key for i in range(len(points))]
-        yield from ((ready, i) for i in _solved_before_fork(
-            keys, tasks, split, forked_blas_checked()))
-
-    if len(tasks) > 1 and two_cpus():
-        split = (len(tasks) + 1) // 2
-        for step, i in before_fork():
-            kept, value, error = _captured(step, i)
-            early[i] = early.get(i, ([], None))[0] + kept, error
-            if error is not None:
-                # The tasks run inline and raise it at point i.
-                split = len(tasks)
-                break
-            if step is ready:
-                prepared[i] = value
-
-    def first(i: int) -> None:
-        """Handle what point ``i`` kept before the fork; raise its error."""
-        if i in early:
-            kept, error = early.pop(i)
-            _handle(kept)
-            if error is not None:
-                raise error
-
     def own_tasks() -> None:
         for i, seed in tasks[:split]:
-            first(i)
             done(i, task(i, seed))
 
     if split == len(tasks):
@@ -387,6 +341,11 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     theirs = tasks[split:]
 
     def helper() -> bytes:
+        # The keys this process solves; building them marks the warnings
+        # that this shows as shown here too.
+        ours = {i for i, _ in tasks[:split]}
+        quiet.update(_quietly(lambda: {_solver_inputs(points[i].scenario).key
+                                       for i in ours}))
         outcomes = []
         for i, seed in theirs:
             outcomes.append(_captured(task, i, seed))
@@ -404,7 +363,6 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
         raise OSError(f"{what} sent back what does not unpickle: "
                       f"{exc}") from exc
     for (i, _), (kept, result, error) in zip(theirs, outcomes):
-        first(i)
         _handle(kept)
         if error is not None:
             raise error

@@ -64,7 +64,8 @@ _PIPE_CHUNK = 1 << 16
 
 def two_cpus() -> bool:
     """Whether ``os.fork`` exists and this process may run on two CPUs or
-    more: the condition under which work is split with :func:`fork_helper`."""
+    more: the condition under which work is split with :func:`fork_helper`
+    (a sweep, whose helper solves, also needs :func:`forked_blas_checked`)."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
 

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from mfcache.io import forked_blas_checked
+
 
 @pytest.fixture(autouse=True)
 def no_child_left():
@@ -20,8 +22,9 @@ def no_child_left():
                 ids=["one-cpu", "two-cpus", "two-cpus-no-fork"])
 def forks(request, monkeypatch):
     """The pids forked (``.pids``) and whether a helper should run
-    (``.expected``), with the CPUs this process may use and the presence of
-    ``os.fork`` set by the parameter."""
+    (``.expected``; for a sweep, which also needs
+    ``io.forked_blas_checked``, ``.sweep_expected``), with the CPUs this
+    process may use and the presence of ``os.fork`` set by the parameter."""
     cpus, has_fork = request.param
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     pids = []
@@ -37,7 +40,9 @@ def forks(request, monkeypatch):
         monkeypatch.setattr(os, "fork", fork)
     else:
         monkeypatch.delattr(os, "fork")
-    return SimpleNamespace(pids=pids, expected=cpus > 1 and has_fork)
+    expected = cpus > 1 and has_fork
+    return SimpleNamespace(pids=pids, expected=expected,
+                           sweep_expected=expected and forked_blas_checked())
 
 
 @pytest.fixture

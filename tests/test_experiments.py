@@ -307,7 +307,7 @@ class TestReplicationHelper:
             assert list(run) == list(expected)
             for lane, log in run.items():
                 assert_same_log(log, expected[lane])
-        assert len(forks.pids) == forks.expected
+        assert len(forks.pids) == forks.sweep_expected
 
     def test_ipi_pairs_equal_the_inline_loop(self, scenario, policies, forks):
         split = per_seed(
@@ -323,7 +323,7 @@ class TestReplicationHelper:
                 assert_same_log(pair.perfect, expected[name].perfect)
                 assert_same_log(pair.imperfect, expected[name].imperfect)
         assert all(run["over"].excluded for run in split)
-        assert len(forks.pids) == forks.expected
+        assert len(forks.pids) == forks.sweep_expected
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_recipe_rows_equal_inline_and_through_the_helper(
@@ -345,7 +345,7 @@ class TestReplicationHelper:
         assert repr(rows[1]) == repr(rows[2])
         # One helper per recipe of two tasks or more: compare has six
         # tasks (two points), ipi three (one point).
-        assert len(forked) == 1
+        assert len(forked) == experiments.forked_blas_checked()
 
     def test_barrier_warnings_once_per_excluded_lane_in_seed_order(
             self, scenario, policies, forks, caplog):
@@ -362,7 +362,7 @@ class TestReplicationHelper:
             ("mfcache.simulation", logging.WARNING,
              f"replication {seed} hit the barrier; trajectory flagged and "
              "excluded from aggregates") for seed in seeds for _ in range(2)]
-        assert len(forks.pids) == forks.expected
+        assert len(forks.pids) == forks.sweep_expected
 
     @pytest.mark.parametrize("failing, raised", [
         ({6}, 6), ({5, 6}, 5), ({4, 6}, 4), ({3, 5}, 3)],
@@ -383,7 +383,7 @@ class TestReplicationHelper:
         assert [record.getMessage().split()[1] for record in caplog.records
                 if "hit the barrier" in record.getMessage()] == \
             [str(seed) for seed in range(3, raised)]
-        assert len(forks.pids) == forks.expected
+        assert len(forks.pids) == forks.sweep_expected
 
     def test_an_error_in_the_command_kills_the_helper(self, monkeypatch):
         # The command's first task fails at once; each of the helper's two
@@ -469,8 +469,9 @@ def point_rates(scenario, sweep: str) -> list[str]:
 
 
 class TestEachEquilibriumSolvedOnce:
-    """A sweep through the helper solves each distinct equilibrium once, in
-    the process that needs it, or before the fork when both do."""
+    """A sweep through the helper solves nothing before the fork: each
+    process solves each distinct equilibrium of the points it runs once,
+    so one that both halves need is solved in both."""
 
     @pytest.fixture()
     def ipi_sweep(self, monkeypatch, solve_log):
@@ -478,49 +479,58 @@ class TestEachEquilibriumSolvedOnce:
         fake_runs(monkeypatch, lambda seed: 1.0)
 
         def sweep(densities, replications):
+            """The log's lines, the rate of each point, and the rates each
+            process solved, in order, by pid."""
             scenario = replace(small_scenario(lambda_b_values=densities),
                                simulation=SimulationSettings(
                                    replications=replications, seed=3))
             ipi_sweep_experiment(scenario)
-            (helper,) = solve_log.pids
-            rates = point_rates(scenario, "lambda_b_values")
-            return solve_log.read(), helper, rates
+            lines = solve_log.read()
+            solved = {}
+            for _, pid, rate in (line.split() for line in lines
+                                 if line != "fork"):
+                solved.setdefault(int(pid), []).append(rate)
+            return lines, point_rates(scenario, "lambda_b_values"), solved
         return sweep
 
     def test_two_points_of_four_seeds_solve_one_in_each_process(
-            self, ipi_sweep):
-        lines, helper, rates = ipi_sweep((0.02, 0.05), 4)
+            self, ipi_sweep, solve_log):
+        lines, rates, solved = ipi_sweep((0.02, 0.05), 4)
+        (helper,) = solve_log.pids
         assert lines[0] == "fork"
-        assert sorted(lines[1:]) == sorted([f"solve {os.getpid()} {rates[0]}",
-                                            f"solve {helper} {rates[1]}"])
+        assert solved == {os.getpid(): [rates[0]], helper: [rates[1]]}
 
-    def test_one_point_of_four_seeds_solves_before_the_fork(self, ipi_sweep):
-        lines, helper, rates = ipi_sweep((0.05,), 4)
-        assert lines == [f"solve {os.getpid()} {rates[0]}", "fork"]
+    def test_a_lone_point_solves_in_both_processes(self, ipi_sweep,
+                                                   solve_log):
+        lines, rates, solved = ipi_sweep((0.05,), 4)
+        (helper,) = solve_log.pids
+        assert lines[0] == "fork"
+        assert solved == {os.getpid(): [rates[0]], helper: [rates[0]]}
 
-    def test_inputs_shared_across_the_split_solve_before_the_fork(
-            self, ipi_sweep):
+    def test_shared_inputs_solve_in_both_processes(self, ipi_sweep,
+                                                   solve_log):
         # The helper's one task repeats the first point's solver inputs.
-        lines, helper, rates = ipi_sweep((0.02, 0.05, 0.02), 1)
-        assert lines == [f"solve {os.getpid()} {rates[0]}", "fork",
-                         f"solve {os.getpid()} {rates[1]}"]
+        lines, rates, solved = ipi_sweep((0.02, 0.05, 0.02), 1)
+        (helper,) = solve_log.pids
+        assert lines[0] == "fork"
+        assert solved == {os.getpid(): rates[:2], helper: [rates[0]]}
 
-    def test_a_straddling_point_solves_once_before_the_fork(self, ipi_sweep):
+    def test_a_straddling_point_solves_in_both(self, ipi_sweep, solve_log):
         # Six tasks: the command runs 0.02's two seeds and 0.035's first,
         # the helper 0.035's second and 0.05's two.
-        lines, helper, rates = ipi_sweep((0.02, 0.035, 0.05), 2)
-        assert lines[:2] == [f"solve {os.getpid()} {rates[1]}", "fork"]
-        assert sorted(lines[2:]) == sorted([f"solve {os.getpid()} {rates[0]}",
-                                            f"solve {helper} {rates[2]}"])
+        lines, rates, solved = ipi_sweep((0.02, 0.035, 0.05), 2)
+        (helper,) = solve_log.pids
+        assert lines[0] == "fork"
+        assert solved == {os.getpid(): rates[:2], helper: rates[1:]}
 
-    def test_a_helper_that_must_not_call_blas_gets_its_points_solved(
-            self, ipi_sweep, monkeypatch):
-        # Without the checked BLAS build the command solves the helper's
-        # point before the fork, and its own after.
+    def test_an_unchecked_blas_build_runs_inline(self, ipi_sweep, solve_log,
+                                                 monkeypatch):
+        # Without the checked BLAS build no helper is forked: the command
+        # solves every point, in order.
         monkeypatch.setattr(experiments, "forked_blas_checked", lambda: False)
-        lines, helper, rates = ipi_sweep((0.02, 0.05), 4)
-        assert lines == [f"solve {os.getpid()} {rates[1]}", "fork",
-                         f"solve {os.getpid()} {rates[0]}"]
+        lines, rates, _ = ipi_sweep((0.02, 0.05), 4)
+        assert solve_log.pids == []
+        assert lines == [f"solve {os.getpid()} {rate}" for rate in rates]
 
     def test_a_helper_solve_stays_out_of_the_command_memo(self, monkeypatch,
                                                           solve_log):
@@ -568,40 +578,44 @@ def fault_in(point, fault, monkeypatch):
         monkeypatch.setattr(experiments, "run_replication", faulty)
 
 
-@pytest.mark.parametrize("sweep, fault, where, code, checked", [
-    ("0.0001", None, None, 0, True),
-    ("0.0001", "bad-output", "x0", EXIT_VALIDATION, True),
-    ("0.0001", "no-convergence", "x0", 3, True),
-    ("0.0001", "all-excluded", "x0", EXIT_ALL_EXCLUDED, True),
-    ("0.0001", "all-excluded", "first", EXIT_ALL_EXCLUDED, True),
-    ("0.0001, 0.0002", None, None, 0, True),
-    ("0.0001, 0.0002", "no-convergence", "straddling", 3, True),
-    ("0.0001, 0.0002", "all-excluded", "straddling", EXIT_ALL_EXCLUDED, True),
-    ("0.0001, 0.0002", None, None, 0, False),
-    ("0.0001", "no-convergence", "x0", 3, False),
-    ("0.0001", "all-excluded", "x0", EXIT_ALL_EXCLUDED, False),
+@pytest.mark.parametrize("sweep, x0, fault, where, code, checked", [
+    ("0.0001", "0.6", None, None, 0, True),
+    ("0.0001", "0.6", "bad-output", "x0", EXIT_VALIDATION, True),
+    ("0.0001", "0.6", "no-convergence", "x0", 3, True),
+    ("0.0001", "0.6", "all-excluded", "x0", EXIT_ALL_EXCLUDED, True),
+    ("0.0001", "0.6", "all-excluded", "first", EXIT_ALL_EXCLUDED, True),
+    ("0.0001, 0.0002", "0.6", None, None, 0, True),
+    ("0.0001, 0.0002", "0.6", "no-convergence", "straddling", 3, True),
+    ("0.0001, 0.0002", "0.6", "all-excluded", "straddling", EXIT_ALL_EXCLUDED,
+     True),
+    ("0.001, 0.0002", "0.3", None, None, 0, True),
+    ("0.0001, 0.0002", "0.6", None, None, 0, False),
+    ("0.0001", "0.6", "no-convergence", "x0", 3, False),
+    ("0.0001", "0.6", "all-excluded", "x0", EXIT_ALL_EXCLUDED, False),
 ], ids=["two-points", "two-points-bad-output", "two-points-no-convergence",
         "two-points-all-excluded", "command-side-all-excluded",
         "three-points", "straddling-no-convergence",
-        "straddling-all-excluded", "three-points-unchecked-blas",
+        "straddling-all-excluded", "shared-inputs",
+        "three-points-unchecked-blas",
         "two-points-no-convergence-unchecked-blas",
         "two-points-all-excluded-unchecked-blas"])
-def test_compare_is_the_same_on_one_and_two_cpus(sweep, fault, where, code,
-                                                 checked, monkeypatch,
+def test_compare_is_the_same_on_one_and_two_cpus(sweep, x0, fault, where,
+                                                 code, checked, monkeypatch,
                                                  tmp_path, caplog):
-    # Two seeds per point. With two user densities the second one's tasks
-    # straddle the split, so it is solved before the fork, its records
-    # kept until its turn. The x0 point's tasks all run in the helper, the
-    # first point's in the command.
-    # Without the checked BLAS build the command solves the x0 point before
-    # the fork as well.
+    # Two seeds per point. The first user density point's tasks run in the
+    # command, the x0 point's in the helper. With two user densities the
+    # second one's tasks straddle the split, so both processes solve it;
+    # the helper drops what its solve logs. The x0 point has the base
+    # user density, 0.001: at x0 = 0.3, the base value, its solver inputs
+    # equal those of a user density point at 0.001, so the helper solves
+    # those again too, and drops what that logs.
+    # Without the checked BLAS build nothing is forked.
     if not checked:
         monkeypatch.setattr(experiments, "forked_blas_checked", lambda: False)
-    helper_solves = experiments.forked_blas_checked()
     path = tmp_path / "compare.ini"
     path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
                     .replace("lambda_u_values = 0.0001", f"lambda_u_values = {sweep}")
-                    .replace("x0_values = 0.3", "x0_values = 0.6"))
+                    .replace("x0_values = 0.3", f"x0_values = {x0}"))
     scenario = load_scenario(str(path))
     if fault:
         user_points = sweep_points(scenario, "lambda_u_values")
@@ -649,11 +663,11 @@ def test_compare_is_the_same_on_one_and_two_cpus(sweep, fault, where, code,
     if code:
         assert records[-1][:2] == ("mfcache.cli", logging.ERROR)
     else:
-        assert len(solves) == sweep.count(",") + 2
+        # One solve per distinct (lambda_u, x0) pair.
+        assert len(solves) == len({(u, "0.3") for u in sweep.split(", ")}
+                                  | {("0.001", x0)})
         assert len(tables) == 3
-    # A failed solve before the fork leaves no work for a helper.
-    assert len(forked) == (fault != "no-convergence"
-                           or where == "x0" and helper_solves)
+    assert len(forked) == experiments.forked_blas_checked()
 
 
 # ``mfcache compare`` on the CPUs given, after a call that starts the BLAS

@@ -441,7 +441,7 @@ class TestSharedReplication:
         assert calls == sorted(point + (str(seed),) for point in points
                                for seed in (7, 8))
         assert len(worlds) == 6
-        assert len(forks.pids) == forks.expected
+        assert len(forks.pids) == forks.sweep_expected
 
 
 class TestStackedLanes:

@@ -6,9 +6,12 @@ ball of radius ``R``; signals decay with a bounded power law
 ``min(1, d^-alpha)`` and Rayleigh fading of unit mean. The module provides
 the closed-form density-normalized interference / average-rate expressions
 used by the solver; the Monte-Carlo paths that validate them are test
-oracles. :func:`normalized_interference` does not thin the interferers by
-the active probability ``p_a`` (:func:`active_probability` is not called by
-the rate model); whether it should is ROADMAP open item 1.
+oracles. The rate's 32-node Gauss-Laguerre rule is a checked-in table of the
+nodes and weights ``numpy.polynomial.laguerre`` gives, so importing the
+module loads no ``numpy.polynomial``. :func:`normalized_interference` does
+not thin the interferers by the active probability ``p_a``
+(:func:`active_probability` is not called by the rate model); whether it
+should is ROADMAP open item 1.
 
 All powers are converted from dBm to linear milliwatts before entering any
 formula; distances are kilometres.
@@ -24,10 +27,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .errors import ConfigurationError, require_finite
 
@@ -176,10 +177,34 @@ def normalized_interference(cfg: GeometryConfig) -> float:
     return float(geom * cfg.tx_power_mw * 1.0)
 
 
-@cache
-def _laguerre32() -> tuple[np.ndarray, np.ndarray]:
-    """The 32-node Gauss-Laguerre rule, computed on first use."""
-    return laggauss(32)
+# The 32-node Gauss-Laguerre rule for the weight exp(-x) on [0, inf), as
+# numpy.polynomial.laguerre builds it, written with repr so that each float64
+# round-trips bit for bit.
+_LAGUERRE_NODES = np.array([
+    0.04448936583326739, 0.23452610951961825, 0.5768846293018863,
+    1.072448753817818, 1.7224087764446456, 2.5283367064257942,
+    3.492213273021994, 4.616456769749767, 5.903958504174244, 7.358126733186241,
+    8.982940924212597, 10.78301863253997, 12.763697986742725,
+    14.931139755522558, 17.292454336715316, 19.855860940336054,
+    22.630889013196775, 25.628636022459247, 28.862101816323474,
+    32.346629153964734, 36.10049480575197, 40.14571977153944,
+    44.50920799575494, 49.22439498730864, 54.33372133339691, 59.89250916213402,
+    65.97537728793505, 72.68762809066271, 80.18744697791352, 88.7353404178924,
+    98.82954286828398, 111.7513980979377,
+])
+_LAGUERRE_WEIGHTS = np.array([
+    0.10921834195242515, 0.2104431079387924, 0.23521322966984298,
+    0.19590333597287354, 0.1299837862860684, 0.07057862386571556,
+    0.03176091250917397, 0.011918214834838204, 0.003738816294611417,
+    0.0009808033066149246, 0.0002148649188013578, 3.920341967987801e-05,
+    5.934541612868448e-06, 7.41640457866734e-07, 7.604567879120552e-08,
+    6.350602226625618e-09, 4.281382971040738e-10, 2.305899491891237e-11,
+    9.799379288726772e-13, 3.2378016577291567e-14, 8.171823443420549e-16,
+    1.542133833393811e-17, 2.119792290163547e-19, 2.0544296737880036e-21,
+    1.3469825866373617e-23, 5.661294130397462e-26, 1.4185605454629684e-28,
+    1.9133754944539943e-31, 1.1922487600982012e-34, 2.6715112192396625e-38,
+    1.3386169421064243e-42, 4.5105361938987784e-48,
+])
 
 
 def average_rate(model: RateModel, cfg: GeometryConfig) -> float:
@@ -187,7 +212,9 @@ def average_rate(model: RateModel, cfg: GeometryConfig) -> float:
 
     ``E_g[log(1 + Na * P * l(d0) * g / (noise_term + Ihat * sqrt(Na)))]``
     with ``g ~ Exp(1)`` (unit-mean Rayleigh fading), evaluated by fixed
-    32-node Gauss-Laguerre quadrature so the result is deterministic.
+    32-node Gauss-Laguerre quadrature. The rule is a checked-in table of
+    numpy's 32-point Gauss-Laguerre nodes and weights, so the result is
+    deterministic and does not depend on the installed LAPACK.
     Strictly positive and strictly decreasing in the interference term.
     """
     denom = model.noise_term + model.interference_normalized * cfg.beam_gain_factor
@@ -195,8 +222,8 @@ def average_rate(model: RateModel, cfg: GeometryConfig) -> float:
         raise ConfigurationError("degenerate SINR: zero noise and interference")
     signal = (cfg.num_antennas * cfg.tx_power_mw
               * path_loss(model.serving_distance_km, cfg.path_loss_alpha))
-    nodes, weights = _laguerre32()
-    return float(np.sum(weights * np.log1p(signal * nodes / denom)))
+    return float(np.sum(_LAGUERRE_WEIGHTS
+                        * np.log1p(signal * _LAGUERRE_NODES / denom)))
 
 
 def nearest_sbs_distance(lambda_b: float) -> float:

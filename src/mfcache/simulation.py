@@ -270,8 +270,13 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     Poisson-distributed in the user mass of the search region.
     ``snapshot_time`` picks the step, ``round(snapshot_time / dt)`` in
     ``1..n_steps``, after which each lane's storage is kept in
-    ``q_snapshot``; a run of no steps keeps none.
+    ``q_snapshot``; a run of no steps keeps none. ``policies`` and ``arms``
+    must each hold at least one entry.
     """
+    if not policies:
+        raise ConfigurationError("policies must hold at least one policy")
+    if not arms:
+        raise ConfigurationError("arms must hold at least one arm")
     if seed is None:
         seed = scenario.simulation.seed
     if horizon is None:

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
 import mfcache
+from mfcache import geometry
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import (
     GeometryConfig,
@@ -157,6 +159,29 @@ class TestMonteCarloInterference:
             means.append(cfg.tx_power_mw * np.sum(
                 np.minimum(1.0, d[inside] ** -cfg.path_loss_alpha)))
         assert means[0] <= means[1]
+
+
+class TestLaguerreTable:
+    # The rule is checked in as literals; numpy builds the same rule here.
+    def test_equals_numpy_rule_bit_for_bit(self):
+        nodes, weights = laggauss(32)
+        assert geometry._LAGUERRE_NODES.dtype == np.float64
+        assert geometry._LAGUERRE_WEIGHTS.dtype == np.float64
+        assert geometry._LAGUERRE_NODES.tobytes() == nodes.tobytes()
+        assert geometry._LAGUERRE_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_nodes_positive_and_strictly_increasing(self):
+        nodes = geometry._LAGUERRE_NODES
+        assert nodes.shape == (32,)
+        assert nodes[0] > 0
+        assert (np.diff(nodes) > 0).all()
+
+    def test_integrates_the_mass_and_mean_of_exp1(self):
+        # A mistyped literal moves one of these past round-off.
+        nodes, weights = geometry._LAGUERRE_NODES, geometry._LAGUERRE_WEIGHTS
+        assert weights.shape == (32,)
+        assert abs(np.sum(weights) - 1.0) < 1e-13
+        assert abs(np.sum(weights * nodes) - 1.0) < 1e-13
 
 
 class TestAverageRate:

@@ -17,12 +17,15 @@ PACKAGE = os.path.dirname(os.path.abspath(mfcache.__file__))
 
 def modules_loaded_by_import(roots: tuple[str, ...]) -> str:
     """The modules under ``roots`` that ``import mfcache, mfcache.cli``
-    loads in a fresh interpreter, as a printed sorted list."""
+    loads in a fresh interpreter, as a printed sorted list. A root is a
+    package or a dotted subpackage name: ``"numpy.polynomial"`` matches it
+    and its submodules, not ``numpy`` itself."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (os.path.dirname(PACKAGE), env.get("PYTHONPATH"))))
     code = ("import sys, mfcache, mfcache.cli; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
+            f"print(sorted(m for m in sys.modules "
+            f"if any(m == r or m.startswith(r + '.') for r in {roots!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
@@ -30,6 +33,13 @@ def modules_loaded_by_import(roots: tuple[str, ...]) -> str:
 
 def test_import_loads_no_scipy():
     assert modules_loaded_by_import(("scipy",)) == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # The rate's Gauss-Laguerre rule is a table; building it with
+    # numpy.polynomial would add that import and an eigen-solve to every
+    # command's start-up.
+    assert modules_loaded_by_import(("numpy.polynomial",)) == "[]"
 
 
 def test_import_loads_no_process_pool():

@@ -443,6 +443,16 @@ class TestSharedReplication:
         assert len(worlds) == 6
         assert len(forks.pids) == forks.sweep_expected
 
+    @pytest.mark.parametrize("argument, kwargs", [
+        ("policies", {"policies": {}}),
+        ("arms", {"policies": {"baseline": BaselinePolicy()}, "arms": ()}),
+    ])
+    def test_a_replication_of_no_lanes_is_rejected(self, argument, kwargs):
+        sc = ScenarioConfig(solver=SolverSettings(grid_nt=11, grid_nx=11,
+                                                  grid_nq=11))
+        with pytest.raises(ConfigurationError, match=f"^{argument} "):
+            run_replication(sc, seed=1, **kwargs)
+
 
 class TestStackedLanes:
     """The stacked step and the per-period metrics pass equal the

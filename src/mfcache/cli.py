@@ -15,8 +15,11 @@ every policy (and, in ``ipi``, both information arms of each) advances its
 own storage on it in lockstep, so all of them see the same station layout,
 popularity path and request counts (see ``simulation.run_replication``).
 
-Logging goes to stderr at INFO; ``--quiet`` keeps errors only and
-``-v/--verbose`` adds DEBUG lines such as each solver sweep's residual.
+Logging goes to stderr at INFO; ``--quiet`` keeps only the error log
+lines and ``-v/--verbose`` adds DEBUG lines such as each solver sweep's
+residual. Python warnings (such as the ``UserWarning`` of
+``geometry.normalized_interference`` when users outnumber stations) are not
+log records: they reach stderr under ``--quiet`` too.
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 4 I/O failure, 5 every replication of an experiment point hit the backhaul

@@ -2,7 +2,13 @@
 
 A policy is a callable ``(ctx, rng) -> p`` returning the cache fraction of
 every station and content: ``p.shape == ctx.x_hat.shape``, values in
-``[0, 1]``, checked once per step by the simulator. The policies here stay
+``[0, 1]``, checked once per step by the simulator. The simulator calls a
+policy once per step for all of its information arms: under one arm the
+context holds ``(stations, contents)`` arrays, under several it stacks them
+``(arms, stations, contents)``, and the policy answers every arm at once.
+A policy that draws draws once per step over ``(stations, contents)``, and
+the draw serves every arm, so its arms differ only by what they observe.
+The policies here stay
 inside ``[0, p_max]``, the solver's admissible cap
 ``min(1, B (1 - margin) / L)`` (``SolverConfig.p_max``) handed over in the
 context, so the backhaul barrier stays finite on every output. The
@@ -28,8 +34,10 @@ class PolicyContext:
     """Observed state handed to a policy at one simulation step.
 
     ``t`` is the time within the period; ``x_hat`` (in ``[floor, 1]``) and
-    ``remaining`` (in ``[0, C]``) are ``(stations, contents)`` arrays; the
-    rest are the shared cost parameters of the step, with ``rate > 0``.
+    ``remaining`` (in ``[0, C]``) are ``(stations, contents)`` arrays, or
+    ``(arms, stations, contents)`` stacks when the policy serves several
+    information arms; the rest are the shared cost parameters of the step,
+    with ``rate > 0``.
     ``p_max`` in ``[0, 1]`` is the largest cache fraction any policy may
     emit (``SolverConfig.p_max`` of the scenario). The simulator builds the
     context within these ranges, so it is not rechecked.
@@ -46,7 +54,9 @@ class PolicyContext:
 
 class MfPolicy:
     """Equilibrium policy: interpolates the solved control surface at
-    ``(t, x_hat, Q)``, clamping out-of-grid coordinates to the boundary."""
+    ``(t, x_hat, Q)``, clamping out-of-grid coordinates to the boundary.
+    Every element is read on its own, so a stacked context of several arms
+    gets, arm by arm, what a context of that arm alone would."""
 
     def __init__(self, solution: MfeSolution):
         if not solution.converged:
@@ -117,10 +127,14 @@ class BaselinePolicy:
 
 
 class RandomPolicy:
-    """Uniformly random cache fraction, independent across contents/steps."""
+    """Uniformly random cache fraction, independent across stations,
+    contents and steps. One draw over the trailing ``(stations, contents)``
+    axes serves every arm of a stacked context, so the arms share it."""
 
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None
                  ) -> np.ndarray:
         if rng is None:
             raise ConfigurationError("random policy needs a random stream")
-        return rng.uniform(0.0, ctx.p_max, ctx.x_hat.shape)
+        shape = ctx.x_hat.shape
+        p = rng.uniform(0.0, ctx.p_max, shape[-2:])
+        return p if p.shape == shape else np.repeat(p[None], shape[0], axis=0)

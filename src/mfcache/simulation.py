@@ -4,30 +4,33 @@ One replication, a ``(scenario, seed)`` pair, samples a station pattern once
 and holds it as one :class:`World` of ``(stations, contents)`` arrays, plus
 one request history per station. Every policy under test, and in the
 popularity-information study both the perfect and the imperfect arm of each,
-runs on that world as a :class:`Lane`: one (policy, arm) pair with its own
-policy stream and metrics. The remaining storage of all lanes is one
-``(lanes, stations, contents)`` array, and the lanes advance in lockstep,
-one world step at a time; no trajectory is stored.
+runs on that world as a lane: one (policy, arm) pair with its own metrics.
+The remaining storage of all lanes is one ``(lanes, stations, contents)``
+array, ordered policies first, then arms, so each policy's lanes are
+consecutive rows; the lanes advance in lockstep, one world step at a time,
+and no trajectory is stored.
 
-A step runs in a fixed order: popularity diffuses, the imperfect observation
-is drawn once if a lane needs it, and then each lane's policy picks cache
-fractions at the time within the period from its row of the storage stack.
-The output check and the storage update (the cache/discard balance) then run
-once over the whole stack. No step reads the metrics, so they are computed
-apart from the state transition: the hood's rows of each step (the stations
-within the request radius of a typical user at the region center) are
-buffered, and once per period :func:`hood_metrics` computes the content
-overlap, the running cost, the storage usage and the barrier hits of all
-buffered steps at once. At every period boundary that another step follows,
-each history folds its sampled arrivals once into new means.
+A step runs in a fixed order: popularity diffuses, every arm's observation
+is built once (the imperfect one is drawn once if an arm needs it), and
+then each policy is called once, at the time within the period, on its
+rows of the storage stack for all of its arms. The output check and the
+storage update (the cache/discard balance) then run once over the whole
+stack. No step reads the metrics, so they are computed apart from the state
+transition: the hood's rows of each step (the stations within the request
+radius of a typical user at the region center) are buffered, and once per
+period :func:`hood_metrics` computes the content overlap, the running cost,
+the storage usage and the barrier hits of all buffered steps at once. At
+every period boundary that another step follows, each history folds its
+sampled arrivals once into new means.
 
 Randomness is split into three independent streams per seed. The world
 stream (pattern, initial storage, popularity noise, request arrivals) and
 the observation-error stream are drawn once per step and shared by every
-lane; each lane owns a fresh copy of the policy stream, so a lane draws
-exactly what a one-lane run of its policy draws. Every lane is therefore
-bit-identical to a one-lane run of the same policy, arm and seed, and
-policies and arms compare under common random numbers.
+lane; each policy owns a fresh copy of the policy stream, and a policy that
+draws draws once per step over ``(stations, contents)``, the draw serving
+every arm. Each lane therefore sees exactly what a one-lane run of its
+policy, arm and seed sees, and is bit-identical to it; policies and arms
+compare under common random numbers.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .geometry import average_rate, rate_model_from_config, sample_ppp
 from .policies import PolicyContext
 from .scenario import ScenarioConfig
 
-__all__ = ["World", "Lane", "MetricsLog", "PairedRun", "build_world", "step",
+__all__ = ["World", "MetricsLog", "PairedRun", "build_world", "step",
            "hood_metrics", "run_replication", "run_scenario", "ipi_experiment"]
 
 log = logging.getLogger(__name__)
@@ -152,36 +155,31 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
     return world, hood
 
 
-@dataclass
-class Lane:
-    """One policy under one information arm on a shared world, with its own
-    policy stream; its remaining storage is one row of the replication's
-    stacked ``(lanes, K, M)`` array."""
-
-    policy: object
-    imperfect: bool
-    rng: np.random.Generator
-
-
-def step(world: World, lanes: list[Lane], remaining: np.ndarray, t: float,
-         dt: float, rate: float, scenario: ScenarioConfig,
+def step(world: World, policies: list[tuple[object, np.random.Generator]],
+         arms: tuple[bool, ...], remaining: np.ndarray, t: float, dt: float,
+         rate: float, scenario: ScenarioConfig,
          world_rng: np.random.Generator, ipi_rng: np.random.Generator | None
          ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the world and every lane by ``dt``.
 
-    ``remaining`` stacks the lanes' storage ``(lanes, K, M)`` in lane order.
-    Returns the new storage stack (a new array: a context keeps its row of
-    the old one) and the stack of the lanes' cache fractions, of the same
-    shape. The caller buffers the hood's rows of both stacks for
-    :func:`hood_metrics`.
+    ``policies`` holds each policy with its stream, and ``arms`` the
+    information arms (``True`` for imperfect); ``remaining`` stacks the
+    lanes' storage ``(lanes, K, M)`` in policy, then arm order, so a
+    policy's lanes are ``len(arms)`` consecutive rows. Returns the new
+    storage stack (a new array: a context keeps its rows of the old one)
+    and the stack of the lanes' cache fractions, of the same shape. The
+    caller buffers the hood's rows of both stacks for :func:`hood_metrics`.
 
-    Order: popularity step and observations, shared by all lanes (an
-    imperfect lane needs ``ipi_rng``); each lane's policy on its row of the
-    stack; then, once over all lanes, the output check and the storage
-    update (clamped to [0, C]; discarding pauses at full remaining storage).
-    The context holds arrays the step has clipped and is not checked; the
-    policies' outputs are checked (each of the storage shape, then no NaN
-    and values in ``[0, 1]`` over all lanes and stations) and raise
+    Order: popularity step and every arm's observation, shared by all
+    policies (an imperfect arm needs ``ipi_rng``); each policy called once
+    on its rows of the stack; then, once over all lanes, the output check
+    and the storage update (clamped to [0, C]; discarding pauses at full
+    remaining storage). Under one arm a context holds ``(K, M)`` arrays;
+    under several, ``x_hat`` stacks the arms' observations and
+    ``remaining`` the policy's rows, ``(arms, K, M)``. The context holds
+    arrays the step has clipped and is not checked; the policies' outputs
+    are checked (each of its context's storage shape, then no NaN and
+    values in ``[0, 1]`` over all lanes and stations) and raise
     :class:`ConfigurationError` otherwise.
     """
     dem, cst = scenario.demand, scenario.costs
@@ -190,24 +188,28 @@ def step(world: World, lanes: list[Lane], remaining: np.ndarray, t: float,
                       dt, world_rng)
     world.x = x
     observed = {False: np.clip(x, floor, 1.0)}
-    if any(lane.imperfect for lane in lanes):
+    if True in arms:
         observed[True] = perturb_popularity(x, dem.ipi, ipi_rng)
+    n = len(arms)
+    x_hat = (observed[arms[0]] if n == 1
+             else np.array([observed[imperfect] for imperfect in arms]))
     p_max = scenario.solver.config.p_max(cst.backhaul, cst.content_size)
 
     p = np.empty(remaining.shape)
-    for i, lane in enumerate(lanes):
+    for i, (policy, rng) in enumerate(policies):
+        rows = slice(i * n, (i + 1) * n)
         ctx = PolicyContext(
-            t=t, x_hat=observed[lane.imperfect], remaining=remaining[i],
+            t=t, x_hat=x_hat, remaining=remaining[i if n == 1 else rows],
             rate=rate, backhaul=cst.backhaul, content_size=cst.content_size,
             p_max=p_max,
         )
-        out = np.asarray(lane.policy(ctx, lane.rng), dtype=float)
+        out = np.asarray(policy(ctx, rng), dtype=float)
         # Checked before the write, which would broadcast a (M,) row.
         if out.shape != ctx.remaining.shape:
             raise ConfigurationError(f"policy output of shape {out.shape} "
                                      "must have the storage shape "
                                      f"{ctx.remaining.shape}")
-        p[i] = out
+        p[rows] = out
     if not ((p >= 0) & (p <= 1)).all():
         raise ConfigurationError("policy output must be cache fractions in "
                                  "[0, 1], with no NaN")
@@ -255,8 +257,9 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
 
     The world is built and stepped once; each ``(name, arm)`` lane starts
     from the world's initial storage, as one row of a ``(lanes, K, M)``
-    storage stack, with a fresh policy stream, and its metrics are returned
-    under that key, in ``policies`` then ``arms`` order. :func:`step` does
+    storage stack, and its metrics are returned under that key, in
+    ``policies`` then ``arms`` order. Each policy gets a fresh policy
+    stream and is called once per step for all of its arms. :func:`step` does
     not see the hood: after each step, this loop gathers the hood's rows of
     the cache fractions, storage and true popularity into buffers of one
     period of steps, allocated once; at each period end and
@@ -295,11 +298,11 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
 
     world, hood = build_world(scenario, world_rng)
     keys = [(name, imperfect) for name in policies for imperfect in arms]
-    lanes = [Lane(policy=policies[name], imperfect=imperfect,
-                  rng=_replication_streams(seed)[1]) for name, imperfect in keys]
-    remaining = np.repeat(world.remaining[None], len(lanes), axis=0)
-    series = np.empty((3, len(lanes), n_steps))
-    hits = np.zeros(len(lanes), dtype=np.int64)
+    policy_streams = [(policy, _replication_streams(seed)[1])
+                      for policy in policies.values()]
+    remaining = np.repeat(world.remaining[None], len(keys), axis=0)
+    series = np.empty((3, len(keys), n_steps))
+    hits = np.zeros(len(keys), dtype=np.int64)
     snapshot = None
     if n_steps:
         rate = average_rate(rate_model_from_config(geo), geo)
@@ -311,14 +314,15 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
         # hood axis out first), so each lane's means reduce the same
         # contiguous runs, in the same order, as a one-lane run does.
         size = min(steps_per_period, n_steps)
-        p_hood = np.empty((size, len(lanes), hood.size, dem.catalog_size))
+        p_hood = np.empty((size, len(keys), hood.size, dem.catalog_size))
         q_hood = np.empty_like(p_hood)
         x_hood = np.empty((size, hood.size, dem.catalog_size))
         start = 0
         for k in range(n_steps):
             remaining, p = step(
-                world, lanes, remaining, (k % steps_per_period) * dt, dt,
-                rate, scenario, world_rng, ipi_rng)
+                world, policy_streams, arms, remaining,
+                (k % steps_per_period) * dt, dt, rate, scenario, world_rng,
+                ipi_rng)
             j = k - start
             p.take(hood, axis=1, out=p_hood[j])
             remaining.take(hood, axis=1, out=q_hood[j])
@@ -389,8 +393,9 @@ def ipi_experiment(scenario: ScenarioConfig, policies: dict[str, object],
 
     One :func:`run_replication` carries both arms of every policy: the
     seed's world is built and stepped once, every lane advances on it in
-    lockstep with its own policy stream, and all imperfect lanes read the
-    same observation error. Both arms thus see one world realization, and
+    lockstep, each policy is called once per step for both of its arms
+    (a random policy's one draw serves both), and all imperfect lanes read
+    the same observation error. Both arms thus see one world realization, and
     the reported cost increment isolates the observation error.
     """
     logs = run_replication(scenario, policies, arms=(False, True), seed=seed)

@@ -239,6 +239,21 @@ class TestSomeReplicationsExcluded:
         assert all("excluded 1 barrier-hit" in r.getMessage() for r in warnings)
 
 
+def test_ipi_random_arms_share_one_draw_per_step():
+    # The random policy ignores the observation, and its one draw per step
+    # serves both arms: under common random numbers its two lanes are
+    # bit-identical, while the baseline's arms see different observations.
+    rows = ipi_sweep_experiment(small_scenario(lambda_b_values=(0.05, 0.2)))
+    by_policy = {name: [row[2:] for row in rows if row[1] == name]
+                 for name in ("random", "baseline")}
+    assert len(by_policy["random"]) == 2
+    for perfect, imperfect, increment in by_policy["random"]:
+        assert perfect == imperfect
+        assert increment == 0.0
+    assert all(perfect != imperfect
+               for perfect, imperfect, _ in by_policy["baseline"])
+
+
 def assert_same_log(a: MetricsLog, b: MetricsLog):
     """Every field of the two logs holds the same bits."""
     for f in fields(MetricsLog):

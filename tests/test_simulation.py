@@ -10,7 +10,6 @@ from mfcache.scenario import DemandConfig, ScenarioConfig, SimulationSettings, S
 from mfcache import experiments, simulation
 from mfcache.experiments import compare_experiment, solve_scenario
 from mfcache.simulation import (
-    Lane,
     World,
     build_world,
     hood_metrics,
@@ -85,21 +84,20 @@ class TestStep:
         assert hood.size > 1
         rate = average_rate(rate_model_from_config(sc.geometry), sc.geometry)
         levels = (0.3, 0.6)
-        lanes = [Lane(policy=ConstantPolicy(level), imperfect=False,
-                      rng=policy_rng) for level in levels]
-        remaining = np.repeat(world.remaining[None], len(lanes), axis=0)
+        policies = [(ConstantPolicy(level), policy_rng) for level in levels]
+        remaining = np.repeat(world.remaining[None], len(levels), axis=0)
         buffered = []
         for k in range(2):
             start = remaining
-            remaining, p = step(world, lanes, start, k * 0.02, 0.02, rate,
-                                sc, world_rng, None)
+            remaining, p = step(world, policies, (False,), start, k * 0.02,
+                                0.02, rate, sc, world_rng, None)
             assert remaining.shape == p.shape == start.shape
             assert not np.shares_memory(remaining, start)
             buffered.append((p[:, hood], remaining[:, hood], world.x[hood]))
         p_hood, q_hood, x_hood = (np.stack(a) for a in zip(*buffered))
         rows, hits = hood_metrics(p_hood, q_hood, x_hood, rate, sc.costs,
                                   sc.demand.ipi.floor_eps)
-        assert rows.shape == (3, len(lanes), 2)
+        assert rows.shape == (3, len(levels), 2)
         assert list(hits) == [0, 0]
 
         floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
@@ -128,7 +126,8 @@ class TestStep:
 
 class TestPolicyBoundary:
     """The context a policy sees is guaranteed where the simulator builds
-    it; the policy's output is checked once per step over all stations."""
+    it; the policy's output is checked once per step over all stations.
+    A policy is called once per step for all of its arms."""
 
     @pytest.mark.parametrize("bias", [-0.9, 0.9])
     def test_every_context_lies_in_its_range(self, bias):
@@ -145,11 +144,12 @@ class TestPolicyBoundary:
 
         run_replication(sc, {"recording": recording}, arms=(False, True),
                         horizon=2.0, seed=4)
-        assert len(seen) == 2 * 100
+        assert len(seen) == 100
         x_hat = np.stack([ctx.x_hat for ctx in seen])
         remaining = np.stack([ctx.remaining for ctx in seen])
         assert x_hat.shape == remaining.shape
-        assert x_hat.shape[2] == sc.demand.catalog_size
+        assert x_hat.shape[1] == 2
+        assert x_hat.shape[3] == sc.demand.catalog_size
         floor = max(sc.demand.ipi.floor_eps, FLOOR_EPS)
         assert (x_hat >= floor).all() and (x_hat <= 1.0).all()
         assert (x_hat == (floor if bias < 0 else 1.0)).any()
@@ -168,10 +168,49 @@ class TestPolicyBoundary:
 
         run_replication(small_scenario(), {"a": recording, "b": recording},
                         arms=(False, True), horizon=0.5, seed=4)
-        assert len(seen) == 4 * 25
+        assert len(seen) == 2 * 25
         assert not all(np.array_equal(seen[0][1], kept) for _, kept in seen)
         for ctx, kept in seen:
             assert np.array_equal(ctx.remaining, kept)
+
+    def test_each_policy_is_called_once_per_step_for_all_its_arms(self):
+        # Two arms stack each policy's context as (arms, K, M): arm by arm,
+        # it holds what a one-arm run of that arm passes as (K, M), and each
+        # policy keeps one stream for all of its calls.
+        sc = small_scenario()
+
+        def run(arms):
+            seen = {"a": [], "b": []}
+
+            def recording(name):
+                def policy(ctx, rng=None):
+                    seen[name].append((ctx, rng))
+                    return np.full(ctx.x_hat.shape, 0.3)
+                return policy
+
+            logs = run_replication(sc, {name: recording(name) for name in seen},
+                                   arms=arms, horizon=0.5, seed=4,
+                                   snapshot_time=0.5)
+            shape = logs["a", arms[0]].q_snapshot.shape
+            for calls in seen.values():
+                assert len(calls) == 25
+                assert len({id(rng) for _, rng in calls}) == 1
+            assert seen["a"][0][1] is not seen["b"][0][1]
+            return shape, seen
+
+        shape, both = run((False, True))
+        for imperfect in (False, True):
+            alone_shape, alone = run((imperfect,))
+            assert alone_shape == shape == (shape[0], sc.demand.catalog_size)
+            for name in ("a", "b"):
+                for (ctx, _), (solo, _) in zip(both[name], alone[name]):
+                    assert ctx.x_hat.shape == ctx.remaining.shape == (2, *shape)
+                    assert solo.x_hat.shape == solo.remaining.shape == shape
+                    assert np.array_equal(ctx.x_hat[int(imperfect)], solo.x_hat)
+                    assert np.array_equal(ctx.remaining[int(imperfect)],
+                                          solo.remaining)
+        assert not np.array_equal(both["a"][-1][0].x_hat[0],
+                                  both["a"][-1][0].x_hat[1])
 
     @pytest.mark.parametrize("fault", ["above_outside_hood",
                                        "below_outside_hood", "one_nan",

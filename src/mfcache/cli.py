@@ -10,6 +10,12 @@ Subcommands:
             station densities
   validate  parse and validate a scenario file
 
+Every subcommand reads one scenario file (``--scenario``, or the defaults
+without it); the seed, the replication count and the solver grid are its
+keys ``simulation.seed``, ``simulation.replications`` and
+``solver.grid_*``, not flags. ``validate`` writes no files, so it takes no
+``--out``.
+
 Common random numbers: each replication builds and steps one world, and
 every policy (and, in ``ipi``, both information arms of each) advances its
 own storage on it in lockstep, so all of them see the same station layout,
@@ -38,7 +44,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .errors import (
     BarrierExclusionError,
@@ -87,13 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--scenario", help="scenario file (omit for defaults)")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="base seed override")
-        cmd.add_argument("--replications", type=int, default=None,
-                         help="replication-count override")
-        cmd.add_argument("--grid-nx", type=int, default=None)
-        cmd.add_argument("--grid-nq", type=int, default=None)
-        cmd.add_argument("--grid-nt", type=int, default=None)
+        if name != "validate":
+            cmd.add_argument("--out", default=None, help="output directory")
         noise = cmd.add_mutually_exclusive_group()
         noise.add_argument("--quiet", action="store_true",
                            help="suppress progress logging")
@@ -107,21 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    scenario = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
-    if args.seed is not None:
-        scenario = replace(scenario,
-                           simulation=replace(scenario.simulation, seed=args.seed))
-    if args.replications is not None:
-        scenario = replace(scenario, simulation=replace(
-            scenario.simulation, replications=args.replications))
-    solver = scenario.solver
-    for attr, value in (("grid_nx", args.grid_nx), ("grid_nq", args.grid_nq),
-                        ("grid_nt", args.grid_nt)):
-        if value is not None:
-            solver = replace(solver, **{attr: value})
-    if solver is not scenario.solver:
-        scenario = replace(scenario, solver=solver)
-    return scenario
+    return load_scenario(args.scenario) if args.scenario else ScenarioConfig()
 
 
 def _out_dir(args, scenario: ScenarioConfig) -> str:

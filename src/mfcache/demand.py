@@ -156,7 +156,7 @@ def ou_step_array(x: np.ndarray, mu: np.ndarray, reversion_rate: float,
     drift = reversion_rate * (mu - x) * dt
     if volatility > 0:
         drift = drift + volatility * np.sqrt(dt) * rng.standard_normal(x.shape)
-    return np.clip(x + drift, 0.0, 1.0)
+    return (x + drift).clip(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def perturb_popularity(x, ipi: IpiModel, rng: np.random.Generator):
     ``[0, 1]``."""
     arr = np.asarray(x, dtype=float)
     delta = rng.normal(ipi.bias_mean, ipi.bias_std, arr.shape)
-    out = np.clip(arr + delta, ipi.floor_eps, 1.0)
+    out = (arr + delta).clip(ipi.floor_eps, 1.0)
     return float(out) if np.isscalar(x) else out
 
 

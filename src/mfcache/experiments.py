@@ -81,8 +81,8 @@ def problem_from_scenario(scenario: ScenarioConfig, grid: Grid) -> MfgProblem:
     """Reduced problem for one content under the scenario's prior.
 
     With a fresh request history every content shares the uniform mean
-    ``1 / catalog_size``; the wireless rate path is the deterministic
-    density-normalized value held constant over the horizon.
+    ``1 / catalog_size``; the wireless rate is the deterministic
+    density-normalized value, held constant over the horizon.
     """
     dem, cst, geo = scenario.demand, scenario.costs, scenario.geometry
     rate = average_rate(rate_model_from_config(geo), geo)
@@ -96,7 +96,7 @@ def problem_from_scenario(scenario: ScenarioConfig, grid: Grid) -> MfgProblem:
         reversion_rate=dem.reversion_rate,
         volatility=dem.volatility,
         costs=cst,
-        rate_path=np.full(grid.t.size, rate),
+        rate=rate,
         m0=m0,
         neighbor_count=max(0, request_region_count(geo) - 1),
     )

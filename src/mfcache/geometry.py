@@ -9,9 +9,8 @@ used by the solver; the Monte-Carlo paths that validate them are test
 oracles. The rate's 32-node Gauss-Laguerre rule is a checked-in table of the
 nodes and weights ``numpy.polynomial.laguerre`` gives, so importing the
 module loads no ``numpy.polynomial``. :func:`normalized_interference` does
-not thin the interferers by the active probability ``p_a``
-(:func:`active_probability` is not called by the rate model); whether it
-should is ROADMAP open item 1.
+not thin the interferers by the probability that a station is active;
+whether it should is ROADMAP open item 1.
 
 All powers are converted from dBm to linear milliwatts before entering any
 formula; distances are kilometres.
@@ -37,7 +36,6 @@ __all__ = [
     "RateModel",
     "dbm_to_mw",
     "sample_ppp",
-    "active_probability",
     "path_loss",
     "normalized_interference",
     "average_rate",
@@ -129,20 +127,6 @@ def sample_ppp(intensity: float, region: tuple[float, float],
     w, h = region
     n = int(rng.poisson(intensity * (w * h)))
     return np.column_stack((rng.uniform(0.0, w, n), rng.uniform(0.0, h, n)))
-
-
-def active_probability(lambda_u: float, lambda_b: float) -> float:
-    """Probability that a station has at least one associated user.
-
-    Uses the standard Poisson-Voronoi load approximation
-    ``1 - (1 + lambda_u / (3.5 lambda_b))^-3.5``; increases with user density,
-    decreases with station density.
-    """
-    if lambda_b <= 0:
-        raise ConfigurationError("active_probability requires lambda_b > 0")
-    if lambda_u < 0:
-        raise ConfigurationError("active_probability requires lambda_u >= 0")
-    return float(1.0 - (1.0 + lambda_u / (3.5 * lambda_b)) ** -3.5)
 
 
 def path_loss(distance_km, alpha: float):

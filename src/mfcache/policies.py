@@ -3,12 +3,11 @@
 A policy is a callable ``(ctx, rng) -> p`` returning the cache fraction of
 every station and content: ``p.shape == ctx.x_hat.shape``, values in
 ``[0, 1]``, checked once per step by the simulator. The simulator calls a
-policy once per step for all of its information arms: under one arm the
-context holds ``(stations, contents)`` arrays, under several it stacks them
-``(arms, stations, contents)``, and the policy answers every arm at once.
-A policy that draws draws once per step over ``(stations, contents)``, and
-the draw serves every arm, so its arms differ only by what they observe.
-The policies here stay
+policy once per step for all of its information arms, with a context that
+stacks them ``(arms, stations, contents)``, one arm included, and the
+policy answers every arm at once. A policy that draws draws once per step
+over ``(stations, contents)``, and the draw serves every arm, so its arms
+differ only by what they observe. The policies here stay
 inside ``[0, p_max]``, the solver's admissible cap
 ``min(1, B (1 - margin) / L)`` (``SolverConfig.p_max``) handed over in the
 context, so the backhaul barrier stays finite on every output. The
@@ -34,10 +33,9 @@ class PolicyContext:
     """Observed state handed to a policy at one simulation step.
 
     ``t`` is the time within the period; ``x_hat`` (in ``[floor, 1]``) and
-    ``remaining`` (in ``[0, C]``) are ``(stations, contents)`` arrays, or
-    ``(arms, stations, contents)`` stacks when the policy serves several
-    information arms; the rest are the shared cost parameters of the step,
-    with ``rate > 0``.
+    ``remaining`` (in ``[0, C]``) stack the policy's information arms,
+    ``(arms, stations, contents)``, also when it has one; the rest are the
+    shared cost parameters of the step, with ``rate > 0``.
     ``p_max`` in ``[0, 1]`` is the largest cache fraction any policy may
     emit (``SolverConfig.p_max`` of the scenario). The simulator builds the
     context within these ranges, so it is not rechecked.
@@ -102,7 +100,7 @@ class MfPolicy:
                     term = wtx * wq[dq]
                     term *= plane.take(lo + offset[dx][dq])
                     p += term
-        return np.clip(p, 0.0, self._cap)
+        return p.clip(0.0, self._cap)
 
 
 def _locate(coord, nodes: np.ndarray):
@@ -111,7 +109,7 @@ def _locate(coord, nodes: np.ndarray):
     upper corner ``index + 1`` is a node too."""
     step = nodes[1] - nodes[0]
     rel = (np.asarray(coord, dtype=float) - nodes[0]) / step
-    rel = np.clip(rel, 0.0, nodes.size - 1.0)
+    rel = rel.clip(0.0, nodes.size - 1.0)
     idx = np.minimum(rel.astype(np.int64), nodes.size - 2)
     return idx, rel - idx
 
@@ -123,18 +121,18 @@ class BaselinePolicy:
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None
                  ) -> np.ndarray:
         raw = (ctx.backhaul - 1.0 / (1.0 + ctx.rate * ctx.x_hat)) / ctx.content_size
-        return np.clip(raw, 0.0, ctx.p_max)
+        return raw.clip(0.0, ctx.p_max)
 
 
 class RandomPolicy:
     """Uniformly random cache fraction, independent across stations,
     contents and steps. One draw over the trailing ``(stations, contents)``
-    axes serves every arm of a stacked context, so the arms share it."""
+    axes is broadcast over the arms of the context, so the arms share it;
+    the result is a read-only view."""
 
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None
                  ) -> np.ndarray:
         if rng is None:
             raise ConfigurationError("random policy needs a random stream")
         shape = ctx.x_hat.shape
-        p = rng.uniform(0.0, ctx.p_max, shape[-2:])
-        return p if p.shape == shape else np.repeat(p[None], shape[0], axis=0)
+        return np.broadcast_to(rng.uniform(0.0, ctx.p_max, shape[-2:]), shape)

@@ -1,9 +1,9 @@
 """Scenario files: every knob of one named experiment in one INI document.
 
 An empty file yields the default experiment (density-0.03 network,
-20-content catalog, unit backhaul and storage). Unknown sections or keys are
-rejected, and every validation error names the offending key as
-``section.key``.
+20-content catalog, unit backhaul and storage). Unknown sections (a
+``[DEFAULT]`` section too) or keys are rejected, and every validation error
+names the offending key as ``section.key``.
 
 The sections are the fields of ``ScenarioConfig`` and their keys are the
 fields of each section's dataclass, defaults included; the README documents
@@ -225,7 +225,9 @@ def _instance(cls: type, values: dict[str, object], prefix: str = "") -> object:
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text, applying defaults for every omitted key. Every
     sweep point is built, so a bad sweep value fails here."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No default section: a [DEFAULT] header is an unknown section, not keys
+    # copied into every other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -13,7 +13,8 @@ and no trajectory is stored.
 A step runs in a fixed order: popularity diffuses, every arm's observation
 is built once (the imperfect one is drawn once if an arm needs it), and
 then each policy is called once, at the time within the period, on its
-rows of the storage stack for all of its arms. The output check and the
+rows of the storage stack for all of its arms: its context stacks them
+``(arms, stations, contents)``, one arm included. The output check and the
 storage update (the cache/discard balance) then run once over the whole
 stack. No step reads the metrics, so they are computed apart from the state
 transition: the hood's rows of each step (the stations within the request
@@ -174,34 +175,32 @@ def step(world: World, policies: list[tuple[object, np.random.Generator]],
     policies (an imperfect arm needs ``ipi_rng``); each policy called once
     on its rows of the stack; then, once over all lanes, the output check
     and the storage update (clamped to [0, C]; discarding pauses at full
-    remaining storage). Under one arm a context holds ``(K, M)`` arrays;
-    under several, ``x_hat`` stacks the arms' observations and
-    ``remaining`` the policy's rows, ``(arms, K, M)``. The context holds
-    arrays the step has clipped and is not checked; the policies' outputs
-    are checked (each of its context's storage shape, then no NaN and
-    values in ``[0, 1]`` over all lanes and stations) and raise
-    :class:`ConfigurationError` otherwise.
+    remaining storage). A context's ``x_hat`` stacks the arms'
+    observations and its ``remaining`` the policy's rows, both
+    ``(arms, K, M)``, also under one arm. The context holds arrays the step
+    has clipped and is not checked; the policies' outputs are checked (each
+    of its context's storage shape, then no NaN and values in ``[0, 1]``
+    over all lanes and stations) and raise :class:`ConfigurationError`
+    otherwise.
     """
     dem, cst = scenario.demand, scenario.costs
     floor = dem.ipi.floor_eps
     x = ou_step_array(world.x, world.mu, dem.reversion_rate, dem.volatility,
                       dt, world_rng)
     world.x = x
-    observed = {False: np.clip(x, floor, 1.0)}
+    observed = {False: x.clip(floor, 1.0)}
     if True in arms:
         observed[True] = perturb_popularity(x, dem.ipi, ipi_rng)
     n = len(arms)
-    x_hat = (observed[arms[0]] if n == 1
-             else np.array([observed[imperfect] for imperfect in arms]))
+    x_hat = np.array([observed[imperfect] for imperfect in arms])
     p_max = scenario.solver.config.p_max(cst.backhaul, cst.content_size)
 
     p = np.empty(remaining.shape)
     for i, (policy, rng) in enumerate(policies):
         rows = slice(i * n, (i + 1) * n)
         ctx = PolicyContext(
-            t=t, x_hat=x_hat, remaining=remaining[i if n == 1 else rows],
-            rate=rate, backhaul=cst.backhaul, content_size=cst.content_size,
-            p_max=p_max,
+            t=t, x_hat=x_hat, remaining=remaining[rows], rate=rate,
+            backhaul=cst.backhaul, content_size=cst.content_size, p_max=p_max,
         )
         out = np.asarray(policy(ctx, rng), dtype=float)
         # Checked before the write, which would broadcast a (M,) row.
@@ -213,8 +212,8 @@ def step(world: World, policies: list[tuple[object, np.random.Generator]],
     if not ((p >= 0) & (p <= 1)).all():
         raise ConfigurationError("policy output must be cache fractions in "
                                  "[0, 1], with no NaN")
-    q = np.clip(remaining + (cst.discard_rate - cst.content_size * p) * dt,
-                0.0, cst.storage)
+    q = (remaining + (cst.discard_rate - cst.content_size * p) * dt).clip(
+        0.0, cst.storage)
     return q, p
 
 

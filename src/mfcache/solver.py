@@ -38,6 +38,7 @@ unchecked.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,8 +172,8 @@ class SolverConfig:
 class MfgProblem:
     """Reduced per-content problem fed to the solver.
 
-    ``rate_path`` holds the exogenous wireless rate at every time node (the
-    rate is dropped from the population state and treated as a known path);
+    ``rate`` is the exogenous wireless rate, finite and positive, held at
+    every time node (the rate is dropped from the population state);
     ``neighbor_count`` scales the mean-field overlap to the expected number
     of other stations in the request region.
     """
@@ -181,19 +182,18 @@ class MfgProblem:
     reversion_rate: float
     volatility: float
     costs: CostParams
-    rate_path: np.ndarray
+    rate: float
     m0: np.ndarray
     neighbor_count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rate_path", np.asarray(self.rate_path, dtype=float))
         object.__setattr__(self, "m0", np.asarray(self.m0, dtype=float))
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigurationError("problem.mu must lie in [0, 1]")
         if self.reversion_rate < 0 or self.volatility < 0:
             raise ConfigurationError("problem rates must be >= 0")
-        if (self.rate_path <= 0).any():
-            raise ConfigurationError("rate path must be strictly positive")
+        if not 0.0 < self.rate < math.inf:
+            raise ConfigurationError("problem.rate must be finite and > 0")
         if self.neighbor_count < 0:
             raise ConfigurationError("problem.neighbor_count must be >= 0")
 
@@ -342,7 +342,7 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     record the minimizing control at every node.
 
     The inputs are validated once on entry, the density on all levels at
-    once (the rate path is positive by construction of the problem); the
+    once (the rate is positive by construction of the problem); the
     level loop then calls the unchecked formulas of the control, overlap,
     barrier and running cost. At each time level the storage gradient of
     the already-computed later level drives the closed-form control; the
@@ -356,8 +356,6 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     m = np.asarray(m_values, dtype=float)
     if m.shape != grid.shape:
         raise ConfigurationError("density shape does not match the grid")
-    if problem.rate_path.size != nt:
-        raise ConfigurationError("rate path length must match the time grid")
     check_density(m, grid.cell_area)
     if np.any(grid.x < FLOOR_EPS):
         raise ConfigurationError("grid.x must be >= the observation floor "
@@ -377,10 +375,10 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     dqv = np.empty((nx, nq))
     dt, dq, cell_area = grid.dt, grid.dq, grid.cell_area
     backhaul, size, discard = c.backhaul, c.content_size, c.discard_rate
+    rate = problem.rate
     overlap_lag = 0.0
 
     for level in range(nt - 1, -1, -1):
-        rate = float(problem.rate_path[level])
         _dq_centered(v[level], dq, dqv)
         p_lvl = optimal_control(x_col, rate, overlap_lag, dqv, backhaul, size,
                                 config)

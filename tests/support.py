@@ -404,7 +404,7 @@ def reference_hjb_backward(m, problem, grid, config):
     inverse = np.linalg.inv(dense)
     overlap_lag = 0.0
     for level in range(nt - 1, -1, -1):
-        rate = float(problem.rate_path[level])
+        rate = problem.rate
         dqv = _reference_dq_centered(v[level], grid.dq)
         p_lvl = optimal_control(x_col, rate, overlap_lag, dqv,
                                 c.backhaul, c.content_size, config)

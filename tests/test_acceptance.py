@@ -59,7 +59,7 @@ def test_criterion_01_fpk_mass_conservation():
             reversion_rate=rng.uniform(0.0, 1.5),
             volatility=rng.uniform(0.0, 0.2),
             costs=costs,
-            rate_path=np.full(grid.t.size, 1.0),
+            rate=1.0,
             m0=gaussian_initial_density(grid, rng.uniform(0.2, 0.8), 0.06,
                                         rng.uniform(0.3, 0.7), 0.06),
             neighbor_count=1,
@@ -177,7 +177,7 @@ def test_criterion_06_static_popularity_control_bound():
         template = problem_from_scenario(sc, grid)
         problem = MfgProblem(mu=x0, reversion_rate=0.0, volatility=0.0,
                              costs=template.costs,
-                             rate_path=template.rate_path,
+                             rate=template.rate,
                              m0=gaussian_initial_density(grid, x0, 0.05, 0.7, 0.05),
                              neighbor_count=template.neighbor_count)
         solution = solve_mfe(problem, grid, sc.solver.config)

@@ -68,14 +68,13 @@ def solves(monkeypatch):
 @pytest.fixture()
 def solve_log(solves, monkeypatch, shared_lines):
     """Lines of a file that a forked helper appends to as well:
-    ``solve <pid> <rate>`` for every equilibrium solve, with the first
-    value of the problem's rate path (each sweep point of these tests has
-    its own), and ``fork`` at every fork. ``.pids`` holds the forked pids."""
+    ``solve <pid> <rate>`` for every equilibrium solve, with the
+    problem's rate (each sweep point of these tests has its own), and ``fork`` at every fork. ``.pids`` holds the forked pids."""
     solve, fork = experiments.solve_mfe, os.fork
     pids = []
 
     def logged_solve(problem, grid, config):
-        shared_lines.append(f"solve {os.getpid()} {problem.rate_path[0].hex()}")
+        shared_lines.append(f"solve {os.getpid()} {problem.rate.hex()}")
         return solve(problem, grid, config)
 
     def logged_fork():
@@ -108,7 +107,7 @@ class TestOneSolvePerInput:
         assert len(solves) == 2
         (first, a), (second, b) = solves
         assert a is not b
-        assert not np.array_equal(first.rate_path, second.rate_path)
+        assert first.rate != second.rate
 
     def test_settings_the_solver_never_sees_share_a_solve(self, solves):
         scenario = small_scenario()
@@ -476,10 +475,10 @@ class TestReplicationHelper:
 
 
 def point_rates(scenario, sweep: str) -> list[str]:
-    """The first rate-path value of each sweep point's reduced problem, as
-    ``solve_log`` records it."""
+    """The rate of each sweep point's reduced problem, as ``solve_log``
+    records it."""
     return [experiments.problem_from_scenario(
-                sc, experiments.grid_from_scenario(sc)).rate_path[0].hex()
+                sc, experiments.grid_from_scenario(sc)).rate.hex()
             for _, sc in sweep_points(scenario, sweep)]
 
 
@@ -643,7 +642,7 @@ def test_compare_is_the_same_on_one_and_two_cpus(sweep, x0, fault, where,
 
     def logged_solve(problem, grid, config):
         logging.getLogger("tests.solves").info(
-            "solving at rate %r, x mean %r", float(problem.rate_path[0]),
+            "solving at rate %r, x mean %r", problem.rate,
             float((problem.m0.sum(axis=1) * grid.x).sum() / problem.m0.sum()))
         return solve(problem, grid, config)
 

@@ -11,7 +11,6 @@ from mfcache import geometry
 from mfcache.errors import ConfigurationError
 from mfcache.geometry import (
     GeometryConfig,
-    active_probability,
     average_rate,
     dbm_to_mw,
     nearest_sbs_distance,
@@ -58,29 +57,6 @@ class TestSamplePpp:
         assert pattern.shape[1] == 2 and (pattern >= 0.0).all()
         assert (pattern[:, 0] <= 5.0).all()
         assert (pattern[:, 1] <= 3.0).all()
-
-
-class TestActiveProbability:
-    def test_no_users_means_all_dormant(self):
-        assert active_probability(0.0, 0.05) == 0.0
-
-    def test_closed_form_value(self):
-        assert active_probability(1e-4, 0.05) == pytest.approx(1.9974313e-3, rel=1e-6)
-
-    def test_saturates_at_one(self):
-        assert active_probability(1e6, 0.05) == pytest.approx(1.0, abs=1e-9)
-
-    def test_monotone_in_both_densities(self):
-        lus = np.linspace(0.0, 0.01, 25)
-        probs = [active_probability(lu, 0.05) for lu in lus]
-        assert all(b > a for a, b in zip(probs, probs[1:]))
-        lbs = np.linspace(0.01, 0.1, 25)
-        probs_b = [active_probability(1e-3, lb) for lb in lbs]
-        assert all(b < a for a, b in zip(probs_b, probs_b[1:]))
-
-    def test_requires_positive_sbs_density(self):
-        with pytest.raises(ConfigurationError):
-            active_probability(1e-4, 0.0)
 
 
 class TestPathLoss:

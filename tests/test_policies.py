@@ -38,7 +38,7 @@ def solution():
     grid = Grid.make(51, 21, 21, 1.0, 1.0)
     m0 = gaussian_initial_density(grid, 0.3, 0.05, 0.7, 0.05)
     problem = MfgProblem(mu=0.05, reversion_rate=0.5, volatility=0.1,
-                         costs=CostParams(), rate_path=np.full(51, 1.11),
+                         costs=CostParams(), rate=1.11,
                          m0=m0, neighbor_count=1)
     return solve_mfe(problem, grid, SolverConfig())
 
@@ -47,7 +47,7 @@ class TestMfPolicy:
     def test_refuses_unconverged(self, solution):
         grid = solution.grid
         problem = MfgProblem(mu=0.05, reversion_rate=0.5, volatility=0.1,
-                             costs=CostParams(), rate_path=np.full(51, 1.11),
+                             costs=CostParams(), rate=1.11,
                              m0=gaussian_initial_density(grid, 0.3, 0.05, 0.7, 0.05),
                              neighbor_count=1)
         bad = solve_mfe(problem, grid, SolverConfig(tolerance=1e-12,

@@ -50,6 +50,18 @@ class TestScenarioParsing:
         with pytest.raises(ConfigurationError, match="radio"):
             parse_scenario("[radio]\npower = 3\n")
 
+    @pytest.mark.parametrize("before, after", [
+        ("", ""),
+        ("", "[simulation]\nreplications = 2\n"),
+        ("[geometry]\nlambda_b = 0.05\n", ""),
+    ], ids=["alone", "before-simulation", "after-geometry"])
+    def test_a_default_section_is_an_unknown_section(self, before, after):
+        # Its keys would otherwise reach every section unseen.
+        text = f"{before}[DEFAULT]\nseed = 5\n{after}"
+        with pytest.raises(ConfigurationError,
+                           match="unknown scenario section 'DEFAULT'"):
+            parse_scenario(text)
+
     def test_malformed_value_names_key(self):
         with pytest.raises(ConfigurationError, match="demand.theta"):
             parse_scenario("[demand]\ntheta = lots\n")
@@ -294,13 +306,29 @@ class TestCli:
         assert rows[0] == "lambda_b,policy,lra_ppi,lra_ipi,increment"
         assert len(rows) == 1 + 2 * 3
 
-    def test_seed_and_grid_overrides(self, small_file, tmp_path):
-        out = tmp_path / "ovr"
-        assert main(["solve", "--scenario", small_file, "--out", str(out),
-                     "--seed", "77", "--grid-nt", "41", "--quiet"]) == 0
+    def test_seed_and_grid_come_from_the_scenario_file(self, tmp_path):
+        path = tmp_path / "seeded.ini"
+        path.write_text(SMALL.replace("grid_nt = 51", "grid_nt = 41")
+                        .replace("[simulation]", "[simulation]\nseed = 77"))
+        out = tmp_path / "seeded"
+        assert main(["solve", "--scenario", str(path), "--out", str(out),
+                     "--quiet"]) == 0
         manifest = open(out / "manifest.txt").read()
         assert "seed: 77" in manifest
         assert "grid: 41x11x11" in manifest
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, flag) for command in ("solve", "compare", "ipi", "validate")
+          for flag in ("--seed=77", "--replications=3", "--grid-nx=11",
+                       "--grid-nq=11", "--grid-nt=41")),
+        ("validate", "--out=out"),
+    ])
+    def test_a_scenario_key_is_not_a_flag(self, small_file, command, flag,
+                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", small_file, flag, "--quiet"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("costs", "gamma", "nan"),

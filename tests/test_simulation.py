@@ -175,8 +175,8 @@ class TestPolicyBoundary:
 
     def test_each_policy_is_called_once_per_step_for_all_its_arms(self):
         # Two arms stack each policy's context as (arms, K, M): arm by arm,
-        # it holds what a one-arm run of that arm passes as (K, M), and each
-        # policy keeps one stream for all of its calls.
+        # it holds what a one-arm run of that arm passes as (1, K, M), and
+        # each policy keeps one stream for all of its calls.
         sc = small_scenario()
 
         def run(arms):
@@ -205,12 +205,32 @@ class TestPolicyBoundary:
             for name in ("a", "b"):
                 for (ctx, _), (solo, _) in zip(both[name], alone[name]):
                     assert ctx.x_hat.shape == ctx.remaining.shape == (2, *shape)
-                    assert solo.x_hat.shape == solo.remaining.shape == shape
-                    assert np.array_equal(ctx.x_hat[int(imperfect)], solo.x_hat)
+                    assert solo.x_hat.shape == solo.remaining.shape == (1, *shape)
+                    assert np.array_equal(ctx.x_hat[int(imperfect)],
+                                          solo.x_hat[0])
                     assert np.array_equal(ctx.remaining[int(imperfect)],
-                                          solo.remaining)
+                                          solo.remaining[0])
         assert not np.array_equal(both["a"][-1][0].x_hat[0],
                                   both["a"][-1][0].x_hat[1])
+
+    @pytest.mark.parametrize("imperfect", [False, True])
+    def test_a_one_arm_run_stacks_its_one_arm(self, imperfect):
+        # Every policy gets the (arms, K, M) context, one arm included; the
+        # step's output check takes a random policy's broadcast draw.
+        sc = small_scenario()
+        seen = []
+
+        def recording(ctx, rng=None):
+            seen.append(ctx)
+            return RandomPolicy()(ctx, rng)
+
+        logs = run_replication(sc, {"a": recording, "b": recording},
+                               arms=(imperfect,), horizon=0.5, seed=4,
+                               snapshot_time=0.5)
+        shape = (1, *logs["a", imperfect].q_snapshot.shape)
+        assert len(seen) == 2 * 25
+        for ctx in seen:
+            assert ctx.x_hat.shape == ctx.remaining.shape == shape
 
     @pytest.mark.parametrize("fault", ["above_outside_hood",
                                        "below_outside_hood", "one_nan",
@@ -225,18 +245,19 @@ class TestPolicyBoundary:
             return world, hood
 
         def faulty(ctx, rng=None):
+            # A one-arm context is (1, K, M).
             p = np.full(ctx.x_hat.shape, 0.2)
             (hood,) = hoods
-            outside = np.setdiff1d(np.arange(p.shape[0]), hood)
+            outside = np.setdiff1d(np.arange(p.shape[1]), hood)
             assert outside.size and hood.size
             if fault == "above_outside_hood":
-                p[outside[0], 0] = 1.7
+                p[0, outside[0], 0] = 1.7
             elif fault == "below_outside_hood":
-                p[outside[-1], -1] = -0.1
+                p[0, outside[-1], -1] = -0.1
             elif fault == "one_nan":
-                p[hood[0], 1] = np.nan
+                p[0, hood[0], 1] = np.nan
             else:
-                p = p[0]
+                p = p[0, 0]
             return p
 
         monkeypatch.setattr(simulation, "build_world", recording_build)

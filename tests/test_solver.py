@@ -36,7 +36,7 @@ def make_problem(grid, mu=0.05, r=0.5, eta=0.1, rate=1.11, neighbors=1,
     costs = costs or CostParams()
     m0 = gaussian_initial_density(grid, x0, 0.05, q0, 0.05)
     return MfgProblem(mu=mu, reversion_rate=r, volatility=eta, costs=costs,
-                      rate_path=np.full(grid.t.size, rate), m0=m0,
+                      rate=rate, m0=m0,
                       neighbor_count=neighbors)
 
 
@@ -335,7 +335,7 @@ class TestForwardMoments:
         m0 /= m0.sum() * grid.cell_area
         problem = MfgProblem(mu=self.MU, reversion_rate=self.RATE,
                              volatility=0.0, costs=self.COSTS,
-                             rate_path=np.ones(grid.t.size), m0=m0,
+                             rate=1.0, m0=m0,
                              neighbor_count=1)
         return fpk_forward(np.full(grid.shape, level), m0, problem, grid,
                            SolverConfig())
@@ -658,6 +658,12 @@ class TestReferenceLevelStep:
 class TestEntryValidation:
     def _density(self, grid, problem):
         return np.repeat(problem.m0[None], grid.t.size, axis=0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_problem_rejects_a_rate_that_is_not_positive_and_finite(self, rate):
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match=r"problem\.rate"):
+            make_problem(grid, rate=rate)
 
     def test_hjb_rejects_one_level_with_mass_off(self):
         grid = Grid.make(41, 21, 21, 1.0, 1.0)

@@ -86,8 +86,8 @@ def backhaul_cost(p, backhaul: float, content_size: float):
     raises) once the budget is hit. Strictly increasing and convex in ``p``.
     """
     slack = backhaul - content_size * p
-    inside = slack > 0
-    if np.all(inside):
+    inside = np.greater(slack, 0)   # an array for scalar fractions too
+    if inside.all():
         return -np.log(slack)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(inside, -np.log(np.where(inside, slack, 1.0)), np.inf)

@@ -98,11 +98,12 @@ def simulate_requests(state: CrpState, n_requests: int,
     exactly the law of the counts of ``n_requests`` sequential draws from
     :func:`crp_request_distribution`. Forward, the openings form a chain: the
     joins before the next one have survival ``prod_{r<s} (N + r - nu*K) /
-    (N + r + theta)``, inverted by bisection, and each opens a uniformly
-    chosen unseen content. Backward, each new content takes ``1 +
-    BetaBinomial(pool, 1 - nu, N - nu*K at its opening)`` of the joins after
-    it still pooled. The rest is Dirichlet-multinomial with weights
-    ``n_j - nu`` over the contents seen before the period.
+    (N + r + theta)``, inverted by a search bracketed from a closed-form
+    guess, and each opens a uniformly chosen unseen content. Backward, each
+    new content takes ``1 + BetaBinomial(pool, 1 - nu, N - nu*K at its
+    opening)`` of the joins after it still pooled. The rest is
+    Dirichlet-multinomial with weights ``n_j - nu`` over the contents seen
+    before the period.
     """
     counts, theta, nu = state.counts, state.theta, state.nu
     seen = counts > 0
@@ -136,12 +137,45 @@ def simulate_requests(state: CrpState, n_requests: int,
 def _joins_before_opening(a: float, b: float, left: int, log_u: float) -> int:
     """The largest ``s <= left`` whose survival ``Gamma(a + s) Gamma(b) /
     (Gamma(a) Gamma(b + s))`` (all of ``s`` arrivals join, with ``a = N -
-    nu*K`` and ``b = N + theta``) exceeds ``exp(log_u)``."""
+    nu*K`` and ``b = N + theta``, ``0 < a < b``) exceeds ``exp(log_u)``.
+
+    The survival decreases in ``s``, so any bracket of the crossing holds
+    the same answer, whatever the guess it starts from. The guess is the
+    crossing of ``(a - b) log1p(s / b)``, which lies above ``log S(s)``
+    (each factor's ``log(1 - (b - a) / (b + r))`` is at most ``-(b - a) /
+    (b + r)``), so it is at or past the answer; it is ``left`` when the
+    crossing lies beyond. The search gallops from the guess to a bracket and
+    bisects it with the exact ``lgamma`` test. ``s = 0`` always survives and
+    ``s = left + 1`` counts as not surviving; neither is tested.
+    """
     base = math.lgamma(b) - math.lgamma(a)
-    lo, hi = 0, left + 1   # survival(lo) > u; survival(left + 1) counts as 0
+
+    def survives(s: int) -> bool:
+        return math.lgamma(a + s) - math.lgamma(b + s) + base > log_u
+
+    depth = log_u / (a - b)
+    if depth >= math.log1p(left / b):
+        guess = left
+    else:
+        guess = min(int(b * math.expm1(depth)), left)
+    lo, hi, step = 0, left + 1, 1
+    if guess and not survives(guess):
+        hi = guess   # gallop down to a surviving s
+        while hi - step > lo:
+            if survives(hi - step):
+                lo = hi - step
+                break
+            hi, step = hi - step, 2 * step
+    else:
+        lo = guess   # gallop up to a failing s
+        while lo + step < hi:
+            if not survives(lo + step):
+                hi = lo + step
+                break
+            lo, step = lo + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if math.lgamma(a + mid) - math.lgamma(b + mid) + base > log_u:
+        if survives(mid):
             lo = mid
         else:
             hi = mid
@@ -155,7 +189,7 @@ def ou_step_array(x: np.ndarray, mu: np.ndarray, reversion_rate: float,
     independent processes."""
     drift = reversion_rate * (mu - x) * dt
     if volatility > 0:
-        drift = drift + volatility * np.sqrt(dt) * rng.standard_normal(x.shape)
+        drift = drift + volatility * math.sqrt(dt) * rng.standard_normal(x.shape)
     return (x + drift).clip(0.0, 1.0)
 
 
@@ -180,14 +214,13 @@ class IpiModel:
                 f"demand.floor_eps must lie in [{FLOOR_EPS!r}, 1)")
 
 
-def perturb_popularity(x, ipi: IpiModel, rng: np.random.Generator):
+def perturb_popularity(x: np.ndarray, ipi: IpiModel,
+                       rng: np.random.Generator) -> np.ndarray:
     """Observed popularity ``clamp(x + delta, floor_eps, 1)`` with
-    ``delta ~ N(bias_mean, bias_std^2)``, for a true popularity ``x`` in
-    ``[0, 1]``."""
-    arr = np.asarray(x, dtype=float)
-    delta = rng.normal(ipi.bias_mean, ipi.bias_std, arr.shape)
-    out = (arr + delta).clip(ipi.floor_eps, 1.0)
-    return float(out) if np.isscalar(x) else out
+    ``delta ~ N(bias_mean, bias_std^2)`` drawn over ``x.shape``, for an
+    array ``x`` of true popularities in ``[0, 1]``."""
+    delta = rng.normal(ipi.bias_mean, ipi.bias_std, x.shape)
+    return (x + delta).clip(ipi.floor_eps, 1.0)
 
 
 def refresh_period(state: CrpState, increments: np.ndarray) -> np.ndarray:

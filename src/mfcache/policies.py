@@ -80,8 +80,9 @@ class MfPolicy:
         t_w = rel - t_i
         x_i, x_w = _locate(ctx.x_hat, g.x)
         q_i, q_w = _locate(ctx.remaining, g.q)
-        # Each time plane is read at flat cell indices; the eight terms keep
-        # the order and the ((wt * wx) * wq) * value association of the
+        # Each time plane is read at the lower corners' flat cell indices,
+        # through a view that starts at each corner's offset; the eight terms
+        # keep the order and the ((wt * wx) * wq) * value association of the
         # trilinear form, so the result does not depend on this layout. A
         # plane of weight 0.0 (on a time node) would add only +0.0 terms to
         # a sum that starts at +0.0, so it is not read.
@@ -98,7 +99,7 @@ class MfPolicy:
                 wtx = wt * wx[dx]
                 for dq in (0, 1):
                     term = wtx * wq[dq]
-                    term *= plane.take(lo + offset[dx][dq])
+                    term *= plane[offset[dx][dq]:].take(lo)
                     p += term
         return p.clip(0.0, self._cap)
 

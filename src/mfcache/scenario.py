@@ -102,6 +102,11 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SimulationSettings:
+    """Simulated replications: the time each one covers (``>= 0``, in the
+    time unit of ``demand.period``; the step is the solver grid's), how many
+    a sweep point runs (``>= 1``), and the seed of the first, a 64-bit
+    value; replication ``r`` runs under ``seed + r``."""
+
     horizon: float = 1.0
     replications: int = 20
     seed: int = 12345
@@ -142,12 +147,20 @@ class ExperimentSweeps:
 
 @dataclass(frozen=True)
 class OutputSettings:
+    """Where a command writes its CSVs and manifest when no ``--out`` is
+    given. ``tables`` is parsed and hashed with the scenario, but nothing
+    reads it yet."""
+
     directory: str = "out"
     tables: str = "all"
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One experiment: a section object per scenario-file section, each
+    checked when it is built. :func:`parse_scenario` fills it from an INI
+    document; its defaults are the default experiment."""
+
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     demand: DemandConfig = field(default_factory=DemandConfig)
     costs: CostParams = field(default_factory=CostParams)

@@ -209,7 +209,7 @@ def step(world: World, policies: list[tuple[object, np.random.Generator]],
                                      "must have the storage shape "
                                      f"{ctx.remaining.shape}")
         p[rows] = out
-    if not ((p >= 0) & (p <= 1)).all():
+    if not (p.min() >= 0 and p.max() <= 1):   # a NaN fails both
         raise ConfigurationError("policy output must be cache fractions in "
                                  "[0, 1], with no NaN")
     q = (remaining + (cst.discard_rate - cst.content_size * p) * dt).clip(

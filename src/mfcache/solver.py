@@ -15,11 +15,15 @@ budget as the water level,
     p* = (1/L) [ B - (1 + I_r) / (rate * x * v_Q) ]+,
 
 guarded to zero when ``v_Q`` is non-positive or vanishing (the bracket is
-then increasing in ``p``); :func:`optimal_control` is its one home. The two
-equations are coupled through the mean-field overlap ``I_r`` and iterated to
-a fixed point by full Picard sweeps, with the density step shrunk only after
-a sweep whose residual rises (the finite-difference scheme of Achdou &
-Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48(3), 2010).
+then increasing in ``p``). Its one home is a pair: :func:`control_scale`
+forms the guard and the scale ``rate * x * v_Q``, which are fixed for a
+time level, and :func:`optimal_control` the water level from them and the
+overlap, so the backward pass forms the scale once per level and the
+control twice. The two equations are coupled through the mean-field
+overlap ``I_r`` and iterated to a fixed point by full Picard sweeps, with
+the density step shrunk only after a sweep whose residual rises (the
+finite-difference scheme of Achdou & Capuzzo-Dolcetta, SIAM J. Numer.
+Anal. 48(3), 2010).
 
 Discretization: uniform tensor grid. The backward pass uses explicit upwind
 differencing for both drifts (one-sided inward stencils at boundaries, zero
@@ -59,6 +63,7 @@ __all__ = [
     "SolverConfig",
     "MfgProblem",
     "MfeSolution",
+    "control_scale",
     "optimal_control",
     "hjb_backward",
     "fpk_forward",
@@ -228,22 +233,29 @@ class MfeSolution:
             raise SolverError("control leaves its admissible range")
 
 
-def optimal_control(x, rate, overlap, dq_v, backhaul: float, content_size: float,
-                    config: SolverConfig):
-    """Water-filling minimizer of the backward equation's bracket.
-
-    ``p* = (1/L) [B - (1 + I_r) / (rate * x * v_Q)]+`` clamped to the
-    admissible range; zero whenever ``v_Q`` is negative or smaller than the
-    degeneracy guard (the bracket is then monotone increasing in ``p``).
-    ``x`` and ``rate`` are positive (the caller checks them); the arguments
-    broadcast, as ``x`` of shape ``(nx, 1)`` against ``v_Q`` of shape
-    ``(nx, nq)`` in the backward pass.
+def control_scale(rate_x, dq_v, config: SolverConfig):
+    """The level-fixed part of the water-filling control: the mask ``v_Q >
+    grad_eps`` of states with an active control and the scale ``rate * x *
+    v_Q`` of the overlap term (``rate * x`` where the mask is off, so it
+    never divides by zero). ``rate_x`` is the positive product ``rate * x``,
+    ``(nx, 1)`` against ``v_Q`` of shape ``(nx, nq)`` in the backward pass.
     """
     active = dq_v > config.grad_eps
-    denom = rate * x * np.where(active, dq_v, 1.0)
-    raw = (backhaul - (1.0 + overlap) / denom) / content_size
-    p = np.where(active, raw.clip(0.0, config.p_max(backhaul, content_size)), 0.0)
-    return float(p) if np.ndim(p) == 0 else p
+    return active, rate_x * np.where(active, dq_v, 1.0)
+
+
+def optimal_control(active, scale, overlap, backhaul: float,
+                    content_size: float, cap: float) -> np.ndarray:
+    """Water-filling minimizer of the backward equation's bracket.
+
+    ``p* = (1/L) [B - (1 + I_r) / (rate * x * v_Q)]+`` clamped to ``[0,
+    cap]``, the admissible range (``SolverConfig.p_max``), from the mask
+    and scale of :func:`control_scale`; zero wherever the mask is off
+    (``v_Q`` negative or below the degeneracy guard: the bracket is then
+    monotone increasing in ``p``).
+    """
+    raw = (backhaul - (1.0 + overlap) / scale) / content_size
+    return np.where(active, raw.clip(0.0, cap), 0.0)
 
 
 class _Upwind:
@@ -345,11 +357,12 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     once (the rate is positive by construction of the problem); the
     level loop then calls the unchecked formulas of the control, overlap,
     barrier and running cost. At each time level the storage gradient of
-    the already-computed later level drives the closed-form control; the
-    overlap term is resolved by a one-sweep fixed point (control from the
-    lagged overlap, overlap from that control, control refreshed) and the
-    level is then stepped with explicit upwind drifts, an implicit diffusion
-    solve in the popularity direction, and the running cost as source.
+    the already-computed later level drives the closed-form control, whose
+    scale is formed once for the level; the overlap term is resolved by a
+    one-sweep fixed point (control from the lagged overlap, overlap from
+    that control, control refreshed) and the level is then stepped with
+    explicit upwind drifts, an implicit diffusion solve in the popularity
+    direction, and the running cost as source.
     """
     c = problem.costs
     nt, nx, nq = grid.shape
@@ -376,23 +389,24 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     dt, dq, cell_area = grid.dt, grid.dq, grid.cell_area
     backhaul, size, discard = c.backhaul, c.content_size, c.discard_rate
     rate = problem.rate
+    rate_x = rate * x_col
+    cap = config.p_max(backhaul, size)
     overlap_lag = 0.0
 
     for level in range(nt - 1, -1, -1):
         _dq_centered(v[level], dq, dqv)
-        p_lvl = optimal_control(x_col, rate, overlap_lag, dqv, backhaul, size,
-                                config)
+        active, scale = control_scale(rate_x, dqv, config)
+        p_lvl = optimal_control(active, scale, overlap_lag, backhaul, size, cap)
         overlap = mf_overlap(m[level], p_lvl, cell_area, c.storage,
                              c.similar_count, problem.neighbor_count)
-        p_lvl = optimal_control(x_col, rate, overlap, dqv, backhaul, size,
-                                config)
+        p_lvl = optimal_control(active, scale, overlap, backhaul, size, cap)
         p[level] = p_lvl
         overlap_lag = overlap
         if level == 0:
             break
 
         source = running_cost(backhaul_cost(p_lvl, backhaul, size), overlap,
-                              rate * x_col, psi)
+                              rate_x, psi)
         bq = discard - size * p_lvl
         adv = (advect_x(v[level], bx, bx_forward)
                + advect_q(v[level], bq, bq > 0))
@@ -407,6 +421,21 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     return v, p
 
 
+# Element-wise work over many time levels (the forward pass's storage
+# drifts, the sweep's residual and relaxation) runs on blocks of time levels
+# of at most this many bytes (or one level), so its temporaries stay small
+# next to a grid field and its Python cost stays small next to the passes'.
+_BLOCK_BYTES = 1 << 16
+
+
+def _level_blocks(levels: int, level_bytes: int) -> list[slice]:
+    """Consecutive blocks covering time levels ``[0, levels)``, each of at
+    most ``_BLOCK_BYTES`` at ``level_bytes`` per level (or one level)."""
+    size = max(1, _BLOCK_BYTES // level_bytes)
+    return [slice(start, min(start + size, levels))
+            for start in range(0, levels, size)]
+
+
 def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
                 grid: Grid, config: SolverConfig) -> np.ndarray:
     """Transport the population density forward under the given control.
@@ -415,9 +444,10 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     diffusive fluxes across cell interfaces, zero flux through every
     boundary. Interior fluxes cancel in the total, so mass is conserved to
     round-off; under the step-size condition all update coefficients are
-    nonnegative, so no negative densities appear. Mass and sign are checked
-    on all levels at once after the pass; the error names the first failing
-    level.
+    nonnegative, so no negative densities appear. The storage drifts at the
+    interfaces depend on the control only and are formed a block of levels
+    at a time. Mass and sign are checked on all levels at once after the
+    pass; the error names the first failing level.
     """
     c = problem.costs
     nt, nx, nq = grid.shape
@@ -447,42 +477,44 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     # outflow update and to -0.0 for the inflow update, the two values that
     # leave every density, signed zeros included, unchanged.
     row_joins = slice(nq - 1, None, nq)
+    # A block's positive and negative Q-face drifts fit in _BLOCK_BYTES.
+    p_rows = p.reshape(nt, -1)
 
-    for level in range(nt - 1):
-        cur = m[level]
-        # Advective flux through x interfaces (upwind).
-        flux_x = bxf_pos * cur[:-1, :] + bxf_neg * cur[1:, :]
-        if diff > 0.0:
-            flux_x = flux_x - diff * (cur[1:, :] - cur[:-1, :]) / dx
-        # Advective flux through q interfaces; interface control is the mean
-        # of the adjacent nodes of this level's control surface.
-        cur_flat, p_flat = cur.reshape(-1), p[level].reshape(-1)
-        p_face = (p_flat[:-1] + p_flat[1:]) / 2.0
-        bqf = c.discard_rate - c.content_size * p_face
-        flux_q = (np.maximum(bqf, 0.0) * cur_flat[:-1]
-                  + np.minimum(bqf, 0.0) * cur_flat[1:])
+    for block in _level_blocks(nt - 1, 2 * 8 * (nx * nq - 1)):
+        # Interface control is the mean of the adjacent nodes of each
+        # level's control surface.
+        bqf = p_rows[block, :-1] + p_rows[block, 1:]
+        np.divide(bqf, 2.0, out=bqf)
+        np.multiply(c.content_size, bqf, out=bqf)
+        np.subtract(c.discard_rate, bqf, out=bqf)
+        bqf_pos = np.maximum(bqf, 0.0)
+        bqf_neg = np.minimum(bqf, 0.0, out=bqf)
+        for level, pos, neg in zip(range(block.start, block.stop),
+                                   bqf_pos, bqf_neg):
+            cur = m[level]
+            # Advective flux through x interfaces (upwind).
+            flux_x = bxf_pos * cur[:-1, :] + bxf_neg * cur[1:, :]
+            if diff > 0.0:
+                flux_x = flux_x - diff * (cur[1:, :] - cur[:-1, :]) / dx
+            # Advective flux through q interfaces (upwind).
+            cur_flat = cur.reshape(-1)
+            flux_q = pos * cur_flat[:-1] + neg * cur_flat[1:]
 
-        nxt = m[level + 1]
-        nxt[...] = cur
-        out_x = dt_dx * flux_x
-        nxt[:-1, :] -= out_x
-        nxt[1:, :] += out_x
-        nxt_flat = nxt.reshape(-1)
-        out_q = dt_dq * flux_q
-        out_q[row_joins] = 0.0
-        nxt_flat[:-1] -= out_q
-        out_q[row_joins] = -0.0
-        nxt_flat[1:] += out_q
+            nxt = m[level + 1]
+            nxt[...] = cur
+            out_x = dt_dx * flux_x
+            nxt[:-1, :] -= out_x
+            nxt[1:, :] += out_x
+            nxt_flat = nxt.reshape(-1)
+            out_q = dt_dq * flux_q
+            out_q[row_joins] = 0.0
+            nxt_flat[:-1] -= out_q
+            out_q[row_joins] = -0.0
+            nxt_flat[1:] += out_q
 
     check_density(m, grid.cell_area, floor=ROUND_OFF_FLOOR, error=SolverError,
                   name="forward-pass density")
     return m
-
-
-# The sweep's element-wise work runs on blocks of time levels of at most
-# this many bytes (or one level), so its temporaries stay small next to a
-# grid field and its Python cost stays small next to the passes'.
-_BLOCK_BYTES = 1 << 16
 
 
 def _sup_distance(a: np.ndarray, b: np.ndarray):
@@ -516,8 +548,7 @@ def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolut
     the running density; the array the forward pass returned is not written.
     """
     nt, nx, nq = grid.shape
-    size = max(1, _BLOCK_BYTES // (8 * nx * nq))
-    blocks = [slice(start, start + size) for start in range(0, nt, size)]
+    blocks = _level_blocks(nt, 8 * nx * nq)
     m = np.broadcast_to(problem.m0, grid.shape)
     v = np.broadcast_to(0.0, grid.shape)   # the first value residual is max |v|
     residuals: list[float] = []

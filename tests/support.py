@@ -4,6 +4,7 @@ they are used to check."""
 from __future__ import annotations
 
 import logging
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,7 @@ from mfcache.geometry import (
 )
 from mfcache.policies import PolicyContext
 from mfcache.simulation import MetricsLog, build_world
-from mfcache.solver import SolverConfig, optimal_control
+from mfcache.solver import SolverConfig, control_scale, optimal_control
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +98,22 @@ def exact_distinct_mean(total_requests: int, theta: float, nu: float) -> float:
     for n in range(total_requests):
         mean += (theta + nu * mean) / (theta + n)
     return mean
+
+
+def reference_joins_before_opening(a: float, b: float, left: int,
+                                   log_u: float) -> int:
+    """Plain bisection over ``[0, left]`` for the largest ``s`` whose
+    survival ``Gamma(a + s) Gamma(b) / (Gamma(a) Gamma(b + s))`` exceeds
+    ``exp(log_u)``; ``s = 0`` is taken to survive and ``s = left + 1`` not."""
+    base = math.lgamma(b) - math.lgamma(a)
+    lo, hi = 0, left + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.lgamma(a + mid) - math.lgamma(b + mid) + base > log_u:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def wasserstein1_grid(samples: np.ndarray, nodes: np.ndarray,
@@ -296,8 +313,9 @@ def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,
     values = control_bracket(grid, x, rate, overlap, dq_v, remaining, costs)
     second = values[2:] - 2.0 * values[1:-1] + values[:-2]
     violations = int(np.sum(second < -1e-8))
-    p_star = optimal_control(x, rate, overlap, dq_v, costs.backhaul,
-                             costs.content_size, config)
+    active, scale = control_scale(np.asarray(rate * x), np.asarray(dq_v), config)
+    p_star = float(optimal_control(active, scale, overlap, costs.backhaul,
+                                   costs.content_size, p_cap))
     if violations:
         log.warning("control bracket convexity violated at %d grid points; "
                     "using grid-search infimum", violations)
@@ -345,11 +363,12 @@ def average_rate_monte_carlo(model: RateModel, cfg: GeometryConfig,
 
 # --- Reference backward/forward passes -----------------------------------
 #
-# The level steps of the coupled solver as first written: every level calls
-# the package's control and cost formulas, allocates its upwind differences
-# afresh, solves the diffusion with LAPACK and checks the density mass as it
-# goes. The package checks once on entry and reuses buffers; the arithmetic
-# must stay the same, so its fields equal these bit for bit.
+# The level steps of the coupled solver as first written: every level
+# evaluates the water-filling control in one expression, calls the
+# package's cost formulas, allocates its upwind differences afresh, solves
+# the diffusion with LAPACK and checks the density mass as it goes. The
+# package checks once on entry and reuses buffers; the arithmetic must stay
+# the same, so its fields equal these bit for bit.
 
 def _reference_upwind_advection(v, drift, step, axis):
     sl = [slice(None)] * v.ndim
@@ -386,10 +405,19 @@ def reference_diffusion_band(nx, dx, dt, eta):
     return ab
 
 
+def _reference_control(x, rate, overlap, dq_v, backhaul, content_size, config):
+    # The water-filling control as the backward pass first wrote it, in one
+    # expression per level.
+    active = dq_v > config.grad_eps
+    denom = rate * x * np.where(active, dq_v, 1.0)
+    raw = (backhaul - (1.0 + overlap) / denom) / content_size
+    return np.where(active, raw.clip(0.0, config.p_max(backhaul, content_size)),
+                    0.0)
+
+
 def reference_hjb_backward(m, problem, grid, config):
     from mfcache.costs import backhaul_cost, mf_overlap, storage_cost
     from mfcache.errors import SolverError
-    from mfcache.solver import optimal_control
 
     c = problem.costs
     nt, nx, nq = grid.shape
@@ -406,12 +434,12 @@ def reference_hjb_backward(m, problem, grid, config):
     for level in range(nt - 1, -1, -1):
         rate = problem.rate
         dqv = _reference_dq_centered(v[level], grid.dq)
-        p_lvl = optimal_control(x_col, rate, overlap_lag, dqv,
-                                c.backhaul, c.content_size, config)
+        p_lvl = _reference_control(x_col, rate, overlap_lag, dqv,
+                                   c.backhaul, c.content_size, config)
         overlap = mf_overlap(m[level], p_lvl, grid.cell_area, c.storage,
                              c.similar_count, problem.neighbor_count)
-        p_lvl = optimal_control(x_col, rate, overlap, dqv,
-                                c.backhaul, c.content_size, config)
+        p_lvl = _reference_control(x_col, rate, overlap, dqv,
+                                   c.backhaul, c.content_size, config)
         p[level] = p_lvl
         overlap_lag = overlap
         if level == 0:

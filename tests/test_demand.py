@@ -1,6 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import mfcache.demand
 from mfcache.demand import (
     FLOOR_EPS,
     CrpState,
@@ -11,9 +15,15 @@ from mfcache.demand import (
     refresh_period,
     simulate_requests,
 )
+from mfcache.demand import _joins_before_opening
 from mfcache.errors import ConfigurationError
 
-from support import exact_distinct_mean, expected_distinct_contents, urn_request_ids
+from support import (
+    exact_distinct_mean,
+    expected_distinct_contents,
+    reference_joins_before_opening,
+    urn_request_ids,
+)
 
 
 class TestCrpDistribution:
@@ -142,6 +152,66 @@ class TestCrpSampling:
         assert (gap <= 4.5 * se + 1e-12).all()
 
 
+def _crossing_cases(n: int, seed: int) -> list[tuple[float, float, int, float]]:
+    """``(a, b, left, log_u)`` of ``n`` openings: histories of 1 to 10^6
+    requests with up to 1,000 contents seen, theta down to 1e-3, nu = 0 in a
+    fifth of the cases, left = 0 in one in twenty, and a fifth of the
+    thresholds 30 times deeper in the tail, where the guess clamps to left."""
+    rng = np.random.default_rng(seed)
+    total = np.floor(10.0 ** rng.uniform(0.0, 6.0, n)).astype(np.int64)
+    seen = 1 + (rng.random(n) * np.minimum(total, 1000)).astype(np.int64)
+    nu = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 1.0, n))
+    theta = 10.0 ** rng.uniform(-3.0, 2.0, n)
+    left = np.where(rng.random(n) < 0.05, 0,
+                    np.floor(10.0 ** rng.uniform(0.0, 5.5, n))).astype(np.int64)
+    log_u = -rng.standard_exponential(n) * np.where(rng.random(n) < 0.2,
+                                                     30.0, 1.0)
+    return list(zip((total - nu * seen).tolist(), (total + theta).tolist(),
+                    left.tolist(), log_u.tolist()))
+
+
+class TestJoinsBeforeOpening:
+    """The crossing search starts from a closed-form guess and gallops to a
+    bracket; the ``lgamma`` test is monotone in ``s``, so it must land where
+    plain bisection over ``[0, left]`` does, and the world stream of a
+    replication does not depend on which search ran."""
+
+    def test_matches_plain_bisection_on_random_cases(self):
+        cases = _crossing_cases(100_000, 20261020)
+        found = np.array([_joins_before_opening(*case) for case in cases])
+        expected = np.array([reference_joins_before_opening(*case)
+                             for case in cases])
+        assert np.flatnonzero(found != expected).tolist() == []
+        a, b, left, log_u = map(np.array, zip(*cases))
+        # Every path is taken many times: left = 0, the guess clamped to
+        # left, all joins, none, and a crossing strictly inside.
+        clamped = log_u / (a - b) >= np.log1p(left / b)
+        inside = (found > 0) & (found < left)
+        some = left > 0
+        for mask in (left == 0, clamped & some, (found == left) & some,
+                     (found == 0) & some, inside):
+            assert mask.sum() >= 1000
+
+    @pytest.mark.parametrize("factor", [0.25, 4.0])
+    def test_any_guess_gives_the_same_answer(self, monkeypatch, factor):
+        # The guess is at or past the answer, so the search gallops down
+        # from it; a guess moved low (gallop up) or further out must still
+        # give plain bisection's answer.
+        moved = SimpleNamespace(lgamma=math.lgamma, log1p=math.log1p,
+                                expm1=lambda x: factor * math.expm1(x))
+        monkeypatch.setattr(mfcache.demand, "math", moved)
+        cases = _crossing_cases(20_000, 7)
+        found = [_joins_before_opening(*case) for case in cases]
+        assert found == [reference_joins_before_opening(*case) for case in cases]
+
+    @pytest.mark.parametrize("left", [0, 1, 7, 1000])
+    def test_a_threshold_of_one_survives_no_join(self, left):
+        # log_u = -0.0 (a unit exponential draw of 0.0): survival(0) = 1 is
+        # taken as surviving without a test, and no s >= 1 survives.
+        assert _joins_before_opening(3.5, 5.0, left, -0.0) == 0
+        assert reference_joins_before_opening(3.5, 5.0, left, -0.0) == 0
+
+
 class TestExpectedDistinct:
     def test_zero_discount_branch(self):
         assert expected_distinct_contents(100, 1.0, 0.0) == pytest.approx(
@@ -196,8 +266,8 @@ class TestPerturbPopularity:
     def test_perfect_information_floors_only(self):
         ipi = IpiModel(bias_mean=0.0, bias_std=0.0)
         rng = np.random.default_rng(0)
-        assert perturb_popularity(0.3, ipi, rng) == 0.3
-        assert perturb_popularity(0.0, ipi, rng) == FLOOR_EPS
+        out = perturb_popularity(np.array([0.3, 0.0]), ipi, rng)
+        assert out.tolist() == [0.3, FLOOR_EPS]
 
     def test_reference_bias(self):
         ipi = IpiModel(bias_mean=0.2, bias_std=0.001)
@@ -208,7 +278,8 @@ class TestPerturbPopularity:
 
     def test_clamped_at_one(self):
         ipi = IpiModel(bias_mean=0.2, bias_std=0.0)
-        assert perturb_popularity(1.0, ipi, np.random.default_rng(0)) == 1.0
+        out = perturb_popularity(np.array([1.0]), ipi, np.random.default_rng(0))
+        assert out.tolist() == [1.0]
 
     def test_output_always_in_range(self):
         ipi = IpiModel(bias_mean=-0.5, bias_std=0.3)

@@ -22,6 +22,7 @@ from mfcache.solver import (
     MfgProblem,
     SolverConfig,
     _diffusion_inverse,
+    control_scale,
     fpk_forward,
     gaussian_initial_density,
     hjb_backward,
@@ -67,43 +68,61 @@ class TestGrid:
 class TestOptimalControl:
     CONFIG = SolverConfig()
 
+    def control(self, x, rate, overlap, dq_v, backhaul=1.0, content_size=1.0):
+        """The control as the backward pass forms it: the scale from ``rate *
+        x`` and ``v_Q``, then the water level; scalars as 0-d arrays."""
+        active, scale = control_scale(np.asarray(rate * x), np.asarray(dq_v),
+                                      self.CONFIG)
+        return optimal_control(active, scale, overlap, backhaul, content_size,
+                               self.CONFIG.p_max(backhaul, content_size))
+
     def test_negative_bracket_clamps_to_zero(self):
-        assert optimal_control(0.5, 1.0, 0.0, 0.1, 1.0, 1.0, self.CONFIG) == 0.0
+        assert self.control(0.5, 1.0, 0.0, 0.1) == 0.0
 
     def test_interior_value(self):
         # rate * x * dv = 2 -> p = 1 - 1/2
-        assert optimal_control(0.5, 2.0, 0.0, 2.0, 1.0, 1.0, self.CONFIG) \
-            == pytest.approx(0.5)
+        assert self.control(0.5, 2.0, 0.0, 2.0) == pytest.approx(0.5)
 
     def test_scaling_invariance(self):
-        p1 = optimal_control(0.4, 2.0, 0.1, 1.5, 1.0, 1.0, self.CONFIG)
-        p2 = optimal_control(0.4, 2.0 * 7.0, 0.1, 1.5 / 7.0, 1.0, 1.0, self.CONFIG)
+        p1 = self.control(0.4, 2.0, 0.1, 1.5)
+        p2 = self.control(0.4, 2.0 * 7.0, 0.1, 1.5 / 7.0)
         assert p1 == pytest.approx(p2)
 
     def test_degenerate_gradient_guard(self):
-        assert optimal_control(0.5, 2.0, 0.0, -1.0, 1.0, 1.0, self.CONFIG) == 0.0
-        assert optimal_control(0.5, 2.0, 0.0, 1e-12, 1.0, 1.0, self.CONFIG) == 0.0
+        assert self.control(0.5, 2.0, 0.0, -1.0) == 0.0
+        assert self.control(0.5, 2.0, 0.0, 1e-12) == 0.0
 
     def test_respects_admissible_cap(self):
-        p = optimal_control(1.0, 100.0, 0.0, 100.0, 1.0, 1.0, self.CONFIG)
-        assert p <= self.CONFIG.p_max(1.0, 1.0)
+        assert self.control(1.0, 100.0, 0.0, 100.0) <= self.CONFIG.p_max(1.0, 1.0)
+
+    def test_scale_guards_the_inactive_states(self):
+        # Active where v_Q exceeds the guard; there the scale is rate * x *
+        # v_Q, elsewhere rate * x, so the water level never divides by 0.
+        rate_x = np.array([[0.5], [2.0]])
+        dqv = np.array([[0.0, -1.0, self.CONFIG.grad_eps, 3.0],
+                        [1e-12, 2.0, np.inf, 0.25]])
+        active, scale = control_scale(rate_x, dqv, self.CONFIG)
+        assert active.tolist() == [[False, False, False, True],
+                                   [False, True, True, True]]
+        assert scale.tolist() == [[0.5, 0.5, 0.5, 1.5],
+                                  [2.0, 4.0, np.inf, 0.5]]
 
     def test_broadcast_call_equals_scalar_calls_bit_for_bit(self):
-        # The backward pass calls with x of shape (nx, 1) against v_Q of
-        # shape (nx, nq); each entry must be the scalar call's value.
+        # The backward pass calls with rate * x of shape (nx, 1) against v_Q
+        # of shape (nx, nq); each entry must be the scalar call's value.
         rng = np.random.default_rng(5)
         x = np.linspace(1e-6, 1.0, 9)[:, None]
         dqv = rng.uniform(-1.0, 8.0, (9, 7))
         dqv[0, :3] = (0.0, 1e-12, self.CONFIG.grad_eps)
-        args = (1.7, 0.13)
+        rate, overlap = 1.7, 0.13
         costs = (1.3, 0.9)
-        p = optimal_control(x, *args, dqv, *costs, self.CONFIG)
-        expected = np.array([[optimal_control(float(x[i, 0]), *args,
-                                              float(dqv[i, j]), *costs,
-                                              self.CONFIG)
+        cap = self.CONFIG.p_max(*costs)
+        active, scale = control_scale(rate * x, dqv, self.CONFIG)
+        p = optimal_control(active, scale, overlap, *costs, cap)
+        expected = np.array([[self.control(float(x[i, 0]), rate, overlap,
+                                           float(dqv[i, j]), *costs)
                               for j in range(dqv.shape[1])]
                              for i in range(x.shape[0])])
-        cap = self.CONFIG.p_max(*costs)
         assert p.shape == dqv.shape
         assert (p == 0.0).any() and (p == cap).any()
         assert ((p > 0.0) & (p < cap)).any()

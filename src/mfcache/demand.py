@@ -103,7 +103,9 @@ def simulate_requests(state: CrpState, n_requests: int,
     new content takes ``1 + BetaBinomial(pool, 1 - nu, N - nu*K at its
     opening)`` of the joins after it still pooled. The rest is
     Dirichlet-multinomial with weights ``n_j - nu`` over the contents seen
-    before the period.
+    before the period. The law is exact for histories of up to about 10^8
+    requests; beyond, the ``lgamma`` test of :func:`_joins_before_opening`
+    is not monotone.
     """
     counts, theta, nu = state.counts, state.theta, state.nu
     seen = counts > 0
@@ -147,6 +149,11 @@ def _joins_before_opening(a: float, b: float, left: int, log_u: float) -> int:
     crossing lies beyond. The search gallops from the guess to a bracket and
     bisects it with the exact ``lgamma`` test. ``s = 0`` always survives and
     ``s = left + 1`` counts as not surviving; neither is tested.
+
+    The test is monotone in ``s`` only while ``a + s`` and ``b + s`` stay
+    below about 10^8: there the rounding of ``lgamma(a + s) - lgamma(b + s)``
+    (about 1e-7) exceeds the survival's drop per join, and the answer can
+    depend on which points the search tests.
     """
     base = math.lgamma(b) - math.lgamma(a)
 

@@ -25,8 +25,10 @@ def require_finite(section: str, fields: dict[str, object]) -> None:
 
 
 class SolverError(RuntimeError):
-    """Numerical failure inside the HJB/FPK machinery (non-finite update,
-    mass drift beyond tolerance, CFL violation detected mid-run)."""
+    """Numerical failure inside the HJB/FPK machinery: a non-finite value
+    update, or a pass output that fails its density or solution checks. A
+    grid that violates the step-size condition is a bad input, rejected by
+    ``Grid.check_cfl`` on entry to each pass with :class:`ConfigurationError`."""
 
 
 class PolicyError(RuntimeError):

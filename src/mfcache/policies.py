@@ -11,9 +11,9 @@ differ only by what they observe. The policies here stay
 inside ``[0, p_max]``, the solver's admissible cap
 ``min(1, B (1 - margin) / L)`` (``SolverConfig.p_max``) handed over in the
 context, so the backhaul barrier stays finite on every output. The
-equilibrium policy interpolates the solved control surface; the popularity
-baseline reacts to the observed request probability but ignores overlap;
-the random policy draws uniformly.
+equilibrium policy interpolates the solved control surface at the step's
+time node; the popularity baseline reacts to the observed request
+probability but ignores overlap; the random policy draws uniformly.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ __all__ = ["PolicyContext", "MfPolicy", "BaselinePolicy", "RandomPolicy"]
 class PolicyContext:
     """Observed state handed to a policy at one simulation step.
 
-    ``t`` is the time within the period; ``x_hat`` (in ``[floor, 1]``) and
+    ``level`` is the index of the step's time node within the period, on
+    the solver grid the simulator steps on; ``x_hat`` (in ``[floor, 1]``) and
     ``remaining`` (in ``[0, C]``) stack the policy's information arms,
     ``(arms, stations, contents)``, also when it has one; the rest are the
     shared cost parameters of the step, with ``rate > 0``.
@@ -41,7 +42,7 @@ class PolicyContext:
     context within these ranges, so it is not rechecked.
     """
 
-    t: float
+    level: int
     x_hat: np.ndarray
     remaining: np.ndarray
     rate: float
@@ -51,10 +52,13 @@ class PolicyContext:
 
 
 class MfPolicy:
-    """Equilibrium policy: interpolates the solved control surface at
-    ``(t, x_hat, Q)``, clamping out-of-grid coordinates to the boundary.
-    Every element is read on its own, so a stacked context of several arms
-    gets, arm by arm, what a context of that arm alone would."""
+    """Equilibrium policy: reads the solved control surface at the step's
+    time node, ``p[ctx.level]``, interpolating it bilinearly at
+    ``(x_hat, Q)`` and clamping out-of-grid coordinates to the boundary.
+    The solution must be solved on the scenario's grid, whose time nodes
+    the simulator steps on. Every element is read on its own, so a stacked
+    context of several arms gets, arm by arm, what a context of that arm
+    alone would."""
 
     def __init__(self, solution: MfeSolution):
         if not solution.converged:
@@ -66,41 +70,26 @@ class MfPolicy:
         self._grid = solution.grid
         self._p = solution.p
         self._cap = solution.p_max
-        t = solution.grid.t
-        self._t0, self._t_step = float(t[0]), float(t[1] - t[0])
 
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None
                  ) -> np.ndarray:
         g = self._grid
-        # The scalar time takes the steps of _locate in float arithmetic,
-        # the same IEEE operations as its array path.
-        nt = g.t.size
-        rel = min(max((ctx.t - self._t0) / self._t_step, 0.0), nt - 1.0)
-        t_i = min(int(rel), nt - 2)
-        t_w = rel - t_i
         x_i, x_w = _locate(ctx.x_hat, g.x)
         q_i, q_w = _locate(ctx.remaining, g.q)
-        # Each time plane is read at the lower corners' flat cell indices,
-        # through a view that starts at each corner's offset; the eight terms
-        # keep the order and the ((wt * wx) * wq) * value association of the
-        # trilinear form, so the result does not depend on this layout. A
-        # plane of weight 0.0 (on a time node) would add only +0.0 terms to
-        # a sum that starts at +0.0, so it is not read.
+        # The plane is read at the lower corners' flat cell indices, through
+        # a view that starts at each corner's offset; the four terms keep the
+        # order and the (wx * wq) * value association of the bilinear form,
+        # so the result does not depend on this layout.
         nq = g.q.size
         lo = x_i * nq + q_i
-        offset = ((0, 1), (nq, nq + 1))
+        plane = self._p[ctx.level].ravel()
         wx, wq = (1.0 - x_w, x_w), (1.0 - q_w, q_w)
         p = np.zeros(ctx.x_hat.shape)
-        for step_t, wt in ((0, 1.0 - t_w), (1, t_w)):
-            if wt == 0.0:
-                continue
-            plane = self._p[t_i + step_t].ravel()
-            for dx in (0, 1):
-                wtx = wt * wx[dx]
-                for dq in (0, 1):
-                    term = wtx * wq[dq]
-                    term *= plane[offset[dx][dq]:].take(lo)
-                    p += term
+        for dx in (0, 1):
+            for dq in (0, 1):
+                term = wx[dx] * wq[dq]
+                term *= plane[dx * nq + dq:].take(lo)
+                p += term
         return p.clip(0.0, self._cap)
 
 

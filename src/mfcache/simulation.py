@@ -12,17 +12,17 @@ and no trajectory is stored.
 
 A step runs in a fixed order: popularity diffuses, every arm's observation
 is built once (the imperfect one is drawn once if an arm needs it), and
-then each policy is called once, at the time within the period, on its
-rows of the storage stack for all of its arms: its context stacks them
-``(arms, stations, contents)``, one arm included. The output check and the
-storage update (the cache/discard balance) then run once over the whole
-stack. No step reads the metrics, so they are computed apart from the state
-transition: the hood's rows of each step (the stations within the request
-radius of a typical user at the region center) are buffered, and once per
-period :func:`hood_metrics` computes the content overlap, the running cost,
-the storage usage and the barrier hits of all buffered steps at once. At
-every period boundary that another step follows, each history folds its
-sampled arrivals once into new means.
+then each policy is called once, at the step's time node within the
+period, on its rows of the storage stack for all of its arms: its context
+stacks them ``(arms, stations, contents)``, one arm included. The output
+check and the storage update (the cache/discard balance) then run once over
+the whole stack. No step reads the metrics, so they are computed apart from
+the state transition: the hood's rows of each step (the stations within the
+request radius of a typical user at the region center) are buffered, and
+once per period :func:`hood_metrics` computes the content overlap, the
+running cost, the storage usage and the barrier hits of all buffered steps
+at once. At every period boundary that another step follows, each history
+folds its sampled arrivals once into new means.
 
 Randomness is split into three independent streams per seed. The world
 stream (pattern, initial storage, popularity noise, request arrivals) and
@@ -102,7 +102,7 @@ class MetricsLog:
     lra: float = 0.0
     overlap_per_storage: float = 0.0
     excluded: bool = False
-    q_snapshot: np.ndarray | None = None
+    q_final: np.ndarray | None = None
 
     def finalize(self) -> None:
         self.lra = lra_cost(self.cost, self.dt)
@@ -157,7 +157,7 @@ def build_world(scenario: ScenarioConfig, rng: np.random.Generator
 
 
 def step(world: World, policies: list[tuple[object, np.random.Generator]],
-         arms: tuple[bool, ...], remaining: np.ndarray, t: float, dt: float,
+         arms: tuple[bool, ...], remaining: np.ndarray, level: int, dt: float,
          rate: float, scenario: ScenarioConfig,
          world_rng: np.random.Generator, ipi_rng: np.random.Generator | None
          ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +166,8 @@ def step(world: World, policies: list[tuple[object, np.random.Generator]],
     ``policies`` holds each policy with its stream, and ``arms`` the
     information arms (``True`` for imperfect); ``remaining`` stacks the
     lanes' storage ``(lanes, K, M)`` in policy, then arm order, so a
-    policy's lanes are ``len(arms)`` consecutive rows. Returns the new
+    policy's lanes are ``len(arms)`` consecutive rows, and ``level`` is the
+    index of the step's time node within the period. Returns the new
     storage stack (a new array: a context keeps its rows of the old one)
     and the stack of the lanes' cache fractions, of the same shape. The
     caller buffers the hood's rows of both stacks for :func:`hood_metrics`.
@@ -199,7 +200,7 @@ def step(world: World, policies: list[tuple[object, np.random.Generator]],
     for i, (policy, rng) in enumerate(policies):
         rows = slice(i * n, (i + 1) * n)
         ctx = PolicyContext(
-            t=t, x_hat=x_hat, remaining=remaining[rows], rate=rate,
+            level=level, x_hat=x_hat, remaining=remaining[rows], rate=rate,
             backhaul=cst.backhaul, content_size=cst.content_size, p_max=p_max,
         )
         out = np.asarray(policy(ctx, rng), dtype=float)
@@ -247,9 +248,7 @@ def hood_metrics(p: np.ndarray, q: np.ndarray, x: np.ndarray, rate: float,
 
 
 def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
-                    arms: tuple[bool, ...] = (False,),
-                    horizon: float | None = None, seed: int | None = None,
-                    snapshot_time: float | None = None
+                    arms: tuple[bool, ...] = (False,), seed: int | None = None
                     ) -> dict[tuple[str, bool], MetricsLog]:
     """Simulate one replication of the scenario under every policy and
     information arm (``True`` for imperfect) at once.
@@ -264,16 +263,15 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     period of steps, allocated once; at each period end and
     after the last step, :func:`hood_metrics` turns the buffered steps into
     their columns of one ``(3, lanes, n_steps)`` series, which is split into
-    the logs at the end. ``horizon`` defaults to the scenario's simulation
-    horizon; the step size is the solver grid's and policies see the time
-    within the period, so equilibrium policies evaluate on their own time
-    nodes in every period. Request histories refresh the popularity means at
-    every period boundary that another step follows, with arrivals
-    Poisson-distributed in the user mass of the search region.
-    ``snapshot_time`` picks the step, ``round(snapshot_time / dt)`` in
-    ``1..n_steps``, after which each lane's storage is kept in
-    ``q_snapshot``; a run of no steps keeps none. ``policies`` and ``arms``
-    must each hold at least one entry.
+    the logs at the end. The run covers the scenario's simulation horizon
+    on the solver grid's time nodes: a period is ``grid_nt - 1`` steps, and
+    step ``k`` hands the policies the node index ``k % (grid_nt - 1)``, so
+    equilibrium policies evaluate on their own time nodes in every period.
+    Request histories refresh the popularity means at every period boundary
+    that another step follows, with arrivals Poisson-distributed in the user
+    mass of the search region. Each lane's storage after the last step is
+    kept in ``q_final``; a run of no steps keeps none. ``policies`` and
+    ``arms`` must each hold at least one entry.
     """
     if not policies:
         raise ConfigurationError("policies must hold at least one policy")
@@ -281,18 +279,10 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
         raise ConfigurationError("arms must hold at least one arm")
     if seed is None:
         seed = scenario.simulation.seed
-    if horizon is None:
-        horizon = scenario.simulation.horizon
-    if horizon < 0:
-        raise ConfigurationError("horizon must be >= 0")
     dem, geo = scenario.demand, scenario.geometry
-    dt = dem.period / (scenario.solver.grid_nt - 1)
-    n_steps = int(round(horizon / dt))
-    snap_step = (int(round(snapshot_time / dt))
-                 if snapshot_time is not None else None)
-    if snap_step is not None and n_steps and not 1 <= snap_step <= n_steps:
-        raise ConfigurationError(f"snapshot_time {snapshot_time!r} matches "
-                                 f"none of the run's {n_steps} steps")
+    steps_per_period = scenario.solver.grid_nt - 1
+    dt = dem.period / steps_per_period
+    n_steps = int(round(scenario.simulation.horizon / dt))
     world_rng, _, ipi_rng = _replication_streams(seed)
 
     world, hood = build_world(scenario, world_rng)
@@ -302,12 +292,10 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     remaining = np.repeat(world.remaining[None], len(keys), axis=0)
     series = np.empty((3, len(keys), n_steps))
     hits = np.zeros(len(keys), dtype=np.int64)
-    snapshot = None
     if n_steps:
         rate = average_rate(rate_model_from_config(geo), geo)
         arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
                         * dem.requests_per_user)
-        steps_per_period = max(1, int(round(dem.period / dt)))
         # The hood's rows of the steps since the last metrics pass. The
         # gathers keep lanes outermost in memory (p[:, hood] would lay the
         # hood axis out first), so each lane's means reduce the same
@@ -319,15 +307,12 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
         start = 0
         for k in range(n_steps):
             remaining, p = step(
-                world, policy_streams, arms, remaining,
-                (k % steps_per_period) * dt, dt, rate, scenario, world_rng,
-                ipi_rng)
+                world, policy_streams, arms, remaining, k % steps_per_period,
+                dt, rate, scenario, world_rng, ipi_rng)
             j = k - start
             p.take(hood, axis=1, out=p_hood[j])
             remaining.take(hood, axis=1, out=q_hood[j])
             world.x.take(hood, axis=0, out=x_hood[j])
-            if k + 1 == snap_step:
-                snapshot = remaining
             period_end = (k + 1) % steps_per_period == 0
             if period_end or k + 1 == n_steps:
                 series[:, :, start:k + 1], period_hits = hood_metrics(
@@ -346,16 +331,15 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     for i, key in enumerate(keys):
         metrics = MetricsLog(seed=seed, dt=dt, times=times.copy(),
                              barrier_hits=int(hits[i]),
-                             q_snapshot=None if snapshot is None else snapshot[i])
+                             q_final=remaining[i] if n_steps else None)
         metrics.cost, metrics.overlap, metrics.storage_usage = series[:, i]
         metrics.finalize()
         logs[key] = metrics
     return logs
 
 
-def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
-                 seed: int | None = None, use_ipi: bool = False,
-                 snapshot_time: float | None = None) -> MetricsLog:
+def run_scenario(scenario: ScenarioConfig, policy, seed: int | None = None,
+                 use_ipi: bool = False) -> MetricsLog:
     """Simulate one replication of the scenario under one policy: a
     one-lane :func:`run_replication` under the perfect information arm or,
     with ``use_ipi``, the imperfect one.
@@ -365,8 +349,7 @@ def run_scenario(scenario: ScenarioConfig, policy, horizon: float | None = None,
     (policy, arm) lane in any shared run of that seed.
     """
     (metrics,) = run_replication(scenario, {"policy": policy}, arms=(use_ipi,),
-                                 horizon=horizon, seed=seed,
-                                 snapshot_time=snapshot_time).values()
+                                 seed=seed).values()
     return metrics
 
 

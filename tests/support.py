@@ -129,24 +129,46 @@ def wasserstein1_grid(samples: np.ndarray, nodes: np.ndarray,
     return float(np.trapezoid(np.abs(cdf_emp - cdf_grid), pts))
 
 
+def _reference_locate(coord, nodes):
+    rel = (np.asarray(coord, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
+    rel = np.clip(rel, 0.0, nodes.size - 1.0)
+    idx = np.minimum(rel.astype(np.int64), nodes.size - 2)
+    return idx, rel - idx
+
+
+def reference_mf_plane(solution, level: int, x_hat: np.ndarray,
+                       remaining: np.ndarray) -> np.ndarray:
+    """Reference bilinear read of the time plane ``solution.p[level]`` at
+    ``(x_hat, Q)``: both coordinates are clamped to their node range, and
+    every corner index is clamped to the last node again, in the same
+    2 x 2 term order and weight association as
+    :class:`mfcache.policies.MfPolicy`."""
+    g = solution.grid
+    x_i, x_w = _reference_locate(x_hat, g.x)
+    q_i, q_w = _reference_locate(remaining, g.q)
+    plane = solution.p[level]
+    p = np.zeros(np.shape(x_hat))
+    for step_x, wx in ((0, 1.0 - x_w), (1, x_w)):
+        xi = np.minimum(x_i + step_x, g.x.size - 1)
+        for step_q, wq in ((0, 1.0 - q_w), (1, q_w)):
+            qi = np.minimum(q_i + step_q, g.q.size - 1)
+            p = p + wx * wq * plane[xi, qi]
+    return np.clip(p, 0.0, solution.p_max)
+
+
 def reference_mf_interpolation(solution, t: float, x_hat: np.ndarray,
                                remaining: np.ndarray) -> np.ndarray:
-    """Reference trilinear read of ``solution.p`` at ``(t, x_hat, Q)``:
-    every coordinate is clamped to its node range, and every corner index
-    is clamped to the last node again, in the same 2 x 2 x 2 term order and
-    weight association as :class:`mfcache.policies.MfPolicy`."""
-
-    def locate(coord, nodes):
-        rel = (np.asarray(coord, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
-        rel = np.clip(rel, 0.0, nodes.size - 1.0)
-        idx = np.minimum(rel.astype(np.int64), nodes.size - 2)
-        return idx, rel - idx
-
+    """Reference trilinear read of ``solution.p`` at ``(t, x_hat, Q)``, as
+    the equilibrium policy read a floating-point time within the period
+    before it read its time node by index: every coordinate is clamped to
+    its node range, and every corner index is clamped to the last node
+    again, in a 2 x 2 x 2 term order with ``((wt * wx) * wq) * value``
+    association."""
     g = solution.grid
-    t_idx, t_frac = locate(t, g.t)
+    t_idx, t_frac = _reference_locate(t, g.t)
     t_i, t_w = int(t_idx), float(t_frac)
-    x_i, x_w = locate(x_hat, g.x)
-    q_i, q_w = locate(remaining, g.q)
+    x_i, x_w = _reference_locate(x_hat, g.x)
+    q_i, q_w = _reference_locate(remaining, g.q)
     p = np.zeros(np.shape(x_hat))
     for step_t, wt in ((0, 1.0 - t_w), (1, t_w)):
         plane = solution.p[min(t_i + step_t, g.t.size - 1)]
@@ -189,8 +211,7 @@ class ConstantPolicy:
 
 
 def reference_replication(scenario, policies: dict, arms=(False,),
-                          horizon: float | None = None, seed: int | None = None,
-                          snapshot_time: float | None = None) -> dict:
+                          seed: int | None = None) -> dict:
     """Reference :func:`mfcache.simulation.run_replication`, lane by lane.
 
     The same world, streams and step order, but every lane keeps its own
@@ -199,16 +220,15 @@ def reference_replication(scenario, policies: dict, arms=(False,),
     Returns ``{(name, imperfect): MetricsLog}`` in ``policies`` then
     ``arms`` order."""
     seed = scenario.simulation.seed if seed is None else seed
-    horizon = scenario.simulation.horizon if horizon is None else horizon
     dem, geo, cst = scenario.demand, scenario.geometry, scenario.costs
 
     def streams():
         return [np.random.default_rng(c)
                 for c in np.random.SeedSequence(seed).spawn(3)]
 
-    dt = dem.period / (scenario.solver.grid_nt - 1)
-    n_steps = int(round(horizon / dt))
-    snap_step = None if snapshot_time is None else int(round(snapshot_time / dt))
+    steps_per_period = scenario.solver.grid_nt - 1
+    dt = dem.period / steps_per_period
+    n_steps = int(round(scenario.simulation.horizon / dt))
     world_rng, _, ipi_rng = streams()
     world, hood = build_world(scenario, world_rng)
     lanes = {(name, imperfect): SimpleNamespace(
@@ -223,7 +243,6 @@ def reference_replication(scenario, policies: dict, arms=(False,),
     rate = average_rate(rate_model_from_config(geo), geo)
     arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
                     * dem.requests_per_user)
-    steps_per_period = max(1, int(round(dem.period / dt)))
     floor = max(dem.ipi.floor_eps, FLOOR_EPS)
     p_max = scenario.solver.config.p_max(cst.backhaul, cst.content_size)
     for k in range(n_steps):
@@ -237,7 +256,7 @@ def reference_replication(scenario, policies: dict, arms=(False,),
         demand_hood = rate * np.maximum(x[hood], floor)
         for lane in lanes.values():
             ctx = PolicyContext(
-                t=(k % steps_per_period) * dt, x_hat=observed[lane.imperfect],
+                level=k % steps_per_period, x_hat=observed[lane.imperfect],
                 remaining=lane.remaining, rate=rate, backhaul=cst.backhaul,
                 content_size=cst.content_size, p_max=p_max)
             p = np.asarray(lane.policy(ctx, lane.rng), dtype=float)
@@ -254,14 +273,14 @@ def reference_replication(scenario, policies: dict, arms=(False,),
             lane.log.overlap[k] = overlap.mean()
             lane.log.storage_usage[k] = (cst.storage - q_hood).mean()
             lane.log.barrier_hits += int(np.sum(~np.isfinite(phi)))
-            if k + 1 == snap_step:
-                lane.log.q_snapshot = lane.remaining.copy()
         if (k + 1) % steps_per_period == 0 and k + 1 < n_steps:
             for i, history in enumerate(world.histories):
                 increments = simulate_requests(
                     history, int(world_rng.poisson(arrival_rate)), world_rng)
                 world.mu[i] = refresh_period(history, increments)
     for lane in lanes.values():
+        if n_steps:
+            lane.log.q_final = lane.remaining
         lane.log.finalize()
     return {key: lane.log for key, lane in lanes.items()}
 

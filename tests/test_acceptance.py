@@ -324,6 +324,7 @@ def test_criterion_11_population_consistency():
             base,
             geometry=replace(base.geometry, lambda_b=lambda_b),
             solver=replace(base.solver, grid_nq=81, grid_nt=401),
+            simulation=replace(base.simulation, horizon=0.5),
         )
         solution = solve_scenario(sc)
         policy = MfPolicy(solution)
@@ -332,8 +333,7 @@ def test_criterion_11_population_consistency():
         marginal = solution.m[t_idx].sum(axis=0) * grid.dx
         w1 = [
             wasserstein1_grid(
-                run_scenario(sc, policy, seed=1000 + s,
-                             snapshot_time=0.5).q_snapshot[:, 0],
+                run_scenario(sc, policy, seed=1000 + s).q_final[:, 0],
                 grid.q, marginal * grid.dq)
             for s in range(16)
         ]

@@ -80,10 +80,11 @@ def test_workload_scenario_keeps_every_key_in_order(workload):
         [(s, list(keys)) for s, keys in workloads.BASE.items()]
 
 
-def _tiny_scenario():
+def _tiny_scenario(horizon=1.0):
     return ScenarioConfig(
         demand=DemandConfig(catalog_size=3, requests_per_user=1.0),
         solver=SolverSettings(grid_nt=5, grid_nx=5, grid_nq=5),
+        simulation=SimulationSettings(horizon=horizon),
     )
 
 
@@ -111,9 +112,8 @@ def test_step_is_called_once_per_world_step(monkeypatch, policies, arms):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(simulation, "step", counting)
-    scenario = _tiny_scenario()
-    logs = simulation.run_replication(scenario, policies, arms=arms,
-                                      horizon=2.0, seed=3)
+    scenario = _tiny_scenario(horizon=2.0)
+    logs = simulation.run_replication(scenario, policies, arms=arms, seed=3)
     assert len(logs) == len(policies) * len(arms)
     assert len(worlds) == 2 * (scenario.solver.grid_nt - 1)
     assert all(isinstance(w, simulation.World) for w in worlds)
@@ -181,7 +181,7 @@ def test_metrics_pass_charges_the_barrier_once_per_period(monkeypatch,
     # metrics pass's one barrier charge over all lanes and the steps of a
     # period (the last period may be partial), through the simulator's
     # bindings; no pass holds more than one period of steps.
-    scenario = _tiny_scenario()
+    scenario = _tiny_scenario(horizon)
     steps_per_period = scenario.solver.grid_nt - 1
     counts = _count_calls(monkeypatch, simulation,
                           ("backhaul_cost", "storage_cost", "running_cost",
@@ -196,7 +196,7 @@ def test_metrics_pass_charges_the_barrier_once_per_period(monkeypatch,
     monkeypatch.setattr(simulation, "hood_metrics", recording)
     policies = {"baseline": BaselinePolicy(), "constant": ConstantPolicy(0.2)}
     logs = simulation.run_replication(scenario, policies, arms=(False, True),
-                                      horizon=horizon, seed=3)
+                                      seed=3)
     n_steps = round(horizon * steps_per_period)
     assert all(log.cost.size == n_steps for log in logs.values())
     assert counts == dict.fromkeys(counts, 3)
@@ -217,7 +217,7 @@ def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):
         return sampler(*args, **kwargs)
 
     monkeypatch.setattr(simulation, "simulate_requests", recording)
-    simulation.run_scenario(_tiny_scenario(), BaselinePolicy(), horizon=2.0,
+    simulation.run_scenario(_tiny_scenario(horizon=2.0), BaselinePolicy(),
                             seed=3)
     assert calls
     for args, kwargs in calls:

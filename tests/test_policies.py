@@ -10,7 +10,6 @@ from mfcache.policies import (
     MfPolicy,
     PolicyContext,
     RandomPolicy,
-    _locate,
 )
 from mfcache.solver import (
     Grid,
@@ -21,16 +20,16 @@ from mfcache.solver import (
     solve_mfe,
 )
 
-from support import reference_mf_interpolation
+from support import reference_mf_plane
 
 
-def make_ctx(x_hat, remaining, t=0.5, rate=1.2, p_max=None):
+def make_ctx(x_hat, remaining, level=25, rate=1.2, p_max=None):
     x = np.atleast_1d(np.asarray(x_hat, dtype=float))
     q = np.atleast_1d(np.asarray(remaining, dtype=float))
     if p_max is None:
         p_max = SolverConfig().p_max(1.0, 1.0)
-    return PolicyContext(t=t, x_hat=x, remaining=q, rate=rate, backhaul=1.0,
-                         content_size=1.0, p_max=p_max)
+    return PolicyContext(level=level, x_hat=x, remaining=q, rate=rate,
+                         backhaul=1.0, content_size=1.0, p_max=p_max)
 
 
 @pytest.fixture(scope="module")
@@ -59,28 +58,26 @@ class TestMfPolicy:
         policy = MfPolicy(solution)
         g = solution.grid
         t_i, x_i, q_i = 10, 7, 13
-        ctx = make_ctx(g.x[x_i], g.q[q_i], t=float(g.t[t_i]))
+        ctx = make_ctx(g.x[x_i], g.q[q_i], level=t_i)
         assert policy(ctx)[0] == pytest.approx(
             solution.p[t_i, x_i, q_i])
 
     def test_between_nodes_is_convex_combination(self, solution):
         policy = MfPolicy(solution)
         g = solution.grid
-        t = float((g.t[10] + g.t[11]) / 2)
         x = float((g.x[7] + g.x[8]) / 2)
         q = float((g.q[13] + g.q[14]) / 2)
-        corners = solution.p[10:12, 7:9, 13:15]
-        value = policy(make_ctx(x, q, t=t))[0]
+        corners = solution.p[10, 7:9, 13:15]
+        value = policy(make_ctx(x, q, level=10))[0]
         assert corners.min() - 1e-12 <= value <= corners.max() + 1e-12
 
     def test_out_of_grid_clamps(self, solution):
         policy = MfPolicy(solution)
-        g = solution.grid
-        ctx = make_ctx(1.0, 1.0, t=10.0)  # t far beyond the horizon
-        assert policy(ctx)[0] == pytest.approx(solution.p[-1, -1, -1])
+        ctx = make_ctx(3.0, 2.0, level=30)  # x and Q beyond their last nodes
+        assert policy(ctx)[0] == pytest.approx(solution.p[30, -1, -1])
 
     @pytest.mark.parametrize("case", ["inside", "last_node", "off_grid",
-                                      "late", "step_times_41", "step_times_61",
+                                      "step_times_41", "step_times_61",
                                       "step_times_201"])
     def test_matches_the_clamped_reference_bit_for_bit(self, solution, case):
         # The equilibrium control is degenerate (zero) on default costs, so
@@ -92,21 +89,17 @@ class TestMfPolicy:
         shape = (40, 9)
         x = rng.uniform(g.x[0], g.x[-1], shape)
         q = rng.uniform(g.q[0], g.q[-1], shape)
-        times = [float(rng.uniform(g.t[0], g.t[-1]))]
+        levels = [int(rng.integers(g.t.size - 1))]
         if case == "last_node":
-            x[::2], q[::3], times = g.x[-1], g.q[-1], [float(g.t[-1])]
+            x[::2], q[::3], levels = g.x[-1], g.q[-1], [g.t.size - 1]
         elif case == "off_grid":
             x[::2] = rng.uniform(-0.5, g.x[0], x[::2].shape)
             x[1::2] = rng.uniform(g.x[-1], 2.0, x[1::2].shape)
             q[::2] = rng.uniform(g.q[-1], 3.0, q[::2].shape)
             q[1::2] = rng.uniform(-1.0, g.q[0], q[1::2].shape)
-            times = [-0.3]
-        elif case == "late":
-            times = [float(g.t[-1]) + 0.7]
+            levels = [0]
         elif case.startswith("step_times_"):
-            # Every time the simulator asks for on an nt-level grid, k * dt:
-            # most sit on a node (a time plane of weight exactly 0.0), some
-            # a round-off away from one.
+            # Every time node the simulator steps on, on an nt-level grid.
             nt = int(case.rsplit("_", 1)[1])
             g = Grid.make(nt, g.x.size, g.q.size, 1.0, 1.0)
             surface = MfeSolution(
@@ -115,15 +108,11 @@ class TestMfPolicy:
                 p=rng.uniform(0.0, solution.p_max, g.shape), grid=g,
                 iterations=1, residual_history=[0.0], converged=True,
                 p_max=solution.p_max)
-            times = [k * (1.0 / (nt - 1)) for k in range(nt - 1)]
-            fractions = np.array([_locate(t, g.t)[1] for t in times])
-            assert (fractions == 0.0).any()
-            assert (((fractions > 0.0) & (fractions < 1e-14))
-                    | ((fractions < 1.0) & (fractions > 1.0 - 1e-14))).any()
+            levels = range(nt - 1)
         policy = MfPolicy(surface)
-        for t in times:
-            expected = reference_mf_interpolation(surface, t, x, q)
-            assert np.array_equal(policy(make_ctx(x, q, t=t)), expected)
+        for level in levels:
+            expected = reference_mf_plane(surface, level, x, q)
+            assert np.array_equal(policy(make_ctx(x, q, level=level)), expected)
             assert np.ptp(expected) > 0.0
 
     def test_vectorizes_over_station_batches(self, solution):

@@ -19,8 +19,14 @@ from mfcache.simulation import (
     step,
 )
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
+from mfcache.solver import MfeSolution
 
-from support import ConstantPolicy, instantaneous_cost, reference_replication
+from support import (
+    ConstantPolicy,
+    instantaneous_cost,
+    reference_mf_interpolation,
+    reference_replication,
+)
 
 
 def small_scenario(**overrides):
@@ -30,6 +36,11 @@ def small_scenario(**overrides):
         simulation=SimulationSettings(replications=2, seed=7),
     )
     return replace(base, **overrides) if overrides else base
+
+
+def with_horizon(scenario, horizon):
+    return replace(scenario, simulation=replace(scenario.simulation,
+                                                horizon=horizon))
 
 
 class TestBuildWorld:
@@ -59,7 +70,7 @@ class TestStep:
     def test_balanced_flows_keep_storage(self):
         # discard rate 0.1 against caching exactly 0.1 per unit time
         sc = small_scenario()
-        log = run_scenario(sc, ConstantPolicy(0.1), horizon=0.25, seed=3)
+        log = run_scenario(with_horizon(sc, 0.25), ConstantPolicy(0.1), seed=3)
         assert log.storage_usage.std() < 1e-12
 
     def test_no_caching_no_discard_keeps_storage(self):
@@ -89,8 +100,8 @@ class TestStep:
         buffered = []
         for k in range(2):
             start = remaining
-            remaining, p = step(world, policies, (False,), start, k * 0.02,
-                                0.02, rate, sc, world_rng, None)
+            remaining, p = step(world, policies, (False,), start, k, 0.02,
+                                rate, sc, world_rng, None)
             assert remaining.shape == p.shape == start.shape
             assert not np.shares_memory(remaining, start)
             buffered.append((p[:, hood], remaining[:, hood], world.x[hood]))
@@ -117,9 +128,10 @@ class TestStep:
 
     def test_storage_bounds_hold_under_aggressive_caching(self):
         sc = small_scenario()
-        sc = replace(sc, simulation=SimulationSettings(replications=1, seed=1))
+        sc = replace(sc, simulation=SimulationSettings(horizon=3.0,
+                                                       replications=1, seed=1))
         policy = ConstantPolicy(0.99)
-        log = run_scenario(sc, policy, horizon=3.0, seed=1)
+        log = run_scenario(sc, policy, seed=1)
         assert (log.storage_usage >= 0).all()
         assert (log.storage_usage <= 1.0 + 1e-12).all()
 
@@ -142,8 +154,8 @@ class TestPolicyBoundary:
             seen.append(ctx)
             return np.full(ctx.x_hat.shape, ctx.p_max)
 
-        run_replication(sc, {"recording": recording}, arms=(False, True),
-                        horizon=2.0, seed=4)
+        run_replication(with_horizon(sc, 2.0), {"recording": recording},
+                        arms=(False, True), seed=4)
         assert len(seen) == 100
         x_hat = np.stack([ctx.x_hat for ctx in seen])
         remaining = np.stack([ctx.remaining for ctx in seen])
@@ -166,8 +178,9 @@ class TestPolicyBoundary:
             seen.append((ctx, ctx.remaining.copy()))
             return np.full(ctx.x_hat.shape, 0.1 + 0.2 * (len(seen) % 3))
 
-        run_replication(small_scenario(), {"a": recording, "b": recording},
-                        arms=(False, True), horizon=0.5, seed=4)
+        run_replication(with_horizon(small_scenario(), 0.5),
+                        {"a": recording, "b": recording}, arms=(False, True),
+                        seed=4)
         assert len(seen) == 2 * 25
         assert not all(np.array_equal(seen[0][1], kept) for _, kept in seen)
         for ctx, kept in seen:
@@ -177,7 +190,7 @@ class TestPolicyBoundary:
         # Two arms stack each policy's context as (arms, K, M): arm by arm,
         # it holds what a one-arm run of that arm passes as (1, K, M), and
         # each policy keeps one stream for all of its calls.
-        sc = small_scenario()
+        sc = with_horizon(small_scenario(), 0.5)
 
         def run(arms):
             seen = {"a": [], "b": []}
@@ -189,9 +202,8 @@ class TestPolicyBoundary:
                 return policy
 
             logs = run_replication(sc, {name: recording(name) for name in seen},
-                                   arms=arms, horizon=0.5, seed=4,
-                                   snapshot_time=0.5)
-            shape = logs["a", arms[0]].q_snapshot.shape
+                                   arms=arms, seed=4)
+            shape = logs["a", arms[0]].q_final.shape
             for calls in seen.values():
                 assert len(calls) == 25
                 assert len({id(rng) for _, rng in calls}) == 1
@@ -217,7 +229,7 @@ class TestPolicyBoundary:
     def test_a_one_arm_run_stacks_its_one_arm(self, imperfect):
         # Every policy gets the (arms, K, M) context, one arm included; the
         # step's output check takes a random policy's broadcast draw.
-        sc = small_scenario()
+        sc = with_horizon(small_scenario(), 0.5)
         seen = []
 
         def recording(ctx, rng=None):
@@ -225,9 +237,8 @@ class TestPolicyBoundary:
             return RandomPolicy()(ctx, rng)
 
         logs = run_replication(sc, {"a": recording, "b": recording},
-                               arms=(imperfect,), horizon=0.5, seed=4,
-                               snapshot_time=0.5)
-        shape = (1, *logs["a", imperfect].q_snapshot.shape)
+                               arms=(imperfect,), seed=4)
+        shape = (1, *logs["a", imperfect].q_final.shape)
         assert len(seen) == 2 * 25
         for ctx in seen:
             assert ctx.x_hat.shape == ctx.remaining.shape == shape
@@ -262,13 +273,13 @@ class TestPolicyBoundary:
 
         monkeypatch.setattr(simulation, "build_world", recording_build)
         with pytest.raises(ConfigurationError, match="policy output"):
-            run_scenario(small_scenario(), faulty, horizon=0.1, seed=3)
+            run_scenario(with_horizon(small_scenario(), 0.1), faulty, seed=3)
 
 
 class TestRunScenario:
     def test_zero_horizon_empty_metrics(self):
-        sc = small_scenario()
-        log = run_scenario(sc, BaselinePolicy(), horizon=0.0, seed=2)
+        sc = with_horizon(small_scenario(), 0.0)
+        log = run_scenario(sc, BaselinePolicy(), seed=2)
         assert log.lra == 0.0
         assert log.cost.size == 0
 
@@ -299,27 +310,69 @@ class TestRunScenario:
         sc = small_scenario(costs=CostParams(discard_rate=0.0),
                             demand=DemandConfig(catalog_size=5, volatility=0.0))
         for horizon in (1.0, 2.0):
-            log = run_scenario(sc, ConstantPolicy(0.0), horizon=horizon, seed=5)
+            log = run_scenario(with_horizon(sc, horizon), ConstantPolicy(0.0),
+                               seed=5)
             assert log.cost.size == round(50 * horizon)
             assert np.ptp(log.cost) < 1e-12
             assert log.lra == pytest.approx(log.cost.mean(), abs=1e-12)
 
     def test_policy_sees_time_within_the_period(self):
-        # The equilibrium control is indexed by time within a period, so the
-        # second period must replay the first period's time nodes.
+        # The equilibrium control is indexed by its time node within a
+        # period, so step k of a 50-step period reads node k % 50.
         seen = []
 
         class Clock(ConstantPolicy):
             def __call__(self, ctx, rng=None):
-                seen.append(ctx.t)
+                seen.append(ctx.level)
                 return super().__call__(ctx, rng)
 
-        sc = small_scenario()
-        log = run_scenario(sc, Clock(0.0), horizon=2.0, seed=6)
-        assert len(seen) == 100
-        assert max(seen) < sc.demand.period
-        assert seen[50:] == seen[:50]
+        log = run_scenario(with_horizon(small_scenario(), 2.0), Clock(0.0),
+                           seed=6)
+        assert seen == [k % 50 for k in range(100)]
         assert log.times[-1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("nt", [41, 61, 201])
+    def test_mf_policy_reads_the_time_node_of_every_step(self, nt):
+        # On a random live surface over 2.5 periods, each step's MF output
+        # equals the trilinear read at the time within the period, k * dt:
+        # bit for bit where k * dt locates exactly on a node, and within
+        # round-off where it lands a round-off away from one.
+        sc = replace(with_horizon(small_scenario(), 2.5),
+                     solver=SolverSettings(grid_nt=nt, grid_nx=11, grid_nq=11))
+        g = experiments.grid_from_scenario(sc)
+        p_max = sc.solver.config.p_max(sc.costs.backhaul, sc.costs.content_size)
+        surface = MfeSolution(
+            v=np.zeros(g.shape),
+            m=np.full(g.shape, 1.0 / (g.x.size * g.q.size * g.cell_area)),
+            p=np.random.default_rng(nt).uniform(0.0, p_max, g.shape), grid=g,
+            iterations=1, residual_history=[0.0], converged=True, p_max=p_max)
+        seen = []
+
+        class Recording(MfPolicy):
+            def __call__(self, ctx, rng=None):
+                out = super().__call__(ctx, rng)
+                seen.append((ctx, out))
+                return out
+
+        run_scenario(sc, Recording(surface), seed=8)
+        steps_per_period = nt - 1
+        dt = sc.demand.period / steps_per_period
+        assert [ctx.level for ctx, _ in seen] == \
+            [k % steps_per_period for k in range(len(seen))]
+        assert len(seen) == round(2.5 * steps_per_period)
+        off_node = 0
+        for k, (ctx, out) in enumerate(seen):
+            t = (k % steps_per_period) * dt
+            expected = reference_mf_interpolation(surface, t, ctx.x_hat,
+                                                  ctx.remaining)
+            rel = t / (g.t[1] - g.t[0])
+            if rel == ctx.level:
+                assert np.array_equal(out, expected), k
+            else:
+                off_node += 1
+                assert abs(rel - ctx.level) < 1e-12
+                assert np.abs(out - expected).max() <= 2e-14, k
+        assert off_node > 0
 
     @pytest.mark.parametrize("periods", [1, 2, 3])
     def test_refresh_only_where_another_step_follows(self, monkeypatch, periods):
@@ -339,15 +392,15 @@ class TestRunScenario:
 
         monkeypatch.setattr(simulation, "build_world", recording_build)
         monkeypatch.setattr(simulation, "simulate_requests", recording_sampler)
-        run_scenario(small_scenario(), BaselinePolicy(), horizon=float(periods),
-                     seed=6)
+        run_scenario(with_horizon(small_scenario(), float(periods)),
+                     BaselinePolicy(), seed=6)
         (world,) = worlds
         assert [id(c) for c in calls] == \
             [id(h) for h in world.histories] * (periods - 1)
 
     def test_multi_period_refresh_runs(self):
-        sc = small_scenario()
-        log = run_scenario(sc, BaselinePolicy(), horizon=2.0, seed=6)
+        sc = with_horizon(small_scenario(), 2.0)
+        log = run_scenario(sc, BaselinePolicy(), seed=6)
         assert log.cost.size == 100  # 2 periods at 50 steps each
 
     def test_common_random_numbers_across_policies(self):
@@ -359,25 +412,13 @@ class TestRunScenario:
         assert not np.array_equal(a.storage_usage, b.storage_usage)
         assert np.array_equal(a.times, b.times)
 
-    def test_snapshot_capture(self):
-        sc = small_scenario()
-        log = run_scenario(sc, BaselinePolicy(), seed=3, snapshot_time=0.5)
-        assert log.q_snapshot is not None
-        assert log.q_snapshot.ndim == 2
-        assert log.q_snapshot.shape[1] == 5
-
-    @pytest.mark.parametrize("snapshot_time", [0.0, 3.0, -1.0, 1.02])
-    def test_snapshot_matching_no_step_is_rejected(self, snapshot_time):
+    @pytest.mark.parametrize("horizon", [0.02, 1.0])
+    def test_final_storage_after_the_first_and_last_step(self, horizon):
         # The default horizon of 1 has 50 steps of 0.02.
-        with pytest.raises(ConfigurationError, match="snapshot_time"):
-            run_scenario(small_scenario(), BaselinePolicy(), seed=3,
-                         snapshot_time=snapshot_time)
-
-    @pytest.mark.parametrize("snapshot_time", [0.02, 1.0])
-    def test_snapshot_at_the_first_and_last_step(self, snapshot_time):
-        log = run_scenario(small_scenario(), BaselinePolicy(), seed=3,
-                           snapshot_time=snapshot_time)
-        assert log.q_snapshot is not None
+        log = run_scenario(with_horizon(small_scenario(), horizon),
+                           BaselinePolicy(), seed=3)
+        assert log.q_final.ndim == 2 and log.q_final.shape[1] == 5
+        assert (log.q_final >= 0.0).all() and (log.q_final <= 1.0).all()
 
 
 class TestIpiExperiment:
@@ -430,27 +471,25 @@ class TestSharedReplication:
 
     @pytest.mark.parametrize("horizon", [0.0, 0.5, 2.0])
     def test_each_lane_equals_a_solo_run(self, policies, horizon):
-        sc = small_scenario()
-        shared = run_replication(sc, policies, arms=(False, True),
-                                 horizon=horizon, seed=9, snapshot_time=0.5)
+        sc = with_horizon(small_scenario(), horizon)
+        shared = run_replication(sc, policies, arms=(False, True), seed=9)
         assert list(shared) == [(name, arm) for name in policies
                                 for arm in (False, True)]
         for (name, imperfect), lane in shared.items():
-            solo = run_scenario(sc, policies[name], horizon=horizon, seed=9,
-                                use_ipi=imperfect, snapshot_time=0.5)
+            solo = run_scenario(sc, policies[name], seed=9, use_ipi=imperfect)
             for attr in ("cost", "overlap", "storage_usage", "times"):
                 assert np.array_equal(getattr(lane, attr), getattr(solo, attr))
             assert lane.cost.size == round(50 * horizon)
             assert lane.lra == solo.lra
             assert lane.barrier_hits == solo.barrier_hits
             if horizon:
-                assert np.array_equal(lane.q_snapshot, solo.q_snapshot)
+                assert np.array_equal(lane.q_final, solo.q_final)
             else:
-                assert lane.q_snapshot is None and solo.q_snapshot is None
+                assert lane.q_final is None and solo.q_final is None
 
     def test_lanes_own_their_arrays(self, policies):
-        shared = list(run_replication(small_scenario(), policies, seed=9,
-                                      horizon=0.5).values())
+        shared = list(run_replication(with_horizon(small_scenario(), 0.5),
+                                      policies, seed=9).values())
         for attr in ("times", "cost", "overlap", "storage_usage"):
             arrays = [getattr(log, attr) for log in shared]
             for i, a in enumerate(arrays):
@@ -462,9 +501,7 @@ class TestSharedReplication:
         # two inner period boundaries, one request draw per station.
         worlds, draws = _recording(monkeypatch)
         three = {name: policies[name] for name in ("mf", "baseline", "random")}
-        sc = small_scenario()
-        sc = replace(sc, simulation=replace(sc.simulation, horizon=3.0))
-        ipi_experiment(sc, three, seed=6)
+        ipi_experiment(with_horizon(small_scenario(), 3.0), three, seed=6)
         (world,) = worlds
         assert [id(d) for d in draws] == [id(h) for h in world.histories] * 2
 
@@ -533,22 +570,20 @@ class TestStackedLanes:
         return sc, MfPolicy(live)
 
     @staticmethod
-    def _assert_equals_reference(sc, mf, level, horizon, snapshot_time):
+    def _assert_equals_reference(sc, mf, level, horizon):
         # 4 policies under both arms; a constant 1.0 hits the barrier
         # everywhere.
         policies = {"mf": mf, "baseline": BaselinePolicy(),
                     "random": RandomPolicy(), "constant": ConstantPolicy(level)}
-        shared = run_replication(sc, policies, arms=(False, True),
-                                 horizon=horizon, seed=5,
-                                 snapshot_time=snapshot_time)
+        sc = with_horizon(sc, horizon)
+        shared = run_replication(sc, policies, arms=(False, True), seed=5)
         reference = reference_replication(sc, policies, arms=(False, True),
-                                          horizon=horizon, seed=5,
-                                          snapshot_time=snapshot_time)
+                                          seed=5)
         assert list(shared) == list(reference)
         for key, log in shared.items():
             ref = reference[key]
             for attr in ("cost", "overlap", "storage_usage", "times",
-                         "q_snapshot"):
+                         "q_final"):
                 assert np.array_equal(getattr(log, attr), getattr(ref, attr)), \
                     (key, attr)
             assert log.cost.size == round(50 * horizon)
@@ -560,17 +595,17 @@ class TestStackedLanes:
 
     @pytest.mark.parametrize("level", [0.2, 1.0])
     def test_every_lane_equals_the_lane_by_lane_reference(self, dense, level):
-        # 2 periods, snapshot mid-period.
-        shared = self._assert_equals_reference(*dense, level, 2.0, 1.5)
+        # 2 periods.
+        shared = self._assert_equals_reference(*dense, level, 2.0)
         assert np.ptp(shared["mf", False].overlap) > 0.0
 
-    @pytest.mark.parametrize("level, horizon, snapshot_time", [
-        (0.2, 1.3, 1.3),    # ends mid-period: the last pass is partial
-        (0.2, 0.02, 0.02),  # one step
-        (0.2, 2.0, 1.0),    # snapshot on a period boundary
-        (1.0, 3.0, 2.5),    # three periods at the barrier
+    @pytest.mark.parametrize("level, horizon", [
+        (0.2, 1.3),    # ends mid-period: the last pass is partial
+        (0.2, 0.02),   # one step
+        (0.2, 1.0),    # final storage on a period boundary
+        (1.0, 3.0),    # three periods at the barrier
     ], ids=["mid_period_end", "one_step", "snapshot_on_boundary",
             "three_periods_barrier"])
     def test_partial_and_boundary_runs_equal_the_reference(
-            self, dense, level, horizon, snapshot_time):
-        self._assert_equals_reference(*dense, level, horizon, snapshot_time)
+            self, dense, level, horizon):
+        self._assert_equals_reference(*dense, level, horizon)

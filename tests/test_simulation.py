@@ -412,9 +412,16 @@ class TestRunScenario:
         assert not np.array_equal(a.storage_usage, b.storage_usage)
         assert np.array_equal(a.times, b.times)
 
+    def test_snapshot_capture(self):
+        # q_final is each lane's storage after the last step.
+        log = run_scenario(small_scenario(), BaselinePolicy(), seed=3)
+        assert log.q_final is not None
+        assert log.q_final.ndim == 2
+        assert log.q_final.shape[1] == 5
+
     @pytest.mark.parametrize("horizon", [0.02, 1.0])
-    def test_final_storage_after_the_first_and_last_step(self, horizon):
-        # The default horizon of 1 has 50 steps of 0.02.
+    def test_snapshot_at_the_first_and_last_step(self, horizon):
+        # The default horizon of 1 has 50 steps of 0.02, so 0.02 runs one.
         log = run_scenario(with_horizon(small_scenario(), horizon),
                            BaselinePolicy(), seed=3)
         assert log.q_final.ndim == 2 and log.q_final.shape[1] == 5

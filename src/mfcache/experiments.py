@@ -369,6 +369,27 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
         done(i, result)
 
 
+def _compare_task(scenario: ScenarioConfig, policies: dict[str, object],
+                  seed: int) -> dict:
+    """One replication of ``compare``: its logs, without the ``q_final`` the
+    recipe never reads, so that a sweep point does not hold every station's
+    storage until it finishes, and the sweep helper does not pickle it."""
+    logs = run_replication(scenario, policies, seed=seed)
+    for metrics in logs.values():
+        metrics.q_final = None
+    return logs
+
+
+def _ipi_task(scenario: ScenarioConfig, policies: dict[str, object],
+              seed: int) -> dict:
+    """One paired replication of ``ipi``, without ``q_final`` (as in
+    :func:`_compare_task`)."""
+    pairs = ipi_experiment(scenario, policies, seed=seed)
+    for pair in pairs.values():
+        pair.perfect.q_final = pair.imperfect.q_final = None
+    return pairs
+
+
 def _kept(runs: list, label: str) -> list:
     """The runs that are not ``.excluded``, in order; one warning names how
     many were dropped, and none left fails the sweep point."""
@@ -425,8 +446,7 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
             for lambda_u, sc in user_points]
            + [_Point(sc, _replication_seeds(sc), partial(x0_rows, x0))
               for x0, sc in x0_points],
-           _policies_for,
-           lambda sc, policies, seed: run_replication(sc, policies, seed=seed))
+           _policies_for, _compare_task)
     return {
         "trajectories": trajectory_rows,
         "summary": summary_rows,
@@ -458,8 +478,7 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
 
     _sweep([_Point(sc, _replication_seeds(sc), partial(point_rows, lambda_b))
             for lambda_b, sc in sweep_points(scenario, "lambda_b_values")],
-           _policies_for,
-           lambda sc, policies, seed: ipi_experiment(sc, policies, seed=seed))
+           _policies_for, _ipi_task)
     return rows
 
 

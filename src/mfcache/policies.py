@@ -33,16 +33,18 @@ class PolicyContext:
     """Observed state handed to a policy at one simulation step.
 
     ``level`` is the index of the step's time node within the period, on
-    the solver grid the simulator steps on; ``x_hat`` (in ``[floor, 1]``) and
-    ``remaining`` (in ``[0, C]``) stack the policy's information arms,
-    ``(arms, stations, contents)``, also when it has one; the rest are the
-    shared cost parameters of the step, with ``rate > 0``.
+    the solver grid the simulator steps on, and ``nodes`` that grid's
+    number of time nodes (``grid_nt``), so ``level < nodes - 1``; ``x_hat``
+    (in ``[floor, 1]``) and ``remaining`` (in ``[0, C]``) stack the policy's
+    information arms, ``(arms, stations, contents)``, also when it has one;
+    the rest are the shared cost parameters of the step, with ``rate > 0``.
     ``p_max`` in ``[0, 1]`` is the largest cache fraction any policy may
     emit (``SolverConfig.p_max`` of the scenario). The simulator builds the
     context within these ranges, so it is not rechecked.
     """
 
     level: int
+    nodes: int
     x_hat: np.ndarray
     remaining: np.ndarray
     rate: float
@@ -56,7 +58,9 @@ class MfPolicy:
     time node, ``p[ctx.level]``, interpolating it bilinearly at
     ``(x_hat, Q)`` and clamping out-of-grid coordinates to the boundary.
     The solution must be solved on the scenario's grid, whose time nodes
-    the simulator steps on. Every element is read on its own, so a stacked
+    the simulator steps on: a context whose ``nodes`` differs from the
+    solution's time nodes is a :class:`ConfigurationError` naming both, at
+    the first call. Every element is read on its own, so a stacked
     context of several arms gets, arm by arm, what a context of that arm
     alone would."""
 
@@ -74,6 +78,10 @@ class MfPolicy:
     def __call__(self, ctx: PolicyContext, rng: np.random.Generator | None = None
                  ) -> np.ndarray:
         g = self._grid
+        if ctx.nodes != g.t.size:
+            raise ConfigurationError(
+                f"equilibrium policy solved on {g.t.size} time nodes run on "
+                f"a grid of {ctx.nodes}: solve on the scenario's grid_nt")
         x_i, x_w = _locate(ctx.x_hat, g.x)
         q_i, q_w = _locate(ctx.remaining, g.q)
         # The plane is read at the lower corners' flat cell indices, through

@@ -18,10 +18,11 @@ stacks them ``(arms, stations, contents)``, one arm included. The output
 check and the storage update (the cache/discard balance) then run once over
 the whole stack. No step reads the metrics, so they are computed apart from
 the state transition: the hood's rows of each step (the stations within the
-request radius of a typical user at the region center) are buffered, and
-once per period :func:`hood_metrics` computes the content overlap, the
-running cost, the storage usage and the barrier hits of all buffered steps
-at once. At every period boundary that another step follows, each history
+request radius of a typical user at the region center) are buffered in
+blocks of at most 64 KiB of rows (or one step) that end at every period
+end, and once per block :func:`hood_metrics` computes the content overlap,
+the running cost, the storage usage and the barrier hits of its steps at
+once. At every period boundary that another step follows, each history
 folds its sampled arrivals once into new means.
 
 Randomness is split into three independent streams per seed. The world
@@ -63,6 +64,7 @@ from .errors import ConfigurationError
 from .geometry import average_rate, rate_model_from_config, sample_ppp
 from .policies import PolicyContext
 from .scenario import ScenarioConfig
+from .solver import _BLOCK_BYTES
 
 __all__ = ["World", "MetricsLog", "PairedRun", "build_world", "step",
            "hood_metrics", "run_replication", "run_scenario", "ipi_experiment"]
@@ -89,7 +91,12 @@ class World:
 
 @dataclass
 class MetricsLog:
-    """Per-replication time series plus the derived summary metrics."""
+    """Per-replication time series plus the derived summary metrics.
+
+    ``q_final`` is the lane's storage ``(K, M)`` after the last step, or
+    ``None`` for a run of no steps. The ``compare`` and ``ipi`` recipes read
+    only the summaries and drop it from every log they keep.
+    """
 
     seed: int
     dt: float
@@ -200,8 +207,9 @@ def step(world: World, policies: list[tuple[object, np.random.Generator]],
     for i, (policy, rng) in enumerate(policies):
         rows = slice(i * n, (i + 1) * n)
         ctx = PolicyContext(
-            level=level, x_hat=x_hat, remaining=remaining[rows], rate=rate,
-            backhaul=cst.backhaul, content_size=cst.content_size, p_max=p_max,
+            level=level, nodes=scenario.solver.grid_nt, x_hat=x_hat,
+            remaining=remaining[rows], rate=rate, backhaul=cst.backhaul,
+            content_size=cst.content_size, p_max=p_max,
         )
         out = np.asarray(policy(ctx, rng), dtype=float)
         # Checked before the write, which would broadcast a (M,) row.
@@ -229,7 +237,8 @@ def hood_metrics(p: np.ndarray, q: np.ndarray, x: np.ndarray, rate: float,
     The overlap is the leave-one-out sum over the hood; the cost floors the
     true popularity at ``floor``. Each row sums over contents, then
     averages over the hood, so a step's row does not depend on how many
-    steps share the call.
+    steps share the call: :func:`run_replication` calls it once per block
+    of steps, and the rows equal those of one pass over a whole period.
     """
     # Row-major inputs make every sum run over each row in memory order, as
     # a one-lane run's do; run_replication's buffers already are, so this
@@ -259,14 +268,17 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     ``policies`` then ``arms`` order. Each policy gets a fresh policy
     stream and is called once per step for all of its arms. :func:`step` does
     not see the hood: after each step, this loop gathers the hood's rows of
-    the cache fractions, storage and true popularity into buffers of one
-    period of steps, allocated once; at each period end and
-    after the last step, :func:`hood_metrics` turns the buffered steps into
-    their columns of one ``(3, lanes, n_steps)`` series, which is split into
-    the logs at the end. The run covers the scenario's simulation horizon
-    on the solver grid's time nodes: a period is ``grid_nt - 1`` steps, and
-    step ``k`` hands the policies the node index ``k % (grid_nt - 1)``, so
-    equilibrium policies evaluate on their own time nodes in every period.
+    the cache fractions, storage and true popularity into buffers allocated
+    once, each of at most the solver's block budget (``_BLOCK_BYTES``,
+    64 KiB) of ``(lanes, hood, contents)`` rows, or one step, and at most
+    one period. When the buffers fill, at each period end and after the
+    last step, :func:`hood_metrics` turns the buffered steps into their
+    columns of one ``(3, lanes, n_steps)`` series, which is split into the
+    logs at the end; no pass crosses a period. The run covers the
+    scenario's simulation horizon on the solver grid's time nodes: a period
+    is ``grid_nt - 1`` steps, and step ``k`` hands the policies the node
+    index ``k % (grid_nt - 1)``, so equilibrium policies evaluate on their
+    own time nodes in every period.
     Request histories refresh the popularity means at every period boundary
     that another step follows, with arrivals Poisson-distributed in the user
     mass of the search region. Each lane's storage after the last step is
@@ -296,11 +308,15 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
         rate = average_rate(rate_model_from_config(geo), geo)
         arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
                         * dem.requests_per_user)
-        # The hood's rows of the steps since the last metrics pass. The
-        # gathers keep lanes outermost in memory (p[:, hood] would lay the
-        # hood axis out first), so each lane's means reduce the same
-        # contiguous runs, in the same order, as a one-lane run does.
-        size = min(steps_per_period, n_steps)
+        # The hood's rows of the steps since the last metrics pass: at most
+        # _BLOCK_BYTES of (lanes, hood, contents) rows per buffer, or one
+        # step, and never more than a period. The gathers keep lanes
+        # outermost in memory (p[:, hood] would lay the hood axis out
+        # first), so each lane's means reduce the same contiguous runs, in
+        # the same order, as a one-lane run does.
+        row_bytes = 8 * len(keys) * hood.size * dem.catalog_size
+        size = min(max(1, _BLOCK_BYTES // row_bytes), steps_per_period,
+                   n_steps)
         p_hood = np.empty((size, len(keys), hood.size, dem.catalog_size))
         q_hood = np.empty_like(p_hood)
         x_hood = np.empty((size, hood.size, dem.catalog_size))
@@ -314,11 +330,11 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
             remaining.take(hood, axis=1, out=q_hood[j])
             world.x.take(hood, axis=0, out=x_hood[j])
             period_end = (k + 1) % steps_per_period == 0
-            if period_end or k + 1 == n_steps:
-                series[:, :, start:k + 1], period_hits = hood_metrics(
+            if j + 1 == size or period_end or k + 1 == n_steps:
+                series[:, :, start:k + 1], block_hits = hood_metrics(
                     p_hood[:j + 1], q_hood[:j + 1], x_hood[:j + 1], rate,
                     scenario.costs, dem.ipi.floor_eps)
-                hits += period_hits
+                hits += block_hits
                 start = k + 1
             # The means after the last step are never read.
             if period_end and k + 1 < n_steps:

@@ -256,7 +256,8 @@ def reference_replication(scenario, policies: dict, arms=(False,),
         demand_hood = rate * np.maximum(x[hood], floor)
         for lane in lanes.values():
             ctx = PolicyContext(
-                level=k % steps_per_period, x_hat=observed[lane.imperfect],
+                level=k % steps_per_period, nodes=steps_per_period + 1,
+                x_hat=observed[lane.imperfect],
                 remaining=lane.remaining, rate=rate, backhaul=cst.backhaul,
                 content_size=cst.content_size, p_max=p_max)
             p = np.asarray(lane.policy(ctx, lane.rng), dtype=float)

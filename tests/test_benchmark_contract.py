@@ -24,6 +24,7 @@ from mfcache.experiments import (
     problem_from_scenario,
     solve_scenario,
 )
+from mfcache.geometry import GeometryConfig
 from mfcache.policies import BaselinePolicy, MfPolicy, RandomPolicy
 from mfcache.scenario import (
     DemandConfig,
@@ -178,9 +179,9 @@ def test_one_sweep_calls_each_formula_by_its_traced_name(monkeypatch):
 def test_metrics_pass_charges_the_barrier_once_per_period(monkeypatch,
                                                           horizon):
     # costs.backhaul_cost_calls on compare-sim and ipi-demand counts the
-    # metrics pass's one barrier charge over all lanes and the steps of a
-    # period (the last period may be partial), through the simulator's
-    # bindings; no pass holds more than one period of steps.
+    # metrics pass's one barrier charge over all lanes and a block of steps
+    # (the last period may be partial), through the simulator's bindings;
+    # these periods fit in one block, and no pass holds more than a period.
     scenario = _tiny_scenario(horizon)
     steps_per_period = scenario.solver.grid_nt - 1
     counts = _count_calls(monkeypatch, simulation,
@@ -203,6 +204,58 @@ def test_metrics_pass_charges_the_barrier_once_per_period(monkeypatch,
     assert len(passes) == 3
     assert all(rows <= steps_per_period for rows in passes)
     assert sum(passes) == n_steps
+
+
+def test_a_period_over_the_block_budget_is_passed_in_blocks(monkeypatch):
+    # A period whose hood rows exceed _BLOCK_BYTES is passed in blocks of at
+    # most the budget's steps, none crossing a period; each block charges
+    # the barrier once, and its rows are those of one whole-period pass.
+    scenario = ScenarioConfig(
+        geometry=GeometryConfig(lambda_b=0.3),
+        demand=DemandConfig(catalog_size=20),
+        solver=SolverSettings(grid_nt=51, grid_nx=11, grid_nq=11),
+        simulation=SimulationSettings(horizon=2.5))
+    steps_per_period = scenario.solver.grid_nt - 1
+    counts = _count_calls(monkeypatch, simulation, ("backhaul_cost",))
+    passes = []
+    metrics = simulation.hood_metrics
+
+    def recording(p, q, x, *args):
+        passes.append((p.copy(), q.copy(), x.copy(), args))
+        return metrics(p, q, x, *args)
+
+    monkeypatch.setattr(simulation, "hood_metrics", recording)
+    policies = {"baseline": BaselinePolicy(), "constant": ConstantPolicy(0.2)}
+    logs = simulation.run_replication(scenario, policies, arms=(False, True),
+                                      seed=3)
+    n_steps = round(2.5 * steps_per_period)
+    row_bytes = passes[0][0][0].nbytes
+    budget = max(1, solver._BLOCK_BYTES // row_bytes)
+    assert 1 < budget < steps_per_period   # the test's premise
+    sizes = np.array([p.shape[0] for p, *_ in passes])
+    starts = np.cumsum(sizes) - sizes
+    assert (sizes <= budget).all()
+    periods = starts // steps_per_period
+    assert np.array_equal(periods, (starts + sizes - 1) // steps_per_period)
+    assert sum(sizes) == n_steps
+    assert counts["backhaul_cost"] == len(passes) > 3
+    # Each period's blocks against one pass over the whole period.
+    rows = []
+    for period in range(3):
+        block = np.flatnonzero(periods == period)
+        whole = [np.concatenate([passes[i][j] for i in block])
+                 for j in range(3)]
+        period_rows, period_hits = metrics(*whole, *passes[0][3])
+        blocks = [metrics(*passes[i][:3], *passes[i][3]) for i in block]
+        assert np.array_equal(
+            np.concatenate([r for r, _ in blocks], axis=2), period_rows)
+        assert np.array_equal(sum(h for _, h in blocks), period_hits)
+        rows.append(period_rows)
+    rows = np.concatenate(rows, axis=2)
+    for i, log in enumerate(logs.values()):
+        assert np.array_equal(log.cost, rows[0, i])
+        assert np.array_equal(log.overlap, rows[1, i])
+        assert np.array_equal(log.storage_usage, rows[2, i])
 
 
 def test_request_sampler_is_called_as_the_tracer_unpacks_it(monkeypatch):

@@ -361,6 +361,30 @@ class TestReplicationHelper:
         # tasks (two points), ipi three (one point).
         assert len(forked) == experiments.forked_blas_checked()
 
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    def test_recipes_keep_no_final_storage(self, scenario, monkeypatch,
+                                           forks, recipe):
+        # The logs a point's rows are made from, inline and back from the
+        # helper, hold no per-station storage: the task drops it, so the
+        # helper never pickles it.
+        seen = []
+        kept = experiments._kept
+
+        def recording(runs, label):
+            seen.extend(runs)
+            return kept(runs, label)
+
+        monkeypatch.setattr(experiments, "_kept", recording)
+        RECIPES[recipe](scenario)
+        logs = [log for run in seen
+                for log in ((run.perfect, run.imperfect)
+                            if isinstance(run, PairedRun) else (run,))]
+        # compare: 2 points x 3 policies x 3 seeds; ipi: 1 point x 3
+        # policies x 3 seeds x 2 arms.
+        assert len(logs) == 18
+        assert all(log.q_final is None for log in logs)
+        assert len(forks.pids) == forks.sweep_expected
+
     def test_barrier_warnings_once_per_excluded_lane_in_seed_order(
             self, scenario, policies, forks, caplog):
         seeds = [3, 4, 5, 6]

@@ -23,13 +23,14 @@ from mfcache.solver import (
 from support import reference_mf_plane
 
 
-def make_ctx(x_hat, remaining, level=25, rate=1.2, p_max=None):
+def make_ctx(x_hat, remaining, level=25, rate=1.2, p_max=None, nodes=51):
     x = np.atleast_1d(np.asarray(x_hat, dtype=float))
     q = np.atleast_1d(np.asarray(remaining, dtype=float))
     if p_max is None:
         p_max = SolverConfig().p_max(1.0, 1.0)
-    return PolicyContext(level=level, x_hat=x, remaining=q, rate=rate,
-                         backhaul=1.0, content_size=1.0, p_max=p_max)
+    return PolicyContext(level=level, nodes=nodes, x_hat=x, remaining=q,
+                         rate=rate, backhaul=1.0, content_size=1.0,
+                         p_max=p_max)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,8 @@ class TestMfPolicy:
         policy = MfPolicy(surface)
         for level in levels:
             expected = reference_mf_plane(surface, level, x, q)
-            assert np.array_equal(policy(make_ctx(x, q, level=level)), expected)
+            assert np.array_equal(
+                policy(make_ctx(x, q, level=level, nodes=g.t.size)), expected)
             assert np.ptp(expected) > 0.0
 
     def test_vectorizes_over_station_batches(self, solution):

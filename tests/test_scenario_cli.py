@@ -250,9 +250,10 @@ class TestCli:
         assert any(n.startswith("control_trajectory_") for n in names)
         assert any(n.startswith("density_marginal_") for n in names)
         solution = next(n for n in names if n.startswith("solution_content_"))
-        header = open(out / solution).readline().strip()
+        with open(out / solution) as f:
+            header = f.readline().strip()
         assert header == "t,x,Q,v,m,p"
-        manifest = open(out / "manifest.txt").read()
+        manifest = (out / "manifest.txt").read_text()
         assert "scenario_hash:" in manifest and "wall_seconds:" in manifest
 
     @pytest.mark.parametrize("flags, shown", [((), False),
@@ -294,7 +295,7 @@ class TestCli:
         for name in ("lra_trajectories.csv", "summary.csv",
                      "overlap_vs_x0.csv", "manifest.txt"):
             assert (out / name).exists()
-        rows = open(out / "summary.csv").read().splitlines()
+        rows = (out / "summary.csv").read_text().splitlines()
         assert rows[0] == "lambda_u,policy,lra,reduction_vs_baseline"
         assert len(rows) == 1 + 2 * 3  # two densities, three policies
 
@@ -302,7 +303,7 @@ class TestCli:
         out = tmp_path / "ipi"
         assert main(["ipi", "--scenario", small_file, "--out", str(out),
                      "--quiet"]) == 0
-        rows = open(out / "ipi_increments.csv").read().splitlines()
+        rows = (out / "ipi_increments.csv").read_text().splitlines()
         assert rows[0] == "lambda_b,policy,lra_ppi,lra_ipi,increment"
         assert len(rows) == 1 + 2 * 3
 
@@ -313,7 +314,7 @@ class TestCli:
         out = tmp_path / "seeded"
         assert main(["solve", "--scenario", str(path), "--out", str(out),
                      "--quiet"]) == 0
-        manifest = open(out / "manifest.txt").read()
+        manifest = (out / "manifest.txt").read_text()
         assert "seed: 77" in manifest
         assert "grid: 41x11x11" in manifest
 

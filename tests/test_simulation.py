@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -373,6 +375,52 @@ class TestRunScenario:
                 assert abs(rel - ctx.level) < 1e-12
                 assert np.abs(out - expected).max() <= 2e-14, k
         assert off_node > 0
+
+    @pytest.mark.parametrize("nodes", [21, 81])
+    def test_mf_policy_on_another_time_grid_is_rejected(self, nodes):
+        # A solution of 21 time nodes would run out of planes at step 21 of
+        # a 41-node period, one of 81 would read planes 0 to 39 of its 81;
+        # either fails at the policy's first call, naming both counts.
+        sc = replace(small_scenario(),
+                     solver=SolverSettings(grid_nt=41, grid_nx=11, grid_nq=11))
+        g = experiments.grid_from_scenario(replace(
+            sc, solver=replace(sc.solver, grid_nt=nodes)))
+        p_max = sc.solver.config.p_max(sc.costs.backhaul, sc.costs.content_size)
+        surface = MfeSolution(
+            v=np.zeros(g.shape),
+            m=np.full(g.shape, 1.0 / (g.x.size * g.q.size * g.cell_area)),
+            p=np.full(g.shape, 0.1), grid=g, iterations=1,
+            residual_history=[0.0], converged=True, p_max=p_max)
+        calls = []
+
+        class Counting(MfPolicy):
+            def __call__(self, ctx, rng=None):
+                calls.append(ctx.level)
+                return super().__call__(ctx, rng)
+
+        with pytest.raises(ConfigurationError,
+                           match=f"solved on {nodes} time nodes run on a "
+                                 "grid of 41"):
+            run_scenario(sc, Counting(surface), seed=8)
+        assert calls == [0]
+
+    def test_a_dense_world_replication_holds_bounded_buffers(self):
+        # Criterion 11's world, 1,055 stations with a hood of 149, at 400
+        # steps a period: the metrics buffers hold 64 KiB blocks (two steps
+        # here), not the run's 200 steps (a traced peak of about 39 MB).
+        base = ScenarioConfig()
+        sc = replace(base, geometry=replace(base.geometry, lambda_b=2.5),
+                     solver=replace(base.solver, grid_nq=81, grid_nt=401),
+                     simulation=replace(base.simulation, horizon=0.5))
+        tracemalloc.start()
+        try:
+            log = run_scenario(sc, BaselinePolicy(), seed=1001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.q_final.shape[0] > 1000
+        assert log.cost.size == 200
+        assert peak < 8e6
 
     @pytest.mark.parametrize("periods", [1, 2, 3])
     def test_refresh_only_where_another_step_follows(self, monkeypatch, periods):

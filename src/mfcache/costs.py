@@ -7,9 +7,9 @@ probability, plus a linear charge on occupied storage:
 
     J = -log(B - L p) * (1 + I_r) / (rate * x) + gamma * (C - Q) / C
 
-Each term has one function, called by the solver's backward pass and the
-simulator's metrics pass alike: :func:`backhaul_cost` (the barrier),
-:func:`storage_cost` (the charge) and :func:`running_cost` (the sum).
+The solver and the simulator call only :func:`running_cost`, the barrier
+:func:`backhaul_cost` plus the charge :func:`storage_cost`, and
+:func:`storage_drift`, ``e - L p``: a model variant patches one name here.
 
 Overlap comes in two forms: :func:`empirical_overlap`, the leave-one-out sum
 over the controls of the other stations of a neighbourhood (the simulator's
@@ -40,6 +40,7 @@ __all__ = [
     "mf_overlap",
     "check_density",
     "running_cost",
+    "storage_drift",
     "lra_cost",
 ]
 
@@ -160,10 +161,17 @@ def check_density(m: np.ndarray, cell_area: float, *, floor: float = 0.0,
                 "deviates from 1 beyond tolerance")
 
 
-def running_cost(phi, overlap, rate_x, psi):
-    """The barrier value ``phi`` scaled by the overlap and divided by
-    ``rate_x`` (the product ``rate * x``), plus the storage charge ``psi``."""
-    return phi * (1.0 + overlap) / rate_x + psi
+def running_cost(p, remaining, rate_x, overlap, costs: CostParams):
+    """``J`` at fractions ``p`` and storage ``remaining``, with ``rate_x`` the
+    positive ``rate * x``; ``inf`` exactly where the barrier is hit."""
+    return (backhaul_cost(p, costs.backhaul, costs.content_size)
+            * (1.0 + overlap) / rate_x
+            + storage_cost(remaining, costs.storage, costs.gamma))
+
+
+def storage_drift(p, costs: CostParams):
+    """Rate of change ``e - L p`` of the remaining storage."""
+    return costs.discard_rate - costs.content_size * p
 
 
 def lra_cost(cost_samples, dt: float) -> float:

@@ -37,6 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .costs import storage_drift
 from .errors import BarrierExclusionError
 from .geometry import average_rate, rate_model_from_config, request_region_count
 from .io import forked_blas_checked, fork_helper, two_cpus
@@ -198,8 +199,7 @@ def control_trajectory(solution: MfeSolution, scenario: ScenarioConfig,
         q_idx = int(np.argmin(np.abs(g.q - q)))
         p = float(solution.p[level, x_idx, q_idx])
         rows.append((float(g.t[level]), q, p))
-        q = float(np.clip(q + (cst.discard_rate - cst.content_size * p) * g.dt,
-                          0.0, cst.storage))
+        q = float(np.clip(q + storage_drift(p, cst) * g.dt, 0.0, cst.storage))
     return rows
 
 

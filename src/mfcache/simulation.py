@@ -15,15 +15,15 @@ is built once (the imperfect one is drawn once if an arm needs it), and
 then each policy is called once, at the step's time node within the
 period, on its rows of the storage stack for all of its arms: its context
 stacks them ``(arms, stations, contents)``, one arm included. The output
-check and the storage update (the cache/discard balance) then run once over
+check and the storage update (the solver's storage drift) then run once over
 the whole stack. No step reads the metrics, so they are computed apart from
 the state transition: the hood's rows of each step (the stations within the
 request radius of a typical user at the region center) are buffered in
 blocks of at most 64 KiB of rows (or one step) that end at every period
 end, and once per block :func:`hood_metrics` computes the content overlap,
-the running cost, the storage usage and the barrier hits of its steps at
-once. At every period boundary that another step follows, each history
-folds its sampled arrivals once into new means.
+the solver's running cost, the storage usage and the barrier hits of its
+steps at once. At every period boundary that another step follows, each
+history folds its sampled arrivals once into new means.
 
 Randomness is split into three independent streams per seed. The world
 stream (pattern, initial storage, popularity noise, request arrivals) and
@@ -46,11 +46,10 @@ from numpy.random import SeedSequence, default_rng
 
 from .costs import (
     CostParams,
-    backhaul_cost,
     empirical_overlap,
     lra_cost,
     running_cost,
-    storage_cost,
+    storage_drift,
 )
 from .demand import (
     CrpState,
@@ -221,8 +220,7 @@ def step(world: World, policies: list[tuple[object, np.random.Generator]],
     if not (p.min() >= 0 and p.max() <= 1):   # a NaN fails both
         raise ConfigurationError("policy output must be cache fractions in "
                                  "[0, 1], with no NaN")
-    q = (remaining + (cst.discard_rate - cst.content_size * p) * dt).clip(
-        0.0, cst.storage)
+    q = (remaining + storage_drift(p, cst) * dt).clip(0.0, cst.storage)
     return q, p
 
 
@@ -235,24 +233,24 @@ def hood_metrics(p: np.ndarray, q: np.ndarray, x: np.ndarray, rate: float,
     probabilities, ``(steps, H, M)``. Returns the rows ``(3, lanes,
     steps)`` (cost, overlap, storage usage) and the barrier hits per lane.
     The overlap is the leave-one-out sum over the hood; the cost floors the
-    true popularity at ``floor``. Each row sums over contents, then
-    averages over the hood, so a step's row does not depend on how many
-    steps share the call: :func:`run_replication` calls it once per block
-    of steps, and the rows equal those of one pass over a whole period.
+    true popularity at ``floor``, and a barrier hit is a cost of ``inf``.
+    Each row sums over contents, then averages over the hood, so a step's
+    row does not depend on how many steps share the call:
+    :func:`run_replication` calls it once per block of steps, and the rows
+    equal those of one pass over a whole period.
     """
     # Row-major inputs make every sum run over each row in memory order, as
     # a one-lane run's do; run_replication's buffers already are, so this
     # copies nothing there.
     p, q, x = (np.ascontiguousarray(a) for a in (p, q, x))
     overlap = empirical_overlap(p, costs.storage, costs.similar_count)
-    phi = backhaul_cost(p, costs.backhaul, costs.content_size)
-    psi = storage_cost(q, costs.storage, costs.gamma)
-    cost = running_cost(phi, overlap, rate * np.maximum(x, floor)[:, None], psi)
+    cost = running_cost(p, q, rate * np.maximum(x, floor)[:, None], overlap,
+                        costs)
     steps, lanes = p.shape[:2]
     rows = np.stack([cost.sum(axis=3).mean(axis=2),
                      overlap.reshape(steps, lanes, -1).mean(axis=2),
                      (costs.storage - q).reshape(steps, lanes, -1).mean(axis=2)])
-    hits = (~np.isfinite(phi)).reshape(steps, lanes, -1).sum(axis=(0, 2))
+    hits = (~np.isfinite(cost)).reshape(steps, lanes, -1).sum(axis=(0, 2))
     return rows.swapaxes(1, 2), hits
 
 

@@ -35,8 +35,8 @@ a LAPACK tridiagonal solve to round-off. The forward pass uses conservative
 finite-volume upwind fluxes with zero-flux boundaries, so total mass is
 preserved to round-off and nonnegativity is maintained under the step-size
 condition checked on entry. Each pass checks its inputs once, on entry; the
-level loop calls the control and the cost formulas of :mod:`.costs`
-unchecked.
+level loop calls the control and the running cost and storage drift of
+:mod:`.costs` unchecked.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ import numpy as np
 
 from .costs import (
     CostParams,
-    backhaul_cost,
     check_density,
     mf_overlap,
     running_cost,
-    storage_cost,
+    storage_drift,
 )
 from .demand import FLOOR_EPS
 from .errors import ConfigurationError, SolverError, require_finite
@@ -342,7 +341,7 @@ def _check_step_size(problem: MfgProblem, grid: Grid,
     control can produce."""
     c = problem.costs
     p_cap = config.p_max(c.backhaul, c.content_size)
-    max_bq = max(c.discard_rate, abs(c.discard_rate - c.content_size * p_cap))
+    max_bq = max(abs(storage_drift(p, c)) for p in (0.0, p_cap))
     max_bx = problem.reversion_rate * max(problem.mu - grid.x[0],
                                           1.0 - problem.mu, 0.0)
     grid.check_cfl(max_bx, max_bq, problem.volatility)
@@ -356,8 +355,8 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     The inputs are validated once on entry, the density on all levels at
     once (the rate is positive by construction of the problem); the
     level loop then calls the unchecked formulas of the control, overlap,
-    barrier and running cost. At each time level the storage gradient of
-    the already-computed later level drives the closed-form control, whose
+    running cost and storage drift. At each time level the storage gradient
+    of the already-computed later level drives the closed-form control, whose
     scale is formed once for the level; the overlap term is resolved by a
     one-sweep fixed point (control from the lagged overlap, overlap from
     that control, control refreshed) and the level is then stepped with
@@ -381,13 +380,12 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     x_col = grid.x[:, None]
     bx = problem.reversion_rate * (problem.mu - x_col) * np.ones((1, nq))
     bx_forward = bx > 0
-    psi = storage_cost(grid.q, c.storage, c.gamma)[None, :]
     inverse = _diffusion_inverse(nx, grid.dx, grid.dt, problem.volatility)
     advect_x = _Upwind((nx, nq), 0, grid.dx)
     advect_q = _Upwind((nx, nq), 1, grid.dq)
     dqv = np.empty((nx, nq))
     dt, dq, cell_area = grid.dt, grid.dq, grid.cell_area
-    backhaul, size, discard = c.backhaul, c.content_size, c.discard_rate
+    backhaul, size = c.backhaul, c.content_size
     rate = problem.rate
     rate_x = rate * x_col
     cap = config.p_max(backhaul, size)
@@ -405,9 +403,8 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
         if level == 0:
             break
 
-        source = running_cost(backhaul_cost(p_lvl, backhaul, size), overlap,
-                              rate_x, psi)
-        bq = discard - size * p_lvl
+        source = running_cost(p_lvl, grid.q, rate_x, overlap, c)
+        bq = storage_drift(p_lvl, c)
         adv = (advect_x(v[level], bx, bx_forward)
                + advect_q(v[level], bq, bq > 0))
         rhs = v[level] + dt * (source + adv)
@@ -481,12 +478,8 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     p_rows = p.reshape(nt, -1)
 
     for block in _level_blocks(nt - 1, 2 * 8 * (nx * nq - 1)):
-        # Interface control is the mean of the adjacent nodes of each
-        # level's control surface.
-        bqf = p_rows[block, :-1] + p_rows[block, 1:]
-        np.divide(bqf, 2.0, out=bqf)
-        np.multiply(c.content_size, bqf, out=bqf)
-        np.subtract(c.discard_rate, bqf, out=bqf)
+        # The drift at each Q face, under the mean of its two nodes' controls.
+        bqf = storage_drift((p_rows[block, :-1] + p_rows[block, 1:]) / 2.0, c)
         bqf_pos = np.maximum(bqf, 0.0)
         bqf_neg = np.minimum(bqf, 0.0, out=bqf)
         for level, pos, neg in zip(range(block.start, block.stop),

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mfcache.costs import CostParams, backhaul_cost, running_cost, storage_cost
+from mfcache.costs import CostParams, running_cost
 from mfcache.demand import (
     FLOOR_EPS,
     ou_step_array,
@@ -200,6 +200,16 @@ def reference_solution_csv(solution) -> str:
     return "".join(parts)
 
 
+def flip_storage_charge(monkeypatch):
+    """Charge unused storage, ``gamma Q / C``, in place of occupied storage
+    (at ``gamma = 30`` the control is live), by one patch of
+    ``mfcache.costs``, which the solver, the simulator and the oracles read."""
+    import mfcache.costs
+
+    monkeypatch.setattr(mfcache.costs, "storage_cost",
+                        lambda q, storage, gamma: gamma * q / storage)
+
+
 class ConstantPolicy:
     """Caches a fixed fraction of every content at every step."""
 
@@ -215,10 +225,13 @@ def reference_replication(scenario, policies: dict, arms=(False,),
     """Reference :func:`mfcache.simulation.run_replication`, lane by lane.
 
     The same world, streams and step order, but every lane keeps its own
-    storage array, and the storage update, overlap, barrier, storage charge
-    and running cost are computed one lane at a time on 2-D hood arrays.
-    Returns ``{(name, imperfect): MetricsLog}`` in ``policies`` then
+    storage array, and the storage update, overlap and running cost are
+    written out here and computed one lane at a time on 2-D hood arrays; the
+    barrier and the storage charge are the package's, looked up at call
+    time. Returns ``{(name, imperfect): MetricsLog}`` in ``policies`` then
     ``arms`` order."""
+    from mfcache.costs import backhaul_cost, storage_cost
+
     seed = scenario.simulation.seed if seed is None else seed
     dem, geo, cst = scenario.demand, scenario.geometry, scenario.costs
 
@@ -268,8 +281,8 @@ def reference_replication(scenario, policies: dict, arms=(False,),
             overlap = ((p_hood.sum(axis=0) - p_hood)
                        / (cst.storage * cst.similar_count))
             phi = backhaul_cost(p_hood, cst.backhaul, cst.content_size)
-            psi = storage_cost(q_hood, cst.storage, cst.gamma)
-            cost = running_cost(phi, overlap, demand_hood, psi)
+            cost = (phi * (1.0 + overlap) / demand_hood
+                    + storage_cost(q_hood, cst.storage, cst.gamma))
             lane.log.cost[k] = cost.sum(axis=1).mean()
             lane.log.overlap[k] = overlap.mean()
             lane.log.storage_usage[k] = (cst.storage - q_hood).mean()
@@ -295,12 +308,10 @@ def reference_replication(scenario, policies: dict, arms=(False,),
 def instantaneous_cost(p, remaining, x, rate: float, overlap: float,
                        params: CostParams):
     """Running cost of one station/content state, or of arrays of states,
-    through the package's barrier, storage charge and running cost;
-    propagates the barrier sentinel instead of raising."""
-    phi = backhaul_cost(np.asarray(p, dtype=float), params.backhaul,
-                        params.content_size)
-    psi = storage_cost(remaining, params.storage, params.gamma)
-    out = running_cost(phi, overlap, rate * np.asarray(x, dtype=float), psi)
+    through the package's running cost; propagates the barrier sentinel
+    instead of raising."""
+    out = running_cost(np.asarray(p, dtype=float), remaining,
+                       rate * np.asarray(x, dtype=float), overlap, params)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -308,10 +319,8 @@ def control_bracket(p, x: float, rate: float, overlap: float, dq_v: float,
                     remaining: float, costs: CostParams):
     """Control-dependent part of the backward equation's minimand:
     running cost plus the storage-drift term ``(e - L p) v_Q``."""
-    phi = backhaul_cost(p, costs.backhaul, costs.content_size)
-    psi = storage_cost(remaining, costs.storage, costs.gamma)
     drift = (costs.discard_rate - costs.content_size * np.asarray(p, dtype=float)) * dq_v
-    return running_cost(phi, overlap, rate * x, psi) + drift
+    return running_cost(p, remaining, rate * x, overlap, costs) + drift
 
 
 def audited_optimal_control(x: float, rate: float, overlap: float, dq_v: float,

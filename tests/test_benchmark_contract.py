@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfcache import simulation, solver
+from mfcache import costs, simulation, solver
 from mfcache.experiments import (
     compare_experiment,
     grid_from_scenario,
@@ -159,20 +159,24 @@ def test_solve_holds_at_most_five_grid_fields():
 
 def test_one_sweep_calls_each_formula_by_its_traced_name(monkeypatch):
     # The tracer's solver.optimal_control_calls, costs.mf_overlap_calls and
-    # costs.backhaul_cost_calls count calls through the solver's bindings:
-    # per backward pass, the control twice and the overlap once per level,
-    # the barrier once per stepped level.
+    # costs.backhaul_cost_calls count calls through every binding: the
+    # control and the overlap through the solver's, the barrier and the
+    # storage charge through those of mfcache.costs, whose running_cost
+    # calls both. Per backward pass, the control twice and the overlap once
+    # per level, the barrier and the charge once per stepped level.
     scenario = ScenarioConfig(
         demand=DemandConfig(catalog_size=3),
         solver=SolverSettings(grid_nt=21, grid_nx=11, grid_nq=11))
     grid = grid_from_scenario(scenario)
     problem = problem_from_scenario(scenario, grid)
     counts = _count_calls(monkeypatch, solver,
-                          ("optimal_control", "mf_overlap", "backhaul_cost"))
+                          ("optimal_control", "mf_overlap"))
+    charges = _count_calls(monkeypatch, costs,
+                           ("backhaul_cost", "storage_cost"))
     solver.solve_mfe(problem, grid, SolverConfig(max_iterations=1))
     nt = grid.shape[0]
-    assert counts == {"optimal_control": 2 * nt, "mf_overlap": nt,
-                      "backhaul_cost": nt - 1}
+    assert counts == {"optimal_control": 2 * nt, "mf_overlap": nt}
+    assert charges == {"backhaul_cost": nt - 1, "storage_cost": nt - 1}
 
 
 @pytest.mark.parametrize("horizon", [3.0, 2.5])
@@ -180,13 +184,16 @@ def test_metrics_pass_charges_the_barrier_once_per_period(monkeypatch,
                                                           horizon):
     # costs.backhaul_cost_calls on compare-sim and ipi-demand counts the
     # metrics pass's one barrier charge over all lanes and a block of steps
-    # (the last period may be partial), through the simulator's bindings;
-    # these periods fit in one block, and no pass holds more than a period.
+    # (the last period may be partial): the simulator's running_cost and
+    # overlap, and the barrier and charge of mfcache.costs that the running
+    # cost calls. These periods fit in one block, and no pass holds more
+    # than a period.
     scenario = _tiny_scenario(horizon)
     steps_per_period = scenario.solver.grid_nt - 1
     counts = _count_calls(monkeypatch, simulation,
-                          ("backhaul_cost", "storage_cost", "running_cost",
-                           "empirical_overlap"))
+                          ("running_cost", "empirical_overlap"))
+    charges = _count_calls(monkeypatch, costs,
+                           ("backhaul_cost", "storage_cost"))
     passes = []
     metrics = simulation.hood_metrics
 
@@ -201,6 +208,7 @@ def test_metrics_pass_charges_the_barrier_once_per_period(monkeypatch,
     n_steps = round(horizon * steps_per_period)
     assert all(log.cost.size == n_steps for log in logs.values())
     assert counts == dict.fromkeys(counts, 3)
+    assert charges == dict.fromkeys(charges, 3)
     assert len(passes) == 3
     assert all(rows <= steps_per_period for rows in passes)
     assert sum(passes) == n_steps
@@ -216,7 +224,7 @@ def test_a_period_over_the_block_budget_is_passed_in_blocks(monkeypatch):
         solver=SolverSettings(grid_nt=51, grid_nx=11, grid_nq=11),
         simulation=SimulationSettings(horizon=2.5))
     steps_per_period = scenario.solver.grid_nt - 1
-    counts = _count_calls(monkeypatch, simulation, ("backhaul_cost",))
+    counts = _count_calls(monkeypatch, costs, ("backhaul_cost",))
     passes = []
     metrics = simulation.hood_metrics
 

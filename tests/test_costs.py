@@ -12,6 +12,7 @@ from mfcache.costs import (
     lra_cost,
     mf_overlap,
     storage_cost,
+    storage_drift,
 )
 
 
@@ -146,6 +147,14 @@ class TestInstantaneousCost:
         assert instantaneous_cost(0.5, 0.8, 0.5, 1.0, 0.2, params) > base
         assert instantaneous_cost(0.5, 0.8, 0.5, 1.5, 0.1, params) < base
         assert instantaneous_cost(0.5, 0.8, 0.7, 1.0, 0.1, params) < base
+
+
+class TestStorageDrift:
+    def test_discard_against_caching(self):
+        params = CostParams(discard_rate=0.1, content_size=2.0)
+        assert storage_drift(0.0, params) == 0.1
+        assert storage_drift(np.array([0.05, 0.3]), params) == pytest.approx(
+            [0.0, -0.5])
 
 
 class TestLraCost:

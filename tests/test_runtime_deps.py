@@ -68,3 +68,18 @@ def test_star_import_resolves_every_exported_name(module):
     exec(f"from {module} import *", namespace)
     exported = getattr(importlib.import_module(module), "__all__", ())
     assert set(exported) <= namespace.keys()
+
+
+def test_only_costs_binds_the_per_state_model():
+    # The solver and the simulator reach the barrier and the storage charge
+    # through costs.running_cost, and the drift e - L p through
+    # costs.storage_drift, so one patch of mfcache.costs reaches both.
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py") or name == "costs.py":
+            continue
+        module = importlib.import_module(
+            "mfcache" if name == "__init__.py" else f"mfcache.{name[:-3]}")
+        bound = {"backhaul_cost", "storage_cost"} & vars(module).keys()
+        assert not bound, (name, bound)
+        with open(module.__file__, encoding="utf-8") as fh:
+            assert "discard_rate" not in fh.read(), name

@@ -25,6 +25,7 @@ from mfcache.solver import MfeSolution
 
 from support import (
     ConstantPolicy,
+    flip_storage_charge,
     instantaneous_cost,
     reference_mf_interpolation,
     reference_replication,
@@ -474,6 +475,27 @@ class TestRunScenario:
                            BaselinePolicy(), seed=3)
         assert log.q_final.ndim == 2 and log.q_final.shape[1] == 5
         assert (log.q_final >= 0.0).all() and (log.q_final <= 1.0).all()
+
+    def test_one_patch_of_the_storage_charge_reaches_solver_and_simulator(
+            self, monkeypatch):
+        # The model is bound in mfcache.costs alone, so a variant patched
+        # there runs the solver and the simulator under the same charge.
+        sc = ScenarioConfig(
+            demand=DemandConfig(catalog_size=4),
+            solver=SolverSettings(grid_nt=21, grid_nx=11, grid_nq=11),
+            simulation=SimulationSettings(horizon=1.0))
+        solution = solve_scenario(sc)
+        log = run_scenario(sc, BaselinePolicy(), seed=3)
+        flip_storage_charge(monkeypatch)
+        flipped_solution = solve_scenario(sc)
+        flipped = run_scenario(sc, BaselinePolicy(), seed=3)
+        (reference,) = reference_replication(
+            sc, {"baseline": BaselinePolicy()}, seed=3).values()
+        assert not np.array_equal(flipped_solution.v, solution.v)
+        assert np.array_equal(flipped.storage_usage, log.storage_usage)
+        assert flipped.lra != log.lra
+        assert np.array_equal(flipped.cost, reference.cost)
+        assert flipped.lra == reference.lra
 
 
 class TestIpiExperiment:

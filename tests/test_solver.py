@@ -6,12 +6,12 @@ import pytest
 from support import (
     audited_optimal_control,
     control_bracket,
+    flip_storage_charge,
     reference_diffusion_band,
     reference_fpk_forward,
     reference_solve_mfe,
 )
 
-import mfcache.costs
 import mfcache.solver
 from mfcache.costs import CostParams
 from mfcache.errors import ConfigurationError, SolverError
@@ -440,8 +440,7 @@ class TestSolveMfe:
         grid = Grid.make(61, 31, 31, 1.0, 1.0)
         costs = None
         if live:
-            monkeypatch.setattr(mfcache.solver, "storage_cost",
-                                lambda q, storage, gamma: gamma * q / storage)
+            flip_storage_charge(monkeypatch)
             costs = CostParams(gamma=30.0)
         problem = make_problem(grid, costs=costs)
         config = SolverConfig()
@@ -606,16 +605,6 @@ REFERENCE_CASES = [
     (Grid.make(61, 31, 31, 1.0, 1.0), CostParams(gamma=30.0), True),
 ]
 REFERENCE_IDS = ["default-grid", "backhaul-2-gamma-0.1", "live-control-gamma-30"]
-
-
-def flip_storage_charge(monkeypatch):
-    """The charge on unused storage of the live fixed-point test, in the
-    solver's binding and in the one the reference imports."""
-    def flipped(q, storage, gamma):
-        return gamma * q / storage
-
-    monkeypatch.setattr(mfcache.solver, "storage_cost", flipped)
-    monkeypatch.setattr(mfcache.costs, "storage_cost", flipped)
 
 
 class TestReferenceLevelStep:

@@ -135,24 +135,26 @@ MASS_TOL = 1e-6
 
 def check_density(m: np.ndarray, cell_area: float, *, floor: float = 0.0,
                   error: type[Exception] = ConfigurationError,
-                  name: str = "density") -> None:
+                  name: str = "density", first_level: int = 0) -> None:
     """Raise ``error`` unless ``m`` is a density: no entry is NaN or below
     ``floor``, and the mass under the cell rule is within ``MASS_TOL`` of 1.
 
     ``m`` is one ``(x, Q)`` slice or a stack of time levels on the leading
-    axis; a stack is checked on all levels at once and the message, which
-    starts with ``name``, names the first failing level. Inputs keep the
-    floor 0; solver outputs pass a floor just below 0 for round-off.
+    axis, the first of which is t index ``first_level``; a stack is checked
+    on all levels at once and the message, which starts with ``name``,
+    names the first failing level. Inputs keep the floor 0; solver outputs
+    pass a floor just below 0 for round-off.
     """
     stack = m.ndim == 3
     levels = m.reshape(m.shape[0] if stack else 1, -1)
-    signed = (levels >= floor).all(axis=1)
     mass = levels.sum(axis=1) * cell_area
-    ok = signed & (np.abs(mass - 1.0) <= MASS_TOL)
-    if ok.all():
+    # A NaN fails both comparisons.
+    if levels.min() >= floor and np.abs(mass - 1.0).max() <= MASS_TOL:
         return
+    signed = (levels >= floor).all(axis=1)
+    ok = signed & (np.abs(mass - 1.0) <= MASS_TOL)
     level = int(np.argmin(ok))
-    where = f" at t index {level}" if stack else ""
+    where = f" at t index {first_level + level}" if stack else ""
     if np.isnan(levels[level]).any():
         raise error(f"{name} has a NaN entry{where}")
     if not signed[level]:

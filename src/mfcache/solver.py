@@ -347,36 +347,46 @@ def _check_step_size(problem: MfgProblem, grid: Grid,
     grid.check_cfl(max_bx, max_bq, problem.volatility)
 
 
-def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
-                 config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the value function backward from the terminal condition and
-    record the minimizing control at every node.
+def _check_fields(grid: Grid, **fields: np.ndarray) -> None:
+    """Reject a field, named by its keyword, not of the grid's shape."""
+    for name, field in fields.items():
+        if field.shape != grid.shape:
+            raise ConfigurationError(f"{name} shape does not match the grid")
 
-    The inputs are validated once on entry, the density on all levels at
-    once (the rate is positive by construction of the problem); the
-    level loop then calls the unchecked formulas of the control, overlap,
-    running cost and storage drift. At each time level the storage gradient
-    of the already-computed later level drives the closed-form control, whose
-    scale is formed once for the level; the overlap term is resolved by a
-    one-sweep fixed point (control from the lagged overlap, overlap from
-    that control, control refreshed) and the level is then stepped with
-    explicit upwind drifts, an implicit diffusion solve in the popularity
-    direction, and the running cost as source.
+
+def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
+                 config: SolverConfig, v: np.ndarray, p: np.ndarray) -> float:
+    """Fill the value function backward from the terminal condition over
+    the previous iterate ``v``, record the minimizing control in ``p`` at
+    every node, and return the value residual ``max |v_new - v_old|``.
+
+    ``v`` holds the previous iterate on entry (zeros before the first
+    sweep) and the new value on return; ``p``'s entries are not read. The
+    residual is taken a block of time levels at a time, against a copy of
+    the block's old values of at most ``_BLOCK_BYTES``, so the pass holds no
+    second value field. The inputs are validated once on entry, the density
+    on all levels at once (the rate is positive by construction of the
+    problem); the level loop then calls the unchecked formulas of the
+    control, overlap, running cost and storage drift. At each time level the
+    storage gradient of the already-computed later level drives the
+    closed-form control, whose scale is formed once for the level; the
+    overlap term is resolved by a one-sweep fixed point (control from the
+    lagged overlap, overlap from that control, control refreshed) and the
+    level below is then stepped with explicit upwind drifts, an implicit
+    diffusion solve in the popularity direction, and the running cost as
+    source. A level that comes out non-finite is a :class:`SolverError`
+    naming it.
     """
     c = problem.costs
     nt, nx, nq = grid.shape
     m = np.asarray(m_values, dtype=float)
-    if m.shape != grid.shape:
-        raise ConfigurationError("density shape does not match the grid")
+    _check_fields(grid, density=m, value=v, control=p)
     check_density(m, grid.cell_area)
     if np.any(grid.x < FLOOR_EPS):
         raise ConfigurationError("grid.x must be >= the observation floor "
                                  f"{FLOOR_EPS!r}")
     _check_step_size(problem, grid, config)
 
-    v = np.empty(grid.shape)
-    p = np.empty(grid.shape)
-    v[-1] = config.terminal_value
     x_col = grid.x[:, None]
     bx = problem.reversion_rate * (problem.mu - x_col) * np.ones((1, nq))
     bx_forward = bx > 0
@@ -389,39 +399,59 @@ def hjb_backward(m_values: np.ndarray, problem: MfgProblem, grid: Grid,
     rate = problem.rate
     rate_x = rate * x_col
     cap = config.p_max(backhaul, size)
-    overlap_lag = 0.0
 
-    for level in range(nt - 1, -1, -1):
+    def control(level: int, overlap_lag: float) -> float:
+        """Write the control of ``level`` from ``v[level]``; return its
+        overlap."""
         _dq_centered(v[level], dq, dqv)
         active, scale = control_scale(rate_x, dqv, config)
         p_lvl = optimal_control(active, scale, overlap_lag, backhaul, size, cap)
         overlap = mf_overlap(m[level], p_lvl, cell_area, c.storage,
                              c.similar_count, problem.neighbor_count)
-        p_lvl = optimal_control(active, scale, overlap, backhaul, size, cap)
-        p[level] = p_lvl
-        overlap_lag = overlap
-        if level == 0:
-            break
+        p[level] = optimal_control(active, scale, overlap, backhaul, size, cap)
+        return overlap
 
+    def step_down(level: int, overlap: float) -> None:
+        """Write ``v[level]`` from ``v[level + 1]`` and its control; the
+        level's temporaries are freed on return, not held next to the
+        block's copy."""
+        p_lvl = p[level + 1]
         source = running_cost(p_lvl, grid.q, rate_x, overlap, c)
         bq = storage_drift(p_lvl, c)
-        adv = (advect_x(v[level], bx, bx_forward)
-               + advect_q(v[level], bq, bq > 0))
-        rhs = v[level] + dt * (source + adv)
-        # A non-finite right-hand side is caught by the check below.
-        v[level - 1] = solve_banded(inverse, rhs)
-        if not np.isfinite(v[level - 1]).all():
-            raise SolverError(
-                f"backward pass produced non-finite values at t index {level - 1} "
-                f"(rate={rate:.3e}, overlap={overlap:.3e})"
-            )
-    return v, p
+        adv = (advect_x(v[level + 1], bx, bx_forward)
+               + advect_q(v[level + 1], bq, bq > 0))
+        rhs = v[level + 1] + dt * (source + adv)
+        # A non-finite right-hand side is caught by the caller's check.
+        v[level] = solve_banded(inverse, rhs)
+
+    blocks = _level_blocks(nt, 8 * nx * nq)
+    saved = np.empty((blocks[0].stop, nx, nq))
+    sups = []
+    overlap = 0.0
+    for block in reversed(blocks):
+        old = saved[:block.stop - block.start]
+        np.copyto(old, v[block])
+        for level in range(block.stop - 1, block.start - 1, -1):
+            if level == nt - 1:
+                v[level] = config.terminal_value
+                continue
+            overlap = control(level + 1, overlap)
+            step_down(level, overlap)
+            if not np.isfinite(v[level]).all():
+                raise SolverError(
+                    f"backward pass produced non-finite values at t index {level} "
+                    f"(rate={rate:.3e}, overlap={overlap:.3e})"
+                )
+        sups.append(_sup_distance(v[block], old, old))
+    control(0, overlap)
+    return float(np.max(sups))
 
 
-# Element-wise work over many time levels (the forward pass's storage
-# drifts, the sweep's residual and relaxation) runs on blocks of time levels
-# of at most this many bytes (or one level), so its temporaries stay small
-# next to a grid field and its Python cost stays small next to the passes'.
+# Element-wise work over many time levels (the value residual, the forward
+# pass's storage drifts, density checks and relaxation) runs on blocks of
+# time levels of at most this many bytes (or one level), so its buffers stay
+# small next to a grid field and its Python cost stays small next to the
+# passes'.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -434,26 +464,36 @@ def _level_blocks(levels: int, level_bytes: int) -> list[slice]:
 
 
 def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
-                grid: Grid, config: SolverConfig) -> np.ndarray:
-    """Transport the population density forward under the given control.
+                grid: Grid, config: SolverConfig, m: np.ndarray, step: float,
+                out: np.ndarray) -> float:
+    """Transport the initial density ``m0`` forward under the given control,
+    relax the running density ``m`` toward the transported one, and return
+    the density residual ``max |relaxed - m|``.
 
-    Conservative finite-volume update: upwind advective fluxes and centered
-    diffusive fluxes across cell interfaces, zero flux through every
-    boundary. Interior fluxes cancel in the total, so mass is conserved to
-    round-off; under the step-size condition all update coefficients are
-    nonnegative, so no negative densities appear. The storage drifts at the
-    interfaces depend on the control only and are formed a block of levels
-    at a time. Mass and sign are checked on all levels at once after the
-    pass; the error names the first failing level.
+    The relaxed density ``step * m_new + (1 - step) * m``, operands in that
+    order, is written into ``out``, which may be ``m`` itself; ``step`` lies
+    in ``(0, 1]``. Conservative finite-volume update: upwind advective
+    fluxes and centered diffusive fluxes across cell interfaces, zero flux
+    through every boundary. Interior fluxes cancel in the total, so mass is
+    conserved to round-off; under the step-size condition all update
+    coefficients are nonnegative, so no negative densities appear.
+
+    The transported density is held in a rolling buffer of one block of
+    time levels plus one. Each block's storage drifts at the Q interfaces
+    are formed at once, its levels are transported, checked for mass and
+    sign (the error names the first failing level, and nothing from that
+    block on is relaxed), and relaxed into ``out``; the last level carries
+    over to the next block.
     """
     c = problem.costs
     nt, nx, nq = grid.shape
     p = np.asarray(p_values, dtype=float)
-    if p.shape != grid.shape:
-        raise ConfigurationError("control shape does not match the grid")
+    _check_fields(grid, control=p, density=m, output=out)
     start = np.asarray(m0, dtype=float)
     if start.shape != (nx, nq):
         raise ConfigurationError("initial density shape does not match the grid")
+    if not 0.0 < step <= 1.0:
+        raise ConfigurationError("the density step must lie in (0, 1]")
     check_density(start, grid.cell_area, name="initial density")
     _check_step_size(problem, grid, config)
 
@@ -465,54 +505,80 @@ def fpk_forward(p_values: np.ndarray, m0: np.ndarray, problem: MfgProblem,
     bxf = problem.reversion_rate * (problem.mu - x_faces)[:, None]
     bxf_pos = np.maximum(bxf, 0.0)
     bxf_neg = np.minimum(bxf, 0.0)
-
-    m = np.empty(grid.shape)
-    m[0] = start
     # The Q fluxes are formed on flattened levels, where neighbouring nodes
     # are contiguous; the flat interfaces that join the end of one x row to
     # the start of the next carry no flux. They are set to +0.0 for the
     # outflow update and to -0.0 for the inflow update, the two values that
     # leave every density, signed zeros included, unchanged.
     row_joins = slice(nq - 1, None, nq)
-    # A block's positive and negative Q-face drifts fit in _BLOCK_BYTES.
-    p_rows = p.reshape(nt, -1)
 
-    for block in _level_blocks(nt - 1, 2 * 8 * (nx * nq - 1)):
+    def transport(cur, nxt, pos, neg):
+        """Write into ``nxt`` the level after ``cur``, under the positive and
+        negative parts of the flattened level's Q-face drifts; the level's
+        temporaries are freed on return, before the next block's drifts."""
+        # Advective flux through x interfaces (upwind).
+        flux_x = bxf_pos * cur[:-1, :] + bxf_neg * cur[1:, :]
+        if diff > 0.0:
+            flux_x = flux_x - diff * (cur[1:, :] - cur[:-1, :]) / dx
+        # Advective flux through q interfaces (upwind).
+        cur_flat = cur.reshape(-1)
+        flux_q = pos * cur_flat[:-1] + neg * cur_flat[1:]
+
+        nxt[...] = cur
+        out_x = dt_dx * flux_x
+        nxt[:-1, :] -= out_x
+        nxt[1:, :] += out_x
+        nxt_flat = nxt.reshape(-1)
+        out_q = dt_dq * flux_q
+        out_q[row_joins] = 0.0
+        nxt_flat[:-1] -= out_q
+        out_q[row_joins] = -0.0
+        nxt_flat[1:] += out_q
+
+    # A block's positive and negative Q-face drifts fit in _BLOCK_BYTES, and
+    # so do its transported levels and the relaxation's scratch together.
+    blocks = _level_blocks(nt, 2 * 8 * (nx * nq - 1))
+    width = blocks[0].stop
+    levels = np.empty((width + 1, nx, nq))
+    scratch = np.empty((width, nx, nq))
+    levels[0] = start
+    # The Q-face drifts of a block are formed on its flattened controls, as
+    # one contiguous run: level k's faces are entries [k n, (k + 1) n - 1),
+    # and the entry between two levels is not read.
+    n = nx * nq
+    p_flat = p.reshape(-1)
+    sups = []
+    for block in blocks:
+        stepped = range(block.start, min(block.stop, nt - 1))
         # The drift at each Q face, under the mean of its two nodes' controls.
-        bqf = storage_drift((p_rows[block, :-1] + p_rows[block, 1:]) / 2.0, c)
+        run = p_flat[stepped.start * n:stepped.stop * n]
+        bqf = storage_drift((run[:-1] + run[1:]) / 2.0, c)
         bqf_pos = np.maximum(bqf, 0.0)
         bqf_neg = np.minimum(bqf, 0.0, out=bqf)
-        for level, pos, neg in zip(range(block.start, block.stop),
-                                   bqf_pos, bqf_neg):
-            cur = m[level]
-            # Advective flux through x interfaces (upwind).
-            flux_x = bxf_pos * cur[:-1, :] + bxf_neg * cur[1:, :]
-            if diff > 0.0:
-                flux_x = flux_x - diff * (cur[1:, :] - cur[:-1, :]) / dx
-            # Advective flux through q interfaces (upwind).
-            cur_flat = cur.reshape(-1)
-            flux_q = pos * cur_flat[:-1] + neg * cur_flat[1:]
+        for k in range(len(stepped)):
+            faces = slice(k * n, (k + 1) * n - 1)
+            transport(levels[k], levels[k + 1], bqf_pos[faces], bqf_neg[faces])
+        del bqf, bqf_pos, bqf_neg   # freed before the next block's drifts
 
-            nxt = m[level + 1]
-            nxt[...] = cur
-            out_x = dt_dx * flux_x
-            nxt[:-1, :] -= out_x
-            nxt[1:, :] += out_x
-            nxt_flat = nxt.reshape(-1)
-            out_q = dt_dq * flux_q
-            out_q[row_joins] = 0.0
-            nxt_flat[:-1] -= out_q
-            out_q[row_joins] = -0.0
-            nxt_flat[1:] += out_q
-
-    check_density(m, grid.cell_area, floor=ROUND_OFF_FLOOR, error=SolverError,
-                  name="forward-pass density")
-    return m
+        count = block.stop - block.start
+        new, tmp = levels[:count], scratch[:count]
+        check_density(new, grid.cell_area, floor=ROUND_OFF_FLOOR,
+                      error=SolverError, name="forward-pass density",
+                      first_level=block.start)
+        new *= step
+        new += np.multiply(m[block], 1.0 - step, out=tmp)
+        # The block's distance is taken before ``out`` (maybe ``m``) is written.
+        sups.append(_sup_distance(new, m[block], tmp))
+        out[block] = new
+        if block.stop < nt:
+            levels[0] = levels[count]
+    return float(np.max(sups))
 
 
-def _sup_distance(a: np.ndarray, b: np.ndarray):
-    """``max |a - b|`` through one temporary of ``a``'s size; NaN propagates."""
-    diff = np.subtract(a, b)
+def _sup_distance(a: np.ndarray, b: np.ndarray, scratch: np.ndarray):
+    """``max |a - b|``, formed in ``scratch`` (of their shape, which may be
+    ``b`` itself); NaN propagates."""
+    diff = np.subtract(a, b, out=scratch)
     return np.abs(diff, out=diff).max()
 
 
@@ -521,50 +587,41 @@ def solve_mfe(problem: MfgProblem, grid: Grid, config: SolverConfig) -> MfeSolut
     off only when they misbehave.
 
     The density is initialized by holding the initial distribution constant
-    in time; each sweep solves the backward equation against the current
-    density, transports the density forward under the resulting control, and
-    moves the density a fraction ``step`` of the way to the transported one,
-    ``step * m_new + (1 - step) * m_prev`` with the operands in that order.
-    The step starts at 1 (a full fixed-point step) and is multiplied by
-    ``config.damping`` after every sweep whose residual exceeds the one
-    before. The iteration stops when both the value and the density move
-    less than the tolerance in sup norm (a NaN residual never passes); on
-    exhaustion the last iterate is returned flagged unconverged.
+    in time and the value by 0; each sweep solves the backward equation
+    against the current density, transports the density forward under the
+    resulting control, and moves the density a fraction ``step`` of the way
+    to the transported one, ``step * m_new + (1 - step) * m_prev`` with the
+    operands in that order. The step starts at 1 (a full fixed-point step)
+    and is multiplied by ``config.damping`` after every sweep whose residual
+    exceeds the one before. The iteration stops when both the value and the
+    density move less than the tolerance in sup norm (a NaN residual never
+    passes); on exhaustion the last iterate is returned flagged unconverged.
 
-    At most four grid fields are live at once: the backward pass's value and
-    control, the running density and the forward pass's density. The value
-    residual is taken as soon as the backward pass returns, so the previous
-    value and control are released before the forward pass; the relaxation
-    overwrites the running density a block of time levels at a time. The
-    first sweep starts from a read-only broadcast of ``problem.m0``, which is
-    never written. The solution owns the last sweep's value and control and
-    the running density; the array the forward pass returned is not written.
+    A sweep keeps three grid fields, the value, the control and the running
+    density, each overwritten in place: the backward pass writes the value
+    over the previous iterate and the forward pass relaxes the running
+    density a block of time levels at a time, each pass taking its residual
+    as it goes. The first sweep starts from a read-only broadcast of
+    ``problem.m0``, which is never written, so its relaxed density goes to a
+    new array. The solution owns the three fields.
     """
-    nt, nx, nq = grid.shape
-    blocks = _level_blocks(nt, 8 * nx * nq)
+    # Filled, not calloc'd: the backward pass reads each old level before
+    # writing it, and a zero page read first would fault twice.
+    v = np.empty(grid.shape)
+    v.fill(0.0)
+    p = np.empty(grid.shape)
     m = np.broadcast_to(problem.m0, grid.shape)
-    v = np.broadcast_to(0.0, grid.shape)   # the first value residual is max |v|
     residuals: list[float] = []
     converged = False
     step = 1.0
 
     for iteration in range(1, config.max_iterations + 1):
-        # The previous control is not read again; release it before the pass.
-        v_prev, p = v, None
-        v, p = hjb_backward(m, problem, grid, config)
-        sups = [_sup_distance(v[s], v_prev[s]) for s in blocks]
-        del v_prev
-        m_new = fpk_forward(p, problem.m0, problem, grid, config)
+        value_residual = hjb_backward(m, problem, grid, config, v, p)
         relaxed = np.empty(grid.shape) if iteration == 1 else m
-        for s in blocks:
-            # A block's distance is taken before the block is overwritten.
-            new = step * m_new[s]
-            new += (1.0 - step) * m[s]
-            sups.append(_sup_distance(new, m[s]))
-            relaxed[s] = new
+        density_residual = fpk_forward(p, problem.m0, problem, grid, config,
+                                       m, step, relaxed)
         m = relaxed
-        del m_new
-        residual = float(np.max(sups))
+        residual = float(np.maximum(value_residual, density_residual))
         log.debug("sweep %d: residual %.3e at step %.3g", iteration, residual, step)
         if residuals and residual > residuals[-1]:
             step *= config.damping

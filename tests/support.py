@@ -27,7 +27,13 @@ from mfcache.geometry import (
 )
 from mfcache.policies import PolicyContext
 from mfcache.simulation import MetricsLog, build_world
-from mfcache.solver import SolverConfig, control_scale, optimal_control
+from mfcache.solver import (
+    SolverConfig,
+    control_scale,
+    fpk_forward,
+    hjb_backward,
+    optimal_control,
+)
 
 log = logging.getLogger(__name__)
 
@@ -541,3 +547,20 @@ def reference_solve_mfe(problem, grid, config):
         if residual < config.tolerance:
             break
     return v, m, p, residuals
+
+
+def run_backward(m, problem, grid, config):
+    """The backward pass from a zero previous value: ``(v, p)``."""
+    v, p = np.zeros(grid.shape), np.empty(grid.shape)
+    hjb_backward(m, problem, grid, config, v, p)
+    return v, p
+
+
+def run_forward(p, m0, problem, grid, config):
+    """The forward pass at a full step from the broadcast of ``m0``: the
+    transported density as the first sweep relaxes it, ``1.0 * m_new + 0.0 *
+    m0``, which turns a ``-0.0`` of ``m_new`` into ``+0.0``."""
+    out = np.empty(grid.shape)
+    fpk_forward(p, m0, problem, grid, config, np.broadcast_to(m0, grid.shape),
+                1.0, out)
+    return out

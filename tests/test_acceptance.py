@@ -26,7 +26,6 @@ from mfcache.solver import (
     Grid,
     MfgProblem,
     SolverConfig,
-    fpk_forward,
     gaussian_initial_density,
     solve_mfe,
 )
@@ -35,6 +34,7 @@ from support import (
     audited_optimal_control,
     control_bracket,
     expected_distinct_contents,
+    run_forward,
     wasserstein1_grid,
 )
 
@@ -65,7 +65,7 @@ def test_criterion_01_fpk_mass_conservation():
             neighbor_count=1,
         )
         control = np.full(grid.shape, rng.uniform(0.0, 0.8))
-        m = fpk_forward(control, problem.m0, problem, grid, SolverConfig())
+        m = run_forward(control, problem.m0, problem, grid, SolverConfig())
         mass = m.reshape(grid.t.size, -1).sum(axis=1) * grid.cell_area
         worst = max(worst, float(np.abs(mass - 1.0).max()))
     report("criterion 1 (mass conservation)", worst < 1e-6,

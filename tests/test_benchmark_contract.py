@@ -138,12 +138,8 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
-def test_solve_holds_at_most_five_grid_fields():
-    # peak_rss_mb on solve-export reads the solver's working set: the fixed
-    # point keeps at most four (t, x, Q) fields live, plus temporaries of a
-    # block of time levels, and the solution keeps its three fields.
-    scenario = parse_scenario(workloads.render_ini(
-        workloads.scenario_values("solve-export", 1)))
+def _solve_working_set(scenario):
+    """Traced peak and retained bytes of one solve, in grid fields."""
     field = 8 * int(np.prod(grid_from_scenario(scenario).shape))
     solve_scenario(scenario)   # first-call allocations are not the solve's
     tracemalloc.start()
@@ -152,9 +148,59 @@ def test_solve_holds_at_most_five_grid_fields():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return solution, peak / field, retained / field
+
+
+def test_solve_holds_at_most_five_grid_fields():
+    # peak_rss_mb on solve-export reads the solver's working set: a sweep
+    # keeps three (t, x, Q) fields, the value, the control and the running
+    # density, plus buffers of a block of time levels, and the solution
+    # keeps the three fields.
+    scenario = parse_scenario(workloads.render_ini(
+        workloads.scenario_values("solve-export", 1)))
+    solution, peak, retained = _solve_working_set(scenario)
     assert solution.iterations == 2
-    assert peak <= 5 * field
-    assert retained == pytest.approx(3 * field, rel=0.01)
+    assert peak <= 3.5
+    assert retained == pytest.approx(3, rel=0.01)
+
+
+def test_solve_at_paper_scale_holds_three_grid_fields():
+    # On the default 201x41x41 grid a block of time levels is a small part
+    # of a field, so the peak stays within a quarter field of the three.
+    solution, peak, retained = _solve_working_set(ScenarioConfig())
+    assert solution.grid.shape == (201, 41, 41)
+    assert peak <= 3.25
+    assert retained == pytest.approx(3, rel=0.01)
+
+
+def test_passes_take_the_grid_where_the_tracer_reads_it(monkeypatch):
+    # perfbench/tracer.py counts solver.hjb_levels and solver.fpk_levels
+    # from the grid each pass is called with: args[2] of hjb_backward and
+    # args[3] of fpk_forward, else the keyword. A signature that moves the
+    # grid fails here, not as a silently wrong solver.hjb_level_us.
+    scenario = ScenarioConfig(
+        demand=DemandConfig(catalog_size=3),
+        solver=SolverSettings(grid_nt=21, grid_nx=11, grid_nq=11))
+    grid = grid_from_scenario(scenario)
+    problem = problem_from_scenario(scenario, grid)
+    levels = {"hjb": 0, "fpk": 0}
+
+    def counting(key, fn, index, per_call):
+        def wrapper(*args, **kwargs):
+            read = args[index] if len(args) > index else kwargs["grid"]
+            assert read is grid
+            levels[key] += per_call(read)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "hjb_backward", counting(
+        "hjb", solver.hjb_backward, 2, lambda g: g.shape[0]))
+    monkeypatch.setattr(solver, "fpk_forward", counting(
+        "fpk", solver.fpk_forward, 3, lambda g: g.shape[0] - 1))
+    sweeps = solver.solve_mfe(problem, grid, SolverConfig()).iterations
+    nt = grid.shape[0]
+    assert sweeps == 2
+    assert levels == {"hjb": sweeps * nt, "fpk": sweeps * (nt - 1)}
 
 
 def test_one_sweep_calls_each_formula_by_its_traced_name(monkeypatch):

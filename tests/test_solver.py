@@ -10,6 +10,8 @@ from support import (
     reference_diffusion_band,
     reference_fpk_forward,
     reference_solve_mfe,
+    run_backward,
+    run_forward,
 )
 
 import mfcache.solver
@@ -158,7 +160,7 @@ class TestHjbBackward:
         problem = make_problem(grid, r=0.0, eta=0.0,
                                costs=CostParams(discard_rate=0.0))
         m = np.repeat(problem.m0[None], grid.t.size, axis=0)
-        v, p = hjb_backward(m, problem, grid, SolverConfig())
+        v, p = run_backward(m, problem, grid, SolverConfig())
         assert np.abs(v[:, :, -1]).max() == 0.0
         assert p.max() == 0.0
 
@@ -168,7 +170,7 @@ class TestHjbBackward:
         problem = make_problem(grid, r=0.0, eta=0.0,
                                costs=CostParams(gamma=gamma, discard_rate=0.0))
         m = np.repeat(problem.m0[None], grid.t.size, axis=0)
-        v, _ = hjb_backward(m, problem, grid, SolverConfig())
+        v, _ = run_backward(m, problem, grid, SolverConfig())
         expected = (gamma * (1.0 - grid.q)[None, None, :]
                     * (1.0 - grid.t)[:, None, None])
         assert np.abs(v - expected).max() < 1e-12
@@ -177,7 +179,7 @@ class TestHjbBackward:
         grid = DEFAULT_GRID
         problem = make_problem(grid)
         m = np.repeat(problem.m0[None], grid.t.size, axis=0)
-        v, p = hjb_backward(m, problem, grid, SolverConfig())
+        v, p = run_backward(m, problem, grid, SolverConfig())
         assert np.isfinite(v).all()
         assert v.min() >= -1e-12
 
@@ -186,7 +188,7 @@ class TestHjbBackward:
             grid = Grid.make(nt, nx, 41, 1.0, 1.0)
             problem = make_problem(grid)
             m = np.repeat(problem.m0[None], grid.t.size, axis=0)
-            v, _ = hjb_backward(m, problem, grid, SolverConfig())
+            v, _ = run_backward(m, problem, grid, SolverConfig())
             return v
 
         coarse = value_field(201, 41)
@@ -195,12 +197,34 @@ class TestHjbBackward:
                / np.abs(coarse).max())
         assert rel < 0.01
 
+    def test_value_overwrites_any_previous_iterate(self, monkeypatch):
+        # The pass writes the value over the previous iterate and returns
+        # max |v_new - v_old|; the old value and control do not enter the
+        # new fields. A charge on unused storage makes the control active.
+        flip_storage_charge(monkeypatch)
+        grid = Grid.make(41, 21, 21, 1.0, 1.0)
+        problem = make_problem(grid, costs=CostParams(gamma=30.0))
+        m = np.repeat(problem.m0[None], grid.t.size, axis=0)
+        expected_v, expected_p = run_backward(m, problem, grid, SolverConfig())
+        assert expected_p.max() > 0.0
+        rng = np.random.default_rng(3)
+        # The largest change at the first, a middle and the terminal level:
+        # each block's residual counts.
+        for level in (0, grid.t.size // 2, grid.t.size - 1):
+            old = rng.normal(size=grid.shape)
+            old[level] += 1e3
+            v, p = old.copy(), rng.normal(size=grid.shape)
+            residual = hjb_backward(m, problem, grid, SolverConfig(), v, p)
+            assert_bitwise_equal(v, expected_v)
+            assert_bitwise_equal(p, expected_p)
+            assert residual == np.abs(expected_v - old).max()
+
     def test_cfl_violation_raises(self):
         grid = Grid.make(5, 41, 41, 1.0, 1.0)
         problem = make_problem(grid, r=2.0)
         m = np.repeat(problem.m0[None], grid.t.size, axis=0)
         with pytest.raises(ConfigurationError):
-            hjb_backward(m, problem, grid, SolverConfig())
+            run_backward(m, problem, grid, SolverConfig())
 
 
 class TestDiffusionSolve:
@@ -250,7 +274,7 @@ class TestDiffusionSolve:
             return real_solve(*args)
 
         monkeypatch.setattr(mfcache.solver, "solve_banded", counting_solve)
-        hjb_backward(m, problem, grid, SolverConfig())
+        run_backward(m, problem, grid, SolverConfig())
         assert len(calls) == solves
 
 
@@ -260,7 +284,7 @@ class TestFpkForward:
         problem = make_problem(grid, r=0.0, eta=0.0,
                                costs=CostParams(discard_rate=0.0))
         p = np.zeros(grid.shape)
-        m = fpk_forward(p, problem.m0, problem, grid, SolverConfig())
+        m = run_forward(p, problem.m0, problem, grid, SolverConfig())
         assert np.abs(m - problem.m0[None]).max() == 0.0
 
     def test_constant_storage_drift_translates_mean(self):
@@ -269,7 +293,7 @@ class TestFpkForward:
         problem = make_problem(grid, r=0.0, eta=0.0, costs=costs, q0=0.5)
         level = 0.3  # net drift e - L p = -0.2
         p = np.full(grid.shape, level)
-        m = fpk_forward(p, problem.m0, problem, grid, SolverConfig())
+        m = run_forward(p, problem.m0, problem, grid, SolverConfig())
         drift = costs.discard_rate - costs.content_size * level
         for t_idx in (50, 100, 200):
             slice_q = m[t_idx].sum(axis=0) * grid.dx
@@ -285,7 +309,7 @@ class TestFpkForward:
                                costs=CostParams(discard_rate=0.0),
                                x0=0.5)
         p = np.zeros(grid.shape)
-        m = fpk_forward(p, problem.m0, problem, grid, SolverConfig())
+        m = run_forward(p, problem.m0, problem, grid, SolverConfig())
 
         def x_variance(level):
             w = m[level].sum(axis=1) * grid.dq * grid.dx
@@ -300,16 +324,35 @@ class TestFpkForward:
         grid = DEFAULT_GRID
         problem = make_problem(grid, r=1.0, eta=0.2)
         p = np.full(grid.shape, 0.5)
-        m = fpk_forward(p, problem.m0, problem, grid, SolverConfig())
+        m = run_forward(p, problem.m0, problem, grid, SolverConfig())
         mass = m.reshape(grid.t.size, -1).sum(axis=1) * grid.cell_area
         assert np.abs(mass - 1.0).max() < 1e-6
         assert m.min() >= 0.0
+
+    def test_relaxes_the_running_density_in_place(self):
+        # With ``out`` the running density itself, each level becomes
+        # step * m_new + (1 - step) * m, operands in that order, and the
+        # pass returns max |relaxed - m|.
+        grid = Grid.make(61, 31, 31, 1.0, 1.0)
+        problem = make_problem(grid)
+        rng = np.random.default_rng(7)
+        p = rng.uniform(0.0, 0.6, grid.shape)
+        m = run_forward(np.full(grid.shape, 0.3), problem.m0, problem, grid,
+                        SolverConfig())
+        before = m.copy()
+        step = 0.25
+        residual = fpk_forward(p, problem.m0, problem, grid, SolverConfig(),
+                               m, step, m)
+        transported = reference_fpk_forward(p, problem.m0, problem, grid)
+        expected = step * transported + (1.0 - step) * before
+        assert_bitwise_equal(m, expected)
+        assert residual == np.abs(expected - before).max()
 
     def test_rejects_unnormalized_initial_density(self):
         grid = DEFAULT_GRID
         problem = make_problem(grid)
         with pytest.raises(ConfigurationError):
-            fpk_forward(np.zeros(grid.shape), problem.m0 * 2.0, problem, grid,
+            run_forward(np.zeros(grid.shape), problem.m0 * 2.0, problem, grid,
                         SolverConfig())
 
 
@@ -356,7 +399,7 @@ class TestForwardMoments:
                              volatility=0.0, costs=self.COSTS,
                              rate=1.0, m0=m0,
                              neighbor_count=1)
-        return fpk_forward(np.full(grid.shape, level), m0, problem, grid,
+        return run_forward(np.full(grid.shape, level), m0, problem, grid,
                            SolverConfig())
 
     @pytest.mark.parametrize("level", [0.0, 0.95], ids=["b>0", "b<0"])
@@ -449,26 +492,27 @@ class TestSolveMfe:
         assert solution.iterations <= 4
         if live:
             assert (solution.p > 0).mean() > 0.5
-        v, p = hjb_backward(solution.m, problem, grid, config)
-        m = fpk_forward(p, problem.m0, problem, grid, config)
+        v, p = run_backward(solution.m, problem, grid, config)
+        m = run_forward(p, problem.m0, problem, grid, config)
         assert np.abs(v - solution.v).max() < config.tolerance
         assert np.abs(m - solution.m).max() < config.tolerance
 
     def test_rising_residual_scales_the_step(self, monkeypatch, caplog):
-        # The second forward pass returns a far, narrow density, so the
-        # second residual exceeds the first; every later density step is
-        # then a `damping` fraction of the full one.
+        # The second forward pass transports to a far, narrow density, so
+        # the second residual exceeds the first; every later density step
+        # is then a `damping` fraction of the full one.
         grid = Grid.make(41, 21, 21, 1.0, 1.0)
         problem = make_problem(grid)
         far = np.repeat(gaussian_initial_density(grid, 0.8, 0.03, 0.2, 0.03)[None],
                         grid.t.size, axis=0)
         real_fpk = mfcache.solver.fpk_forward
-        returned = []
+        steps = []
 
-        def fpk_forward(*args):
-            out = far if len(returned) == 1 else real_fpk(*args)
-            returned.append(out)
-            return out
+        def fpk_forward(p, m0, problem, grid, config, m, step, out):
+            steps.append(step)
+            if len(steps) == 2:
+                return relax_into(far, m, step, out)
+            return real_fpk(p, m0, problem, grid, config, m, step, out)
 
         monkeypatch.setattr(mfcache.solver, "fpk_forward", fpk_forward)
         damping = 0.25
@@ -477,36 +521,42 @@ class TestSolveMfe:
         assert not flagged.converged
         history = flagged.residual_history
         assert history[1] > history[0] > history[2]
-        assert np.array_equal(flagged.m, damping * returned[2]
+        assert steps == [1.0, 1.0, damping]
+        # The third sweep moved the far density a `damping` step toward the
+        # transport under the last control, exactly.
+        transported = reference_fpk_forward(flagged.p, problem.m0, problem, grid)
+        assert np.array_equal(flagged.m, damping * transported
                               + (1.0 - damping) * far)
 
-        returned.clear()
+        steps.clear()
         with caplog.at_level("DEBUG", logger="mfcache.solver"):
             solution = solve_mfe(problem, grid, SolverConfig(damping=damping))
         assert solution.converged
-        steps = [record.args[2] for record in caplog.records
-                 if record.msg.startswith("sweep")]
-        assert steps == [1.0, 1.0] + [damping] * (solution.iterations - 2)
+        logged = [record.args[2] for record in caplog.records
+                  if record.msg.startswith("sweep")]
+        assert logged == steps == [1.0, 1.0] + [damping] * (solution.iterations - 2)
 
     def test_solve_writes_no_input(self, monkeypatch):
         # The memo keys a solve on the bytes of problem.m0, and a forward
-        # pass may hand back an array it keeps: the solve writes into
-        # neither. The second forward pass returns a far density, so the
-        # third sweep relaxes with a step below 1.
+        # pass may transport into an array it keeps between calls and relax
+        # from there: the solve writes into neither, and its density shares
+        # memory with neither. The second forward pass transports to a far
+        # density, so the third sweep relaxes with a step below 1.
         grid = Grid.make(41, 21, 21, 1.0, 1.0)
         problem = make_problem(grid)
         m0_bytes = problem.m0.tobytes()
         far = gaussian_initial_density(grid, 0.8, 0.03, 0.2, 0.03)
-        real_fpk = mfcache.solver.fpk_forward
         shared = np.empty(grid.shape)
         written = []
 
-        def fpk_forward(*args):
+        def fpk_forward(p, m0, problem, grid, config, m, step, out):
             if written:
                 assert shared.tobytes() == written[-1]
-            shared[...] = far if len(written) == 1 else real_fpk(*args)
+            assert m0.tobytes() == m0_bytes
+            shared[...] = (far if len(written) == 1
+                           else run_forward(p, m0, problem, grid, config))
             written.append(shared.tobytes())
-            return shared
+            return relax_into(shared, m, step, out)
 
         monkeypatch.setattr(mfcache.solver, "fpk_forward", fpk_forward)
         solution = solve_mfe(problem, grid, SolverConfig(
@@ -516,6 +566,16 @@ class TestSolveMfe:
         assert shared.tobytes() == written[-1]
         assert problem.m0.tobytes() == m0_bytes
         assert not np.shares_memory(solution.m, shared)
+        assert not np.shares_memory(solution.m, problem.m0)
+
+
+def relax_into(m_new, m, step, out):
+    """A stand-in forward pass's relaxation, by the pass's contract: ``step *
+    m_new + (1 - step) * m`` into ``out``; returns ``max |out - m|``."""
+    relaxed = step * m_new + (1.0 - step) * m
+    residual = float(np.abs(relaxed - m).max())
+    out[...] = relaxed
+    return residual
 
 
 def closed_form_value_error(nt: int, nq: int) -> tuple[float, float]:
@@ -659,8 +719,9 @@ class TestReferenceLevelStep:
         rng = np.random.default_rng(11)
         p = rng.uniform(0.0, 0.6, grid.shape)
         p[:, :, ::4] = 0.0
-        m = fpk_forward(p, problem.m0, problem, grid, SolverConfig())
-        assert_bitwise_equal(m, reference_fpk_forward(p, problem.m0, problem, grid))
+        m = run_forward(p, problem.m0, problem, grid, SolverConfig())
+        transported = reference_fpk_forward(p, problem.m0, problem, grid)
+        assert_bitwise_equal(m, 1.0 * transported + 0.0 * problem.m0)
 
 
 class TestEntryValidation:
@@ -679,7 +740,7 @@ class TestEntryValidation:
         m = self._density(grid, problem)
         m[17] *= 1.0 + 1e-3
         with pytest.raises(ConfigurationError, match="t index 17"):
-            hjb_backward(m, problem, grid, SolverConfig())
+            run_backward(m, problem, grid, SolverConfig())
 
     def test_hjb_rejects_negative_entry(self):
         grid = Grid.make(41, 21, 21, 1.0, 1.0)
@@ -687,7 +748,7 @@ class TestEntryValidation:
         m = self._density(grid, problem)
         m[23, 4, 5] = -1e-9
         with pytest.raises(ConfigurationError, match="nonnegative at t index 23"):
-            hjb_backward(m, problem, grid, SolverConfig())
+            run_backward(m, problem, grid, SolverConfig())
 
     def test_hjb_rejects_nan_density(self):
         grid = Grid.make(41, 21, 21, 1.0, 1.0)
@@ -695,13 +756,13 @@ class TestEntryValidation:
         m = self._density(grid, problem)
         m[9, 10, 10] = np.nan
         with pytest.raises(ConfigurationError, match="NaN entry at t index 9"):
-            hjb_backward(m, problem, grid, SolverConfig())
+            run_backward(m, problem, grid, SolverConfig())
 
     def test_hjb_rejects_grid_below_the_floor_by_name(self):
         grid = Grid.make(41, 21, 21, 1.0, 1.0, x_min=1e-9)
         problem = make_problem(grid)
         with pytest.raises(ConfigurationError, match="grid.x"):
-            hjb_backward(self._density(grid, problem), problem, grid,
+            run_backward(self._density(grid, problem), problem, grid,
                          SolverConfig())
 
     def test_hjb_non_finite_update_is_solver_error(self, monkeypatch):
@@ -723,7 +784,7 @@ class TestEntryValidation:
 
         monkeypatch.setattr(mfcache.solver, "solve_banded", solve_banded)
         with pytest.raises(SolverError, match="t index 8\\b"):
-            hjb_backward(m, problem, grid, SolverConfig())
+            run_backward(m, problem, grid, SolverConfig())
 
     def test_fpk_rejects_nan_initial_density(self):
         grid = Grid.make(41, 21, 21, 1.0, 1.0)
@@ -731,7 +792,7 @@ class TestEntryValidation:
         m0 = problem.m0.copy()
         m0[10, 10] = np.nan
         with pytest.raises(ConfigurationError, match="initial density has a NaN"):
-            fpk_forward(np.zeros(grid.shape), m0, problem, grid, SolverConfig())
+            run_forward(np.zeros(grid.shape), m0, problem, grid, SolverConfig())
 
     def test_fpk_error_names_first_failing_level(self):
         # A control far outside the admissible range breaks the step-size
@@ -742,4 +803,16 @@ class TestEntryValidation:
         p[7] = 50.0
         p[12] = 50.0
         with pytest.raises(SolverError, match="t index 8\\b"):
-            fpk_forward(p, problem.m0, problem, grid, SolverConfig())
+            run_forward(p, problem.m0, problem, grid, SolverConfig())
+        # The same past the pass's first block of levels. A block is
+        # relaxed only once it passes its check, so nothing from the
+        # failing level on was written.
+        p[:] = 0.0
+        p[20] = 50.0
+        p[30] = 50.0
+        out = np.full(grid.shape, 7.0)
+        with pytest.raises(SolverError, match="t index 21\\b"):
+            fpk_forward(p, problem.m0, problem, grid, SolverConfig(),
+                        np.broadcast_to(problem.m0, grid.shape), 1.0, out)
+        assert (out[21:] == 7.0).all()
+        assert (out[0] != 7.0).all()

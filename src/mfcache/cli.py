@@ -32,9 +32,11 @@ Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 barrier (``BarrierExclusionError``). Every run writes ``manifest.txt``
 beside its CSVs.
 
-Each command solves every distinct equilibrium once per process (see
-``experiments.one_solve_per_input``): a sweep helper shows none of what
-its duplicate solves log.
+Each command solves every distinct equilibrium once, in the command (see
+``experiments.one_solve_per_input``): a sweep solves all of its points
+before a helper forks to run replications, so its solver lines come
+before any replication's, and an unconverged point exits 3 before any
+replication runs.
 """
 
 from __future__ import annotations

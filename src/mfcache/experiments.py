@@ -13,15 +13,13 @@ solver never sees share one solve.
 
 The comparison and information-study recipes run their sweeps as one
 ordered list of independent tasks: each seed of each sweep point is one
-replication, with its own world, policy and observation streams. Where
-:func:`io.two_cpus` allows and numpy's BLAS is the build checked to run in
-a forked helper (:func:`io.forked_blas_checked`), a list of two tasks or
-more runs on two processes (:func:`_sweep`): a forked helper runs the later
-half of the tasks while the command runs the first half. Each process
-solves each distinct equilibrium of its own half once, so one that both
-halves need is solved in both; the helper shows none of what its duplicate
-solve logs. The helper's results, log records, warnings and error come back
-and are used in task order, as the inline loop gives them.
+replication, with its own world, policy and observation streams. The
+command first solves every point's equilibrium, in point order; then, where
+:func:`io.two_cpus` allows, a list of two tasks or more runs on two
+processes (:func:`_sweep`): a forked helper runs the later half of the
+tasks while the command runs the first half. The helper only steps
+replications. Its results, log records, warnings and error come back and
+are used in task order, as the inline loop gives them.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import numpy as np
 from .costs import storage_drift
 from .errors import BarrierExclusionError
 from .geometry import average_rate, rate_model_from_config, request_region_count
-from .io import forked_blas_checked, fork_helper, two_cpus
+from .io import fork_helper, two_cpus
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
 from .scenario import ScenarioConfig, sweep_points
 from .simulation import ipi_experiment, run_replication
@@ -48,7 +46,6 @@ from .solver import (
     Grid,
     MfeSolution,
     MfgProblem,
-    SolverConfig,
     gaussian_initial_density,
     solve_mfe,
 )
@@ -112,12 +109,9 @@ def one_solve_per_input() -> Iterator[None]:
     solver inputs once and hands every later caller the same solution.
 
     Nested scopes share the outermost memo; it is dropped when that scope
-    exits. Callers must not modify a returned solution. The memo is per
-    process: a sweep helper (see :func:`_sweep`) solves in its own copy, so
-    an equilibrium both halves need is solved in both (the helper shows
-    none of what its duplicate solve logs), and a later call for a
-    helper's point in the same scope solves it again; the commands that
-    split a sweep make no such call.
+    exits. Callers must not modify a returned solution. A sweep (see
+    :func:`_sweep`) solves all of its points in this process before it
+    forks, so a later call for any of them in the same scope is a memo hit.
     """
     if _SOLVES.get() is not None:
         yield
@@ -141,36 +135,19 @@ def _exact(value) -> object:
     return value
 
 
-class _Inputs(NamedTuple):
-    """Grid, reduced problem and solver settings of a scenario's solve, and
-    the bit-exact key :func:`one_solve_per_input` keeps its solution under."""
-
-    grid: Grid
-    problem: MfgProblem
-    config: SolverConfig
-    key: tuple
-
-
-def _solver_inputs(scenario: ScenarioConfig) -> _Inputs:
-    grid = grid_from_scenario(scenario)
-    problem = problem_from_scenario(scenario, grid)
-    config = scenario.solver.config
-    return _Inputs(grid, problem, config,
-                   (_exact(grid), _exact(problem), _exact(config)))
-
-
-def solve_scenario(scenario: ScenarioConfig, *,
-                   inputs: _Inputs | None = None) -> MfeSolution:
-    """Equilibrium of the scenario; ``inputs`` are its solver inputs, if
-    the caller has built them already.
+def solve_scenario(scenario: ScenarioConfig) -> MfeSolution:
+    """Equilibrium of the scenario.
 
     Inside :func:`one_solve_per_input`, a solve whose grid, reduced problem
     and solver settings equal an earlier one's returns that solution.
     """
-    grid, problem, config, key = inputs or _solver_inputs(scenario)
+    grid = grid_from_scenario(scenario)
+    problem = problem_from_scenario(scenario, grid)
+    config = scenario.solver.config
     memo = _SOLVES.get()
     if memo is None:
         return solve_mfe(problem, grid, config)
+    key = (_exact(grid), _exact(problem), _exact(config))
     if key not in memo:
         memo[key] = solve_mfe(problem, grid, config)
     return memo[key]
@@ -273,31 +250,19 @@ class _Point(NamedTuple):
     finish: Callable[[list], None]
 
 
-def _quietly(step: Callable[[], object]) -> object:
-    """``step()``, dropping what it logs and the warnings it shows."""
-    _, value, error = _captured(step)
-    if error is not None:
-        raise error
-    return value
-
-
 def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
            run: Callable[[ScenarioConfig, object, object], object]) -> None:
-    """Run the tasks ``(point, seed)`` of ``points`` in order. A point's
-    first task builds its solver inputs, solves them and keeps
-    ``prepare(solution)``; every task's result is ``run(scenario,
-    prepared, seed)``; and once a point's results are all in, they go to
-    its ``finish``.
+    """Solve each point's equilibrium and keep ``prepare(solution)``, in
+    point order; then run the tasks ``(point, seed)`` of ``points`` in
+    order. Every task's result is ``run(scenario, prepared, seed)``, and
+    once a point's results are all in, they go to its ``finish``.
 
-    Where :func:`io.two_cpus` and :func:`io.forked_blas_checked` allow and
-    there are two tasks or more, a helper forked by :func:`io.fork_helper`
-    runs the tasks from ``ceil(n/2)`` on, while this process runs those
-    before them; nothing runs before the fork. Each process solves the
-    points it runs, so a straddling point, or solver inputs shared across
-    the split, are solved in both. The helper first builds this process's
-    points' solver inputs, dropping what that logs: this gives the memo
-    keys this process solves, and marks the warnings it shows as shown, as
-    in the inline loop. It drops what its solves of those keys log.
+    The solves run in this process before any task, so their log records
+    come first, and a solve or ``prepare`` that raises fails the sweep
+    before any task runs. Then, where :func:`io.two_cpus` allows and there
+    are two tasks or more, a helper forked by :func:`io.fork_helper` runs
+    the tasks from ``ceil(n/2)`` on, while this process runs those before
+    them. The helper calls ``run`` only.
 
     The helper stops at its first error and pickles, task by task, what it
     kept of its log records (which reach none of its own handlers) and
@@ -309,22 +274,15 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     dies, or whose results, errors or records do not pickle, raises
     ``OSError``.
     """
+    prepared = [prepare(solve_scenario(point.scenario)) for point in points]
     tasks = [(i, seed) for i, point in enumerate(points) for seed in point.seeds]
     split = len(tasks)
-    if split > 1 and two_cpus() and forked_blas_checked():
+    if split > 1 and two_cpus():
         split = (split + 1) // 2
-    quiet: set[tuple] = set()   # filled in the helper's copy only
-    prepared: dict[int, object] = {}
     results: list[list] = [[] for _ in points]
 
     def task(i: int, seed) -> object:
-        scenario = points[i].scenario
-        if i not in prepared:
-            inputs = _solver_inputs(scenario)
-            solve = partial(solve_scenario, scenario, inputs=inputs)
-            prepared[i] = prepare(_quietly(solve) if inputs.key in quiet
-                                  else solve())
-        return run(scenario, prepared[i], seed)
+        return run(points[i].scenario, prepared[i], seed)
 
     def done(i: int, result) -> None:
         results[i].append(result)
@@ -341,11 +299,6 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     theirs = tasks[split:]
 
     def helper() -> bytes:
-        # The keys this process solves; building them marks the warnings
-        # that this shows as shown here too.
-        ours = {i for i, _ in tasks[:split]}
-        quiet.update(_quietly(lambda: {_solver_inputs(points[i].scenario).key
-                                       for i in ours}))
         outcomes = []
         for i, seed in theirs:
             outcomes.append(_captured(task, i, seed))

@@ -8,9 +8,11 @@ the process may run on two CPUs, a forked helper renders the later half of
 the solution's time levels while the command renders the first half; the
 command alone writes the file, with the same bytes as an inline render.
 :func:`fork_helper` is the package's one fork, pipe and reap; the experiment
-recipes split each sweep's list of tasks with it too. Every run directory
-gets a ``manifest.txt`` recording the scenario hash, seed, versions,
-iteration counts, and wall time.
+recipes split each sweep's list of replications with it too. No helper
+calls BLAS or LAPACK: the export's renders text, and a sweep's steps
+replications. Every run directory gets a ``manifest.txt`` recording the
+scenario hash, seed, versions and wall time, and, for ``solve``, the
+solve's iteration count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import itertools
 import os
 import platform
 from contextlib import contextmanager
-from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,9 +28,9 @@ import numpy as np
 from . import __version__
 from .solver import Grid, MfeSolution
 
-__all__ = ["format_value", "write_csv", "two_cpus", "forked_blas_checked",
-           "fork_helper", "write_solution_csv", "write_marginal_csv",
-           "write_residuals_csv", "write_manifest"]
+__all__ = ["format_value", "write_csv", "two_cpus", "fork_helper",
+           "write_solution_csv", "write_marginal_csv", "write_residuals_csv",
+           "write_manifest"]
 
 
 def format_value(value) -> str:
@@ -64,29 +65,9 @@ _PIPE_CHUNK = 1 << 16
 
 def two_cpus() -> bool:
     """Whether ``os.fork`` exists and this process may run on two CPUs or
-    more: the condition under which work is split with :func:`fork_helper`
-    (a sweep, whose helper solves, also needs :func:`forked_blas_checked`)."""
+    more: the condition under which work is split with :func:`fork_helper`."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
-
-
-@cache
-def forked_blas_checked() -> bool:
-    """Whether numpy's BLAS and LAPACK are of the kind on which a helper of
-    :func:`fork_helper` is checked to call them: an OpenBLAS built without
-    OpenMP, whose threads are pthreads, as numpy's bundled build is. A test
-    runs the equilibrium solves of a sweep helper forked after threaded
-    BLAS calls, on numpy's bundled OpenBLAS 0.3.31. An OpenMP thread pool
-    (MKL, or an OpenBLAS built with ``USE_OPENMP``) that the parent has
-    used may deadlock in a forked child."""
-    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-    for lib in ("blas", "lapack"):
-        dep = deps.get(lib, {})
-        build = dep.get("openblas configuration")
-        if (not dep.get("name", "").endswith("openblas") or build is None
-                or "USE_OPENMP" in build):
-            return False
-    return True
 
 
 @contextmanager
@@ -96,14 +77,15 @@ def fork_helper(work: Callable[[], bytes], what: str) -> Iterator[Iterator[bytes
     it is given, in chunks of at most ``_PIPE_CHUNK`` bytes.
 
     ``work`` runs in the helper alone, on a copy of this process's memory.
-    It must not use stdio, and it has no way back but its bytes. It may
-    call BLAS and LAPACK only where :func:`forked_blas_checked` holds. The
-    helper computes all of its bytes before it writes, so it does not block
-    on the pipe while there is work to overlap. It never returns into the
-    caller: it leaves through ``os._exit`` (no stdio flush, no atexit
-    hooks), with status 0 only once every byte is written; a ``work`` that
-    raises, or a reader that has closed the pipe (``EPIPE``), makes it exit
-    1.
+    It must not use stdio, and it has no way back but its bytes. It must
+    not call BLAS or LAPACK: an OpenMP thread pool (MKL, or an OpenBLAS
+    built with ``USE_OPENMP``) that this process has used may deadlock in a
+    forked child. The helper computes all of its bytes before it writes, so
+    it does not block on the pipe while there is work to overlap. It never
+    returns into the caller: it leaves through ``os._exit`` (no stdio
+    flush, no atexit hooks), with status 0 only once every byte is written;
+    a ``work`` that raises, or a reader that has closed the pipe
+    (``EPIPE``), makes it exit 1.
 
     If the block raises, the helper is killed, since nothing it computes
     will be read; its error then propagates. On leaving the block the read

@@ -1,13 +1,12 @@
 """Fixtures shared by the test modules: the check that no test leaves a
-child process behind, the switch between the inline and the forked-helper
-paths, and a log that a forked helper's writes reach too."""
+child process behind, the switch between the inline paths and the forked
+helpers (the solution export's and a sweep's), and a log that a forked
+helper's writes reach too."""
 
 import os
 from types import SimpleNamespace
 
 import pytest
-
-from mfcache.io import forked_blas_checked
 
 
 @pytest.fixture(autouse=True)
@@ -22,9 +21,8 @@ def no_child_left():
                 ids=["one-cpu", "two-cpus", "two-cpus-no-fork"])
 def forks(request, monkeypatch):
     """The pids forked (``.pids``) and whether a helper should run
-    (``.expected``; for a sweep, which also needs
-    ``io.forked_blas_checked``, ``.sweep_expected``), with the CPUs this
-    process may use and the presence of ``os.fork`` set by the parameter."""
+    (``.expected``), with the CPUs this process may use and the presence of
+    ``os.fork`` set by the parameter."""
     cpus, has_fork = request.param
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     pids = []
@@ -40,9 +38,7 @@ def forks(request, monkeypatch):
         monkeypatch.setattr(os, "fork", fork)
     else:
         monkeypatch.delattr(os, "fork")
-    expected = cpus > 1 and has_fork
-    return SimpleNamespace(pids=pids, expected=expected,
-                           sweep_expected=expected and forked_blas_checked())
+    return SimpleNamespace(pids=pids, expected=cpus > 1 and has_fork)
 
 
 @pytest.fixture

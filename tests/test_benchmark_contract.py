@@ -339,8 +339,7 @@ def test_compare_calls_the_mf_policy_once_per_step(monkeypatch, forks,
     # replication and sweep point must reach the policy through it, on the
     # inline path and through the sweep helper. The helper's calls are
     # recorded in a file it shares, by a label each policy gets when it is
-    # built: the pid that built it and a serial number (ids would not do,
-    # since the two processes allocate from copies of one heap).
+    # built: the pid that built it and a serial number.
     init, call = MfPolicy.__init__, MfPolicy.__call__
     serial = itertools.count()
 
@@ -365,10 +364,11 @@ def test_compare_calls_the_mf_policy_once_per_step(monkeypatch, forks,
     steps = 2 * (scenario.solver.grid_nt - 1)   # two periods
     points = 3   # two user densities and one initial popularity
     assert len(calls) == points * 2 * steps
-    # One helper for the recipe's six tasks. The second user density's
-    # seeds straddle the split: each process builds its own policy there.
-    assert len(forks.pids) == forks.sweep_expected
-    assert len(set(calls)) == points + len(forks.pids)
+    # One helper for the recipe's six tasks. Each point's policy is built
+    # once, in the command, before the fork, so the second user density's
+    # seeds, which straddle the split, share one.
+    assert len(forks.pids) == forks.expected
+    assert len(set(calls)) == points
 
 
 def test_one_barrier_warning_per_excluded_lane(caplog):

@@ -321,7 +321,7 @@ class TestReplicationHelper:
             assert list(run) == list(expected)
             for lane, log in run.items():
                 assert_same_log(log, expected[lane])
-        assert len(forks.pids) == forks.sweep_expected
+        assert len(forks.pids) == forks.expected
 
     def test_ipi_pairs_equal_the_inline_loop(self, scenario, policies, forks):
         split = per_seed(
@@ -337,7 +337,7 @@ class TestReplicationHelper:
                 assert_same_log(pair.perfect, expected[name].perfect)
                 assert_same_log(pair.imperfect, expected[name].imperfect)
         assert all(run["over"].excluded for run in split)
-        assert len(forks.pids) == forks.sweep_expected
+        assert len(forks.pids) == forks.expected
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_recipe_rows_equal_inline_and_through_the_helper(
@@ -357,9 +357,9 @@ class TestReplicationHelper:
             use_cpus(monkeypatch, cpus)
             rows[cpus] = RECIPES[recipe](scenario)
         assert repr(rows[1]) == repr(rows[2])
-        # One helper per recipe of two tasks or more: compare has six
-        # tasks (two points), ipi three (one point).
-        assert len(forked) == experiments.forked_blas_checked()
+        # One helper per recipe of two tasks or more, on two CPUs: compare
+        # has six tasks (two points), ipi three (one point).
+        assert len(forked) == 1
 
     @pytest.mark.parametrize("recipe", sorted(RECIPES))
     def test_recipes_keep_no_final_storage(self, scenario, monkeypatch,
@@ -383,7 +383,7 @@ class TestReplicationHelper:
         # policies x 3 seeds x 2 arms.
         assert len(logs) == 18
         assert all(log.q_final is None for log in logs)
-        assert len(forks.pids) == forks.sweep_expected
+        assert len(forks.pids) == forks.expected
 
     def test_barrier_warnings_once_per_excluded_lane_in_seed_order(
             self, scenario, policies, forks, caplog):
@@ -400,7 +400,7 @@ class TestReplicationHelper:
             ("mfcache.simulation", logging.WARNING,
              f"replication {seed} hit the barrier; trajectory flagged and "
              "excluded from aggregates") for seed in seeds for _ in range(2)]
-        assert len(forks.pids) == forks.sweep_expected
+        assert len(forks.pids) == forks.expected
 
     @pytest.mark.parametrize("failing, raised", [
         ({6}, 6), ({5, 6}, 5), ({4, 6}, 4), ({3, 5}, 3)],
@@ -421,15 +421,14 @@ class TestReplicationHelper:
         assert [record.getMessage().split()[1] for record in caplog.records
                 if "hit the barrier" in record.getMessage()] == \
             [str(seed) for seed in range(3, raised)]
-        assert len(forks.pids) == forks.sweep_expected
+        assert len(forks.pids) == forks.expected
 
     def test_an_error_in_the_command_kills_the_helper(self, monkeypatch):
         # The command's first task fails at once; each of the helper's two
         # tasks would sleep 0.5 s. The error surfaces without waiting for
         # them.
         use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(experiments, "solve_scenario",
-                            lambda sc, inputs: None)
+        monkeypatch.setattr(experiments, "solve_scenario", lambda sc: None)
         command = os.getpid()
 
         def run(sc, prepared, seed):
@@ -506,90 +505,32 @@ def point_rates(scenario, sweep: str) -> list[str]:
             for _, sc in sweep_points(scenario, sweep)]
 
 
-class TestEachEquilibriumSolvedOnce:
-    """A sweep through the helper solves nothing before the fork: each
-    process solves each distinct equilibrium of the points it runs once,
-    so one that both halves need is solved in both."""
-
-    @pytest.fixture()
-    def ipi_sweep(self, monkeypatch, solve_log):
-        use_cpus(monkeypatch, 2)
-        fake_runs(monkeypatch, lambda seed: 1.0)
-
-        def sweep(densities, replications):
-            """The log's lines, the rate of each point, and the rates each
-            process solved, in order, by pid."""
-            scenario = replace(small_scenario(lambda_b_values=densities),
-                               simulation=SimulationSettings(
-                                   replications=replications, seed=3))
-            ipi_sweep_experiment(scenario)
-            lines = solve_log.read()
-            solved = {}
-            for _, pid, rate in (line.split() for line in lines
-                                 if line != "fork"):
-                solved.setdefault(int(pid), []).append(rate)
-            return lines, point_rates(scenario, "lambda_b_values"), solved
-        return sweep
-
-    def test_two_points_of_four_seeds_solve_one_in_each_process(
-            self, ipi_sweep, solve_log):
-        lines, rates, solved = ipi_sweep((0.02, 0.05), 4)
-        (helper,) = solve_log.pids
-        assert lines[0] == "fork"
-        assert solved == {os.getpid(): [rates[0]], helper: [rates[1]]}
-
-    def test_a_lone_point_solves_in_both_processes(self, ipi_sweep,
-                                                   solve_log):
-        lines, rates, solved = ipi_sweep((0.05,), 4)
-        (helper,) = solve_log.pids
-        assert lines[0] == "fork"
-        assert solved == {os.getpid(): [rates[0]], helper: [rates[0]]}
-
-    def test_shared_inputs_solve_in_both_processes(self, ipi_sweep,
-                                                   solve_log):
-        # The helper's one task repeats the first point's solver inputs.
-        lines, rates, solved = ipi_sweep((0.02, 0.05, 0.02), 1)
-        (helper,) = solve_log.pids
-        assert lines[0] == "fork"
-        assert solved == {os.getpid(): rates[:2], helper: [rates[0]]}
-
-    def test_a_straddling_point_solves_in_both(self, ipi_sweep, solve_log):
-        # Six tasks: the command runs 0.02's two seeds and 0.035's first,
-        # the helper 0.035's second and 0.05's two.
-        lines, rates, solved = ipi_sweep((0.02, 0.035, 0.05), 2)
-        (helper,) = solve_log.pids
-        assert lines[0] == "fork"
-        assert solved == {os.getpid(): rates[:2], helper: rates[1:]}
-
-    def test_an_unchecked_blas_build_runs_inline(self, ipi_sweep, solve_log,
-                                                 monkeypatch):
-        # Without the checked BLAS build no helper is forked: the command
-        # solves every point, in order.
-        monkeypatch.setattr(experiments, "forked_blas_checked", lambda: False)
-        lines, rates, _ = ipi_sweep((0.02, 0.05), 4)
-        assert solve_log.pids == []
-        assert lines == [f"solve {os.getpid()} {rate}" for rate in rates]
-
-    def test_a_helper_solve_stays_out_of_the_command_memo(self, monkeypatch,
-                                                          solve_log):
-        # In the scope of the sweep, the command's point is not solved
-        # again, the helper's point is: its solution stayed in the helper.
-        use_cpus(monkeypatch, 2)
-        fake_runs(monkeypatch, lambda seed: 1.0)
-        scenario = replace(small_scenario(lambda_b_values=(0.02, 0.05)),
-                           simulation=SimulationSettings(replications=4, seed=3))
-        (_, own), (_, theirs) = sweep_points(scenario, "lambda_b_values")
-        with one_solve_per_input():
-            ipi_sweep_experiment(scenario)
-            solve_scenario(own)
-            solve_scenario(theirs)
-        (helper,) = solve_log.pids
-        rates = point_rates(scenario, "lambda_b_values")
-        lines = solve_log.read()
-        assert lines[0] == "fork"
-        assert sorted(lines[1:3]) == sorted([f"solve {os.getpid()} {rates[0]}",
-                                             f"solve {helper} {rates[1]}"])
-        assert lines[3:] == [f"solve {os.getpid()} {rates[1]}"]
+@pytest.mark.parametrize("densities, replications", [
+    ((0.02, 0.05), 4), ((0.05,), 4), ((0.02, 0.05, 0.02), 1),
+    ((0.02, 0.035, 0.05), 2)],
+    ids=["two-points-of-four-seeds", "a-lone-point", "shared-inputs",
+         "a-straddling-point"])
+def test_the_command_solves_each_equilibrium_once_before_the_fork(
+        monkeypatch, solve_log, densities, replications):
+    # On two CPUs every distinct equilibrium is solved once, by the command,
+    # in point order, before the helper forks: the helper solves nothing,
+    # whether a point's seeds straddle the split or points on both sides
+    # share solver inputs. The memo keeps every solution, so asking for any
+    # point again in the same scope is a memo hit.
+    use_cpus(monkeypatch, 2)
+    fake_runs(monkeypatch, lambda seed: 1.0)
+    scenario = replace(small_scenario(lambda_b_values=densities),
+                       simulation=SimulationSettings(replications=replications,
+                                                     seed=3))
+    with one_solve_per_input():
+        ipi_sweep_experiment(scenario)
+        for _, point in sweep_points(scenario, "lambda_b_values"):
+            solve_scenario(point)
+    assert len(solve_log.pids) == 1
+    assert solve_log.read() == [
+        f"solve {os.getpid()} {rate}"
+        for rate in dict.fromkeys(point_rates(scenario, "lambda_b_values"))
+    ] + ["fork"]
 
 
 def fault_in(point, fault, monkeypatch):
@@ -616,40 +557,29 @@ def fault_in(point, fault, monkeypatch):
         monkeypatch.setattr(experiments, "run_replication", faulty)
 
 
-@pytest.mark.parametrize("sweep, x0, fault, where, code, checked", [
-    ("0.0001", "0.6", None, None, 0, True),
-    ("0.0001", "0.6", "bad-output", "x0", EXIT_VALIDATION, True),
-    ("0.0001", "0.6", "no-convergence", "x0", 3, True),
-    ("0.0001", "0.6", "all-excluded", "x0", EXIT_ALL_EXCLUDED, True),
-    ("0.0001", "0.6", "all-excluded", "first", EXIT_ALL_EXCLUDED, True),
-    ("0.0001, 0.0002", "0.6", None, None, 0, True),
-    ("0.0001, 0.0002", "0.6", "no-convergence", "straddling", 3, True),
-    ("0.0001, 0.0002", "0.6", "all-excluded", "straddling", EXIT_ALL_EXCLUDED,
-     True),
-    ("0.001, 0.0002", "0.3", None, None, 0, True),
-    ("0.0001, 0.0002", "0.6", None, None, 0, False),
-    ("0.0001", "0.6", "no-convergence", "x0", 3, False),
-    ("0.0001", "0.6", "all-excluded", "x0", EXIT_ALL_EXCLUDED, False),
+@pytest.mark.parametrize("sweep, x0, fault, where, code", [
+    ("0.0001", "0.6", None, None, 0),
+    ("0.0001", "0.6", "bad-output", "x0", EXIT_VALIDATION),
+    ("0.0001", "0.6", "no-convergence", "x0", 3),
+    ("0.0001", "0.6", "all-excluded", "x0", EXIT_ALL_EXCLUDED),
+    ("0.0001", "0.6", "all-excluded", "first", EXIT_ALL_EXCLUDED),
+    ("0.0001, 0.0002", "0.6", None, None, 0),
+    ("0.0001, 0.0002", "0.6", "no-convergence", "straddling", 3),
+    ("0.0001, 0.0002", "0.6", "all-excluded", "straddling", EXIT_ALL_EXCLUDED),
+    ("0.001, 0.0002", "0.3", None, None, 0),
 ], ids=["two-points", "two-points-bad-output", "two-points-no-convergence",
         "two-points-all-excluded", "command-side-all-excluded",
         "three-points", "straddling-no-convergence",
-        "straddling-all-excluded", "shared-inputs",
-        "three-points-unchecked-blas",
-        "two-points-no-convergence-unchecked-blas",
-        "two-points-all-excluded-unchecked-blas"])
+        "straddling-all-excluded", "shared-inputs"])
 def test_compare_is_the_same_on_one_and_two_cpus(sweep, x0, fault, where,
-                                                 code, checked, monkeypatch,
-                                                 tmp_path, caplog):
-    # Two seeds per point. The first user density point's tasks run in the
-    # command, the x0 point's in the helper. With two user densities the
-    # second one's tasks straddle the split, so both processes solve it;
-    # the helper drops what its solve logs. The x0 point has the base
-    # user density, 0.001: at x0 = 0.3, the base value, its solver inputs
-    # equal those of a user density point at 0.001, so the helper solves
-    # those again too, and drops what that logs.
-    # Without the checked BLAS build nothing is forked.
-    if not checked:
-        monkeypatch.setattr(experiments, "forked_blas_checked", lambda: False)
+                                                 code, monkeypatch, tmp_path,
+                                                 caplog):
+    # Two seeds per point. The command solves every point first; then the
+    # first user density point's tasks run in the command, the x0 point's
+    # in the helper. With two user densities the second one's tasks
+    # straddle the split. The x0 point has the base user density, 0.001:
+    # at x0 = 0.3, the base value, its solver inputs equal those of a user
+    # density point at 0.001, so the memo serves it.
     path = tmp_path / "compare.ini"
     path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
                     .replace("lambda_u_values = 0.0001", f"lambda_u_values = {sweep}")
@@ -705,12 +635,41 @@ def test_compare_is_the_same_on_one_and_two_cpus(sweep, x0, fault, where,
         assert len(solves) == len({(u, "0.3") for u in sweep.split(", ")}
                                   | {("0.001", x0)})
         assert len(tables) == 3
-    assert len(forked) == experiments.forked_blas_checked()
+    # One helper on two CPUs, none once a solve fails.
+    assert len(forked) == (fault != "no-convergence")
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_an_unconverged_point_fails_compare_before_any_replication(
+        cpus, monkeypatch, tmp_path, caplog):
+    # The second sweep point's solve does not converge: the command exits 3
+    # before it runs a replication or forks a helper.
+    use_cpus(monkeypatch, cpus)
+    path = tmp_path / "compare.ini"
+    path.write_text(HELPER_INI)
+    scenario = load_scenario(str(path))
+    fault_in(sweep_points(scenario, "x0_values")[0][1], "no-convergence",
+             monkeypatch)
+    replications, forked = [], []
+    fork = os.fork
+
+    def counting_fork():
+        forked.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(experiments, "run_replication",
+                        lambda *args, **kwargs: replications.append(args))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert main(["compare", "--scenario", str(path), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 3
+    assert "unconverged" in caplog.text
+    assert replications == []
+    assert forked == []
 
 
 # ``mfcache compare`` on the CPUs given, after a call that starts the BLAS
-# thread pool: the helper's solves then run BLAS and LAPACK in a process
-# forked from one whose pool has run.
+# thread pool: the helper then steps replications in a process forked from
+# one whose pool has run.
 BLAS_COMMAND = """
 import os, sys
 import numpy as np
@@ -724,7 +683,7 @@ sys.exit(main(["compare", "--scenario", sys.argv[2], "--out", sys.argv[3],
 """
 
 
-def test_helper_solves_after_threaded_blas(tmp_path):
+def test_helper_runs_replications_after_threaded_blas(tmp_path):
     path = tmp_path / "blas.ini"
     path.write_text(HELPER_INI.replace("replications = 4", "replications = 2")
                     .replace("x0_values = 0.3", "x0_values = 0.6"))

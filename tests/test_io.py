@@ -242,28 +242,3 @@ def test_command_failure_mid_export_raises_and_reaps(rows):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "reaped\n"
-
-
-@pytest.mark.parametrize("blas, checked", [
-    ({"name": "scipy-openblas", "openblas configuration":
-      "OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell "
-      "MAX_THREADS=64"}, True),
-    ({"name": "scipy-openblas", "openblas configuration":
-      "OpenBLAS 0.3.31  USE64BITINT USE_OPENMP Haswell MAX_THREADS=64"}, False),
-    ({"name": "openblas", "openblas configuration":
-      "OpenBLAS 0.3.21 DYNAMIC_ARCH NO_AFFINITY Zen MAX_THREADS=64"}, True),
-    ({"name": "openblas"}, False),
-    ({"name": "mkl-sdl", "version": "2023.1"}, False),
-    ({"name": "accelerate"}, False),
-    (None, False),
-], ids=["bundled-openblas", "openmp-openblas", "system-openblas",
-        "openblas-of-unknown-build", "mkl", "accelerate", "none-reported"])
-def test_forked_blas_is_checked_only_on_an_openblas_without_openmp(
-        monkeypatch, blas, checked):
-    monkeypatch.setattr(np, "show_config", lambda mode: {
-        "Build Dependencies": {"blas": blas, "lapack": blas} if blas else {}})
-    mfcache.io.forked_blas_checked.cache_clear()
-    try:
-        assert mfcache.io.forked_blas_checked() is checked
-    finally:
-        mfcache.io.forked_blas_checked.cache_clear()

@@ -1,8 +1,10 @@
 """The package runs on numpy alone; scipy is a test-only dependency. Every
-module exports only names it defines."""
+module exports only names it defines, and the modules that a forked sweep
+helper runs call no BLAS or LAPACK."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -83,3 +85,25 @@ def test_only_costs_binds_the_per_state_model():
         assert not bound, (name, bound)
         with open(module.__file__, encoding="utf-8") as fh:
             assert "discard_rate" not in fh.read(), name
+
+
+# The numpy names that reach BLAS or LAPACK.
+BLAS_NAMES = {"dot", "matmul", "vdot", "inner", "tensordot", "einsum",
+              "linalg"}
+
+
+@pytest.mark.parametrize("name", ["costs", "demand", "geometry", "policies",
+                                  "simulation"])
+def test_the_sweep_helper_modules_call_no_blas(name):
+    # A sweep's helper steps replications, which run these modules, and a
+    # forked helper must not call BLAS or LAPACK (io.fork_helper): none of
+    # them multiplies matrices with @ or names a routine that would.
+    with open(os.path.join(PACKAGE, f"{name}.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        assert not isinstance(getattr(node, "op", None), ast.MatMult), \
+            (name, node.lineno)
+        named = (node.id if isinstance(node, ast.Name) else
+                 node.attr if isinstance(node, ast.Attribute) else
+                 node.name if isinstance(node, ast.alias) else "")
+        assert not BLAS_NAMES & set(named.split(".")), (name, named)

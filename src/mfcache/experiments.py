@@ -18,15 +18,15 @@ command first solves every point's equilibrium, in point order; then, where
 :func:`io.two_cpus` allows, a list of two tasks or more runs on two
 processes (:func:`_sweep`): a forked helper runs the later half of the
 tasks while the command runs the first half. The helper only steps
-replications. Its results, log records, warnings and error come back and
-are used in task order, as the inline loop gives them.
+replications, which neither log nor warn: the solve has read each point's
+rate, and the command logs the lanes a point excludes. Only its results
+and its error come back, used in task order, as the inline loop gives them.
 """
 
 from __future__ import annotations
 
 import logging
 import pickle
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
@@ -37,11 +37,11 @@ import numpy as np
 
 from .costs import storage_drift
 from .errors import BarrierExclusionError
-from .geometry import average_rate, rate_model_from_config, request_region_count
+from .geometry import request_region_count
 from .io import fork_helper, two_cpus
 from .policies import BaselinePolicy, MfPolicy, RandomPolicy
 from .scenario import ScenarioConfig, sweep_points
-from .simulation import ipi_experiment, run_replication
+from .simulation import ipi_experiment, log_exclusions, run_replication
 from .solver import (
     Grid,
     MfeSolution,
@@ -79,11 +79,10 @@ def problem_from_scenario(scenario: ScenarioConfig, grid: Grid) -> MfgProblem:
     """Reduced problem for one content under the scenario's prior.
 
     With a fresh request history every content shares the uniform mean
-    ``1 / catalog_size``; the wireless rate is the deterministic
-    density-normalized value, held constant over the horizon.
+    ``1 / catalog_size``; the wireless rate is the geometry's deterministic
+    density-normalized ``rate``, held constant over the horizon.
     """
     dem, cst, geo = scenario.demand, scenario.costs, scenario.geometry
-    rate = average_rate(rate_model_from_config(geo), geo)
     m0 = gaussian_initial_density(
         grid,
         x_mean=max(dem.x0, dem.ipi.floor_eps), x_std=scenario.solver.m0_x_std,
@@ -94,7 +93,7 @@ def problem_from_scenario(scenario: ScenarioConfig, grid: Grid) -> MfgProblem:
         reversion_rate=dem.reversion_rate,
         volatility=dem.volatility,
         costs=cst,
-        rate=rate,
+        rate=geo.rate,
         m0=m0,
         neighbor_count=max(0, request_region_count(geo) - 1),
     )
@@ -193,53 +192,6 @@ def _replication_seeds(scenario: ScenarioConfig) -> list[int]:
     return [base + r for r in range(scenario.simulation.replications)]
 
 
-class _Kept(logging.Handler):
-    """Keeps, in order, every log record it handles and the arguments of
-    every warning shown through :meth:`show`. A record's text is rendered
-    (as ``logging.handlers.QueueHandler`` does), so that the records
-    pickle. ``logging.handlers`` itself would cost the helper about 9 ms of
-    imports (``socket``, ``queue``)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.kept: list = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg = self.format(record)
-        record.args = record.exc_info = record.exc_text = record.stack_info = None
-        self.kept.append(record)
-
-    def show(self, message, category, filename, lineno, file=None, line=None):
-        self.kept.append((message, category, filename, lineno, file, line))
-
-
-def _captured(step: Callable, *args) -> tuple[list, object, Exception | None]:
-    """``step(*args)`` with the log records it makes and the warnings it
-    shows kept, in order, not handled: ``(kept, value, None)``, or
-    ``(kept, None, error)`` if it raised. The warning filters still apply,
-    so a warning shown once per process is kept once."""
-    keeper = _Kept()
-    handlers, logging.root.handlers = logging.root.handlers, [keeper]
-    show, warnings.showwarning = warnings.showwarning, keeper.show
-    try:
-        return keeper.kept, step(*args), None
-    except Exception as exc:
-        return keeper.kept, None, exc
-    finally:
-        logging.root.handlers = handlers
-        warnings.showwarning = show
-
-
-def _handle(kept: list) -> None:
-    """Hand what :func:`_captured` kept to the loggers and to
-    ``warnings.showwarning``, in order."""
-    for item in kept:
-        if isinstance(item, logging.LogRecord):
-            logging.getLogger(item.name).handle(item)
-        else:
-            warnings.showwarning(*item)
-
-
 class _Point(NamedTuple):
     """A sweep point of a recipe: its scenario, one task per entry of
     ``seeds``, and ``finish``, which takes the tasks' results in seed order
@@ -262,16 +214,15 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     before any task runs. Then, where :func:`io.two_cpus` allows and there
     are two tasks or more, a helper forked by :func:`io.fork_helper` runs
     the tasks from ``ceil(n/2)`` on, while this process runs those before
-    them. The helper calls ``run`` only.
+    them. The helper calls ``run`` only, and ``run`` must neither log nor
+    warn, since a helper must not use stdio.
 
-    The helper stops at its first error and pickles, task by task, what it
-    kept of its log records (which reach none of its own handlers) and
-    warnings, the result, and that error. This process handles them, and
-    finishes the helper's points, after its own tasks, so the earliest
-    failing task's error wins and every record, warning, and point's
-    warning or error from ``finish`` comes in task order, as in the inline
-    loop. An error in this process's half kills the helper. A helper that
-    dies, or whose results, errors or records do not pickle, raises
+    The helper stops at its first error and pickles, task by task, the
+    result or that error. This process finishes the helper's points after
+    its own tasks, so the earliest failing task's error wins, and every
+    point's log lines or error from ``finish`` come in task order, as in
+    the inline loop. An error in this process's half kills the helper. A
+    helper that dies, or whose results or error do not pickle, raises
     ``OSError``.
     """
     prepared = [prepare(solve_scenario(point.scenario)) for point in points]
@@ -301,8 +252,10 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     def helper() -> bytes:
         outcomes = []
         for i, seed in theirs:
-            outcomes.append(_captured(task, i, seed))
-            if outcomes[-1][2] is not None:
+            try:
+                outcomes.append((task(i, seed), None))
+            except Exception as exc:
+                outcomes.append((None, exc))
                 break
         return pickle.dumps(outcomes)
 
@@ -315,8 +268,7 @@ def _sweep(points: list[_Point], prepare: Callable[[MfeSolution], object],
     except Exception as exc:
         raise OSError(f"{what} sent back what does not unpickle: "
                       f"{exc}") from exc
-    for (i, _), (kept, result, error) in zip(theirs, outcomes):
-        _handle(kept)
+    for (i, _), (result, error) in zip(theirs, outcomes):
         if error is not None:
             raise error
         done(i, result)
@@ -373,6 +325,7 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
     overlap_rows: list[tuple] = []
 
     def user_rows(lambda_u: float, runs: list) -> None:
+        log_exclusions(log_ for run in runs for log_ in run.values())
         finals: dict[str, float] = {}
         for name in POLICY_NAMES:
             kept = _kept([run[name, False] for run in runs],
@@ -389,6 +342,7 @@ def compare_experiment(scenario: ScenarioConfig) -> dict[str, list]:
             summary_rows.append((lambda_u, name, finals[name], reduction))
 
     def x0_rows(x0: float, runs: list) -> None:
+        log_exclusions(log_ for run in runs for log_ in run.values())
         for name in POLICY_NAMES:
             kept = _kept([run[name, False] for run in runs],
                          f"overlap x0={x0} policy={name}")
@@ -419,6 +373,8 @@ def ipi_sweep_experiment(scenario: ScenarioConfig) -> list[tuple]:
     rows: list[tuple] = []
 
     def point_rows(lambda_b: float, runs: list) -> None:
+        log_exclusions(log_ for run in runs for pair in run.values()
+                       for log_ in (pair.perfect, pair.imperfect))
         for name in POLICY_NAMES:
             kept = _kept([run[name] for run in runs],
                          f"ipi lambda_b={lambda_b} policy={name}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,12 @@ class GeometryConfig:
         """Sectored-array factor multiplying interference in the SINR:
         (beamwidth / 2 pi) * main-lobe gain = sqrt(num_antennas)."""
         return float(np.sqrt(self.num_antennas))
+
+    @cached_property
+    def rate(self) -> float:
+        """``average_rate(rate_model_from_config(self), self)``, built once
+        per config object: a dense geometry warns at its first read only."""
+        return average_rate(rate_model_from_config(self), self)
 
 
 @dataclass(frozen=True)

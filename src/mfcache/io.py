@@ -77,15 +77,16 @@ def fork_helper(work: Callable[[], bytes], what: str) -> Iterator[Iterator[bytes
     it is given, in chunks of at most ``_PIPE_CHUNK`` bytes.
 
     ``work`` runs in the helper alone, on a copy of this process's memory.
-    It must not use stdio, and it has no way back but its bytes. It must
-    not call BLAS or LAPACK: an OpenMP thread pool (MKL, or an OpenBLAS
+    It must not use stdio, so it neither logs nor warns: its one way back is
+    its bytes (a sweep's helper sends its results and its error only). It
+    must not call BLAS or LAPACK: an OpenMP thread pool (MKL, or an OpenBLAS
     built with ``USE_OPENMP``) that this process has used may deadlock in a
     forked child. The helper computes all of its bytes before it writes, so
     it does not block on the pipe while there is work to overlap. It never
-    returns into the caller: it leaves through ``os._exit`` (no stdio
-    flush, no atexit hooks), with status 0 only once every byte is written;
-    a ``work`` that raises, or a reader that has closed the pipe
-    (``EPIPE``), makes it exit 1.
+    returns into the caller: it leaves through ``os._exit`` (no stdio flush,
+    no atexit hooks), with status 0 only once every byte is written; a
+    ``work`` that raises, or a reader that has closed the pipe (``EPIPE``),
+    makes it exit 1.
 
     If the block raises, the helper is killed, since nothing it computes
     will be read; its error then propagates. On leaving the block the read

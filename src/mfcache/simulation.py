@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,13 +61,14 @@ from .demand import (
     simulate_requests,
 )
 from .errors import ConfigurationError
-from .geometry import average_rate, rate_model_from_config, sample_ppp
+from .geometry import sample_ppp
 from .policies import PolicyContext
 from .scenario import ScenarioConfig
 from .solver import _BLOCK_BYTES
 
 __all__ = ["World", "MetricsLog", "PairedRun", "build_world", "step",
-           "hood_metrics", "run_replication", "run_scenario", "ipi_experiment"]
+           "hood_metrics", "run_replication", "run_scenario", "ipi_experiment",
+           "log_exclusions"]
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +101,6 @@ class MetricsLog:
 
     seed: int
     dt: float
-    times: np.ndarray = field(default_factory=lambda: np.empty(0))
     cost: np.ndarray = field(default_factory=lambda: np.empty(0))
     cumulative_cost: np.ndarray = field(default_factory=lambda: np.empty(0))
     overlap: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -111,11 +112,10 @@ class MetricsLog:
     q_final: np.ndarray | None = None
 
     def finalize(self) -> None:
+        """Derive the summaries; an infinite LRA (a barrier hit) sets
+        ``excluded``. It logs nothing: see :func:`log_exclusions`."""
         self.lra = lra_cost(self.cost, self.dt)
-        if not math.isfinite(self.lra):
-            self.excluded = True
-            log.warning("replication %d hit the barrier; trajectory flagged "
-                        "and excluded from aggregates", self.seed)
+        self.excluded = not math.isfinite(self.lra)
         usage = float(self.storage_usage.mean()) if self.storage_usage.size else 0.0
         mean_overlap = float(self.overlap.mean()) if self.overlap.size else 0.0
         self.overlap_per_storage = mean_overlap / usage if usage > 1e-12 else 0.0
@@ -282,6 +282,9 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     mass of the search region. Each lane's storage after the last step is
     kept in ``q_final``; a run of no steps keeps none. ``policies`` and
     ``arms`` must each hold at least one entry.
+    The run reads the geometry's cached ``rate`` and logs nothing: a lane
+    that hits the barrier is only marked ``excluded`` (see
+    :func:`log_exclusions`).
     """
     if not policies:
         raise ConfigurationError("policies must hold at least one policy")
@@ -303,7 +306,7 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
     series = np.empty((3, len(keys), n_steps))
     hits = np.zeros(len(keys), dtype=np.int64)
     if n_steps:
-        rate = average_rate(rate_model_from_config(geo), geo)
+        rate = geo.rate
         arrival_rate = (geo.lambda_u * np.pi * geo.search_radius_km ** 2
                         * dem.requests_per_user)
         # The hood's rows of the steps since the last metrics pass: at most
@@ -340,11 +343,9 @@ def run_replication(scenario: ScenarioConfig, policies: dict[str, object],
                     increments = simulate_requests(
                         history, int(world_rng.poisson(arrival_rate)), world_rng)
                     world.mu[i] = refresh_period(history, increments)
-    times = np.arange(n_steps) * dt + dt
     logs = {}
     for i, key in enumerate(keys):
-        metrics = MetricsLog(seed=seed, dt=dt, times=times.copy(),
-                             barrier_hits=int(hits[i]),
+        metrics = MetricsLog(seed=seed, dt=dt, barrier_hits=int(hits[i]),
                              q_final=remaining[i] if n_steps else None)
         metrics.cost, metrics.overlap, metrics.storage_usage = series[:, i]
         metrics.finalize()
@@ -398,3 +399,13 @@ def ipi_experiment(scenario: ScenarioConfig, policies: dict[str, object],
     return {name: PairedRun(perfect=logs[name, False],
                             imperfect=logs[name, True])
             for name in policies}
+
+
+def log_exclusions(logs: Iterable[MetricsLog]) -> None:
+    """Log one warning per excluded log of ``logs``, in order. A replication
+    logs nothing itself: the recipes call this with each sweep point's
+    lanes, in seed order, then lane order."""
+    for metrics in logs:
+        if metrics.excluded:
+            log.warning("replication %d hit the barrier; trajectory flagged "
+                        "and excluded from aggregates", metrics.seed)

@@ -254,7 +254,6 @@ def reference_replication(scenario, policies: dict, arms=(False,),
                  policy=policy, imperfect=imperfect, rng=streams()[1],
                  remaining=world.remaining.copy(),
                  log=MetricsLog(seed=seed, dt=dt,
-                                times=np.arange(n_steps) * dt + dt,
                                 cost=np.empty(n_steps),
                                 overlap=np.empty(n_steps),
                                 storage_usage=np.empty(n_steps)))

@@ -17,10 +17,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfcache import costs, simulation, solver
+from mfcache import costs, experiments, simulation, solver
 from mfcache.experiments import (
     compare_experiment,
     grid_from_scenario,
+    ipi_sweep_experiment,
     problem_from_scenario,
     solve_scenario,
 )
@@ -35,7 +36,7 @@ from mfcache.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from mfcache.simulation import build_world, ipi_experiment
+from mfcache.simulation import build_world
 from mfcache.solver import SolverConfig
 
 from support import ConstantPolicy
@@ -371,22 +372,34 @@ def test_compare_calls_the_mf_policy_once_per_step(monkeypatch, forks,
     assert len(set(calls)) == points
 
 
-def test_one_barrier_warning_per_excluded_lane(caplog):
+def test_one_barrier_warning_per_excluded_lane(monkeypatch, caplog):
     # perfbench/run.py counts "hit the barrier" lines on stderr as failed
-    # operations: a shared run must warn once per excluded lane, that is per
-    # policy, arm and seed, as separate runs of each lane would.
-    policies = {"over": ConstantPolicy(1.0), "baseline": BaselinePolicy(),
-                "random": RandomPolicy()}
-    seeds = (3, 4)
+    # operations: a recipe must warn once per excluded lane, that is per
+    # policy, arm and seed, as separate runs of each lane would. Here both
+    # arms of an extra lane over the cap are excluded, seeds 3 and 4.
+    policies_for, log_exclusions = (experiments._policies_for,
+                                    experiments.log_exclusions)
+    monkeypatch.setattr(experiments, "_policies_for", lambda solution: {
+        "over": ConstantPolicy(1.0), **policies_for(solution)})
+    lanes = []
+
+    def recording(logs):
+        logs = list(logs)
+        lanes.extend(logs)
+        log_exclusions(logs)
+
+    monkeypatch.setattr(experiments, "log_exclusions", recording)
+    scenario = ScenarioConfig(
+        demand=DemandConfig(catalog_size=3),
+        solver=SolverSettings(grid_nt=21, grid_nx=11, grid_nq=11),
+        simulation=SimulationSettings(replications=2, seed=3),
+        experiments=ExperimentSweeps(lambda_b_values=(0.05,)))
     with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
-        runs = [ipi_experiment(_tiny_scenario(), policies, seed=seed)
-                for seed in seeds]
-    excluded = [(pair.perfect.seed, name)
-                for run in runs for name, pair in run.items()
-                for log in (pair.perfect, pair.imperfect) if log.excluded]
-    assert excluded == [(seed, "over") for seed in seeds for _ in range(2)]
+        ipi_sweep_experiment(scenario)
+    excluded = [log.seed for log in lanes if log.excluded]
+    assert excluded == [3, 3, 4, 4]
     warnings = [record.getMessage() for record in caplog.records
                 if "hit the barrier" in record.getMessage()]
     assert warnings == [f"replication {seed} hit the barrier; trajectory "
                         "flagged and excluded from aggregates"
-                        for seed, _ in excluded]
+                        for seed in excluded]

@@ -386,41 +386,60 @@ class TestReplicationHelper:
         assert len(forks.pids) == forks.expected
 
     def test_barrier_warnings_once_per_excluded_lane_in_seed_order(
-            self, scenario, policies, forks, caplog):
-        seeds = [3, 4, 5, 6]
-        with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
-            per_seed(scenario, lambda solution: policies,
-                     lambda sc, given, seed: ipi_experiment(sc, given, seed=seed),
-                     seeds)
-        warnings = [(record.name, record.levelno, record.getMessage())
-                    for record in caplog.records
-                    if "hit the barrier" in record.getMessage()]
-        # Both arms of the "over" lane, per seed.
-        assert warnings == [
-            ("mfcache.simulation", logging.WARNING,
-             f"replication {seed} hit the barrier; trajectory flagged and "
-             "excluded from aggregates") for seed in seeds for _ in range(2)]
-        assert len(forks.pids) == forks.expected
+            self, scenario, forks, monkeypatch, caplog):
+        # Every point but the last runs an extra lane over the cap, which
+        # the recipe does not read; the last point's random lane is over
+        # the cap, so that point fails after its lines. The command logs
+        # one line per excluded lane, in point, seed and lane order, then
+        # the point's own warning. On two CPUs, ipi's point straddles the
+        # split and compare's last point runs in the helper.
+        policies_for = experiments._policies_for
+        seeds = (3, 4, 5)
+
+        def barrier(seed):
+            return ("mfcache.simulation", logging.WARNING,
+                    f"replication {seed} hit the barrier; trajectory flagged "
+                    "and excluded from aggregates")
+
+        cases = {"compare": (2, 1, "overlap x0=0.3"),
+                 "ipi": (1, 2, "ipi lambda_b=0.05")}
+        for recipe, (points, arms, label) in cases.items():
+            built = []
+
+            def over_the_cap(solution):
+                built.append(solution)
+                lane = "random" if len(built) == points else "over"
+                return {**policies_for(solution), lane: ConstantPolicy(1.0)}
+
+            monkeypatch.setattr(experiments, "_policies_for", over_the_cap)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                with pytest.raises(BarrierExclusionError,
+                                   match=f"^{label} policy=random: every "):
+                    RECIPES[recipe](scenario)
+            assert [(r.name, r.levelno, r.getMessage())
+                    for r in caplog.records] == [
+                barrier(seed) for _ in range(points) for seed in seeds
+                for _ in range(arms)] + [
+                ("mfcache.experiments", logging.WARNING,
+                 f"{label} policy=random: excluded 3 barrier-hit "
+                 "replication(s)")]
+        assert len(forks.pids) == 2 * forks.expected
 
     @pytest.mark.parametrize("failing, raised", [
         ({6}, 6), ({5, 6}, 5), ({4, 6}, 4), ({3, 5}, 3)],
         ids=["last-helper-seed", "both-helper-seeds", "command-and-helper",
              "first-seed"])
-    def test_earliest_failing_seed_wins(self, scenario, forks, caplog,
-                                        failing, raised):
-        # Seeds 3 and 4 run in the command, 5 and 6 in the helper; the
-        # records of the seeds before the failing one are all handled.
+    def test_earliest_failing_seed_wins(self, scenario, forks, failing,
+                                        raised):
+        # Seeds 3 and 4 run in the command, 5 and 6 in the helper.
         def run(sc, prepared, seed):
             if seed in failing:
                 raise ConfigurationError(f"seed {seed} failed")
             return finished_log(seed, math.inf)
 
-        with caplog.at_level(logging.WARNING, logger="mfcache.simulation"):
-            with pytest.raises(ConfigurationError, match=f"^seed {raised} "):
-                per_seed(scenario, lambda solution: None, run, [3, 4, 5, 6])
-        assert [record.getMessage().split()[1] for record in caplog.records
-                if "hit the barrier" in record.getMessage()] == \
-            [str(seed) for seed in range(3, raised)]
+        with pytest.raises(ConfigurationError, match=f"^seed {raised} "):
+            per_seed(scenario, lambda solution: None, run, [3, 4, 5, 6])
         assert len(forks.pids) == forks.expected
 
     def test_an_error_in_the_command_kills_the_helper(self, monkeypatch):

@@ -45,8 +45,8 @@ def test_import_loads_no_numpy_polynomial():
 
 
 def test_import_loads_no_process_pool():
-    # The export forks with ``os`` alone, and the sweep helper keeps its log
-    # records with its own handler (``experiments._Kept``), not a
+    # The export and the sweep fork with ``os`` alone, and the sweep helper
+    # sends back only its results and its error, through a pipe, with no
     # ``logging.handlers.QueueHandler``; these modules would add their
     # import time to every command's start-up.
     assert modules_loaded_by_import(

@@ -1,4 +1,6 @@
+import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from dataclasses import replace
 from mfcache.costs import CostParams, empirical_overlap
 from mfcache.demand import FLOOR_EPS
 from mfcache.errors import ConfigurationError
-from mfcache.geometry import average_rate, rate_model_from_config
 from mfcache.scenario import DemandConfig, ScenarioConfig, SimulationSettings, SolverSettings
 from mfcache import experiments, simulation
 from mfcache.experiments import compare_experiment, solve_scenario
@@ -96,7 +97,7 @@ class TestStep:
         world_rng, policy_rng = (np.random.default_rng(s) for s in (1, 2))
         world, hood = build_world(sc, world_rng)
         assert hood.size > 1
-        rate = average_rate(rate_model_from_config(sc.geometry), sc.geometry)
+        rate = sc.geometry.rate
         levels = (0.3, 0.6)
         policies = [(ConstantPolicy(level), policy_rng) for level in levels]
         remaining = np.repeat(world.remaining[None], len(levels), axis=0)
@@ -332,7 +333,7 @@ class TestRunScenario:
         log = run_scenario(with_horizon(small_scenario(), 2.0), Clock(0.0),
                            seed=6)
         assert seen == [k % 50 for k in range(100)]
-        assert log.times[-1] == pytest.approx(2.0)
+        assert len(log.cost) * log.dt == pytest.approx(2.0)
 
     @pytest.mark.parametrize("nt", [41, 61, 201])
     def test_mf_policy_reads_the_time_node_of_every_step(self, nt):
@@ -459,7 +460,28 @@ class TestRunScenario:
         b = run_scenario(sc, ConstantPolicy(0.1), seed=13)
         # same popularity paths and time nodes; storage differs
         assert not np.array_equal(a.storage_usage, b.storage_usage)
-        assert np.array_equal(a.times, b.times)
+        assert (a.dt, a.cost.size) == (b.dt, b.cost.size)
+
+    def test_a_replication_of_a_solved_point_neither_logs_nor_warns(
+            self, caplog):
+        # More users than stations, and a lane over the cap: the solve reads
+        # the geometry's rate, warning once; then a replication shows no
+        # warning, even under the "always" filter, and makes no log record.
+        # A sweep's forked helper relies on this.
+        sc = small_scenario()
+        sc = replace(sc, geometry=replace(sc.geometry, lambda_u=0.1))
+        with pytest.warns(UserWarning, match="lambda_u exceeds lambda_b"):
+            solution = solve_scenario(sc)
+        caplog.clear()
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            with caplog.at_level(logging.DEBUG):
+                logs = run_replication(sc, {"mf": MfPolicy(solution),
+                                            "over": ConstantPolicy(1.0)},
+                                       arms=(False, True))
+        assert logs["over", False].excluded and logs["over", True].excluded
+        assert shown == []
+        assert caplog.records == []
 
     def test_snapshot_capture(self):
         # q_final is each lane's storage after the last step.
@@ -554,7 +576,7 @@ class TestSharedReplication:
                                 for arm in (False, True)]
         for (name, imperfect), lane in shared.items():
             solo = run_scenario(sc, policies[name], seed=9, use_ipi=imperfect)
-            for attr in ("cost", "overlap", "storage_usage", "times"):
+            for attr in ("cost", "overlap", "storage_usage"):
                 assert np.array_equal(getattr(lane, attr), getattr(solo, attr))
             assert lane.cost.size == round(50 * horizon)
             assert lane.lra == solo.lra
@@ -567,7 +589,7 @@ class TestSharedReplication:
     def test_lanes_own_their_arrays(self, policies):
         shared = list(run_replication(with_horizon(small_scenario(), 0.5),
                                       policies, seed=9).values())
-        for attr in ("times", "cost", "overlap", "storage_usage"):
+        for attr in ("cost", "overlap", "storage_usage"):
             arrays = [getattr(log, attr) for log in shared]
             for i, a in enumerate(arrays):
                 for b in arrays[i + 1:]:
@@ -659,8 +681,7 @@ class TestStackedLanes:
         assert list(shared) == list(reference)
         for key, log in shared.items():
             ref = reference[key]
-            for attr in ("cost", "overlap", "storage_usage", "times",
-                         "q_final"):
+            for attr in ("cost", "overlap", "storage_usage", "q_final"):
                 assert np.array_equal(getattr(log, attr), getattr(ref, attr)), \
                     (key, attr)
             assert log.cost.size == round(50 * horizon)
